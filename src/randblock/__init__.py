@@ -2,7 +2,7 @@
 exponents, Zariski closure diagnostics, localization statistics, and exact
 many-body cross-checks for the anisotropic spin chain."""
 
-from .errors import ConfigError, ConventionError, NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .model import (
     BlockJacobiMatrix,
     DisorderRealization,
@@ -40,10 +40,8 @@ from .transfer import (
     MatrixSolution,
     TransferMatrix,
     charpoly_identity_check,
-    compound_matrix,
     fundamental_solutions,
     green_block,
-    propagate,
     transfer_matrix,
     wronskian,
 )

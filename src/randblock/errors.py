@@ -9,7 +9,3 @@ class ConfigError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A computation could not produce a trustworthy result (CLI exit code 3)."""
-
-
-class ConventionError(NumericalFailure):
-    """A cross-convention reconciliation fit failed to reach tolerance."""

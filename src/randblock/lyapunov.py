@@ -23,9 +23,9 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .model import SIGMA_Z, ModelParams, SingleSiteDistribution, anisotropy_block, realization_rng
 from .spectral import DOSHistogram
+from .transfer import DEFAULT_REORTH, qr_block, transfer_factors
 
 DEFAULT_STEPS = 100_000
-DEFAULT_REORTH = 10
 DEFAULT_BATCHES = 50
 TWO_STEP_DET_TOL = 1e-12
 
@@ -103,9 +103,6 @@ class BlockEnsemble:
         last drawn S across calls; one extra block draw initializes the
         boundary hopping.
         """
-        ell = self.ell
-        eye = np.eye(ell)
-        dtype = complex if np.imag(E) != 0.0 else float
         state: dict = {"carry": None}
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -115,12 +112,7 @@ class BlockEnsemble:
             V, S = self.draw_blocks(rng, m)
             S_prev = np.concatenate([state["carry"][None], S[:-1]])
             state["carry"] = S[-1].copy()
-            Winv = np.linalg.inv(S_prev)
-            F = np.zeros((m, 2 * ell, 2 * ell), dtype=dtype)
-            F[:, :ell, ell:] = Winv
-            F[:, ell:, :ell] = -np.transpose(S_prev, (0, 2, 1))
-            F[:, ell:, ell:] = (V - E * eye) @ Winv
-            return F
+            return transfer_factors(V, S_prev, E)
 
         return draw
 
@@ -162,13 +154,10 @@ def _qr_exponents(
         while done < count:
             take = min(chunk_blocks, count - done)
             F = draw_factors(rng, take * reorth_every)
-            for b in range(take):
-                for i in range(reorth_every):
-                    X = F[b * reorth_every + i] @ X
-                Q, R = np.linalg.qr(X)
-                X = Q
+            for block in F.reshape(take, reorth_every, dim, dim):
+                X, diag_r = qr_block(X, block)
                 if sums is not None:
-                    sums += np.log(np.abs(np.diagonal(R)))
+                    sums += np.log(np.abs(diag_r))
             if not np.all(np.isfinite(X)):
                 raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
             done += take
@@ -305,16 +294,15 @@ def anderson_lyapunov_2x2(
     seed: int = 0,
     reorth_every: int = DEFAULT_REORTH,
 ) -> ExponentEstimate:
-    """Top exponent of products of [[0, 1], [-1, c nu]] with nu ~ rho."""
+    """Top exponent of products of [[0, 1], [-1, c nu]] with nu ~ rho.
+
+    These are the ell = 1 transfer factors with V = c nu, S = 1 at E = 0.
+    """
     c = float(effective_coupling)
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         nu = rho.sample(rng, m)
-        F = np.zeros((m, 2, 2))
-        F[:, 0, 1] = 1.0
-        F[:, 1, 0] = -1.0
-        F[:, 1, 1] = c * nu
-        return F
+        return transfer_factors(c * nu[:, None, None], np.ones((m, 1, 1)), 0.0)
 
     exps, se, counted = _qr_exponents(draw, 2, steps, seed, reorth_every)
     return ExponentEstimate(value=float(exps[0]), se=float(se[0]), steps=counted, seed=seed)

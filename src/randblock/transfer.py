@@ -9,13 +9,18 @@ S_{k-1} u(k)) and produces x_k = (u(k), S_k u(k+1)), so
 A_k satisfies A_k^t J A_k = J exactly (transpose, not adjoint), also for
 complex E.  Boundary hoppings are padded with identities, S_0 = S_L = I,
 so that fundamental solutions on a chain of L sites are indexed k = 0..L+1.
+
+Long products are carried on orthonormal frames: qr_block advances a frame
+through a block of steps and re-orthonormalizes it, returning diag R, from
+which callers take log |diag R| and the phase of det R.  The Lyapunov
+engine and both characteristic polynomial routes use it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +28,8 @@ from .errors import NumericalFailure
 from .model import BlockJacobiMatrix
 
 OVERFLOW_LIMIT = 1e250
-PRODUCT_RESCALE_THRESHOLD = 1e100
 WRONSKIAN_COND_LIMIT = 1e12
+DEFAULT_REORTH = 10
 
 
 def symplectic_form(ell: int) -> np.ndarray:
@@ -51,40 +56,51 @@ class TransferMatrix:
         return float(np.max(np.abs(self.matrix.T @ J @ self.matrix - J)))
 
 
+def _energy(E: complex) -> complex:
+    """E as a float when its imaginary part is zero, so real energies keep real arithmetic."""
+    return float(np.real(E)) if np.imag(E) == 0.0 else E
+
+
+def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarray:
+    """Stack of A_k built from diagonal blocks V (m, ell, ell) and incoming hoppings S_prev.
+
+    The result is float64 unless V, S_prev or E is complex; a complex E
+    with zero imaginary part counts as real.
+    """
+    V = np.asarray(V)
+    S_prev = np.asarray(S_prev)
+    E = _energy(E)
+    m, ell = V.shape[0], V.shape[-1]
+    W = np.linalg.inv(S_prev)
+    A = np.zeros((m, 2 * ell, 2 * ell), dtype=np.result_type(V, S_prev, E, float))
+    A[:, :ell, ell:] = W
+    A[:, ell:, :ell] = -np.swapaxes(S_prev, -1, -2)
+    A[:, ell:, ell:] = (V - E * np.eye(ell)) @ W
+    return A
+
+
 def transfer_matrix(V_k: np.ndarray, S_prev: np.ndarray, E: complex) -> TransferMatrix:
     """Build A_k from the diagonal block V_k and the incoming hopping S_{k-1}."""
-    V_k = np.asarray(V_k)
-    S_prev = np.asarray(S_prev)
-    ell = V_k.shape[0]
-    if np.imag(E) == 0.0:
-        E = float(np.real(E))  # keep real arithmetic for real energies
-    dtype = complex if (np.iscomplexobj(V_k) or np.imag(E) != 0.0) else float
-    W = np.linalg.inv(S_prev)
-    A = np.zeros((2 * ell, 2 * ell), dtype=dtype)
-    A[:ell, ell:] = W
-    A[ell:, :ell] = -S_prev.T
-    A[ell:, ell:] = (V_k - E * np.eye(ell)) @ W
-    return TransferMatrix(matrix=A, energy=E)
+    A = transfer_factors(np.asarray(V_k)[None], np.asarray(S_prev)[None], E)[0]
+    return TransferMatrix(matrix=A, energy=_energy(E))
 
 
-def propagate(x0: np.ndarray, transfers: Sequence[TransferMatrix]) -> np.ndarray:
-    """Apply the transfer steps in order; returns states[k] = A_k ... A_1 x0.
+def qr_block(
+    X: np.ndarray,
+    factors: Iterable,
+    step: Callable[[Any, np.ndarray], np.ndarray] = operator.matmul,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the frame X through factors and re-orthonormalize it.
 
-    x0 may be a vector or a matrix of column states; states[0] is x0 and
-    states[k][:ell] is u(k), states[k][ell:] is S_k u(k+1).
+    Each factor F maps X to step(F, X), the matrix product F @ X by
+    default.  With Y = Q R the reduced QR factorization of the advanced
+    frame, returns Q and diag R: log |diag R| carries the growth, and the
+    product of diag R / |diag R| is the phase of det R.
     """
-    x0 = np.asarray(x0)
-    out = np.empty((len(transfers) + 1,) + x0.shape, dtype=complex if any(
-        np.iscomplexobj(t.matrix) for t in transfers) or np.iscomplexobj(x0) else float)
-    out[0] = x0
-    for k, t in enumerate(transfers, start=1):
-        out[k] = t.matrix @ out[k - 1]
-        if np.max(np.abs(out[k])) > OVERFLOW_LIMIT:
-            raise NumericalFailure(
-                f"transfer propagation overflowed after {k} steps; "
-                "use the rescaled product routines for long chains"
-            )
-    return out
+    for F in factors:
+        X = step(F, X)
+    Q, R = np.linalg.qr(X)
+    return Q, np.diagonal(R)
 
 
 def _padded_hopping(M: BlockJacobiMatrix) -> np.ndarray:
@@ -201,64 +217,52 @@ def green_block(M: BlockJacobiMatrix, z: complex, j: int, k: int) -> np.ndarray:
 # characteristic polynomial identity
 
 
-def compound_matrix(T: np.ndarray, p: int) -> np.ndarray:
-    """p-th multiplicative compound: minors det T[rows, cols] over p-subsets.
+def _renormalized_bottom_minor(
+    ell: int, steps: Sequence, step: Callable[[Any, np.ndarray], np.ndarray]
+) -> tuple[complex, float]:
+    """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] after all steps.
 
-    Row/column subsets are enumerated in lexicographic order.  Intended for
-    small matrices; the charpoly check only needs the single bottom-right
-    element, which it computes directly.
+    The frame is re-orthonormalized every DEFAULT_REORTH steps; the
+    accumulated R factors carry the scale, so no entry over- or underflows.
     """
-    idx = list(combinations(range(T.shape[0]), p))
-    C = np.empty((len(idx), len(idx)), dtype=T.dtype)
-    for a, rows in enumerate(idx):
-        for b, cols in enumerate(idx):
-            C[a, b] = np.linalg.det(T[np.ix_(rows, cols)])
-    return C
-
-
-def _scaled_forward_determinant(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
-    """(sign, log|det|) of P(L+1) for the forward solution, with rescaling."""
-    ell, L = M.ell, M.n
-    S = _padded_hopping(M)
-    eye = np.eye(ell)
-    dtype = complex if np.imag(E) != 0.0 else float
-    prev = np.zeros((ell, ell), dtype=dtype)
-    cur = eye.astype(dtype)
-    log_scale = 0.0
-    for k in range(1, L + 1):
-        nxt = np.linalg.solve(S[k], (M.V[k - 1] - E * eye) @ cur - S[k - 1].T @ prev)
-        prev, cur = cur, nxt
-        peak = np.max(np.abs(cur))
-        if peak > PRODUCT_RESCALE_THRESHOLD:
-            prev = prev / peak
-            cur = cur / peak
-            log_scale += np.log(peak)
-    sign, logdet = np.linalg.slogdet(cur)
+    X = np.concatenate([np.zeros((ell, ell)), np.eye(ell)])
+    phase, log_abs = 1.0, 0.0
+    for start in range(0, len(steps), DEFAULT_REORTH):
+        X, d = qr_block(X, steps[start : start + DEFAULT_REORTH], step)
+        abs_d = np.abs(d)
+        phase *= np.prod(d / abs_d)
+        log_abs += float(np.sum(np.log(abs_d)))
+    sign, logdet = np.linalg.slogdet(X[ell:])
     if sign == 0:
-        raise NumericalFailure("fundamental solution determinant vanished")
-    return sign, logdet + ell * log_scale
+        raise NumericalFailure("bottom block of the renormalized frame is singular")
+    return phase * sign, log_abs + float(logdet)
 
 
-def _scaled_transfer_minor(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
-    """(sign, log|det|) of the bottom-right ell-minor of A_L ... A_1.
+def _forward_determinant(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
+    """(phase, log|det|) of P(L+1) from the solution recursion.
+
+    The frame [U(k-1); U(k)] starts at [0; I] and advances by solving
+    S_k U(k+1) = (V_k - E) U(k) - S_{k-1}^t U(k-1).
+    """
+    ell = M.ell
+    S = _padded_hopping(M)
+    shifted = M.V - _energy(E) * np.eye(ell)
+
+    def recurse(k: int, X: np.ndarray) -> np.ndarray:
+        prev, cur = X[:ell], X[ell:]
+        return np.concatenate([cur, np.linalg.solve(S[k], shifted[k - 1] @ cur - S[k - 1].T @ prev)])
+
+    return _renormalized_bottom_minor(ell, range(1, M.n + 1), recurse)
+
+
+def _transfer_minor(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
+    """(phase, log|det|) of the bottom-right ell-minor of A_L ... A_1.
 
     This is the top exterior power matrix element of the full transfer
     product, accumulated independently of the solution recursion.
     """
-    ell, L = M.ell, M.n
-    S = _padded_hopping(M)
-    T = np.eye(2 * ell, dtype=complex if np.imag(E) != 0.0 else float)
-    log_scale = 0.0
-    for k in range(1, L + 1):
-        T = transfer_matrix(M.V[k - 1], S[k - 1], E).matrix @ T
-        peak = np.max(np.abs(T))
-        if peak > PRODUCT_RESCALE_THRESHOLD:
-            T = T / peak
-            log_scale += np.log(peak)
-    sign, logdet = np.linalg.slogdet(T[ell:, ell:])
-    if sign == 0:
-        raise NumericalFailure("transfer product minor vanished")
-    return sign, logdet + ell * log_scale
+    A = transfer_factors(M.V, _padded_hopping(M)[:-1], E)
+    return _renormalized_bottom_minor(M.ell, A, operator.matmul)
 
 
 @dataclass
@@ -286,8 +290,10 @@ def charpoly_identity_check(M: BlockJacobiMatrix, E: complex) -> CharpolyReport:
 
     Two independent right-hand sides are formed: the solution recursion for
     P, and the bottom-right compound element of the explicit transfer
-    product.  Both are compared multiplicatively so the check stays sharp
-    at chain lengths where the determinant itself over/underflows.
+    product.  Both advance the frame [0; I] with QR re-orthonormalization
+    every DEFAULT_REORTH steps and are compared multiplicatively, so the
+    check stays sharp at chain lengths where the determinant itself
+    over/underflows and for every block size ell.
     """
     dense = M.dense() - E * np.eye(M.n * M.ell)
     sign_direct, log_direct = np.linalg.slogdet(dense)
@@ -295,11 +301,11 @@ def charpoly_identity_check(M: BlockJacobiMatrix, E: complex) -> CharpolyReport:
         raise NumericalFailure("E is an eigenvalue of M; identity check undefined")
 
     s_signs, s_logs = np.linalg.slogdet(M.S)
-    sign_p, log_p = _scaled_forward_determinant(M, E)
+    sign_p, log_p = _forward_determinant(M, E)
     sign_rec = np.prod(s_signs) * sign_p
     log_rec = float(np.sum(s_logs)) + log_p
 
-    sign_m, log_m = _scaled_transfer_minor(M, E)
+    sign_m, log_m = _transfer_minor(M, E)
     return CharpolyReport(
         log_direct=float(log_direct),
         sign_direct=sign_direct,

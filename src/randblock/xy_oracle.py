@@ -21,7 +21,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 from .model import DisorderRealization, HatBlockMatrix, ModelParams, assemble_hat_form, sample_disorder
@@ -232,11 +231,12 @@ def verify_heisenberg_identity(
     Mhat = assemble_hat_form(sliced_params, sliced_real)
     fermions = build_jordan_wigner(n)
     vals, vecs = np.linalg.eigh(H.matrix)
+    t_values = np.asarray(list(t_list), dtype=float)
+    one_particle = _one_particle_rows(Mhat.dense(), t_values, n)
     residuals = []
-    for t in t_list:
+    for t, T in zip(t_values, one_particle):
         phases = np.exp(1j * vals * t)
         U = (vecs * phases) @ vecs.conj().T
-        T = scipy.linalg.expm(-2j * t * Mhat.dense())
         worst = 0.0
         for j in range(n):
             lhs = U @ fermions.c[j] @ U.conj().T
@@ -245,7 +245,7 @@ def verify_heisenberg_identity(
                 rhs += T[j, k] * fermions.c[k] + T[j, n + k] * fermions.c[k].conj().T
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         residuals.append(worst)
-    return HeisenbergReport(t_values=np.asarray(list(t_list), dtype=float), residuals=np.asarray(residuals))
+    return HeisenbergReport(t_values=t_values, residuals=np.asarray(residuals))
 
 
 def slice_chain(params: ModelParams, real: DisorderRealization, n: int):
@@ -260,8 +260,18 @@ def slice_chain(params: ModelParams, real: DisorderRealization, n: int):
 # commutator growth statistics
 
 
-def _fermionic_sup_commutator(Mhat: np.ndarray, n: int, k: int, t_grid: np.ndarray) -> float:
-    """sup over the grid of |[tau_t(sx_0), sx_k]| via the Majorana weights.
+def _one_particle_rows(Mhat: np.ndarray, t_values: np.ndarray, rows: int) -> np.ndarray:
+    """First rows of T(t) = exp(-2it Mhat) for every t, shape (len(t), rows, 2n).
+
+    One eigendecomposition of the real symmetric Mhat serves every time.
+    """
+    vals, vecs = np.linalg.eigh(Mhat)
+    phases = np.exp(-2j * np.outer(t_values, vals))
+    return (phases[:, None, :] * vecs[:rows]) @ vecs.T
+
+
+def _fermionic_sup_commutator(Mhat: np.ndarray, n: int, ks: Sequence[int], t_grid: np.ndarray) -> np.ndarray:
+    """sup over the grid of |[tau_t(sx_0), sx_k]| via the Majorana weights, for each k.
 
     tau_t(sx_0) expands exactly over the two Majorana families with real
     weights w_m, w_mm read off the first row of exp(-2it Mhat); the
@@ -269,16 +279,16 @@ def _fermionic_sup_commutator(Mhat: np.ndarray, n: int, k: int, t_grid: np.ndarr
     to commute with sx_k (both families strictly right of k, plus the
     second family at k itself).
     """
-    best = 0.0
-    for t in t_grid:
-        T = scipy.linalg.expm(-2j * float(t) * Mhat)
-        alpha = T[0, :n]
-        beta = T[0, n:]
-        w_m = np.real(alpha) + np.real(beta)
-        w_mm = np.imag(beta) - np.imag(alpha)
-        tail = np.sum(w_m[k + 1:] ** 2 + w_mm[k + 1:] ** 2)
-        best = max(best, 2.0 * float(np.sqrt(w_mm[k] ** 2 + tail)))
-    return best
+    row = _one_particle_rows(Mhat, np.asarray(t_grid, dtype=float), 1)[:, 0]
+    alpha, beta = row[:, :n], row[:, n:]
+    w_m = np.real(alpha) + np.real(beta)
+    w_mm = np.imag(beta) - np.imag(alpha)
+    # tails[:, k] = sum over j > k of w_m[j]^2 + w_mm[j]^2, summed from the far end
+    weights = w_m**2 + w_mm**2
+    tails = np.zeros_like(weights)
+    tails[:, :-1] = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
+    ks = np.asarray(ks, dtype=int)
+    return 2.0 * np.sqrt(w_mm[:, ks] ** 2 + tails[:, ks]).max(axis=0)
 
 
 def _dense_sup_commutator(
@@ -345,7 +355,7 @@ def lr_commutator_stats(
         sliced_params, sliced_real = slice_chain(params, real, n)
         if use_fermionic:
             Mhat = assemble_hat_form(sliced_params, sliced_real).dense()
-            return np.array([_fermionic_sup_commutator(Mhat, n, k, t_grid) for k in ks])
+            return _fermionic_sup_commutator(Mhat, n, ks, t_grid)
         _guard_qubits(n)
         H = build_hamiltonian(sliced_params, sliced_real, n)
         A = site_operator(_PAULI_BY_NAME[observables[0]], j, n)

@@ -67,6 +67,12 @@ class TestEngine:
         b = lyapunov_spectrum(p, 1.0, steps=5_000, seed=4)
         assert np.array_equal(a.exponents, b.exponents)
 
+    def test_real_energy_as_complex_stays_real(self, two_point_field):
+        p = ModelParams.xy(16, 0.5, two_point_field)
+        a = lyapunov_spectrum(p, 1.3, steps=5_000, seed=4)
+        b = lyapunov_spectrum(p, complex(1.3, 0.0), steps=5_000, seed=4)
+        assert np.array_equal(a.exponents, b.exponents)
+
     def test_step_budget_validation(self, two_point_field):
         p = ModelParams.xy(16, 0.5, two_point_field)
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_chebyu
 
 from randblock.errors import NumericalFailure
@@ -15,11 +17,10 @@ from randblock.spectral import eigensolve
 from randblock.transfer import (
     GreenEvaluator,
     charpoly_identity_check,
-    compound_matrix,
     fundamental_solutions,
     green_block,
-    propagate,
     symplectic_form,
+    transfer_factors,
     transfer_matrix,
     wronskian,
 )
@@ -51,20 +52,34 @@ class TestTransferMatrix:
     def test_free_scalar_at_zero_energy_has_period_four(self):
         # A = [[0,1],[-1,0]] is a quarter rotation
         A = transfer_matrix(np.zeros((1, 1)), np.eye(1), 0.0)
-        states = propagate(np.array([1.0, 0.0]), [A] * 8)
-        assert np.array_equal(states[4], states[0])
-        assert np.array_equal(states[8], states[4])
-        assert not np.array_equal(states[2], states[0])
+        assert np.array_equal(np.linalg.matrix_power(A.matrix, 4), np.eye(2))
+        assert np.array_equal(np.linalg.matrix_power(A.matrix, 2), -np.eye(2))
 
-    def test_zero_initial_data_stays_zero(self):
-        A = transfer_matrix(np.array([[0.7]]), np.eye(1), 0.2)
-        states = propagate(np.zeros(2), [A] * 10)
-        assert np.all(states == 0.0)
 
-    def test_propagate_overflow_raises(self):
-        A = transfer_matrix(np.zeros((1, 1)), np.eye(1), -3.0)
-        with pytest.raises(NumericalFailure):
-            propagate(np.eye(2), [A] * 700)
+class TestTransferFactors:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(1, 3),
+        m=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        E_re=st.floats(-3.0, 3.0),
+        E_im=st.sampled_from([0.0, 0.4, -1.1]),
+        complex_type=st.booleans(),
+    )
+    def test_symplectic_and_matches_transfer_matrix(self, ell, m, seed, E_re, E_im, complex_type):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(m, ell, ell))
+        V = V + np.swapaxes(V, 1, 2)
+        S = rng.normal(size=(m, ell, ell)) + 3.0 * np.eye(ell)
+        E = complex(E_re, E_im) if complex_type or E_im else E_re
+        A = transfer_factors(V, S, E)
+        assert A.shape == (m, 2 * ell, 2 * ell)
+        assert A.dtype == (np.float64 if E_im == 0.0 else np.complex128)
+        J = symplectic_form(ell)
+        for k in range(m):
+            defect = np.abs(A[k].T @ J @ A[k] - J).max()
+            assert defect <= 1e-12 * max(1.0, np.abs(A[k]).max() ** 2)
+            assert np.array_equal(A[k], transfer_matrix(V[k], S[k], E).matrix)
 
 
 class TestFundamentalSolutions:
@@ -183,24 +198,16 @@ class TestCharpoly:
         assert rep.log_direct > 600.0
         assert rep.residual <= 1e-8
 
-
-class TestCompound:
-    def test_first_compound_is_identity_map(self, rng):
-        T = rng.normal(size=(4, 4))
-        assert np.allclose(compound_matrix(T, 1), T, atol=1e-15)
-
-    def test_top_compound_is_determinant(self, rng):
-        T = rng.normal(size=(4, 4))
-        c = compound_matrix(T, 4)
-        assert c.shape == (1, 1)
-        assert c[0, 0] == pytest.approx(np.linalg.det(T), rel=1e-10)
-
-    def test_multiplicativity(self, rng):
-        A = rng.normal(size=(4, 4))
-        B = rng.normal(size=(4, 4))
-        lhs = compound_matrix(A @ B, 2)
-        rhs = compound_matrix(A, 2) @ compound_matrix(B, 2)
-        assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
+    @pytest.mark.parametrize("L", [150, 300])
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_long_chains_with_wide_blocks(self, ell, L):
+        # long enough for the ell columns of an unorthonormalized frame to
+        # collapse onto the top growth direction
+        rng = realization_rng(20260005, ell * 1000 + L)
+        for _ in range(2):
+            rep = charpoly_identity_check(random_instance(rng, ell, L), 0.37 + 0.2j)
+            assert rep.identity_residual <= 1e-8
+            assert rep.exterior_residual <= 1e-8
 
 
 def test_symplectic_form_square():

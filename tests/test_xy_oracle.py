@@ -14,6 +14,8 @@ from randblock.xy_oracle import (
     LOWERING,
     PAULI_Z,
     ManyBodyOperator,
+    _fermionic_sup_commutator,
+    _one_particle_rows,
     build_hamiltonian,
     build_jordan_wigner,
     free_fermion_spectrum,
@@ -171,6 +173,25 @@ class TestSliceChain:
 
 
 class TestCommutatorStats:
+    def test_eigh_route_matches_expm(self):
+        params = uniform_params(5)
+        Mhat = assemble_hat_form(params, sample_disorder(params, seed=12)).dense()
+        n, ks = 5, [1, 2, 4]
+        t_grid = np.linspace(0.0, 4.0, 30)
+        rows = _one_particle_rows(Mhat, t_grid, n)
+        expected = []
+        for t, T in zip(t_grid, rows):
+            ref = scipy.linalg.expm(-2j * t * Mhat)
+            np.testing.assert_allclose(T, ref[:n], rtol=0, atol=1e-12)
+            # the per-time, per-separation Majorana sum, with expm as reference
+            w_m = np.real(ref[0, :n]) + np.real(ref[0, n:])
+            w_mm = np.imag(ref[0, n:]) - np.imag(ref[0, :n])
+            expected.append(
+                [2.0 * np.sqrt(w_mm[k] ** 2 + np.sum(w_m[k + 1:] ** 2 + w_mm[k + 1:] ** 2)) for k in ks]
+            )
+        sups = _fermionic_sup_commutator(Mhat, n, ks, t_grid)
+        np.testing.assert_allclose(sups, np.max(expected, axis=0), rtol=0, atol=1e-12)
+
     def test_fermionic_matches_dense(self):
         params = uniform_params(6)
         t_grid = np.linspace(0.0, 3.0, 25)
