@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -327,8 +328,13 @@ def _cmd_correlator(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
     window = _require(cfg, "window")
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ConfigError("window must be [lo, hi]")
+    if not (
+        isinstance(window, (list, tuple))
+        and len(window) == 2
+        and all(isinstance(x, (int, float)) and math.isfinite(x) for x in window)
+        and window[0] <= window[1]
+    ):
+        raise ConfigError(f"window must be [lo, hi], two finite numbers with lo <= hi, got {window!r}")
     num = int(cfg.get("num_realizations", 100))
     zeta = float(cfg.get("zeta", 0.9))
     field = localization.ensemble_correlator(

@@ -62,6 +62,8 @@ class SingleSiteDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("two_point", "uniform", "discrete"):
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
+        if not np.all(np.isfinite([self.a, self.b, self.p, *self.points, *self.weights])):
+            raise ConfigError("distribution parameters must be finite numbers")
         if self.kind == "two_point" and not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"two_point weight p={self.p} outside [0, 1]")
         if self.kind == "uniform" and self.b < self.a:
@@ -177,6 +179,8 @@ class ModelParams:
                 f"mu/gamma must have length n-1={self.n - 1}, "
                 f"got {self.mu.shape} and {self.gamma.shape}"
             )
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.gamma))):
+            raise ConfigError("mu and gamma must be finite numbers")
         if np.any(self.mu == 0.0):
             raise ConfigError("hopping strengths mu must be nonzero")
         # |gamma| = 1 makes every hopping block singular and the transfer
@@ -279,6 +283,21 @@ class BlockJacobiMatrix:
             M[k * ell:(k + 1) * ell, (k + 1) * ell:(k + 2) * ell] = -self.S[k]
             M[(k + 1) * ell:(k + 2) * ell, k * ell:(k + 1) * ell] = -self.S[k].T
         return M
+
+    def band(self) -> np.ndarray:
+        """LAPACK lower band storage, shape (2 ell, n ell): band[k, j] = dense[j + k, j].
+
+        The lower bandwidth is 2 ell - 1: column j = b ell + c holds the
+        lower triangle of V_b in rows 0..ell-1-c and -S_b^t in rows
+        ell-c..2ell-1-c.  Entries past the end of the matrix stay zero.
+        """
+        ell, n = self.ell, self.n
+        out = np.zeros((2 * ell, n * ell))
+        r, c = np.tril_indices(ell)
+        out[r - c, np.arange(n)[:, None] * ell + c] = self.V[:, r, c]
+        r, c = (idx.ravel() for idx in np.indices((ell, ell)))
+        out[ell + r - c, np.arange(n - 1)[:, None] * ell + c] = -self.S[:, c, r]
+        return out
 
     def fingerprint(self) -> str:
         """Short content hash, stable across runs, for provenance lines."""

@@ -1,10 +1,11 @@
-"""Dense spectra, symmetry and gap checks, periodic approximants, and DOS.
+"""Finite-chain spectra, symmetry and gap checks, periodic approximants, and DOS.
 
-Finite chains are diagonalized exactly; the spectrum of a periodic chain is
-computed from its Bloch symbol, a Hermitian 2p x 2p matrix family over the
-angle theta, whose sorted eigenvalue branches sweep out the bands.  Unions
-of bands are kept as sorted disjoint closed intervals with exact Hausdorff
-distance evaluation.
+Finite chains are diagonalized exactly: eigenvalues alone from the band
+storage of the operator, eigenvectors from the dense matrix.  The spectrum
+of a periodic chain is computed from its Bloch symbol, a Hermitian 2p x 2p
+matrix family over the angle theta, whose sorted eigenvalue branches sweep
+out the bands.  Unions of bands are kept as sorted disjoint closed
+intervals with exact Hausdorff distance evaluation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, NumericalFailure
 from .model import (
@@ -60,18 +62,23 @@ class SpectralData:
 def eigensolve(M: BlockJacobiMatrix | np.ndarray, want_vectors: bool = True) -> SpectralData:
     """Diagonalize a block Jacobi matrix (or any symmetric dense array).
 
-    Raises NumericalFailure if the reconstructed residual max_i |M v_i -
+    Eigenvalues alone of a block Jacobi matrix come from its band storage
+    (bandwidth 2 ell - 1), so no dense matrix is built.  With eigenvectors,
+    raises NumericalFailure if the reconstructed residual max_i |M v_i -
     lambda_i v_i| exceeds EIGEN_RESIDUAL_TOL relative to the matrix norm.
     """
     if isinstance(M, BlockJacobiMatrix):
-        dense = M.dense()
         ell, n = M.ell, M.n
+        if not want_vectors:
+            vals = scipy.linalg.eig_banded(M.band(), lower=True, eigvals_only=True)
+            return SpectralData(eigenvalues=vals, eigenvectors=None, ell=ell, n=n)
+        dense = M.dense()
     else:
         dense = np.asarray(M, dtype=float)
         ell, n = 1, dense.shape[0]
-    if not want_vectors:
-        vals = np.linalg.eigvalsh(dense)
-        return SpectralData(eigenvalues=vals, eigenvectors=None, ell=ell, n=n)
+        if not want_vectors:
+            vals = np.linalg.eigvalsh(dense)
+            return SpectralData(eigenvalues=vals, eigenvectors=None, ell=ell, n=n)
     vals, vecs = np.linalg.eigh(dense)
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     residual = float(np.max(np.abs(dense @ vecs - vecs * vals)))

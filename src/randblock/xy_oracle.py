@@ -294,19 +294,24 @@ def _fermionic_sup_commutator(Mhat: np.ndarray, n: int, ks: Sequence[int], t_gri
 def _dense_sup_commutator(
     H: ManyBodyOperator,
     A: np.ndarray,
-    B: np.ndarray,
+    Bs: Sequence[np.ndarray],
     t_grid: np.ndarray,
-) -> float:
+) -> np.ndarray:
+    """sup over the grid of |[tau_t(A), B]| by dense conjugation, for each B in Bs.
+
+    One eigendecomposition of H serves every time, and A_t is built once per
+    time for all B.  i[A_t, B] is Hermitian, so its norm is its largest
+    |eigenvalue|.
+    """
     vals, vecs = np.linalg.eigh(H.matrix)
     A_eig = vecs.conj().T @ A @ vecs
-    B_mat = B
-    best = 0.0
+    Bs = np.stack(Bs)
+    best = np.zeros(len(Bs))
     for t in t_grid:
         phases = np.exp(1j * vals * float(t))
-        At_eig = (phases[:, None] * A_eig) * phases.conj()[None, :]
-        At = vecs @ At_eig @ vecs.conj().T
-        comm = At @ B_mat - B_mat @ At
-        best = max(best, float(np.linalg.norm(comm, 2)))
+        At = vecs @ ((phases[:, None] * A_eig) * phases.conj()[None, :]) @ vecs.conj().T
+        comm = 1j * (At @ Bs - Bs @ At)
+        best = np.maximum(best, np.abs(np.linalg.eigvalsh(comm)).max(axis=-1))
     return best
 
 
@@ -359,11 +364,8 @@ def lr_commutator_stats(
         _guard_qubits(n)
         H = build_hamiltonian(sliced_params, sliced_real, n)
         A = site_operator(_PAULI_BY_NAME[observables[0]], j, n)
-        sups = []
-        for k in ks:
-            B = site_operator(_PAULI_BY_NAME[observables[1]], k, n)
-            sups.append(_dense_sup_commutator(H, A, B, t_grid))
-        return np.array(sups)
+        Bs = [site_operator(_PAULI_BY_NAME[observables[1]], k, n) for k in ks]
+        return _dense_sup_commutator(H, A, Bs, t_grid)
 
     rows = np.stack(parallel_map(one, range(num_realizations), threads=threads))
     out = []

@@ -137,6 +137,30 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "synthetic instability", "kind": "numerical"}
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("a", math.nan), ("b", math.inf), ("a", -math.inf), ("gamma", math.nan), ("mu", math.inf)],
+    )
+    def test_nonfinite_model_field_exits_2(self, tmp_path, capsys, field, value):
+        rho = {"kind": "uniform", "a": -1.0, "b": 1.0}
+        cfg = {**FIXTURE_CFG, "rho": rho}
+        if field in rho:
+            rho[field] = value
+        else:
+            cfg[field] = value
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        code = cli.main(["dos", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize("window", [["a", "b"], [0.5, -0.5], [0.0, math.nan], [1.0]])
+    def test_malformed_correlator_window_exits_2(self, tmp_path, capsys, window):
+        cfg = {**FIXTURE_CFG, "n": 10, "window": window, "num_realizations": 2}
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        code = cli.main(["correlator", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
     def test_missing_required_arg_is_usage_error(self, tmp_path):
         cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
         with pytest.raises(SystemExit) as exc:

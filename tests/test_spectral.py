@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
+from randblock import localization
 from randblock.errors import ConfigError
 from randblock.model import (
+    BlockJacobiMatrix,
     DisorderRealization,
     ModelParams,
     SingleSiteDistribution,
@@ -15,6 +19,7 @@ from randblock.model import (
     assemble_general,
     assemble_hat_form,
     interleave_permutation,
+    random_instance,
     sample_disorder,
 )
 from randblock.spectral import (
@@ -35,8 +40,8 @@ SIGMA_Z = np.diag([1.0, -1.0])
 
 def quartic_roots_oracle(M: np.ndarray) -> np.ndarray:
     """Characteristic polynomial of a 4x4 matrix expanded symbolically, then
-    solved with a companion-matrix root finder; independent of the dense
-    symmetric eigensolver under test."""
+    solved with a companion-matrix root finder; independent of the banded
+    and dense symmetric eigensolvers under test."""
     lam = sympy.Symbol("lam")
     poly = sympy.Matrix(M).charpoly(lam)
     coeffs = [float(c) for c in poly.all_coeffs()]
@@ -90,6 +95,33 @@ class TestEigensolve:
         assert amps.shape == (12, 24)
         # column sums of squared block norms recover unit vectors
         assert np.allclose((amps**2).sum(axis=0), 1.0, atol=1e-12)
+
+
+class TestBandedValues:
+    @settings(max_examples=80, deadline=None)
+    @given(ell=st.integers(1, 4), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_band_storage_and_values_match_dense(self, ell, n, seed):
+        M = random_instance(np.random.default_rng(seed), ell, n)
+        dense, band, N = M.dense(), M.band(), n * ell
+        assert band.shape == (2 * ell, N)
+        for k in range(2 * ell):
+            stored = max(N - k, 0)
+            np.testing.assert_array_equal(band[k, :stored], np.diag(dense, -k))
+            assert not np.any(band[k, stored:])
+        vals = eigensolve(M, want_vectors=False).eigenvalues
+        tol = 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(dense), rtol=0, atol=tol)
+
+    def test_values_only_callers_never_build_dense(self, xy_params, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built on a values-only path")
+
+        monkeypatch.setattr(BlockJacobiMatrix, "dense", refuse)
+        p = xy_params(n=30)
+        specs = ensemble_spectra(p, 3, seed=2, want_vectors=False)
+        assert [s.eigenvalues.size for s in specs] == [60, 60, 60]
+        records = localization.wegner_probe(p, 0.3, [10, 20], beta=0.5, sigma=1.0, samples=4, seed=1)
+        assert [r.L for r in records] == [10, 20]
 
 
 class TestSymmetryAndGap:

@@ -12,8 +12,11 @@ from randblock.model import (
 )
 from randblock.xy_oracle import (
     LOWERING,
+    PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     ManyBodyOperator,
+    _dense_sup_commutator,
     _fermionic_sup_commutator,
     _one_particle_rows,
     build_hamiltonian,
@@ -202,6 +205,23 @@ class TestCommutatorStats:
             assert f.separation == d.separation
             assert abs(f.mean_sup - d.mean_sup) <= 1e-12
             assert abs(f.se - d.se) <= 1e-12
+
+    def test_dense_route_matches_per_separation_svd(self):
+        params = uniform_params(5)
+        real = sample_disorder(params, seed=8)
+        H = build_hamiltonian(params, real)
+        t_grid = np.linspace(0.0, 3.0, 20)
+        A = site_operator(PAULI_Y, 1, 5)
+        ks = [2, 3, 4]
+        Bs = [site_operator(PAULI_X, k, 5) for k in ks]
+        got = _dense_sup_commutator(H, A, Bs, t_grid)
+        for k, B, sup in zip(ks, Bs, got):
+            expected = 0.0
+            for t in t_grid:
+                U = scipy.linalg.expm(1j * t * H.matrix)
+                At = U @ A @ U.conj().T
+                expected = max(expected, np.linalg.norm(At @ B - B @ At, 2))
+            assert abs(sup - expected) <= 1e-12, k
 
     def test_separation_bookkeeping(self):
         params = uniform_params(6)
