@@ -68,19 +68,37 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def _number(value, kind: type, name: str):
+    """kind(value) for a config value; a value kind cannot take is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from exc
+
+
+def _field(cfg: dict, key: str, kind: type, default=_REQUIRED):
+    """cfg[key] converted by kind, or default when absent; required without a default."""
+    value = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    return _number(value, kind, key)
+
+
 def _resolve_seed(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is required (config field 'seed' or --seed)")
-    cfg["seed"] = int(seed)  # embedded provenance must reproduce the run
-    return int(seed)
+    cfg["seed"] = _number(seed, int, "seed")  # embedded provenance must reproduce the run
+    return cfg["seed"]
 
 
 def _complex_pair(value, name: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], float, name), _number(value[1], float, name))
     raise ConfigError(f"{name} must be a number or [re, im] pair")
 
 
@@ -96,7 +114,7 @@ def _progress(args, message: str) -> None:
 def _cmd_spectrum(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
-    num = int(cfg.get("num_realizations", 1))
+    num = _field(cfg, "num_realizations", int, 1)
     specs = spectral.ensemble_spectra(params, num, seed, threads=args.threads)
     rows = []
     for r, spec in enumerate(specs):
@@ -112,8 +130,8 @@ def _cmd_spectrum(cfg: dict, out: str, args) -> None:
 def _cmd_dos(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
-    num = int(cfg.get("num_realizations", 20))
-    bins = int(cfg.get("bins", 50))
+    num = _field(cfg, "num_realizations", int, 20)
+    bins = _field(cfg, "bins", int, 50)
     specs = spectral.ensemble_spectra(params, num, seed, threads=args.threads)
     dos = spectral.dos_histogram(specs, bins=bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
@@ -123,7 +141,7 @@ def _cmd_dos(cfg: dict, out: str, args) -> None:
 
 def _cmd_periodic(cfg: dict, out: str, args) -> None:
     potential = _require(cfg, "potential")
-    gamma = float(_require(cfg, "gamma"))
+    gamma = _field(cfg, "gamma", float)
     bands = spectral.periodic_spectrum(potential, gamma)
     _write_csv(os.path.join(out, "intervals.csv"), cfg, ["lo", "hi"], bands.intervals)
     _progress(args, f"{bands.intervals.shape[0]} bands")
@@ -131,12 +149,12 @@ def _cmd_periodic(cfg: dict, out: str, args) -> None:
 
 def _cmd_asspec(cfg: dict, out: str, args) -> None:
     rho = rho_from_config(_require(cfg, "rho"))
-    gamma = float(_require(cfg, "gamma"))
+    gamma = _field(cfg, "gamma", float)
     union = spectral.almost_sure_spectrum_approx(
         rho,
         gamma,
-        max_period=int(cfg.get("max_period", 2)),
-        samples_per_period=int(cfg.get("samples_per_period", 41)),
+        max_period=_field(cfg, "max_period", int, 2),
+        samples_per_period=_field(cfg, "samples_per_period", int, 41),
     )
     _write_csv(os.path.join(out, "intervals.csv"), cfg, ["lo", "hi"], union.intervals)
     _progress(args, f"{union.intervals.shape[0]} intervals, hull {union.hull}")
@@ -144,9 +162,9 @@ def _cmd_asspec(cfg: dict, out: str, args) -> None:
 
 def _cmd_green_check(cfg: dict, out: str, args) -> None:
     seed = _resolve_seed(cfg, args)
-    instances = int(cfg.get("instances", 100))
-    ell_values = [int(e) for e in cfg.get("ell_values", [1, 2, 3])]
-    L_max = int(cfg.get("L_max", 50))
+    instances = _field(cfg, "instances", int, 100)
+    ell_values = [_number(e, int, "ell_values") for e in cfg.get("ell_values", [1, 2, 3])]
+    L_max = _field(cfg, "L_max", int, 50)
     z = _complex_pair(cfg.get("z", [0.7, 0.3]), "z")
     rng = realization_rng(seed, 0)
     rows = []
@@ -181,9 +199,9 @@ def _cmd_green_check(cfg: dict, out: str, args) -> None:
 
 def _cmd_charpoly_check(cfg: dict, out: str, args) -> None:
     seed = _resolve_seed(cfg, args)
-    instances = int(cfg.get("instances", 20))
-    ell_values = [int(e) for e in cfg.get("ell_values", [1, 2, 3])]
-    L_max = int(cfg.get("L_max", 50))
+    instances = _field(cfg, "instances", int, 20)
+    ell_values = [_number(e, int, "ell_values") for e in cfg.get("ell_values", [1, 2, 3])]
+    L_max = _field(cfg, "L_max", int, 50)
     E = _complex_pair(cfg.get("E", 0.37), "E")
     rng = realization_rng(seed, 1)
     rows = []
@@ -206,8 +224,10 @@ def _cmd_lyapunov(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
     E = _complex_pair(_require(cfg, "E"), "E")
-    steps = int(cfg.get("steps", lyapunov.DEFAULT_STEPS))
-    reorth = int(cfg.get("reorth_every", lyapunov.DEFAULT_REORTH))
+    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
+    reorth = _field(cfg, "reorth_every", int, lyapunov.DEFAULT_REORTH)
+    cfg.setdefault("steps", steps)
+    cfg.setdefault("reorth_every", reorth)
     spec = lyapunov.lyapunov_spectrum(params, E, steps=steps, seed=seed, reorth_every=reorth)
     m = spec.exponents.size
     header = (
@@ -225,11 +245,15 @@ def _cmd_thouless(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
     energies = [_complex_pair(e, "energies[]") for e in _require(cfg, "energies")]
-    steps = int(cfg.get("steps", lyapunov.DEFAULT_STEPS))
+    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
     dos_cfg = cfg.get("dos", {})
-    dos_n = int(dos_cfg.get("n", params.n))
-    dos_num = int(dos_cfg.get("num_realizations", 20))
-    dos_bins = int(dos_cfg.get("bins", 50))
+    if not isinstance(dos_cfg, dict):
+        raise ConfigError(f"dos must be an object, got {dos_cfg!r}")
+    dos_n = _field(dos_cfg, "n", int, params.n)
+    dos_num = _field(dos_cfg, "num_realizations", int, 20)
+    dos_bins = _field(dos_cfg, "bins", int, 50)
+    cfg.setdefault("steps", steps)
+    cfg["dos"] = {"n": dos_n, "num_realizations": dos_num, "bins": dos_bins, **dos_cfg}
     dos_params = ModelParams.xy(n=dos_n, gamma=float(params.gamma[0]), rho=params.rho, mu=float(params.mu[0]))
     specs = spectral.ensemble_spectra(dos_params, dos_num, seed + 1, threads=args.threads)
     dos = spectral.dos_histogram(specs, bins=dos_bins)
@@ -253,7 +277,8 @@ def _cmd_zero_energy(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
     gamma = float(params.gamma[0])
-    steps = int(cfg.get("steps", lyapunov.DEFAULT_STEPS))
+    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
+    cfg.setdefault("steps", steps)
     aux = lyapunov.zero_energy_aux_exponent(gamma, params.rho, steps=steps, seed=seed)
     pred = lyapunov.zero_energy_closed_form(gamma, aux)
     direct = lyapunov.lyapunov_spectrum(params, 0.0, steps=steps, seed=seed + 1)
@@ -276,16 +301,20 @@ def _cmd_zero_energy(cfg: dict, out: str, args) -> None:
 
 def _cmd_alpha_scan(cfg: dict, out: str, args) -> None:
     seed = _resolve_seed(cfg, args)
-    gamma = float(_require(cfg, "gamma"))
+    gamma = _field(cfg, "gamma", float)
     rho = rho_from_config(_require(cfg, "rho"))
+    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
+    grid_points = _field(cfg, "grid_points", int, 9)
+    cfg.setdefault("steps", steps)
+    cfg.setdefault("grid_points", grid_points)
     result = lyapunov.critical_alpha_scan(
         gamma,
         rho,
-        float(_require(cfg, "alpha_lo")),
-        float(_require(cfg, "alpha_hi")),
-        steps=int(cfg.get("steps", lyapunov.DEFAULT_STEPS)),
+        _field(cfg, "alpha_lo", float),
+        _field(cfg, "alpha_hi", float),
+        steps=steps,
         seed=seed,
-        grid_points=int(cfg.get("grid_points", 9)),
+        grid_points=grid_points,
     )
     rows = zip(result.alphas, result.f_values, result.se_values)
     _write_csv(os.path.join(out, "scan.csv"), cfg, ["alpha", "f_alpha", "se"], rows)
@@ -298,16 +327,16 @@ def _cmd_alpha_scan(cfg: dict, out: str, args) -> None:
 
 
 def _cmd_zariski(cfg: dict, out: str, args) -> None:
-    gamma = float(_require(cfg, "gamma"))
-    grid = [float(E) for E in _require(cfg, "E_grid")]
-    depth = int(cfg.get("depth", 3))
+    gamma = _field(cfg, "gamma", float)
+    grid = [_number(E, float, "E_grid") for E in _require(cfg, "E_grid")]
+    depth = _field(cfg, "depth", int, 3)
     records = energy_sweep_rank(gamma, grid, depth=depth)
     rows = [(r.E, r.dimension, r.marginal) for r in records]
     _write_csv(os.path.join(out, "zariski.csv"), cfg, ["E", "rank", "marginal_flag"], rows)
     if cfg.get("certificate_samples"):
         seed = _resolve_seed(cfg, args)
         rng = realization_rng(seed, 2)
-        nu = rng.uniform(-2.0, 2.0, int(cfg["certificate_samples"]))
+        nu = rng.uniform(-2.0, 2.0, _field(cfg, "certificate_samples", int))
         cert = zero_energy_reducibility_certificate(gamma, nu)
         _write_json(
             os.path.join(out, "certificate.json"),
@@ -335,12 +364,11 @@ def _cmd_correlator(cfg: dict, out: str, args) -> None:
         and window[0] <= window[1]
     ):
         raise ConfigError(f"window must be [lo, hi], two finite numbers with lo <= hi, got {window!r}")
-    num = int(cfg.get("num_realizations", 100))
-    zeta = float(cfg.get("zeta", 0.9))
-    field = localization.ensemble_correlator(
-        params, (float(window[0]), float(window[1])), num, seed, threads=args.threads
-    )
-    fit = localization.fit_decay(field, zeta=zeta, boundary=int(cfg.get("boundary", 5)))
+    num = _field(cfg, "num_realizations", int, 100)
+    zeta = _field(cfg, "zeta", float, 0.9)
+    lo, hi = (_number(x, float, "window") for x in window)
+    field = localization.ensemble_correlator(params, (lo, hi), num, seed, threads=args.threads)
+    fit = localization.fit_decay(field, zeta=zeta, boundary=_field(cfg, "boundary", int, 5))
     rows = zip(fit.distances, fit.mean_logs, fit.bin_se, fit.counts)
     _write_csv(os.path.join(out, "correlator.csv"), cfg, ["dist", "mean_logQ", "se", "count"], rows)
     _write_json(
@@ -363,11 +391,11 @@ def _cmd_wegner_probe(cfg: dict, out: str, args) -> None:
     seed = _resolve_seed(cfg, args)
     records = localization.wegner_probe(
         params,
-        float(_require(cfg, "E")),
-        [int(L) for L in _require(cfg, "L_list")],
-        beta=float(_require(cfg, "beta")),
-        sigma=float(_require(cfg, "sigma")),
-        samples=int(cfg.get("samples", 100)),
+        _field(cfg, "E", float),
+        [_number(L, int, "L_list") for L in _require(cfg, "L_list")],
+        beta=_field(cfg, "beta", float),
+        sigma=_field(cfg, "sigma", float),
+        samples=_field(cfg, "samples", int, 100),
         seed=seed,
         threads=args.threads,
     )
@@ -379,8 +407,8 @@ def _cmd_wegner_probe(cfg: dict, out: str, args) -> None:
 def _cmd_xy_verify(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
-    n = int(cfg.get("n_verify", min(params.n, 6)))
-    t_list = [float(t) for t in cfg.get("t_list", [0.5, 1.7, 5.0])]
+    n = _field(cfg, "n_verify", int, min(params.n, 6))
+    t_list = [_number(t, float, "t_list") for t in cfg.get("t_list", [0.5, 1.7, 5.0])]
     real = sample_disorder(params, seed, 0)
     sliced_params, sliced_real = xy_oracle.slice_chain(params, real, n)
     H = xy_oracle.build_hamiltonian(sliced_params, sliced_real, n)
@@ -410,18 +438,18 @@ def _cmd_xy_verify(cfg: dict, out: str, args) -> None:
 def _cmd_lr_stats(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
-    n = int(cfg.get("n_verify", min(params.n, 8)))
-    j = int(cfg.get("j", 0))
-    ks = [int(k) for k in cfg.get("ks", list(range(j + 1, n)))]
-    t_max = float(cfg.get("t_max", 10.0))
-    t_points = int(cfg.get("t_points", 400))
+    n = _field(cfg, "n_verify", int, min(params.n, 8))
+    j = _field(cfg, "j", int, 0)
+    ks = [_number(k, int, "ks") for k in cfg.get("ks", list(range(j + 1, n)))]
+    t_max = _field(cfg, "t_max", float, 10.0)
+    t_points = _field(cfg, "t_points", int, 400)
     stats = xy_oracle.lr_commutator_stats(
         params,
         n,
         j,
         ks,
         t_grid=np.linspace(0.0, t_max, t_points),
-        num_realizations=int(cfg.get("num_realizations", 50)),
+        num_realizations=_field(cfg, "num_realizations", int, 50),
         seed=seed,
         observables=tuple(cfg.get("observables", ["x", "x"])),
         method=cfg.get("method", "auto"),

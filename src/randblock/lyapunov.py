@@ -133,7 +133,10 @@ def _qr_exponents(
 
     Steps are grouped into nbatches equal batches of whole
     re-orthonormalization blocks; a short uncounted warmup aligns the frame
-    with the stationary flag before accumulation starts.
+    with the stationary flag before accumulation starts.  Each block of
+    reorth_every factors is first folded into one product, stacked over a
+    chunk of blocks, so the sequential part is one product and one QR per
+    block.
     """
     if reorth_every < 1:
         raise ConfigError("reorth_every must be >= 1")
@@ -153,13 +156,17 @@ def _qr_exponents(
         done = 0
         while done < count:
             take = min(chunk_blocks, count - done)
-            F = draw_factors(rng, take * reorth_every)
-            for block in F.reshape(take, reorth_every, dim, dim):
-                X, diag_r = qr_block(X, block)
-                if sums is not None:
-                    sums += np.log(np.abs(diag_r))
+            F = draw_factors(rng, take * reorth_every).reshape(take, reorth_every, dim, dim)
+            P = F[:, 0]
+            for j in range(1, reorth_every):
+                P = F[:, j] @ P
+            diag_r = np.empty((take, dim), dtype=P.dtype)
+            for b in range(take):
+                X, diag_r[b] = qr_block(X, (P[b],))
             if not np.all(np.isfinite(X)):
                 raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
+            if sums is not None:
+                sums += np.log(np.abs(diag_r)).sum(axis=0)
             done += take
 
     run_blocks(warm_blocks, None)

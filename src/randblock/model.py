@@ -419,6 +419,10 @@ def rho_from_config(cfg: dict) -> SingleSiteDistribution:
             return SingleSiteDistribution.discrete(cfg["points"], cfg["weights"])
     except KeyError as exc:
         raise ConfigError(f"rho config missing field {exc}") from exc
+    except ConfigError:  # a ValueError subclass; keep its own message
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad rho value: {exc}") from exc
     raise ConfigError(f"unknown rho kind {kind!r}")
 
 

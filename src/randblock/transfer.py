@@ -11,9 +11,11 @@ complex E.  Boundary hoppings are padded with identities, S_0 = S_L = I,
 so that fundamental solutions on a chain of L sites are indexed k = 0..L+1.
 
 Long products are carried on orthonormal frames: qr_block advances a frame
-through a block of steps and re-orthonormalizes it, returning diag R, from
-which callers take log |diag R| and the phase of det R.  The Lyapunov
-engine and both characteristic polynomial routes use it.
+through a block of steps and re-orthonormalizes it with LAPACK geqrf and
+orgqr (ungqr for complex frames), returning diag R, from which callers take
+log |diag R| and the phase of det R.  The Lyapunov engine and both
+characteristic polynomial routes use it; the engine hands it one product
+per block, folded beforehand from a stack of factors.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .errors import NumericalFailure
 from .model import BlockJacobiMatrix
@@ -94,13 +97,21 @@ def qr_block(
 
     Each factor F maps X to step(F, X), the matrix product F @ X by
     default.  With Y = Q R the reduced QR factorization of the advanced
-    frame, returns Q and diag R: log |diag R| carries the growth, and the
-    product of diag R / |diag R| is the phase of det R.
+    frame (LAPACK geqrf, then orgqr/ungqr), returns Q and diag R:
+    log |diag R| carries the growth, and the product of diag R / |diag R|
+    is the phase of det R.  X may be square or tall.
     """
     for F in factors:
         X = step(F, X)
-    Q, R = np.linalg.qr(X)
-    return Q, np.diagonal(R)
+    geqrf, orgqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"), (X,))  # ungqr if complex
+    packed, tau, _, info = geqrf(X)
+    if info != 0:
+        raise NumericalFailure(f"QR factorization of the frame failed (geqrf info {info})")
+    diag_r = packed.diagonal().copy()
+    Q, _, info = orgqr(packed, tau, overwrite_a=1)
+    if info != 0:
+        raise NumericalFailure(f"QR factorization of the frame failed (orgqr info {info})")
+    return Q, diag_r
 
 
 def _padded_hopping(M: BlockJacobiMatrix) -> np.ndarray:

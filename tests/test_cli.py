@@ -6,6 +6,7 @@ import pytest
 
 from randblock import cli
 from randblock.errors import NumericalFailure
+from randblock.lyapunov import DEFAULT_REORTH, DEFAULT_STEPS
 from randblock.model import assemble_block_jacobi, params_from_config, sample_disorder
 from randblock.spectral import eigensolve
 
@@ -161,6 +162,20 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("dos", {"rho": {"kind": "uniform", "a": "x", "b": 1}}),
+            ("dos", {"num_realizations": "many"}),
+            ("lyapunov", {"E": [1.0, 0.5], "steps": "lots"}),
+        ],
+    )
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys, command, change):
+        cfg_path = write_cfg(tmp_path / "c.json", {**FIXTURE_CFG, **change})
+        code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
     def test_missing_required_arg_is_usage_error(self, tmp_path):
         cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
         with pytest.raises(SystemExit) as exc:
@@ -191,3 +206,43 @@ class TestJsonCommands:
         assert len(payload["predicted"]) == 4
         assert len(payload["direct"]) == 4
         assert payload["max_deviation_in_se"] >= 0.0
+
+
+class TestEffectiveConfig:
+    """Cocycle artifacts embed the defaults they ran with and replay bit for bit."""
+
+    BASE = {"n": 2, "gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "seed": 5}
+
+    def run(self, tmp_path, command, cfg, name):
+        out = tmp_path / name
+        code = cli.main([command, "--config", write_cfg(tmp_path / f"{name}.json", cfg), "--out", str(out)])
+        assert code == 0
+        return out
+
+    def replay(self, tmp_path, command, cfg, artifact, read_config):
+        first = self.run(tmp_path, command, cfg, "first") / artifact
+        embedded = read_config(first)
+        second = self.run(tmp_path, command, embedded, "second") / artifact
+        assert first.read_bytes() == second.read_bytes()
+        return embedded
+
+    def test_lyapunov_embeds_steps_and_reorth_every(self, tmp_path):
+        cfg = {**self.BASE, "E": [1.0, 0.5]}
+        embedded = self.replay(tmp_path, "lyapunov", cfg, "lyapunov.csv", lambda p: read_csv(p)[0])
+        assert embedded["steps"] == DEFAULT_STEPS
+        assert embedded["reorth_every"] == DEFAULT_REORTH
+
+    def test_zero_energy_embeds_steps(self, tmp_path):
+        embedded = self.replay(
+            tmp_path, "zero-energy", self.BASE, "zero_energy.json",
+            lambda p: json.loads(p.read_text())["config"],
+        )
+        assert embedded["steps"] == DEFAULT_STEPS
+        assert "reorth_every" not in embedded
+
+    def test_given_fields_are_kept(self, tmp_path):
+        cfg = {**self.BASE, "n": 20, "energies": [[1.0, 0.5]], "steps": 2000.0,
+               "dos": {"num_realizations": 2}}
+        embedded, _, _ = read_csv(self.run(tmp_path, "thouless", cfg, "t") / "thouless.csv")
+        assert embedded["steps"] == 2000.0
+        assert embedded["dos"] == {"n": 20, "num_realizations": 2, "bins": 50}

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from randblock.errors import ConfigError
+from randblock import cli
+from randblock.errors import ConfigError, NumericalFailure
 from randblock.lyapunov import (
+    DEFAULT_BATCHES,
     BlockEnsemble,
     LyapunovSpectrum,
+    _qr_exponents,
     anderson_lyapunov_2x2,
     critical_alpha_scan,
     lyapunov_index,
@@ -23,6 +28,7 @@ from randblock.model import (
     realization_rng,
 )
 from randblock.spectral import dos_histogram, eigensolve
+from randblock.transfer import transfer_factors
 
 FREE_SCALAR = BlockEnsemble.from_choices(
     V_choices=np.zeros((1, 1, 1)), S_choices=np.ones((1, 1, 1))
@@ -31,6 +37,43 @@ FREE_SCALAR = BlockEnsemble.from_choices(
 
 def combined_se(a, b):
     return float(np.sqrt(np.asarray(a) ** 2 + np.asarray(b) ** 2))
+
+
+def replay(factors):
+    """draw_factors that hands out consecutive slices of a fixed factor stream."""
+    pos = 0
+
+    def draw(rng, m):
+        nonlocal pos
+        pos += m
+        return factors[pos - m : pos]
+
+    return draw
+
+
+def per_step_reference(factors, dim, steps, reorth_every, nbatches=DEFAULT_BATCHES):
+    """Exponents of the same stream by the plain QR method: X <- F X on every
+    step, np.linalg.qr every reorth_every steps, with the engine's warmup and
+    batch layout."""
+    blocks_per_batch = steps // reorth_every // nbatches
+    X, k = np.eye(dim), 0  # k walks the stream exactly as the engine's draws do
+
+    def block():
+        nonlocal X, k
+        for _ in range(reorth_every):
+            X = factors[k] @ X
+            k += 1
+        X, R = np.linalg.qr(X)
+        return np.log(np.abs(np.diagonal(R)))
+
+    for _ in range(min(100, blocks_per_batch)):
+        block()
+    sums = np.array([sum(block() for _ in range(blocks_per_batch)) for _ in range(nbatches)])
+    batch_exponents = sums / (blocks_per_batch * reorth_every)
+    exponents = batch_exponents.mean(axis=0)
+    se = batch_exponents.std(axis=0, ddof=1) / np.sqrt(nbatches)
+    order = np.argsort(exponents)[::-1]
+    return exponents[order], se[order]
 
 
 class TestEngine:
@@ -72,6 +115,43 @@ class TestEngine:
         a = lyapunov_spectrum(p, 1.3, steps=5_000, seed=4)
         b = lyapunov_spectrum(p, complex(1.3, 0.0), steps=5_000, seed=4)
         assert np.array_equal(a.exponents, b.exponents)
+
+    @pytest.mark.parametrize("E", [1.0 + 0.5j, 0.7, 0.0])
+    @pytest.mark.parametrize("reorth_every", [1, 3, 10])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_block_products_match_per_step_loop(self, E, reorth_every, dim):
+        # gamma = 1/2 chain (dim 4) and its zero-energy single-band reduction
+        # with coupling 1/sqrt(1 - gamma^2) (dim 2), uniform(-1, 1) fields
+        rng = realization_rng(20260010, dim)
+        steps = 3000
+        # room for the warmup (at most one batch) and the batches
+        total = (steps // reorth_every // DEFAULT_BATCHES) * (DEFAULT_BATCHES + 1) * reorth_every
+        if dim == 4:
+            p = ModelParams.xy(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+            factors = BlockEnsemble.from_params(p).factor_sampler(E)(rng, total)
+        else:
+            nu = rng.uniform(-1.0, 1.0, total) / np.sqrt(0.75)
+            factors = transfer_factors(nu[:, None, None], np.ones((total, 1, 1)), E)
+        exps, se, _ = _qr_exponents(replay(factors), dim, steps, 0, reorth_every)
+        ref_exps, ref_se = per_step_reference(factors, dim, steps, reorth_every)
+        np.testing.assert_allclose(exps, ref_exps, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(se, ref_se, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_frame_overflow_raises(self, two_point_field):
+        # |E| = 50 over 500 unnormalized steps is far beyond double range
+        p = ModelParams.xy(2, 0.5, two_point_field)
+        with pytest.raises(NumericalFailure, match="overflowed"):
+            lyapunov_spectrum(p, 50.0, steps=25_000, seed=0, reorth_every=500)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_frame_overflow_exits_3(self, tmp_path, capsys):
+        cfg = {"n": 2, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0},
+               "seed": 0, "E": 50.0, "steps": 25_000, "reorth_every": 500}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
 
     def test_step_budget_validation(self, two_point_field):
         p = ModelParams.xy(16, 0.5, two_point_field)

@@ -19,6 +19,7 @@ from randblock.transfer import (
     charpoly_identity_check,
     fundamental_solutions,
     green_block,
+    qr_block,
     symplectic_form,
     transfer_factors,
     transfer_matrix,
@@ -80,6 +81,43 @@ class TestTransferFactors:
             defect = np.abs(A[k].T @ J @ A[k] - J).max()
             assert defect <= 1e-12 * max(1.0, np.abs(A[k]).max() ** 2)
             assert np.array_equal(A[k], transfer_matrix(V[k], S[k], E).matrix)
+
+
+class TestQRBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.integers(1, 3),
+        tall=st.booleans(),
+        complex_type=st.booleans(),
+        nfactors=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lapack_step_is_a_qr_of_the_advanced_frame(self, ell, tall, complex_type, nfactors,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        dim, cols = 2 * ell, ell if tall else 2 * ell
+
+        def draw(*shape):
+            a = rng.normal(size=shape)
+            return a + 1j * rng.normal(size=shape) if complex_type else a
+
+        X0, factors = draw(dim, cols), draw(nfactors, dim, dim)
+        Y = X0
+        for F in factors:
+            Y = F @ Y
+        Q, d = qr_block(X0, factors)
+        assert Q.shape == (dim, cols) and d.shape == (cols,)
+        assert Q.dtype == Y.dtype and d.dtype == Y.dtype
+        assert np.abs(Q.conj().T @ Q - np.eye(cols)).max() <= 1e-13
+        # Q^H Y is R up to roundoff; its upper triangle must rebuild Y
+        scale = np.linalg.norm(Y)
+        R = np.triu(Q.conj().T @ Y)
+        assert np.abs(np.diagonal(R) - d).max() <= 1e-12 * scale
+        assert np.linalg.norm(Q @ R - Y) <= 1e-12 * scale
+        _, R_ref = np.linalg.qr(Y)
+        np.testing.assert_allclose(
+            np.abs(d), np.abs(np.diagonal(R_ref)), rtol=1e-12, atol=1e-15 * scale
+        )
 
 
 class TestFundamentalSolutions:
