@@ -160,18 +160,28 @@ def _cmd_asspec(cfg: dict, out: str, args) -> None:
     _progress(args, f"{union.intervals.shape[0]} intervals, hull {union.hull}")
 
 
-def _cmd_green_check(cfg: dict, out: str, args) -> None:
+def _random_chains(cfg: dict, args, default_instances: int, stream: int):
+    """Yield (i, ell, L, M) for the random finite chains of green-check and charpoly-check."""
     seed = _resolve_seed(cfg, args)
-    instances = _field(cfg, "instances", int, 100)
-    ell_values = [_number(e, int, "ell_values") for e in cfg.get("ell_values", [1, 2, 3])]
+    instances = _field(cfg, "instances", int, default_instances)
+    ell_values = cfg.get("ell_values", [1, 2, 3])
+    if not isinstance(ell_values, list) or not ell_values:
+        raise ConfigError(f"ell_values must be a non-empty list of integers, got {ell_values!r}")
+    ell_values = [_number(e, int, "ell_values") for e in ell_values]
     L_max = _field(cfg, "L_max", int, 50)
-    z = _complex_pair(cfg.get("z", [0.7, 0.3]), "z")
-    rng = realization_rng(seed, 0)
-    rows = []
+    if instances < 1 or min(ell_values) < 1 or L_max < 2:
+        raise ConfigError("need instances >= 1, every ell_values entry >= 1 and L_max >= 2")
+    rng = realization_rng(seed, stream)
     for i in range(instances):
         ell = int(rng.choice(ell_values))
         L = int(rng.integers(2, L_max + 1))
-        M = random_instance(rng, ell, L)
+        yield i, ell, L, random_instance(rng, ell, L)
+
+
+def _cmd_green_check(cfg: dict, out: str, args) -> None:
+    z = _complex_pair(cfg.get("z", [0.7, 0.3]), "z")
+    rows = []
+    for i, ell, L, M in _random_chains(cfg, args, 100, 0):
         dense = M.dense()
         resolvent = np.linalg.inv(dense - z * np.eye(dense.shape[0]))
         scale = np.linalg.norm(resolvent, 2)
@@ -198,17 +208,9 @@ def _cmd_green_check(cfg: dict, out: str, args) -> None:
 
 
 def _cmd_charpoly_check(cfg: dict, out: str, args) -> None:
-    seed = _resolve_seed(cfg, args)
-    instances = _field(cfg, "instances", int, 20)
-    ell_values = [_number(e, int, "ell_values") for e in cfg.get("ell_values", [1, 2, 3])]
-    L_max = _field(cfg, "L_max", int, 50)
     E = _complex_pair(cfg.get("E", 0.37), "E")
-    rng = realization_rng(seed, 1)
     rows = []
-    for i in range(instances):
-        ell = int(rng.choice(ell_values))
-        L = int(rng.integers(2, L_max + 1))
-        M = random_instance(rng, ell, L)
+    for i, ell, L, M in _random_chains(cfg, args, 20, 1):
         rep = transfer.charpoly_identity_check(M, E)
         rows.append((i, ell, L, E.real, E.imag, rep.identity_residual, rep.exterior_residual))
     _write_csv(

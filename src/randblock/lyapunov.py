@@ -157,12 +157,14 @@ def _qr_exponents(
         while done < count:
             take = min(chunk_blocks, count - done)
             F = draw_factors(rng, take * reorth_every).reshape(take, reorth_every, dim, dim)
-            P = F[:, 0]
-            for j in range(1, reorth_every):
-                P = F[:, j] @ P
-            diag_r = np.empty((take, dim), dtype=P.dtype)
-            for b in range(take):
-                X, diag_r[b] = qr_block(X, (P[b],))
+            diag_r = np.empty((take, dim), dtype=F.dtype)
+            # an overflow is reported by the finiteness check below, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = F[:, 0]
+                for j in range(1, reorth_every):
+                    P = F[:, j] @ P
+                for b in range(take):
+                    X, diag_r[b] = qr_block(X, (P[b],))
             if not np.all(np.isfinite(X)):
                 raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
             if sums is not None:

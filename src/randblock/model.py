@@ -438,7 +438,10 @@ def _coupling_from_config(value, n: int, name: str) -> np.ndarray:
     if isinstance(value, (int, float)):
         return np.array([float(value)])
     if isinstance(value, (list, tuple)):
-        arr = np.asarray(value, dtype=float)
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} list must hold numbers, got {value!r}") from exc
         if arr.shape != (n - 1,):
             raise ConfigError(f"{name} list must have length n-1={n - 1}, got {len(arr)}")
         return arr

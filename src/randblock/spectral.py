@@ -4,8 +4,12 @@ Finite chains are diagonalized exactly: eigenvalues alone from the band
 storage of the operator, eigenvectors from the dense matrix.  The spectrum
 of a periodic chain is computed from its Bloch symbol, a Hermitian 2p x 2p
 matrix family over the angle theta, whose sorted eigenvalue branches sweep
-out the bands.  Unions of bands are kept as sorted disjoint closed
-intervals with exact Hausdorff distance evaluation.
+out the bands.  The Bloch scan is batched: a stack of same-period
+potentials gets one stacked symbol build and one stacked eigvalsh over the
+angle grid, and then every branch extremum is refined by golden-section
+search in lockstep, one stacked eigvalsh per step.  Unions of bands are
+kept as sorted disjoint closed intervals with exact Hausdorff distance
+evaluation.
 """
 
 from __future__ import annotations
@@ -206,53 +210,104 @@ class IntervalUnion:
 # periodic chains via the Bloch symbol
 
 
-def floquet_symbol(potential: Sequence[float], gamma: float, theta: float) -> np.ndarray:
-    """Hermitian 2p x 2p symbol of the period-p chain at angle theta."""
-    pot = np.asarray(potential, dtype=float)
-    p = pot.size
+def _bloch_symbols(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> np.ndarray:
+    """Symbols H(theta) of period-p potentials, shape (..., 2p, 2p).
+
+    pots has shape (..., p) and thetas shape (...); their leading shapes
+    broadcast.  Entry by entry this is the same floating-point arithmetic
+    as a one-matrix build, so a stacked symbol is bit-identical to a
+    single one.
+    """
+    p = pots.shape[-1]
     S = anisotropy_block(gamma)
     sz = np.diag([1.0, -1.0])
+    back = np.exp(-1j * thetas)[..., None, None]
+    ahead = np.exp(1j * thetas)[..., None, None]
     if p == 1:
-        return (pot[0] * sz).astype(complex) - S * np.exp(-1j * theta) - S.T * np.exp(1j * theta)
-    H = np.zeros((2 * p, 2 * p), dtype=complex)
+        return (pots[..., 0, None, None] * sz).astype(complex) - S * back - S.T * ahead
+    lead = np.broadcast_shapes(pots.shape[:-1], np.shape(thetas))
+    H = np.zeros(lead + (2 * p, 2 * p), dtype=complex)
     for j in range(p):
-        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = pot[j] * sz
+        H[..., 2 * j:2 * j + 2, 2 * j:2 * j + 2] = pots[..., j, None, None] * sz
     for j in range(p - 1):
-        H[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] = -S
-        H[2 * j + 2:2 * j + 4, 2 * j:2 * j + 2] = -S.T
-    H[0:2, 2 * p - 2:2 * p] += -S.T * np.exp(-1j * theta)
-    H[2 * p - 2:2 * p, 0:2] += -S * np.exp(1j * theta)
+        H[..., 2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] = -S
+        H[..., 2 * j + 2:2 * j + 4, 2 * j:2 * j + 2] = -S.T
+    H[..., 0:2, 2 * p - 2:2 * p] += -S.T * back
+    H[..., 2 * p - 2:2 * p, 0:2] += -S * ahead
     return H
 
 
+def floquet_symbol(potential: Sequence[float], gamma: float, theta: float) -> np.ndarray:
+    """Hermitian 2p x 2p symbol of the period-p chain at angle theta."""
+    return _bloch_symbols(np.asarray(potential, dtype=float), gamma, np.asarray(theta, dtype=float))
+
+
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# symbols held by one stacked angle scan; it bounds memory, never results
+_SCAN_SYMBOLS = 4096
+# sites of all potentials almost_sure_spectrum_approx may enumerate, the sum
+# over periods p of p * len(lattice) ** p (about 210,000 for period 3 at 41
+# samples); above it the enumeration alone would run for minutes
+_MAX_APPROXIMANT_SITES = 1_000_000
 
 
-def _golden_extremum(fun, lo: float, hi: float, sign: float, edge_tol: float) -> float:
-    """Golden-section search for min (sign=+1) or max (sign=-1) of fun.
+def _band_edges(pots: np.ndarray, gamma: float, base_grid: int, edge_tol: float) -> np.ndarray:
+    """[min, max] of every sorted symbol branch of K period-p potentials, (K, 2p, 2).
 
-    Iterates until the extremal value moves by less than edge_tol between
-    steps, which is the documented band edge stopping rule.
+    Each branch is scanned on a uniform angle grid, then its grid minimum
+    and maximum are refined by golden-section search on the bracket of one
+    grid step either side.  All K * 2p * 2 searches advance in lockstep:
+    each step evaluates the searches still running with one stacked
+    eigvalsh, and each search stops by its own rule, once its extremal value
+    moves by less than edge_tol and its bracket is shorter than 1e-4.
     """
-    a, b = lo, hi
+    K, p = pots.shape
+    thetas = np.linspace(0.0, 2.0 * np.pi, base_grid, endpoint=False)
+    step = thetas[1] - thetas[0]
+    values = np.linalg.eigvalsh(_bloch_symbols(pots[:, None, :], gamma, thetas))  # (K, T, 2p)
+    j_ext = np.stack([np.argmin(values, axis=1), np.argmax(values, axis=1)], axis=-1)  # (K, 2p, 2)
+    grid_ext = values[np.arange(K)[:, None, None], j_ext, np.arange(2 * p)[:, None]]
+
+    # one search per (potential, branch, min/max); sign +1 seeks the minimum
+    pot_of, branch, side = (ix.ravel() for ix in np.indices((K, 2 * p, 2)))
+    sign = np.where(side == 0, 1.0, -1.0)
+    centre = thetas[j_ext.ravel()]
+    a, b = centre - step, centre + step
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = sign * fun(c), sign * fun(d)
-    best_prev = min(fc, fd)
+
+    def f(idx: np.ndarray, angles: np.ndarray) -> np.ndarray:
+        vals = np.linalg.eigvalsh(_bloch_symbols(pots[pot_of[idx]], gamma, angles))
+        return sign[idx] * vals[np.arange(idx.size), branch[idx]]
+
+    live = np.arange(sign.size)  # the searches still running
+    fc, fd = f(live, c), f(live, d)
+    prev = np.where(fd < fc, fd, fc)  # min(fc, fd) as Python takes it, fc on ties and signed zeros
+    best = np.empty(sign.size)
     for _ in range(200):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * fun(d)
-        best = min(fc, fd)
-        if abs(best_prev - best) < edge_tol and (b - a) < 1e-4:
+        left = fc < fd  # keep [a, d] and probe a new c, else keep [c, b] and probe a new d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - _GOLDEN * (b - a), d), np.where(left, c, a + _GOLDEN * (b - a))
+        fresh = f(live, np.where(left, c, d))
+        fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
+        now = np.where(fd < fc, fd, fc)
+        done = (np.abs(prev - now) < edge_tol) & ((b - a) < 1e-4)
+        best[live[done]] = now[done]
+        live, a, b, c, d, fc, fd, prev = (x[~done] for x in (live, a, b, c, d, fc, fd, now))
+        if live.size == 0:
             break
-        best_prev = best
-    return sign * min(fc, fd)
+    best[live] = np.where(fd < fc, fd, fc)
+    refined = (sign * best).reshape(K, 2 * p, 2)
+    lo = np.where(grid_ext[..., 0] < refined[..., 0], grid_ext[..., 0], refined[..., 0])
+    hi = np.where(grid_ext[..., 1] > refined[..., 1], grid_ext[..., 1], refined[..., 1])
+    return np.stack([lo, hi], axis=-1)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not np.isfinite(gamma):
+        raise ConfigError(f"anisotropy gamma must be finite, got {gamma!r}")
+    if abs(gamma) == 1.0:
+        raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
 
 
 def periodic_spectrum(
@@ -269,28 +324,15 @@ def periodic_spectrum(
     union over branches of [min, max] is exact even through band crossings
     because sorted branches are continuous and cover the same set.
     """
-    if abs(gamma) == 1.0:
-        raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
-    pot = np.asarray(potential, dtype=float)
-    if pot.size == 0:
-        raise ValueError("potential must contain at least one site")
-    thetas = np.linspace(0.0, 2.0 * np.pi, base_grid, endpoint=False)
-    symbols = np.stack([floquet_symbol(pot, gamma, t) for t in thetas])
-    branches = np.linalg.eigvalsh(symbols)  # (base_grid, 2p), ascending rows
-    step = thetas[1] - thetas[0]
-    bands = []
-    for i in range(branches.shape[1]):
-        values = branches[:, i]
-
-        def branch(theta: float, _i: int = i) -> float:
-            return float(np.linalg.eigvalsh(floquet_symbol(pot, gamma, theta))[_i])
-
-        j_min = int(np.argmin(values))
-        j_max = int(np.argmax(values))
-        lo = _golden_extremum(branch, thetas[j_min] - step, thetas[j_min] + step, +1.0, edge_tol)
-        hi = _golden_extremum(branch, thetas[j_max] - step, thetas[j_max] + step, -1.0, edge_tol)
-        bands.append((min(lo, float(values[j_min])), max(hi, float(values[j_max]))))
-    return IntervalUnion.from_intervals(bands, merge_tol=merge_tol)
+    _check_gamma(gamma)
+    try:
+        pot = np.asarray(potential, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"potential must be a list of numbers, got {potential!r}") from exc
+    if pot.ndim != 1 or pot.size == 0 or not np.all(np.isfinite(pot)):
+        raise ConfigError(f"potential must be a non-empty list of finite numbers, got {potential!r}")
+    edges = _band_edges(pot[None, :], gamma, base_grid, edge_tol)[0]
+    return IntervalUnion.from_intervals(edges, merge_tol=merge_tol)
 
 
 def _minimal_period(pot: tuple) -> int:
@@ -312,12 +354,27 @@ def almost_sure_spectrum_approx(
 
     Periodic approximants with entries in supp(rho) fill out the almost sure
     spectrum as the period grows; atoms are enumerated exactly and continuous
-    support is sampled on a deterministic lattice.
+    support is sampled on a deterministic lattice.  One potential per
+    rotation class of each minimal period is kept, and the potentials of a
+    period go through _band_edges in chunks of _SCAN_SYMBOLS symbols.  An
+    enumeration of more than _MAX_APPROXIMANT_SITES sites is a ConfigError.
     """
+    _check_gamma(gamma)
+    if max_period < 1 or samples_per_period < 1:
+        raise ConfigError("max_period and samples_per_period must be >= 1, "
+                          f"got {max_period} and {samples_per_period}")
     lattice = rho.support_lattice(samples_per_period)
-    bands: list[tuple[float, float]] = []
+    sites = 0
+    for p in range(1, max_period + 1):
+        sites += p * len(lattice) ** p
+        if sites > _MAX_APPROXIMANT_SITES:
+            raise ConfigError(f"{len(lattice)} support points up to period {max_period} give more than "
+                              f"{_MAX_APPROXIMANT_SITES} sites of periodic approximants to enumerate")
+    chunk = max(1, _SCAN_SYMBOLS // BASE_THETA_GRID)
+    bands: list[np.ndarray] = []
     seen: set[tuple] = set()
     for p in range(1, max_period + 1):
+        pots = []
         for pot in product(lattice, repeat=p):
             if _minimal_period(pot) != p:
                 continue
@@ -325,7 +382,11 @@ def almost_sure_spectrum_approx(
             if key in seen:
                 continue
             seen.add(key)
-            bands.extend(periodic_spectrum(pot, gamma, merge_tol=merge_tol))
+            pots.append(pot)
+        pots = np.array(pots, dtype=float).reshape(-1, p)
+        for k in range(0, pots.shape[0], chunk):
+            edges = _band_edges(pots[k:k + chunk], gamma, BASE_THETA_GRID, BAND_EDGE_TOL)
+            bands.extend(edges.reshape(-1, 2))
     return IntervalUnion.from_intervals(bands, merge_tol=merge_tol)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randblock import cli
+from randblock import cli, spectral
 from randblock.errors import NumericalFailure
 from randblock.lyapunov import DEFAULT_REORTH, DEFAULT_STEPS
 from randblock.model import assemble_block_jacobi, params_from_config, sample_disorder
@@ -168,6 +168,9 @@ class TestErrorPaths:
             ("dos", {"rho": {"kind": "uniform", "a": "x", "b": 1}}),
             ("dos", {"num_realizations": "many"}),
             ("lyapunov", {"E": [1.0, 0.5], "steps": "lots"}),
+            ("spectrum", {"n": 4, "gamma": ["a", "b", "c"]}),
+            ("charpoly-check", {"ell_values": 3}),
+            ("green-check", {"ell_values": 3}),
         ],
     )
     def test_non_numeric_field_exits_2(self, tmp_path, capsys, command, change):
@@ -175,6 +178,52 @@ class TestErrorPaths:
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("asspec", {"max_period": 0}),
+            ("asspec", {"max_period": -1}),
+            ("asspec", {"samples_per_period": 0}),
+            ("asspec", {"gamma": "NaN"}),
+            ("periodic", {"potential": []}),
+            ("periodic", {"potential": "abc"}),
+            ("periodic", {"potential": [1.0, math.nan]}),
+            ("periodic", {"potential": [[1.0, 2.0]]}),
+            ("periodic", {"potential": 3.0}),
+            ("periodic", {"potential": [1.0], "gamma": "NaN"}),
+            ("charpoly-check", {"instances": 0}),
+            ("charpoly-check", {"L_max": 1}),
+            ("green-check", {"ell_values": [0, 2]}),
+            ("green-check", {"ell_values": []}),
+        ],
+    )
+    def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
+        cfg_path = write_cfg(tmp_path / "c.json", {**FIXTURE_CFG, **change})
+        code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    def test_approximant_enumeration_guard_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_APPROXIMANT_SITES", 100)
+        cfg = {"rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "gamma": 0.5, "max_period": 3,
+               "samples_per_period": 5}
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        code = cli.main(["asspec", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "100 sites" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_cocycle_overflow_stderr_is_one_json_object(self, tmp_path, capsys):
+        # |E| = 50 over 500 unnormalized steps overflows the block product;
+        # any floating-point warning would be raised here as an error
+        cfg = {"n": 2, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0},
+               "seed": 0, "E": 50.0, "steps": 25_000, "reorth_every": 500}
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        assert cli.main(["lyapunov", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"error": "cocycle frame overflowed; reduce reorth_every",
+                                   "kind": "numerical"}
 
     def test_missing_required_arg_is_usage_error(self, tmp_path):
         cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)

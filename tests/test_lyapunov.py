@@ -137,14 +137,12 @@ class TestEngine:
         np.testing.assert_allclose(exps, ref_exps, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(se, ref_se, rtol=0.0, atol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_frame_overflow_raises(self, two_point_field):
         # |E| = 50 over 500 unnormalized steps is far beyond double range
         p = ModelParams.xy(2, 0.5, two_point_field)
         with pytest.raises(NumericalFailure, match="overflowed"):
             lyapunov_spectrum(p, 50.0, steps=25_000, seed=0, reorth_every=500)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_frame_overflow_exits_3(self, tmp_path, capsys):
         cfg = {"n": 2, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0},
                "seed": 0, "E": 50.0, "steps": 25_000, "reorth_every": 500}
