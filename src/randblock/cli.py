@@ -96,10 +96,14 @@ def _resolve_seed(cfg: dict, args) -> int:
 
 def _complex_pair(value, name: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_number(value[0], float, name), _number(value[1], float, name))
-    raise ConfigError(f"{name} must be a number or [re, im] pair")
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(_number(value[0], float, name), _number(value[1], float, name))
+    else:
+        raise ConfigError(f"{name} must be a number or [re, im] pair")
+    if not np.isfinite(z):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return z
 
 
 def _progress(args, message: str) -> None:
@@ -160,6 +164,11 @@ def _cmd_asspec(cfg: dict, out: str, args) -> None:
     _progress(args, f"{union.intervals.shape[0]} intervals, hull {union.hull}")
 
 
+# largest L_max * max(ell_values) of green-check and charpoly-check: their dense
+# (L ell)^2 reference takes 256 MB per complex copy at this size
+_MAX_DENSE_DIM = 4000
+
+
 def _random_chains(cfg: dict, args, default_instances: int, stream: int):
     """Yield (i, ell, L, M) for the random finite chains of green-check and charpoly-check."""
     seed = _resolve_seed(cfg, args)
@@ -171,6 +180,11 @@ def _random_chains(cfg: dict, args, default_instances: int, stream: int):
     L_max = _field(cfg, "L_max", int, 50)
     if instances < 1 or min(ell_values) < 1 or L_max < 2:
         raise ConfigError("need instances >= 1, every ell_values entry >= 1 and L_max >= 2")
+    if L_max * max(ell_values) > _MAX_DENSE_DIM:
+        raise ConfigError(
+            f"L_max * max(ell_values) = {L_max * max(ell_values)} exceeds {_MAX_DENSE_DIM}, "
+            "the largest dense reference matrix built"
+        )
     rng = realization_rng(seed, stream)
     for i in range(instances):
         ell = int(rng.choice(ell_values))
@@ -181,22 +195,16 @@ def _random_chains(cfg: dict, args, default_instances: int, stream: int):
 def _cmd_green_check(cfg: dict, out: str, args) -> None:
     z = _complex_pair(cfg.get("z", [0.7, 0.3]), "z")
     rows = []
+    worst_cond = 0.0
     for i, ell, L, M in _random_chains(cfg, args, 100, 0):
-        dense = M.dense()
-        resolvent = np.linalg.inv(dense - z * np.eye(dense.shape[0]))
-        scale = np.linalg.norm(resolvent, 2)
         evaluator = transfer.GreenEvaluator(M, z)
-        worst = 0.0
-        for j in range(1, L + 1):
-            for k in range(1, L + 1):
-                blk = resolvent[(j - 1) * ell:j * ell, (k - 1) * ell:k * ell]
-                worst = max(worst, float(np.max(np.abs(evaluator.block(j, k) - blk))))
-        wdev = 0.0
-        W0 = transfer.wronskian(evaluator.U, evaluator.V, 0)
-        wscale = max(1.0, float(np.max(np.abs(W0))))
-        for k in range(0, L + 1):
-            Wk = transfer.wronskian(evaluator.U, evaluator.V, k)
-            wdev = max(wdev, float(np.max(np.abs(Wk - W0))) / wscale)
+        worst_cond = max(worst_cond, evaluator.pivot_cond)
+        resolvent = np.linalg.inv(M.dense() - z * np.eye(L * ell))
+        scale = np.linalg.norm(resolvent, 2)
+        reference = resolvent.reshape(L, ell, L, ell).swapaxes(1, 2)
+        worst = float(np.max(np.abs(evaluator.blocks() - reference)))
+        W = transfer.wronskian(*transfer.fundamental_solutions(M, z), None)
+        wdev = float(np.max(np.abs(W - W[0]))) / max(1.0, float(np.max(np.abs(W[0]))))
         rows.append((i, ell, L, z.real, z.imag, worst / scale, wdev))
     _write_csv(
         os.path.join(out, "green_check.csv"),
@@ -204,7 +212,7 @@ def _cmd_green_check(cfg: dict, out: str, args) -> None:
         ["instance", "ell", "L", "z_re", "z_im", "green_err", "wronskian_dev"],
         rows,
     )
-    _progress(args, f"worst green err {max(r[5] for r in rows):.3e}")
+    _progress(args, f"worst green err {max(r[5] for r in rows):.3e}, worst pivot cond {worst_cond:.3e}")
 
 
 def _cmd_charpoly_check(cfg: dict, out: str, args) -> None:

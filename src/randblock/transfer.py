@@ -16,6 +16,15 @@ orgqr (ungqr for complex frames), returning diag R, from which callers take
 log |diag R| and the phase of det R.  The Lyapunov engine and both
 characteristic polynomial routes use it; the engine hands it one product
 per block, folded beforehand from a stack of factors.
+
+Green blocks come from the recursive Green's function method (Thouless and
+Kirkpatrick 1981, MacKinnon and Kramer 1983), not from the fundamental
+solutions, which grow exponentially in L: schur_sweep eliminates the chain
+site by site, GreenEvaluator runs it forward and on the reversed chain, and
+every pivot stays of the size of the resolvent itself.  Setup costs
+O(L ell^3); GreenEvaluator.blocks() returns all L^2 blocks in O(L^2 ell^3)
+time and O(L^2 ell^2) memory.  The fundamental solutions and their
+Wronskian remain as an independent check of the recursion.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .errors import NumericalFailure
 from .model import BlockJacobiMatrix
 
 OVERFLOW_LIMIT = 1e250
-WRONSKIAN_COND_LIMIT = 1e12
+PIVOT_COND_LIMIT = 1e12
 DEFAULT_REORTH = 10
 
 
@@ -161,7 +170,8 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
     ell, L = M.ell, M.n
     S = _padded_hopping(M)
     eye = np.eye(ell)
-    dtype = complex if np.imag(z) != 0.0 else float
+    z = _energy(z)
+    dtype = np.result_type(M.V, z)
 
     U = np.zeros((L + 2, ell, ell), dtype=dtype)
     U[1] = eye
@@ -185,38 +195,112 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
     )
 
 
-def wronskian(U: MatrixSolution, V: MatrixSolution, k: int = 0) -> np.ndarray:
+def wronskian(U: MatrixSolution, V: MatrixSolution, k: int | None = 0) -> np.ndarray:
     """Constant Wronskian W(k) = V(k)^t S_k U(k+1) - (S_k V(k+1))^t U(k).
 
     Built with transposes throughout, so constancy in k holds for complex z
-    as well.  For the fundamental pair, W(0) = V(0)^t.
+    as well.  For the fundamental pair, W(0) = V(0)^t.  With k=None, the
+    stack W(0..L) of shape (L+1, ell, ell), in one batched product.
     """
-    S_k = U.hopping[k]
-    return V[k].T @ S_k @ U[k + 1] - (S_k @ V[k + 1]).T @ U[k]
+    ks = np.arange(U.L + 1) if k is None else k
+    S_k = U.hopping[ks]
+    return (
+        np.swapaxes(V.values[ks], -1, -2) @ S_k @ U.values[ks + 1]
+        - np.swapaxes(S_k @ V.values[ks + 1], -1, -2) @ U.values[ks]
+    )
+
+
+def _inverse(P: np.ndarray) -> np.ndarray:
+    """Inverse of one pivot or of a stack of pivots; an exactly singular one is a NumericalFailure."""
+    try:
+        return np.linalg.inv(P)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"exactly singular Schur pivot: {exc}") from exc
+
+
+def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward Schur complements of a block tridiagonal matrix.
+
+    The matrix has diagonal blocks D (L, ell, ell), upper blocks B
+    (L-1, ell, ell) and lower blocks B^t.  Eliminating sites 0..k-1 leaves
+    the pivot P_k = D_k - B_{k-1}^t g_{k-1} B_{k-1} at site k, with
+    g_k = P_k^{-1} and P_0 = D_0.  Returns the stacks P and g.  The
+    backward sweep is this one on the reversed chain, with hoppings
+    B[::-1] transposed.
+    """
+    P = np.empty_like(D)
+    g = np.empty_like(D)
+    P[0] = D[0]
+    g[0] = _inverse(D[0])
+    for k in range(1, D.shape[0]):
+        P[k] = D[k] - B[k - 1].T @ g[k - 1] @ B[k - 1]
+        g[k] = _inverse(P[k])
+    return P, g
+
+
+def _cond1(P: np.ndarray, P_inv: np.ndarray) -> float:
+    """Largest 1-norm condition number ||P||_1 ||P^{-1}||_1 over a stack of pivots."""
+    return float(np.max(np.abs(P).sum(-2).max(-1) * np.abs(P_inv).sum(-2).max(-1)))
 
 
 class GreenEvaluator:
-    """Green blocks of (M - z)^{-1} from one fundamental-solution pass."""
+    """Green blocks G(j, k) of (M - z)^{-1} by the recursive Green's function method.
+
+    With D_k = V_k - z and B_k = -S_k, the forward sweep gives the pivots
+    D_k - left_k and the backward sweep D_k - right_k, where left_k and
+    right_k are the self-energies of the chain to either side of site k.
+    The diagonal pivots D_k - left_k - right_k invert to G(k, k).  Setup
+    costs O(L ell^3).  pivot_cond is the largest 1-norm condition number
+    of all three pivot stacks, and must not exceed PIVOT_COND_LIMIT.  At
+    real z a pivot is singular also when z is an eigenvalue of a leading or
+    trailing sub-chain, so the guard may reject such a z although M - z is
+    invertible.
+    """
 
     def __init__(self, M: BlockJacobiMatrix, z: complex):
         self.M = M
         self.z = z
-        self.U, self.V = fundamental_solutions(M, z)
-        self.W = wronskian(self.U, self.V, 0)
-        cond = np.linalg.cond(self.W)
-        if not np.isfinite(cond) or cond > WRONSKIAN_COND_LIMIT:
+        D = M.V - _energy(z) * np.eye(M.ell)
+        B = -M.S
+        left_piv, g = schur_sweep(D, B)
+        right_piv, h = schur_sweep(D[::-1], np.swapaxes(B[::-1], -1, -2))
+        right_piv, h = right_piv[::-1], h[::-1]
+        diag_piv = left_piv + right_piv - D
+        self._diagonal = _inverse(diag_piv)
+        self.pivot_cond = max(_cond1(left_piv, g), _cond1(right_piv, h), _cond1(diag_piv, self._diagonal))
+        if not self.pivot_cond <= PIVOT_COND_LIMIT:
             raise NumericalFailure(
-                f"Wronskian condition number {cond:.3e}: z is on or too close to the spectrum"
+                f"Schur pivot condition number {self.pivot_cond:.3e}: "
+                "z is on or too close to the spectrum"
             )
+        self._step = -(g[:-1] @ B)  # G(j, k) = -g_j B_j G(j+1, k) for j < k
+        self._blocks: np.ndarray | None = None
+
+    def blocks(self) -> np.ndarray:
+        """Every block, as G[j-1, k-1] = G(j, k) of shape (L, L, ell, ell).
+
+        One sweep up the columns fills the upper triangle, row j from row
+        j+1 in one stacked product; M - z is complex symmetric, so the lower
+        triangle is G(k, j) = G(j, k)^t.  O(L^2 ell^3) time and O(L^2 ell^2)
+        memory; the result is cached.
+        """
+        if self._blocks is None:
+            L = self.M.n
+            G = np.zeros((L, L) + self._diagonal.shape[1:], dtype=self._diagonal.dtype)
+            G[np.arange(L), np.arange(L)] = self._diagonal
+            for j in range(L - 2, -1, -1):
+                G[j, j + 1:] = self._step[j] @ G[j + 1, j + 1:]
+            lower = np.tril_indices(L, -1)
+            G[lower] = G.transpose(1, 0, 3, 2)[lower]
+            self._blocks = G
+        return self._blocks
 
     def block(self, j: int, k: int) -> np.ndarray:
         """Block G(j, k), sites labeled 1..L."""
         L = self.M.n
         if not (1 <= j <= L and 1 <= k <= L):
             raise ValueError(f"sites must lie in 1..{L}, got ({j}, {k})")
-        if j <= k:
-            return self.U[j] @ np.linalg.solve(self.W, self.V[k].T)
-        return self.V[j] @ np.linalg.solve(self.W.T, self.U[k].T)
+        return self.blocks()[j - 1, k - 1]
 
 
 def green_block(M: BlockJacobiMatrix, z: complex, j: int, k: int) -> np.ndarray:

@@ -196,6 +196,10 @@ class TestErrorPaths:
             ("charpoly-check", {"L_max": 1}),
             ("green-check", {"ell_values": [0, 2]}),
             ("green-check", {"ell_values": []}),
+            ("green-check", {"z": [math.nan, 0.3]}),
+            ("green-check", {"z": math.inf}),
+            ("charpoly-check", {"E": [math.nan, 0.3]}),
+            ("lyapunov", {"E": [1.0, math.inf]}),
         ],
     )
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
@@ -212,6 +216,19 @@ class TestErrorPaths:
         code = cli.main(["asspec", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "100 sites" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command", ["green-check", "charpoly-check"])
+    def test_dense_reference_size_guard_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_MAX_DENSE_DIM", 10)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chain was drawn before the size guard")
+
+        monkeypatch.setattr(cli, "random_instance", no_draws)
+        cfg_path = write_cfg(tmp_path / "c.json", {"seed": 1, "ell_values": [1, 2], "L_max": 6})
+        code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "exceeds 10" in json.loads(capsys.readouterr().err)["error"]
 
     @pytest.mark.filterwarnings("error")
     def test_cocycle_overflow_stderr_is_one_json_object(self, tmp_path, capsys):
@@ -235,6 +252,22 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fourier", "--config", "x", "--out", "y"])
         assert exc.value.code == 2
+
+
+class TestGreenCheck:
+    @pytest.mark.filterwarnings("error")
+    def test_real_z_as_pair_emits_no_warning(self, tmp_path, capsys):
+        cfg = {"seed": 3, "instances": 4, "ell_values": [2], "L_max": 12, "z": [0.1, 0.0]}
+        out = tmp_path / "g"
+        code = cli.main(["green-check", "--config", write_cfg(tmp_path / "g.json", cfg),
+                         "--out", str(out), "--verbose"])
+        assert code == 0
+        _, header, rows = read_csv(out / "green_check.csv")
+        assert header == ["instance", "ell", "L", "z_re", "z_im", "green_err", "wronskian_dev"]
+        assert len(rows) == 4
+        assert max(r[5] for r in rows) <= 1e-10
+        assert max(r[6] for r in rows) <= 1e-10
+        assert "worst pivot cond" in capsys.readouterr().err
 
 
 class TestJsonCommands:

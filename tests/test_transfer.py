@@ -157,6 +157,14 @@ class TestFundamentalSolutions:
         assert U.recursion_residual(M) <= 1e-10
         assert V.recursion_residual(M) <= 1e-10
 
+    def test_real_z_given_as_complex_stays_real(self, rng):
+        M = random_instance(rng, 2, 10)
+        U, V = fundamental_solutions(M, complex(0.3, 0.0))
+        ref_U, ref_V = fundamental_solutions(M, 0.3)
+        assert U.values.dtype == V.values.dtype == np.float64
+        np.testing.assert_array_equal(U.values, ref_U.values)
+        np.testing.assert_array_equal(V.values, ref_V.values)
+
 
 class TestWronskian:
     def test_self_wronskian_is_skew(self, rng):
@@ -172,6 +180,14 @@ class TestWronskian:
         W0 = wronskian(U, V, 0)
         for k in range(1, 15):
             assert np.abs(wronskian(U, V, k) - W0).max() <= 1e-10 * max(1.0, np.abs(W0).max())
+
+    def test_stack_matches_single_sites(self, rng):
+        M = random_instance(rng, 3, 9)
+        U, V = fundamental_solutions(M, 0.2 + 0.4j)
+        W = wronskian(U, V, None)
+        assert W.shape == (10, 3, 3)
+        for k in range(10):
+            np.testing.assert_allclose(W[k], wronskian(U, V, k), rtol=0, atol=1e-13 * np.abs(W).max())
 
     def test_scalar_chain_reduces_to_classical_wronskian(self):
         # ell=1, S=1: W = v(k) u(k+1) - v(k+1) u(k)
@@ -204,6 +220,55 @@ class TestGreen:
                 blk = R[2 * (j - 1) : 2 * j, 2 * (k - 1) : 2 * k]
                 worst = max(worst, np.abs(ev.block(j, k) - blk).max())
         assert worst <= 1e-8 * scale
+
+    @pytest.mark.parametrize("ell, L", [(2, 150), (3, 75), (2, 300)])
+    def test_long_chains_match_dense_inverse(self, ell, L):
+        # long enough that the unscaled fundamental solutions lose all accuracy here:
+        # their Wronskian has condition number 2e15 to 2e16
+        rng = realization_rng(20260005, 1000 * ell + L)
+        z = 0.7 + 0.3j
+        for _ in range(3):
+            M = random_instance(rng, ell, L)
+            R = np.linalg.inv(M.dense() - z * np.eye(ell * L))
+            reference = R.reshape(L, ell, L, ell).swapaxes(1, 2)
+            err = np.abs(GreenEvaluator(M, z).blocks() - reference).max()
+            assert err <= 1e-12 * np.linalg.norm(R, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(1, 3),
+        L=st.integers(1, 30),
+        re_z=st.floats(-3.0, 3.0),
+        im_z=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_invert_and_are_complex_symmetric(self, ell, L, re_z, im_z, seed):
+        M = random_instance(np.random.default_rng(seed), ell, L)
+        z = complex(re_z, im_z)
+        ev = GreenEvaluator(M, z)
+        G = ev.blocks()
+        assert G.shape == (L, L, ell, ell)
+        assert ev.pivot_cond <= 1e6
+        dense_G = G.swapaxes(1, 2).reshape(L * ell, L * ell)
+        A = M.dense() - z * np.eye(L * ell)
+        scale = np.linalg.norm(A, 2) * np.linalg.norm(dense_G, 2)
+        assert np.abs(A @ dense_G - np.eye(L * ell)).max() <= 1e-13 * scale
+        assert np.abs(G - G.transpose(1, 0, 3, 2)).max() <= 1e-13 * np.abs(G).max()
+        j, k = 1 + seed % L, 1 + (seed // L) % L
+        assert np.array_equal(ev.block(j, k), G[j - 1, k - 1])
+
+    @pytest.mark.parametrize("V1", [np.array([[0.4]]), np.diag([0.4, -0.4])])
+    def test_exactly_singular_pivot_is_numerical_failure(self, V1):
+        M = assemble_general(V1.shape[0], [V1], [])
+        with pytest.raises(NumericalFailure, match="singular Schur pivot"):
+            GreenEvaluator(M, 0.4)
+
+    def test_block_outside_chain_rejected(self, rng):
+        ev = GreenEvaluator(random_instance(rng, 2, 4), 0.3j)
+        with pytest.raises(ValueError):
+            ev.block(0, 2)
+        with pytest.raises(ValueError):
+            ev.block(2, 5)
 
     def test_real_energy_in_spectrum_rejected(self, xy_params):
         p = xy_params(n=12)
