@@ -41,7 +41,6 @@ from .transfer import (
     TransferMatrix,
     charpoly_identity_check,
     fundamental_solutions,
-    green_block,
     transfer_matrix,
     wronskian,
 )

@@ -80,10 +80,16 @@ def _number(value, kind: type, name: str):
         raise ConfigError(f"{name} must be {noun}, got {value!r}") from exc
 
 
-def _field(cfg: dict, key: str, kind: type, default=_REQUIRED):
-    """cfg[key] converted by kind, or default when absent; required without a default."""
+def _field(cfg: dict, key: str, kind: type, default=_REQUIRED, low=None):
+    """cfg[key] converted by kind, or default when absent; required without a default.
+
+    A value below low, when low is given, is a config error.
+    """
     value = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
-    return _number(value, kind, key)
+    number = _number(value, kind, key)
+    if low is not None and number < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value!r}")
+    return number
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -118,7 +124,7 @@ def _progress(args, message: str) -> None:
 def _cmd_spectrum(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
-    num = _field(cfg, "num_realizations", int, 1)
+    num = _field(cfg, "num_realizations", int, 1, low=1)
     specs = spectral.ensemble_spectra(params, num, seed, threads=args.threads)
     rows = []
     for r, spec in enumerate(specs):
@@ -134,8 +140,8 @@ def _cmd_spectrum(cfg: dict, out: str, args) -> None:
 def _cmd_dos(cfg: dict, out: str, args) -> None:
     params = params_from_config(cfg)
     seed = _resolve_seed(cfg, args)
-    num = _field(cfg, "num_realizations", int, 20)
-    bins = _field(cfg, "bins", int, 50)
+    num = _field(cfg, "num_realizations", int, 20, low=1)
+    bins = _field(cfg, "bins", int, 50, low=1)
     specs = spectral.ensemble_spectra(params, num, seed, threads=args.threads)
     dos = spectral.dos_histogram(specs, bins=bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
@@ -172,14 +178,14 @@ _MAX_DENSE_DIM = 4000
 def _random_chains(cfg: dict, args, default_instances: int, stream: int):
     """Yield (i, ell, L, M) for the random finite chains of green-check and charpoly-check."""
     seed = _resolve_seed(cfg, args)
-    instances = _field(cfg, "instances", int, default_instances)
+    instances = _field(cfg, "instances", int, default_instances, low=1)
     ell_values = cfg.get("ell_values", [1, 2, 3])
     if not isinstance(ell_values, list) or not ell_values:
         raise ConfigError(f"ell_values must be a non-empty list of integers, got {ell_values!r}")
     ell_values = [_number(e, int, "ell_values") for e in ell_values]
-    L_max = _field(cfg, "L_max", int, 50)
-    if instances < 1 or min(ell_values) < 1 or L_max < 2:
-        raise ConfigError("need instances >= 1, every ell_values entry >= 1 and L_max >= 2")
+    L_max = _field(cfg, "L_max", int, 50, low=2)
+    if min(ell_values) < 1:
+        raise ConfigError(f"every ell_values entry must be >= 1, got {ell_values!r}")
     if L_max * max(ell_values) > _MAX_DENSE_DIM:
         raise ConfigError(
             f"L_max * max(ell_values) = {L_max * max(ell_values)} exceeds {_MAX_DENSE_DIM}, "
@@ -203,7 +209,7 @@ def _cmd_green_check(cfg: dict, out: str, args) -> None:
         scale = np.linalg.norm(resolvent, 2)
         reference = resolvent.reshape(L, ell, L, ell).swapaxes(1, 2)
         worst = float(np.max(np.abs(evaluator.blocks() - reference)))
-        W = transfer.wronskian(*transfer.fundamental_solutions(M, z), None)
+        W = transfer.wronskian(*transfer.fundamental_solutions(M, z))
         wdev = float(np.max(np.abs(W - W[0]))) / max(1.0, float(np.max(np.abs(W[0]))))
         rows.append((i, ell, L, z.real, z.imag, worst / scale, wdev))
     _write_csv(
@@ -260,8 +266,8 @@ def _cmd_thouless(cfg: dict, out: str, args) -> None:
     if not isinstance(dos_cfg, dict):
         raise ConfigError(f"dos must be an object, got {dos_cfg!r}")
     dos_n = _field(dos_cfg, "n", int, params.n)
-    dos_num = _field(dos_cfg, "num_realizations", int, 20)
-    dos_bins = _field(dos_cfg, "bins", int, 50)
+    dos_num = _field(dos_cfg, "num_realizations", int, 20, low=1)
+    dos_bins = _field(dos_cfg, "bins", int, 50, low=1)
     cfg.setdefault("steps", steps)
     cfg["dos"] = {"n": dos_n, "num_realizations": dos_num, "bins": dos_bins, **dos_cfg}
     dos_params = ModelParams.xy(n=dos_n, gamma=float(params.gamma[0]), rho=params.rho, mu=float(params.mu[0]))
@@ -314,7 +320,7 @@ def _cmd_alpha_scan(cfg: dict, out: str, args) -> None:
     gamma = _field(cfg, "gamma", float)
     rho = rho_from_config(_require(cfg, "rho"))
     steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
-    grid_points = _field(cfg, "grid_points", int, 9)
+    grid_points = _field(cfg, "grid_points", int, 9, low=1)
     cfg.setdefault("steps", steps)
     cfg.setdefault("grid_points", grid_points)
     result = lyapunov.critical_alpha_scan(
@@ -339,14 +345,15 @@ def _cmd_alpha_scan(cfg: dict, out: str, args) -> None:
 def _cmd_zariski(cfg: dict, out: str, args) -> None:
     gamma = _field(cfg, "gamma", float)
     grid = [_number(E, float, "E_grid") for E in _require(cfg, "E_grid")]
-    depth = _field(cfg, "depth", int, 3)
+    depth = _field(cfg, "depth", int, 3, low=0)
     records = energy_sweep_rank(gamma, grid, depth=depth)
     rows = [(r.E, r.dimension, r.marginal) for r in records]
     _write_csv(os.path.join(out, "zariski.csv"), cfg, ["E", "rank", "marginal_flag"], rows)
-    if cfg.get("certificate_samples"):
+    samples = _field(cfg, "certificate_samples", int, 0, low=0)
+    if samples:
         seed = _resolve_seed(cfg, args)
         rng = realization_rng(seed, 2)
-        nu = rng.uniform(-2.0, 2.0, _field(cfg, "certificate_samples", int))
+        nu = rng.uniform(-2.0, 2.0, samples)
         cert = zero_energy_reducibility_certificate(gamma, nu)
         _write_json(
             os.path.join(out, "certificate.json"),
@@ -374,11 +381,11 @@ def _cmd_correlator(cfg: dict, out: str, args) -> None:
         and window[0] <= window[1]
     ):
         raise ConfigError(f"window must be [lo, hi], two finite numbers with lo <= hi, got {window!r}")
-    num = _field(cfg, "num_realizations", int, 100)
+    num = _field(cfg, "num_realizations", int, 100, low=1)
     zeta = _field(cfg, "zeta", float, 0.9)
     lo, hi = (_number(x, float, "window") for x in window)
     field = localization.ensemble_correlator(params, (lo, hi), num, seed, threads=args.threads)
-    fit = localization.fit_decay(field, zeta=zeta, boundary=_field(cfg, "boundary", int, 5))
+    fit = localization.fit_decay(field, zeta=zeta, boundary=_field(cfg, "boundary", int, 5, low=0))
     rows = zip(fit.distances, fit.mean_logs, fit.bin_se, fit.counts)
     _write_csv(os.path.join(out, "correlator.csv"), cfg, ["dist", "mean_logQ", "se", "count"], rows)
     _write_json(
@@ -405,7 +412,7 @@ def _cmd_wegner_probe(cfg: dict, out: str, args) -> None:
         [_number(L, int, "L_list") for L in _require(cfg, "L_list")],
         beta=_field(cfg, "beta", float),
         sigma=_field(cfg, "sigma", float),
-        samples=_field(cfg, "samples", int, 100),
+        samples=_field(cfg, "samples", int, 100, low=1),
         seed=seed,
         threads=args.threads,
     )
@@ -452,17 +459,16 @@ def _cmd_lr_stats(cfg: dict, out: str, args) -> None:
     j = _field(cfg, "j", int, 0)
     ks = [_number(k, int, "ks") for k in cfg.get("ks", list(range(j + 1, n)))]
     t_max = _field(cfg, "t_max", float, 10.0)
-    t_points = _field(cfg, "t_points", int, 400)
+    t_points = _field(cfg, "t_points", int, 400, low=1)
     stats = xy_oracle.lr_commutator_stats(
         params,
         n,
         j,
         ks,
         t_grid=np.linspace(0.0, t_max, t_points),
-        num_realizations=_field(cfg, "num_realizations", int, 50),
+        num_realizations=_field(cfg, "num_realizations", int, 50, low=1),
         seed=seed,
         observables=tuple(cfg.get("observables", ["x", "x"])),
-        method=cfg.get("method", "auto"),
         threads=args.threads,
     )
     rows = [(s.separation, s.mean_sup, s.se) for s in stats]
@@ -513,6 +519,8 @@ def run(argv: Sequence[str] | None = None) -> None:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     os.makedirs(args.out, exist_ok=True)
     _HANDLERS[args.command](cfg, args.out, args)
 

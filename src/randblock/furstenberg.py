@@ -189,22 +189,17 @@ class ClosureResult:
         return self.dimension < 10
 
 
-def lie_closure_dimension(
-    E: float,
-    gamma: float,
-    depth: int = 3,
-    rank_tol: float = RANK_TOL,
-) -> ClosureResult:
+def lie_closure_dimension(E: float, gamma: float, depth: int = 3) -> ClosureResult:
     """Dimension of the Lie algebra generated by the canceled shears.
 
-    The rank is the number of pivoted-QR diagonal entries above rank_tol
+    The rank is the number of pivoted-QR diagonal entries above RANK_TOL
     relative to the largest; if moving the threshold one decade either way
     changes the count, the result is flagged marginal.
     """
     coords = _closure_coordinates(E, gamma, depth)
-    rank = _pivoted_rank(coords, rank_tol)
-    lo = _pivoted_rank(coords, rank_tol / 10.0)
-    hi = _pivoted_rank(coords, rank_tol * 10.0)
+    rank = _pivoted_rank(coords, RANK_TOL)
+    lo = _pivoted_rank(coords, RANK_TOL / 10.0)
+    hi = _pivoted_rank(coords, RANK_TOL * 10.0)
     return ClosureResult(
         E=float(E),
         gamma=float(gamma),
@@ -214,13 +209,8 @@ def lie_closure_dimension(
     )
 
 
-def energy_sweep_rank(
-    gamma: float,
-    E_grid: Sequence[float],
-    depth: int = 3,
-    rank_tol: float = RANK_TOL,
-) -> list[ClosureResult]:
-    return [lie_closure_dimension(E, gamma, depth=depth, rank_tol=rank_tol) for E in E_grid]
+def energy_sweep_rank(gamma: float, E_grid: Sequence[float], depth: int = 3) -> list[ClosureResult]:
+    return [lie_closure_dimension(E, gamma, depth=depth) for E in E_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +250,14 @@ class CertificateReport:
     passed: bool
 
 
-def zero_energy_reducibility_certificate(
-    gamma: float,
-    nu_samples: Sequence[float],
-    tol: float = CERTIFICATE_TOL,
-) -> CertificateReport:
+def zero_energy_reducibility_certificate(gamma: float, nu_samples: Sequence[float]) -> CertificateReport:
     """Exhibit the invariant splitting of the zero-energy cocycle.
 
     For every sampled potential value the rotated step P^{-1} (UU A UU) P
     must be exactly block diagonal with the closed-form 2x2 blocks; their
     determinants multiply to 1 pairwise, which is what makes the closure
-    at zero energy strictly smaller than sp(2).
+    at zero energy strictly smaller than sp(2).  Deviations are judged
+    against CERTIFICATE_TOL times max(1, max |nu|, 1 / |1 - gamma|)^2.
     """
     if gamma <= 0.0 or gamma == 1.0:
         raise ConfigError("certificate applies to gamma in (0, 1) or (1, inf)")
@@ -297,7 +284,7 @@ def zero_energy_reducibility_certificate(
             float(abs(np.linalg.det(B[2:, 2:]) - 1.0 / expected_det_d)),
         )
     scale = max(1.0, float(np.max(np.abs(nu_samples))), 1.0 / abs(1.0 - gamma)) ** 2
-    passed = max(pattern_dev, block_dev) <= tol * scale and det_dev <= tol * scale * 10
+    passed = max(pattern_dev, block_dev) <= CERTIFICATE_TOL * scale and det_dev <= CERTIFICATE_TOL * scale * 10
     return CertificateReport(
         gamma=float(gamma),
         branch=branch,

@@ -109,13 +109,12 @@ def fit_decay(
     field: CorrelatorField,
     zeta: float = 0.9,
     boundary: int = DEFAULT_BOUNDARY_EXCLUSION,
-    min_pairs: int = MIN_PAIRS_PER_BIN,
 ) -> DecayFit:
     """Distance-binned geometric-mean fit of the correlator decay.
 
     Pairs within `boundary` sites of either edge are excluded, positive
     entries are aggregated by distance as means of log Q, and bins with
-    fewer than min_pairs contributing pairs are dropped.
+    fewer than MIN_PAIRS_PER_BIN contributing pairs are dropped.
     """
     if field.empty:
         raise NumericalFailure("correlator window contains no spectrum")
@@ -130,7 +129,7 @@ def fit_decay(
         j = interior[: interior.size - d]
         vals = Q[j, j + d]
         vals = vals[vals > 0.0]
-        if vals.size < min_pairs:
+        if vals.size < MIN_PAIRS_PER_BIN:
             continue
         logs = np.log(vals)
         distances.append(float(d))

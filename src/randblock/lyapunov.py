@@ -28,6 +28,7 @@ from .transfer import DEFAULT_REORTH, qr_block, transfer_factors
 DEFAULT_STEPS = 100_000
 DEFAULT_BATCHES = 50
 TWO_STEP_DET_TOL = 1e-12
+ALPHA_ROOT_WIDTH = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +76,16 @@ class BlockEnsemble:
         cls,
         V_choices: np.ndarray,
         S_choices: np.ndarray,
-        v_weights: np.ndarray | None = None,
         s_weights: np.ndarray | None = None,
     ) -> "BlockEnsemble":
-        """Uniform or weighted i.i.d. picks from finite block families."""
+        """i.i.d. picks from finite block families: V uniform, S uniform or weighted."""
         V_choices = np.asarray(V_choices, dtype=float)
         S_choices = np.asarray(S_choices, dtype=float)
         ell = V_choices.shape[-1]
         nv, ns = V_choices.shape[0], S_choices.shape[0]
-        vw = np.full(nv, 1.0 / nv) if v_weights is None else np.asarray(v_weights, dtype=float)
+        vw = np.full(nv, 1.0 / nv)  # rng.choice draws differently with and without p
         sw = np.full(ns, 1.0 / ns) if s_weights is None else np.asarray(s_weights, dtype=float)
-        if abs(vw.sum() - 1.0) > 1e-12 or abs(sw.sum() - 1.0) > 1e-12:
+        if abs(sw.sum() - 1.0) > 1e-12:
             raise ConfigError("choice weights must sum to 1")
 
         def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,11 +127,10 @@ def _qr_exponents(
     steps: int,
     seed: int,
     reorth_every: int,
-    nbatches: int = DEFAULT_BATCHES,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(exponents desc, standard errors, counted steps) of a random product.
 
-    Steps are grouped into nbatches equal batches of whole
+    Steps are grouped into DEFAULT_BATCHES equal batches of whole
     re-orthonormalization blocks; a short uncounted warmup aligns the frame
     with the stationary flag before accumulation starts.  Each block of
     reorth_every factors is first folded into one product, stacked over a
@@ -141,9 +140,9 @@ def _qr_exponents(
     if reorth_every < 1:
         raise ConfigError("reorth_every must be >= 1")
     total_blocks = steps // reorth_every
-    if total_blocks < nbatches:
-        raise ConfigError(f"need at least {nbatches * reorth_every} steps, got {steps}")
-    blocks_per_batch = total_blocks // nbatches
+    if total_blocks < DEFAULT_BATCHES:
+        raise ConfigError(f"need at least {DEFAULT_BATCHES * reorth_every} steps, got {steps}")
+    blocks_per_batch = total_blocks // DEFAULT_BATCHES
     batch_steps = blocks_per_batch * reorth_every
     rng = realization_rng(seed, 0)
 
@@ -172,15 +171,15 @@ def _qr_exponents(
             done += take
 
     run_blocks(warm_blocks, None)
-    batch_sums = np.zeros((nbatches, dim))
-    for b in range(nbatches):
+    batch_sums = np.zeros((DEFAULT_BATCHES, dim))
+    for b in range(DEFAULT_BATCHES):
         run_blocks(blocks_per_batch, batch_sums[b])
 
     batch_exponents = batch_sums / batch_steps
     exponents = batch_exponents.mean(axis=0)
-    se = batch_exponents.std(axis=0, ddof=1) / np.sqrt(nbatches)
+    se = batch_exponents.std(axis=0, ddof=1) / np.sqrt(DEFAULT_BATCHES)
     order = np.argsort(exponents)[::-1]
-    return exponents[order], se[order], nbatches * batch_steps
+    return exponents[order], se[order], DEFAULT_BATCHES * batch_steps
 
 
 @dataclass
@@ -269,7 +268,6 @@ def thouless_check(
     dos: DOSHistogram,
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
-    reorth_every: int = DEFAULT_REORTH,
 ) -> ThoulessReport:
     """Check gamma(E) = -(1/l) E[log|det S|] + integral of log|E - x| dN(x).
 
@@ -279,7 +277,7 @@ def thouless_check(
     smooth on the bins.
     """
     ensemble = BlockEnsemble.from_params(model) if isinstance(model, ModelParams) else model
-    spec = lyapunov_spectrum(ensemble, E, steps=steps, seed=seed, reorth_every=reorth_every)
+    spec = lyapunov_spectrum(ensemble, E, steps=steps, seed=seed)
     index = lyapunov_index(spec)
     hopping_term = -ensemble.mean_log_abs_det_s / ensemble.ell
     dos_term = dos.log_abs_moment(E)
@@ -301,7 +299,6 @@ def anderson_lyapunov_2x2(
     rho: SingleSiteDistribution,
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
-    reorth_every: int = DEFAULT_REORTH,
 ) -> ExponentEstimate:
     """Top exponent of products of [[0, 1], [-1, c nu]] with nu ~ rho.
 
@@ -313,7 +310,7 @@ def anderson_lyapunov_2x2(
         nu = rho.sample(rng, m)
         return transfer_factors(c * nu[:, None, None], np.ones((m, 1, 1)), 0.0)
 
-    exps, se, counted = _qr_exponents(draw, 2, steps, seed, reorth_every)
+    exps, se, counted = _qr_exponents(draw, 2, steps, seed, DEFAULT_REORTH)
     return ExponentEstimate(value=float(exps[0]), se=float(se[0]), steps=counted, seed=seed)
 
 
@@ -322,7 +319,6 @@ def two_step_lyapunov(
     rho: SingleSiteDistribution,
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
-    reorth_every: int = DEFAULT_REORTH,
 ) -> ExponentEstimate:
     """Top exponent of the unit-determinant two-site products for gamma > 1.
 
@@ -351,7 +347,7 @@ def two_step_lyapunov(
             raise NumericalFailure(f"two-step factor determinant drifted by {worst:.3e}")
         return F
 
-    exps, se, counted = _qr_exponents(draw, 2, steps, seed, reorth_every)
+    exps, se, counted = _qr_exponents(draw, 2, steps, seed, DEFAULT_REORTH)
     return ExponentEstimate(value=float(exps[0]), se=float(se[0]), steps=counted, seed=seed)
 
 
@@ -367,7 +363,6 @@ def zero_energy_aux_exponent(
     rho: SingleSiteDistribution,
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
-    reorth_every: int = DEFAULT_REORTH,
 ) -> ExponentEstimate:
     """Auxiliary scalar exponent feeding the zero-energy closed form.
 
@@ -380,8 +375,8 @@ def zero_energy_aux_exponent(
         raise ConfigError("closed forms need gamma in (0, 1) or (1, inf)")
     if gamma < 1.0:
         coupling = 1.0 / np.sqrt(1.0 - gamma * gamma)
-        return anderson_lyapunov_2x2(coupling, rho, steps=steps, seed=seed, reorth_every=reorth_every)
-    return two_step_lyapunov(gamma, rho, steps=steps, seed=seed, reorth_every=reorth_every)
+        return anderson_lyapunov_2x2(coupling, rho, steps=steps, seed=seed)
+    return two_step_lyapunov(gamma, rho, steps=steps, seed=seed)
 
 
 @dataclass
@@ -458,14 +453,12 @@ def critical_alpha_scan(
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
     grid_points: int = 9,
-    target_width: float = 1e-2,
-    reorth_every: int = DEFAULT_REORTH,
 ) -> AlphaScanResult:
     """Scan f(alpha) = Gamma(alpha/sqrt(1-gamma^2)) - shift for sign changes.
 
     f < 0 means the inner zero-energy exponent |g - s| sits on the
     descending branch; a root of f marks the coupling where it vanishes.
-    Each sign change on the grid is narrowed by bisection to target_width.
+    Each sign change on the grid is narrowed by bisection to ALPHA_ROOT_WIDTH.
     Every evaluation reuses the same seed so f is a deterministic function
     of alpha and bisection is well posed at fixed steps.
     """
@@ -477,7 +470,7 @@ def critical_alpha_scan(
     scale = 1.0 / np.sqrt(1.0 - gamma * gamma)
 
     def f(alpha: float) -> tuple[float, float]:
-        est = anderson_lyapunov_2x2(alpha * scale, rho, steps=steps, seed=seed, reorth_every=reorth_every)
+        est = anderson_lyapunov_2x2(alpha * scale, rho, steps=steps, seed=seed)
         return est.value - s, est.se
 
     alphas = np.linspace(alpha_lo, alpha_hi, grid_points)
@@ -494,7 +487,7 @@ def critical_alpha_scan(
             continue
         if flo * fhi >= 0.0:
             continue
-        while hi - lo > target_width:
+        while hi - lo > ALPHA_ROOT_WIDTH:
             mid = 0.5 * (lo + hi)
             fmid, _ = f(mid)
             if fmid == 0.0:

@@ -36,6 +36,7 @@ EIGEN_RESIDUAL_TOL = 1e-8
 BAND_EDGE_TOL = 1e-8
 BAND_MERGE_TOL = 1e-9
 BASE_THETA_GRID = 512
+SYMMETRY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -63,46 +64,37 @@ class SpectralData:
         return (self.eigenvalues >= lo) & (self.eigenvalues <= hi)
 
 
-def eigensolve(M: BlockJacobiMatrix | np.ndarray, want_vectors: bool = True) -> SpectralData:
-    """Diagonalize a block Jacobi matrix (or any symmetric dense array).
+def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
+    """Diagonalize a block Jacobi matrix.
 
-    Eigenvalues alone of a block Jacobi matrix come from its band storage
-    (bandwidth 2 ell - 1), so no dense matrix is built.  With eigenvectors,
-    raises NumericalFailure if the reconstructed residual max_i |M v_i -
-    lambda_i v_i| exceeds EIGEN_RESIDUAL_TOL relative to the matrix norm.
+    Eigenvalues alone come from its band storage (bandwidth 2 ell - 1), so
+    no dense matrix is built.  With eigenvectors, raises NumericalFailure if
+    the reconstructed residual max_i |M v_i - lambda_i v_i| exceeds
+    EIGEN_RESIDUAL_TOL relative to the matrix norm.
     """
-    if isinstance(M, BlockJacobiMatrix):
-        ell, n = M.ell, M.n
-        if not want_vectors:
-            vals = scipy.linalg.eig_banded(M.band(), lower=True, eigvals_only=True)
-            return SpectralData(eigenvalues=vals, eigenvectors=None, ell=ell, n=n)
-        dense = M.dense()
-    else:
-        dense = np.asarray(M, dtype=float)
-        ell, n = 1, dense.shape[0]
-        if not want_vectors:
-            vals = np.linalg.eigvalsh(dense)
-            return SpectralData(eigenvalues=vals, eigenvectors=None, ell=ell, n=n)
+    if not want_vectors:
+        vals = scipy.linalg.eig_banded(M.band(), lower=True, eigvals_only=True)
+        return SpectralData(eigenvalues=vals, eigenvectors=None, ell=M.ell, n=M.n)
+    dense = M.dense()
     vals, vecs = np.linalg.eigh(dense)
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     residual = float(np.max(np.abs(dense @ vecs - vecs * vals)))
     if residual > EIGEN_RESIDUAL_TOL * scale:
         raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
-    return SpectralData(eigenvalues=vals, eigenvectors=vecs, ell=ell, n=n)
+    return SpectralData(eigenvalues=vals, eigenvectors=vecs, ell=M.ell, n=M.n)
 
 
 @dataclass
 class SymmetryReport:
     max_deviation: float
-    tol: float
     passed: bool
 
 
-def check_spectral_symmetry(spec: SpectralData, tol: float = 1e-10) -> SymmetryReport:
-    """Check that the spectrum is symmetric about zero, lambda <-> -lambda."""
+def check_spectral_symmetry(spec: SpectralData) -> SymmetryReport:
+    """Check that the spectrum is symmetric about zero, lambda <-> -lambda, to SYMMETRY_TOL."""
     vals = np.sort(spec.eigenvalues)
     dev = float(np.max(np.abs(vals + vals[::-1]))) if vals.size else 0.0
-    return SymmetryReport(max_deviation=dev, tol=tol, passed=dev <= tol)
+    return SymmetryReport(max_deviation=dev, passed=dev <= SYMMETRY_TOL)
 
 
 def check_gap(spec: SpectralData, lam: float) -> bool:
@@ -137,17 +129,14 @@ class IntervalUnion:
     intervals: np.ndarray
 
     @classmethod
-    def from_intervals(
-        cls,
-        pairs: Iterable[tuple[float, float]],
-        merge_tol: float = BAND_MERGE_TOL,
-    ) -> "IntervalUnion":
+    def from_intervals(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalUnion":
+        """Sorted union of the pairs; intervals closer than BAND_MERGE_TOL are merged."""
         items = sorted((float(lo), float(hi)) for lo, hi in pairs)
         if not items:
             return cls(intervals=np.zeros((0, 2)))
         merged = [list(items[0])]
         for lo, hi in items[1:]:
-            if lo <= merged[-1][1] + merge_tol:
+            if lo <= merged[-1][1] + BAND_MERGE_TOL:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
@@ -162,9 +151,9 @@ class IntervalUnion:
             raise ValueError("empty interval union has no hull")
         return float(self.intervals[0, 0]), float(self.intervals[-1, 1])
 
-    def union(self, other: "IntervalUnion", merge_tol: float = BAND_MERGE_TOL) -> "IntervalUnion":
+    def union(self, other: "IntervalUnion") -> "IntervalUnion":
         pairs = list(map(tuple, self.intervals)) + list(map(tuple, other.intervals))
-        return IntervalUnion.from_intervals(pairs, merge_tol=merge_tol)
+        return IntervalUnion.from_intervals(pairs)
 
     def distance(self, points: np.ndarray | float) -> np.ndarray:
         """Distance from each point to the union (0 inside)."""
@@ -251,18 +240,19 @@ _SCAN_SYMBOLS = 4096
 _MAX_APPROXIMANT_SITES = 1_000_000
 
 
-def _band_edges(pots: np.ndarray, gamma: float, base_grid: int, edge_tol: float) -> np.ndarray:
+def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     """[min, max] of every sorted symbol branch of K period-p potentials, (K, 2p, 2).
 
-    Each branch is scanned on a uniform angle grid, then its grid minimum
-    and maximum are refined by golden-section search on the bracket of one
-    grid step either side.  All K * 2p * 2 searches advance in lockstep:
-    each step evaluates the searches still running with one stacked
-    eigvalsh, and each search stops by its own rule, once its extremal value
-    moves by less than edge_tol and its bracket is shorter than 1e-4.
+    Each branch is scanned on a uniform grid of BASE_THETA_GRID angles, then
+    its grid minimum and maximum are refined by golden-section search on the
+    bracket of one grid step either side.  All K * 2p * 2 searches advance
+    in lockstep: each step evaluates the searches still running with one
+    stacked eigvalsh, and each search stops by its own rule, once its
+    extremal value moves by less than BAND_EDGE_TOL and its bracket is
+    shorter than 1e-4.
     """
     K, p = pots.shape
-    thetas = np.linspace(0.0, 2.0 * np.pi, base_grid, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, BASE_THETA_GRID, endpoint=False)
     step = thetas[1] - thetas[0]
     values = np.linalg.eigvalsh(_bloch_symbols(pots[:, None, :], gamma, thetas))  # (K, T, 2p)
     j_ext = np.stack([np.argmin(values, axis=1), np.argmax(values, axis=1)], axis=-1)  # (K, 2p, 2)
@@ -291,7 +281,7 @@ def _band_edges(pots: np.ndarray, gamma: float, base_grid: int, edge_tol: float)
         fresh = f(live, np.where(left, c, d))
         fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
         now = np.where(fd < fc, fd, fc)
-        done = (np.abs(prev - now) < edge_tol) & ((b - a) < 1e-4)
+        done = (np.abs(prev - now) < BAND_EDGE_TOL) & ((b - a) < 1e-4)
         best[live[done]] = now[done]
         live, a, b, c, d, fc, fd, prev = (x[~done] for x in (live, a, b, c, d, fc, fd, now))
         if live.size == 0:
@@ -310,13 +300,7 @@ def _check_gamma(gamma: float) -> None:
         raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
 
 
-def periodic_spectrum(
-    potential: Sequence[float],
-    gamma: float,
-    base_grid: int = BASE_THETA_GRID,
-    edge_tol: float = BAND_EDGE_TOL,
-    merge_tol: float = BAND_MERGE_TOL,
-) -> IntervalUnion:
+def periodic_spectrum(potential: Sequence[float], gamma: float) -> IntervalUnion:
     """Band spectrum of the periodic chain with the given one-period potential.
 
     Each sorted eigenvalue branch of the symbol is scanned on a uniform
@@ -331,8 +315,7 @@ def periodic_spectrum(
         raise ConfigError(f"potential must be a list of numbers, got {potential!r}") from exc
     if pot.ndim != 1 or pot.size == 0 or not np.all(np.isfinite(pot)):
         raise ConfigError(f"potential must be a non-empty list of finite numbers, got {potential!r}")
-    edges = _band_edges(pot[None, :], gamma, base_grid, edge_tol)[0]
-    return IntervalUnion.from_intervals(edges, merge_tol=merge_tol)
+    return IntervalUnion.from_intervals(_band_edges(pot[None, :], gamma)[0])
 
 
 def _minimal_period(pot: tuple) -> int:
@@ -348,7 +331,6 @@ def almost_sure_spectrum_approx(
     gamma: float,
     max_period: int = 2,
     samples_per_period: int = 41,
-    merge_tol: float = BAND_MERGE_TOL,
 ) -> IntervalUnion:
     """Union of periodic spectra over support-valued potentials up to max_period.
 
@@ -385,9 +367,9 @@ def almost_sure_spectrum_approx(
             pots.append(pot)
         pots = np.array(pots, dtype=float).reshape(-1, p)
         for k in range(0, pots.shape[0], chunk):
-            edges = _band_edges(pots[k:k + chunk], gamma, BASE_THETA_GRID, BAND_EDGE_TOL)
+            edges = _band_edges(pots[k:k + chunk], gamma)
             bands.extend(edges.reshape(-1, 2))
-    return IntervalUnion.from_intervals(bands, merge_tol=merge_tol)
+    return IntervalUnion.from_intervals(bands)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +404,18 @@ class DOSHistogram:
         return float(np.sum(self.mass * np.log(np.abs(z - self.midpoints))))
 
 
-def dos_histogram(
-    ensemble: Sequence[SpectralData],
-    bins: int | np.ndarray = 50,
-    window: tuple[float, float] | None = None,
-) -> DOSHistogram:
+def dos_histogram(ensemble: Sequence[SpectralData], bins: int | np.ndarray = 50) -> DOSHistogram:
     """Aggregate ensemble eigenvalues into a histogram of total mass 1.
 
-    When no window is given the range is padded slightly so boundary
-    eigenvalues always land inside a bin.
+    With an integer bin count the range is the eigenvalue range padded
+    slightly, so boundary eigenvalues always land inside a bin; an array
+    gives the bin edges.
     """
     if not ensemble:
         raise ValueError("empty ensemble")
     all_vals = np.concatenate([spec.eigenvalues for spec in ensemble])
-    if window is None and isinstance(bins, int):
+    window = None
+    if isinstance(bins, int):
         lo, hi = float(all_vals.min()), float(all_vals.max())
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
         window = (lo - pad, hi + pad)

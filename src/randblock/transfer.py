@@ -150,12 +150,12 @@ class MatrixSolution:
     def L(self) -> int:
         return self.values.shape[0] - 2
 
-    def recursion_residual(self, M: BlockJacobiMatrix, z: complex | None = None) -> float:
-        z = self.z if z is None else z
+    def recursion_residual(self, M: BlockJacobiMatrix) -> float:
+        """Largest entry of the recursion defect at every site, at the solution's own z."""
         worst = 0.0
         for k in range(1, self.L + 1):
             lhs = self.hopping[k] @ self.values[k + 1] + self.hopping[k - 1].T @ self.values[k - 1]
-            rhs = (M.V[k - 1] - z * np.eye(M.ell)) @ self.values[k]
+            rhs = (M.V[k - 1] - self.z * np.eye(M.ell)) @ self.values[k]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst
 
@@ -195,18 +195,17 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
     )
 
 
-def wronskian(U: MatrixSolution, V: MatrixSolution, k: int | None = 0) -> np.ndarray:
-    """Constant Wronskian W(k) = V(k)^t S_k U(k+1) - (S_k V(k+1))^t U(k).
+def wronskian(U: MatrixSolution, V: MatrixSolution) -> np.ndarray:
+    """Stack of the constant Wronskian W(k) = V(k)^t S_k U(k+1) - (S_k V(k+1))^t U(k), k = 0..L.
 
     Built with transposes throughout, so constancy in k holds for complex z
-    as well.  For the fundamental pair, W(0) = V(0)^t.  With k=None, the
-    stack W(0..L) of shape (L+1, ell, ell), in one batched product.
+    as well.  For the fundamental pair, W(0) = V(0)^t.  Shape (L+1, ell,
+    ell), in one batched product.
     """
-    ks = np.arange(U.L + 1) if k is None else k
-    S_k = U.hopping[ks]
+    S = U.hopping
     return (
-        np.swapaxes(V.values[ks], -1, -2) @ S_k @ U.values[ks + 1]
-        - np.swapaxes(S_k @ V.values[ks + 1], -1, -2) @ U.values[ks]
+        np.swapaxes(V.values[:-1], -1, -2) @ S @ U.values[1:]
+        - np.swapaxes(S @ V.values[1:], -1, -2) @ U.values[:-1]
     )
 
 
@@ -301,11 +300,6 @@ class GreenEvaluator:
         if not (1 <= j <= L and 1 <= k <= L):
             raise ValueError(f"sites must lie in 1..{L}, got ({j}, {k})")
         return self.blocks()[j - 1, k - 1]
-
-
-def green_block(M: BlockJacobiMatrix, z: complex, j: int, k: int) -> np.ndarray:
-    """Single Green block; build a GreenEvaluator to query many blocks."""
-    return GreenEvaluator(M, z).block(j, k)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .parallel import parallel_map
 
 MAX_DENSE_QUBITS = 12
 HERMITICITY_TOL = 1e-12
+QUADRATIC_FORM_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -148,15 +149,12 @@ class QuadraticFormReport:
     matched: bool
 
 
-def verify_quadratic_form(
-    H: ManyBodyOperator,
-    Mhat: HatBlockMatrix,
-    tol: float = 1e-10,
-) -> QuadraticFormReport:
+def verify_quadratic_form(H: ManyBodyOperator, Mhat: HatBlockMatrix) -> QuadraticFormReport:
     """Find scale s and per-site shift with H = s C^* Mhat C + shift.
 
     Candidate scales are scanned; the shift is read off the trace, and the
-    winning convention is the one with the smallest entrywise residual.
+    winning convention is the one with the smallest entrywise residual.  It
+    matches when that residual is within QUADRATIC_FORM_TOL of the scale of H.
     """
     n = H.n
     fermions = build_jordan_wigner(n)
@@ -172,7 +170,7 @@ def verify_quadratic_form(
                 scale=s,
                 shift_per_site=shift_total / n,
                 residual=residual,
-                matched=residual <= tol * scale_ref,
+                matched=residual <= QUADRATIC_FORM_TOL * scale_ref,
             )
     assert best is not None
     return best
@@ -332,28 +330,21 @@ def lr_commutator_stats(
     num_realizations: int = 50,
     seed: int = 0,
     observables: tuple[str, str] = ("x", "x"),
-    method: str = "auto",
     threads: int | None = None,
 ) -> list[LRStat]:
     """Disorder statistics of sup_t |[tau_t(A_j), B_k]| versus separation.
 
-    A and B are single-site Paulis named by observables.  The exact
-    fermionic route handles A = sx on the first site; anything else falls
-    back to dense conjugation, which caps n.  The sup is taken over the
-    documented time grid, default 400 points on [0, 10].
+    A and B are single-site Paulis named by observables.  A = B = sx with
+    j = 0 takes the exact fermionic route; anything else takes dense
+    conjugation, which caps n.  The sup is taken over the documented time
+    grid, default 400 points on [0, 10].
     """
     if t_grid is None:
         t_grid = np.linspace(0.0, 10.0, 400)
     ks = [int(k) for k in ks]
     if any(not j < k < n for k in ks):
         raise ConfigError(f"need j < k < n, got j={j}, ks={ks}")
-    use_fermionic = method == "fermionic" or (
-        method == "auto" and j == 0 and tuple(observables) == ("x", "x")
-    )
-    if method == "fermionic" and (j != 0 or tuple(observables) != ("x", "x")):
-        raise ConfigError("the fermionic route computes sx on site 0 against sx only")
-    if method not in ("auto", "fermionic", "dense"):
-        raise ConfigError(f"unknown method {method!r}")
+    use_fermionic = j == 0 and tuple(observables) == ("x", "x")
 
     def one(index: int) -> np.ndarray:
         real = sample_disorder(params, seed, index)

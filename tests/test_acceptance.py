@@ -142,9 +142,9 @@ def test_criterion_2_green_wronskian_charpoly():
         worst_green = max(worst_green, dev / scale)
 
         U, V = fundamental_solutions(M, z)
-        W0 = wronskian(U, V, 0)
-        wdev = max(float(np.max(np.abs(wronskian(U, V, k) - W0))) for k in range(L))
-        worst_wron = max(worst_wron, wdev / max(1.0, float(np.max(np.abs(W0)))))
+        W = wronskian(U, V)
+        wdev = float(np.max(np.abs(W[:L] - W[0])))
+        worst_wron = max(worst_wron, wdev / max(1.0, float(np.max(np.abs(W[0])))))
 
         worst_char = max(worst_char, charpoly_identity_check(M, E).residual)
 
@@ -174,7 +174,7 @@ def general_hopping_ensemble():
 def test_criterion_3_thouless_formula():
     t0 = time.monotonic()
     params = ModelParams.xy(n=1000, gamma=0.5, rho=TWO_POINT)
-    dos = dos_histogram(ensemble_spectra(params, 50, seed=300, threads=4), bins=80)
+    dos = dos_histogram(ensemble_spectra(params, 50, seed=300), bins=80)
     checks = []
     hopping_target = -0.5 * math.log(0.75)
     for E in (1.0 + 0.5j, 2.0j, -1.0 + 0.5j):
@@ -269,7 +269,7 @@ def test_criterion_5_lie_closure_rank():
 def test_criterion_6_localization_decay():
     t0 = time.monotonic()
     params = ModelParams.xy(n=200, gamma=0.5, rho=TWO_POINT)
-    field = ensemble_correlator(params, (0.5, 1.5), 100, seed=600, threads=4)
+    field = ensemble_correlator(params, (0.5, 1.5), 100, seed=600)
     fit = fit_decay(field, zeta=0.9)
 
     gapped = ModelParams.xy(n=200, gamma=0.5, rho=SingleSiteDistribution.uniform(2.5, 3.5))

@@ -200,6 +200,17 @@ class TestErrorPaths:
             ("green-check", {"z": math.inf}),
             ("charpoly-check", {"E": [math.nan, 0.3]}),
             ("lyapunov", {"E": [1.0, math.inf]}),
+            ("zariski", {"E_grid": [0.5], "certificate_samples": -5}),
+            ("dos", {"num_realizations": 0}),
+            ("dos", {"bins": 0}),
+            ("thouless", {"energies": [[1.0, 0.5]], "dos": {"num_realizations": 0}}),
+            ("lr-stats", {"t_points": 0}),
+            ("lr-stats", {"num_realizations": 0}),
+            ("wegner-probe", {"E": 1.0, "L_list": [4], "beta": 0.5, "sigma": 0.5, "samples": 0}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 0}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "boundary": -3}),
+            ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "grid_points": -1}),
+            ("zariski", {"E_grid": [0.5], "depth": -1}),
         ],
     )
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
@@ -207,6 +218,14 @@ class TestErrorPaths:
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_non_object_config_exits_2(self, tmp_path, capsys, command):
+        for i, cfg in enumerate(([1, 2], "text")):
+            cfg_path = write_cfg(tmp_path / f"c{i}.json", cfg)
+            code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
     def test_approximant_enumeration_guard_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_APPROXIMANT_SITES", 100)

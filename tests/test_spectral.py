@@ -129,14 +129,14 @@ class TestSymmetryAndGap:
         for seed in range(5):
             p = xy_params(n=25)
             spec = eigensolve(assemble_block_jacobi(p, sample_disorder(p, seed)), want_vectors=False)
-            rep = check_spectral_symmetry(spec, tol=1e-10)
+            rep = check_spectral_symmetry(spec)
             assert rep.passed and rep.max_deviation <= 1e-10
 
     def test_perturbed_block_breaks_symmetry(self, xy_params):
         p = xy_params(n=10)
-        dense = assemble_block_jacobi(p, sample_disorder(p, 0)).dense()
-        dense[0, 0] += 0.3  # breaks the sigma^z structure of the diagonal block
-        rep = check_spectral_symmetry(eigensolve(dense, want_vectors=False))
+        M = assemble_block_jacobi(p, sample_disorder(p, 0))
+        M.V[0, 0, 0] += 0.3  # breaks the sigma^z structure of the diagonal block
+        rep = check_spectral_symmetry(eigensolve(M, want_vectors=False))
         assert not rep.passed
 
     def test_gap_present_for_large_field(self):
@@ -232,6 +232,63 @@ class TestIntervalUnion:
         assert a.covers(0.1, 0.9, 1e-9)
         assert not a.union(b).covers(0.0, 3.0, 0.4)
         assert a.union(b).covers(0.0, 3.0, 0.51)
+
+
+interval_pairs = st.lists(
+    st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 5.0)).map(lambda t: (t[0], t[0] + t[1])),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestIntervalUnionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=interval_pairs)
+    def test_from_intervals_is_sorted_disjoint_and_covers_inputs(self, pairs):
+        iv = IntervalUnion.from_intervals(pairs).intervals
+        assert np.all(iv[:, 0] <= iv[:, 1])
+        # every gap is wider than the merge tolerance, in the arithmetic the merge uses
+        assert np.all(iv[1:, 0] > iv[:-1, 1] + spectral.BAND_MERGE_TOL)
+        for lo, hi in pairs:
+            assert np.any((iv[:, 0] <= lo) & (hi <= iv[:, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=interval_pairs, b=interval_pairs)
+    def test_union_is_commutative_and_idempotent(self, a, b):
+        ua, ub = IntervalUnion.from_intervals(a), IntervalUnion.from_intervals(b)
+        np.testing.assert_array_equal(ua.union(ub).intervals, ub.union(ua).intervals)
+        np.testing.assert_array_equal(ua.union(ua).intervals, ua.intervals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=interval_pairs, b=interval_pairs)
+    def test_hausdorff_is_symmetric_and_zero_on_itself(self, a, b):
+        ua, ub = IntervalUnion.from_intervals(a), IntervalUnion.from_intervals(b)
+        assert ua.hausdorff(ub) == ub.hausdorff(ua)
+        assert ua.hausdorff(ua) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=interval_pairs, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_distance_is_zero_at_member_points(self, pairs, fractions):
+        u = IntervalUnion.from_intervals(pairs)
+        for lo, hi in pairs:
+            points = np.clip(lo + np.asarray(fractions) * (hi - lo), lo, hi)
+            assert np.all(u.distance(np.concatenate([[lo, hi], points])) == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=interval_pairs, seg=st.tuples(st.floats(-12.0, 12.0), st.floats(0.0, 8.0)))
+    def test_covers_agrees_with_directed_hausdorff(self, pairs, seg):
+        u = IntervalUnion.from_intervals(pairs)
+        lo, hi = seg[0], seg[0] + seg[1]
+        dh = IntervalUnion(intervals=np.array([[lo, hi]])).directed_hausdorff(u)
+        # dh is the exact sup of the distance over [lo, hi]: at least every sampled
+        # value, and at most the sampled sup plus half the sample spacing
+        grid = np.linspace(lo, hi, 2001)
+        sampled = float(u.distance(grid).max())
+        assert sampled <= dh + 1e-12
+        assert dh <= sampled + 0.5 * (hi - lo) / 2000 + 1e-12
+        assert u.covers(lo, hi, dh)
+        if dh > 1e-9:
+            assert not u.covers(lo, hi, dh - 1e-9)
 
 
 class TestPeriodicSpectrum:

@@ -18,7 +18,6 @@ from randblock.transfer import (
     GreenEvaluator,
     charpoly_identity_check,
     fundamental_solutions,
-    green_block,
     qr_block,
     symplectic_form,
     transfer_factors,
@@ -172,31 +171,34 @@ class TestWronskian:
             M = random_instance(rng, ell, 7)
             U, _ = fundamental_solutions(M, 0.45)
             W = wronskian(U, U)
-            assert np.abs(W + W.T).max() <= 1e-12 * max(1.0, np.abs(W).max())
+            assert np.abs(W + np.swapaxes(W, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(W).max())
 
     def test_constancy_across_sites(self, rng):
         M = random_instance(rng, 2, 15)
         U, V = fundamental_solutions(M, 0.7 + 0.3j)
-        W0 = wronskian(U, V, 0)
+        W = wronskian(U, V)
         for k in range(1, 15):
-            assert np.abs(wronskian(U, V, k) - W0).max() <= 1e-10 * max(1.0, np.abs(W0).max())
+            assert np.abs(W[k] - W[0]).max() <= 1e-10 * max(1.0, np.abs(W[0]).max())
 
     def test_stack_matches_single_sites(self, rng):
         M = random_instance(rng, 3, 9)
         U, V = fundamental_solutions(M, 0.2 + 0.4j)
-        W = wronskian(U, V, None)
+        W = wronskian(U, V)
         assert W.shape == (10, 3, 3)
+        S = U.hopping
         for k in range(10):
-            np.testing.assert_allclose(W[k], wronskian(U, V, k), rtol=0, atol=1e-13 * np.abs(W).max())
+            single = V[k].T @ S[k] @ U[k + 1] - (S[k] @ V[k + 1]).T @ U[k]
+            np.testing.assert_allclose(W[k], single, rtol=0, atol=1e-13 * np.abs(W).max())
 
     def test_scalar_chain_reduces_to_classical_wronskian(self):
         # ell=1, S=1: W = v(k) u(k+1) - v(k+1) u(k)
         M = scalar_instance([0.3, -0.2, 0.8, 0.1, 0.0])
         z = 0.15
         U, V = fundamental_solutions(M, z)
+        W = wronskian(U, V)
         for k in range(3):
             classical = V[k][0, 0] * U[k + 1][0, 0] - V[k + 1][0, 0] * U[k][0, 0]
-            assert wronskian(U, V, k)[0, 0] == pytest.approx(classical, abs=1e-12)
+            assert W[k][0, 0] == pytest.approx(classical, abs=1e-12)
 
 
 class TestGreen:
@@ -204,7 +206,7 @@ class TestGreen:
         V1 = np.diag([0.4, -0.4])
         M = assemble_general(2, [V1], [])
         z = 0.1 + 0.2j
-        G = green_block(M, z, 1, 1)
+        G = GreenEvaluator(M, z).block(1, 1)
         assert np.allclose(G, np.linalg.inv(V1 - z * np.eye(2)), atol=1e-13)
 
     def test_matches_dense_inverse(self, rng):

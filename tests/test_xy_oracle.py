@@ -198,13 +198,15 @@ class TestCommutatorStats:
     def test_fermionic_matches_dense(self):
         params = uniform_params(6)
         t_grid = np.linspace(0.0, 3.0, 25)
-        kwargs = dict(n=6, j=0, ks=[2, 4], t_grid=t_grid, num_realizations=3, seed=5)
-        fermionic = lr_commutator_stats(params, method="fermionic", **kwargs)
-        dense = lr_commutator_stats(params, method="dense", **kwargs)
-        for f, d in zip(fermionic, dense):
-            assert f.separation == d.separation
-            assert abs(f.mean_sup - d.mean_sup) <= 1e-12
-            assert abs(f.se - d.se) <= 1e-12
+        ks = [2, 4]
+        for index in range(3):
+            real = sample_disorder(params, seed=5, index=index)
+            Mhat = assemble_hat_form(params, real).dense()
+            fermionic = _fermionic_sup_commutator(Mhat, 6, ks, t_grid)
+            H = build_hamiltonian(params, real)
+            Bs = [site_operator(PAULI_X, k, 6) for k in ks]
+            dense = _dense_sup_commutator(H, site_operator(PAULI_X, 0, 6), Bs, t_grid)
+            np.testing.assert_allclose(fermionic, dense, rtol=0, atol=1e-12)
 
     def test_dense_route_matches_per_separation_svd(self):
         params = uniform_params(5)
@@ -235,7 +237,3 @@ class TestCommutatorStats:
         params = uniform_params(6)
         with pytest.raises(ConfigError):
             lr_commutator_stats(params, n=6, j=2, ks=[1], num_realizations=1)
-        with pytest.raises(ConfigError):
-            lr_commutator_stats(params, n=6, j=1, ks=[3], num_realizations=1, method="fermionic")
-        with pytest.raises(ConfigError):
-            lr_commutator_stats(params, n=6, j=0, ks=[3], num_realizations=1, method="grid")
