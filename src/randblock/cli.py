@@ -1,9 +1,13 @@
 """Command line driver.
 
 Every subcommand reads one JSON config, writes its results under --out, and
-embeds the config in each output file (a `# config:` line in CSV, a
-"config" key in JSON) so results stay traceable to their inputs.  Exit
-codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
+embeds its effective config in each output file (a `# config:` line in CSV,
+a "config" key in JSON) so results reproduce from their own files.  Every
+field is declared once, in `_COMMANDS`, with a type, a default and a lower
+bound; `_parse` checks all of them by the same rules and writes each absent
+field into the embedded config with its default.
+
+Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr.  --threads (or RANDBLOCK_THREADS)
 only parallelizes independent realizations and never changes any number.
 """
@@ -11,11 +15,12 @@ only parallelizes independent realizations and never changes any number.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import math
 import os
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,10 +41,6 @@ from .model import (
 from .parallel import resolve_threads
 
 
-def _config_line(cfg: dict) -> str:
-    return "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -50,7 +51,7 @@ def _fmt(value) -> str:
 
 def _write_csv(path: str, cfg: dict, header: Sequence[str], rows) -> None:
     with open(path, "w") as fh:
-        fh.write(_config_line(cfg) + "\n")
+        fh.write("# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":")) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -62,147 +63,171 @@ def _write_json(path: str, cfg: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config missing required field {key!r}")
-    return cfg[key]
-
-
-_REQUIRED = object()
-
-
-def _number(value, kind: type, name: str):
-    """kind(value) for a config value; a value kind cannot take is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}") from exc
-
-
-def _field(cfg: dict, key: str, kind: type, default=_REQUIRED, low=None):
-    """cfg[key] converted by kind, or default when absent; required without a default.
-
-    A value below low, when low is given, is a config error.
-    """
-    value = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
-    number = _number(value, kind, key)
-    if low is not None and number < low:
-        raise ConfigError(f"{key} must be >= {low}, got {value!r}")
-    return number
-
-
-def _resolve_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (config field 'seed' or --seed)")
-    cfg["seed"] = _number(seed, int, "seed")  # embedded provenance must reproduce the run
-    return cfg["seed"]
-
-
-def _complex_pair(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        z = complex(_number(value[0], float, name), _number(value[1], float, name))
-    else:
-        raise ConfigError(f"{name} must be a number or [re, im] pair")
-    if not np.isfinite(z):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return z
-
-
 def _progress(args, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# field types: each maps a JSON value to its parsed value or raises ConfigError
 
 
-def _cmd_spectrum(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    num = _field(cfg, "num_realizations", int, 1, low=1)
-    specs = spectral.ensemble_spectra(params, num, seed, threads=args.threads)
+def _int(value, name: str) -> int:
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _complex(value, name: str) -> complex:
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_float(value[0], name), _float(value[1], name))
+    return complex(_float(value, name))
+
+
+def _bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _list(kind: Callable) -> Callable:
+    def parse(value, name: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return [kind(x, name) for x in value]
+
+    return parse
+
+
+def _window(value, name: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2) or _float(value[0], name) > _float(value[1], name):
+        raise ConfigError(f"{name} must be [lo, hi] with lo <= hi, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _paulis(value, name: str) -> tuple[str, str]:
+    if not (isinstance(value, list) and len(value) == 2 and all(p in ("x", "y", "z") for p in value)):
+        raise ConfigError(f'{name} must be two of "x", "y", "z", got {value!r}')
+    return tuple(value)
+
+
+def _rho(value, name: str):
+    return rho_from_config(value)
+
+
+_REQUIRED = object()
+
+
+class Field(NamedTuple):
+    kind: Callable | dict | None  # a field type above, a nested table, or None to keep the value
+    default: object = _REQUIRED  # a value, or a function of the fields declared before it
+    low: float | None = None  # smallest allowed value (of every entry, for a list)
+
+
+def _parse(fields: dict, cfg, where: str = "config", outer: dict | None = None) -> dict:
+    """Parsed values of the declared fields; absent fields are written into cfg with their defaults."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(cfg).__name__}")
+    values = dict(outer or {})
+    for name, field in fields.items():
+        if name not in cfg:
+            default = field.default(values) if callable(field.default) else copy.deepcopy(field.default)
+            if default is _REQUIRED:
+                raise ConfigError(f"{where} missing required field {name!r}")
+            cfg[name] = default
+        if isinstance(field.kind, dict):
+            values[name] = SimpleNamespace(**_parse(field.kind, cfg[name], name, values))
+            continue
+        value = values[name] = field.kind(cfg[name], name) if field.kind else cfg[name]
+        if field.low is not None and min(value if isinstance(value, list) else [value]) < field.low:
+            raise ConfigError(f"{name} must be >= {field.low}, got {cfg[name]!r}")
+    return {name: values[name] for name in fields}
+
+
+def _parse_config(command: str, cfg, seed: int | None = None) -> SimpleNamespace:
+    """The values a subcommand runs with; cfg becomes its effective config."""
+    fields = _COMMANDS[command][1]
+    if seed is not None and "seed" in fields and isinstance(cfg, dict):
+        cfg["seed"] = seed  # embedded provenance must reproduce the run
+    values = _parse(fields, cfg)
+    if _MODEL.keys() <= fields.keys():
+        values["params"] = params_from_config({**cfg, "n": values["n"]})
+    return SimpleNamespace(**values)
+
+
+# largest dimension of a dense matrix the CLI builds; a complex matrix of this
+# size takes 256 MB per copy
+_MAX_DENSE_DIM = 4000
+
+
+def _check_dense(what: str, dim: int) -> None:
+    if dim > _MAX_DENSE_DIM:
+        raise ConfigError(f"{what} = {dim} exceeds {_MAX_DENSE_DIM}, the largest dense matrix built")
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: each gets the parsed values, the effective config to
+# embed, the output directory and the command line arguments
+
+
+def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
+    if v.dump_matrix:
+        _check_dense("2 n", 2 * v.n)
+    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed, threads=args.threads)
     rows = []
     for r, spec in enumerate(specs):
         for i, lam in enumerate(spec.eigenvalues):
             rows.append((r, i, lam))
     _write_csv(os.path.join(out, "eigenvalues.csv"), cfg, ["realization", "index", "lambda"], rows)
-    if cfg.get("dump_matrix", False):
-        real = sample_disorder(params, seed, 0)
-        write_dense_csv(assemble_block_jacobi(params, real), os.path.join(out, "matrix.csv"))
-    _progress(args, f"diagonalized {num} realizations of n={params.n}")
+    if v.dump_matrix:
+        real = sample_disorder(v.params, v.seed, 0)
+        write_dense_csv(assemble_block_jacobi(v.params, real), os.path.join(out, "matrix.csv"))
+    _progress(args, f"diagonalized {v.num_realizations} realizations of n={v.n}")
 
 
-def _cmd_dos(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    num = _field(cfg, "num_realizations", int, 20, low=1)
-    bins = _field(cfg, "bins", int, 50, low=1)
-    specs = spectral.ensemble_spectra(params, num, seed, threads=args.threads)
-    dos = spectral.dos_histogram(specs, bins=bins)
+def _cmd_dos(v, cfg: dict, out: str, args) -> None:
+    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed, threads=args.threads)
+    dos = spectral.dos_histogram(specs, bins=v.bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
     _write_csv(os.path.join(out, "dos.csv"), cfg, ["bin_lo", "bin_hi", "mass"], rows)
-    _progress(args, f"dos over {num} realizations, total mass {dos.total_mass}")
+    _progress(args, f"dos over {v.num_realizations} realizations, total mass {dos.total_mass}")
 
 
-def _cmd_periodic(cfg: dict, out: str, args) -> None:
-    potential = _require(cfg, "potential")
-    gamma = _field(cfg, "gamma", float)
-    bands = spectral.periodic_spectrum(potential, gamma)
+def _cmd_periodic(v, cfg: dict, out: str, args) -> None:
+    bands = spectral.periodic_spectrum(v.potential, v.gamma)
     _write_csv(os.path.join(out, "intervals.csv"), cfg, ["lo", "hi"], bands.intervals)
     _progress(args, f"{bands.intervals.shape[0]} bands")
 
 
-def _cmd_asspec(cfg: dict, out: str, args) -> None:
-    rho = rho_from_config(_require(cfg, "rho"))
-    gamma = _field(cfg, "gamma", float)
+def _cmd_asspec(v, cfg: dict, out: str, args) -> None:
     union = spectral.almost_sure_spectrum_approx(
-        rho,
-        gamma,
-        max_period=_field(cfg, "max_period", int, 2),
-        samples_per_period=_field(cfg, "samples_per_period", int, 41),
+        v.rho, v.gamma, max_period=v.max_period, samples_per_period=v.samples_per_period
     )
     _write_csv(os.path.join(out, "intervals.csv"), cfg, ["lo", "hi"], union.intervals)
     _progress(args, f"{union.intervals.shape[0]} intervals, hull {union.hull}")
 
 
-# largest L_max * max(ell_values) of green-check and charpoly-check: their dense
-# (L ell)^2 reference takes 256 MB per complex copy at this size
-_MAX_DENSE_DIM = 4000
-
-
-def _random_chains(cfg: dict, args, default_instances: int, stream: int):
+def _random_chains(v, stream: int):
     """Yield (i, ell, L, M) for the random finite chains of green-check and charpoly-check."""
-    seed = _resolve_seed(cfg, args)
-    instances = _field(cfg, "instances", int, default_instances, low=1)
-    ell_values = cfg.get("ell_values", [1, 2, 3])
-    if not isinstance(ell_values, list) or not ell_values:
-        raise ConfigError(f"ell_values must be a non-empty list of integers, got {ell_values!r}")
-    ell_values = [_number(e, int, "ell_values") for e in ell_values]
-    L_max = _field(cfg, "L_max", int, 50, low=2)
-    if min(ell_values) < 1:
-        raise ConfigError(f"every ell_values entry must be >= 1, got {ell_values!r}")
-    if L_max * max(ell_values) > _MAX_DENSE_DIM:
-        raise ConfigError(
-            f"L_max * max(ell_values) = {L_max * max(ell_values)} exceeds {_MAX_DENSE_DIM}, "
-            "the largest dense reference matrix built"
-        )
-    rng = realization_rng(seed, stream)
-    for i in range(instances):
-        ell = int(rng.choice(ell_values))
-        L = int(rng.integers(2, L_max + 1))
+    _check_dense("L_max * max(ell_values)", v.L_max * max(v.ell_values))
+    rng = realization_rng(v.seed, stream)
+    for i in range(v.instances):
+        ell = int(rng.choice(v.ell_values))
+        L = int(rng.integers(2, v.L_max + 1))
         yield i, ell, L, random_instance(rng, ell, L)
 
 
-def _cmd_green_check(cfg: dict, out: str, args) -> None:
-    z = _complex_pair(cfg.get("z", [0.7, 0.3]), "z")
+def _cmd_green_check(v, cfg: dict, out: str, args) -> None:
+    z = v.z
     rows = []
     worst_cond = 0.0
-    for i, ell, L, M in _random_chains(cfg, args, 100, 0):
+    for i, ell, L, M in _random_chains(v, 0):
         evaluator = transfer.GreenEvaluator(M, z)
         worst_cond = max(worst_cond, evaluator.pivot_cond)
         resolvent = np.linalg.inv(M.dense() - z * np.eye(L * ell))
@@ -221,12 +246,11 @@ def _cmd_green_check(cfg: dict, out: str, args) -> None:
     _progress(args, f"worst green err {max(r[5] for r in rows):.3e}, worst pivot cond {worst_cond:.3e}")
 
 
-def _cmd_charpoly_check(cfg: dict, out: str, args) -> None:
-    E = _complex_pair(cfg.get("E", 0.37), "E")
+def _cmd_charpoly_check(v, cfg: dict, out: str, args) -> None:
     rows = []
-    for i, ell, L, M in _random_chains(cfg, args, 20, 1):
-        rep = transfer.charpoly_identity_check(M, E)
-        rows.append((i, ell, L, E.real, E.imag, rep.identity_residual, rep.exterior_residual))
+    for i, ell, L, M in _random_chains(v, 1):
+        rep = transfer.charpoly_identity_check(M, v.E)
+        rows.append((i, ell, L, v.E.real, v.E.imag, rep.identity_residual, rep.exterior_residual))
     _write_csv(
         os.path.join(out, "charpoly.csv"),
         cfg,
@@ -236,15 +260,8 @@ def _cmd_charpoly_check(cfg: dict, out: str, args) -> None:
     _progress(args, f"worst identity residual {max(r[5] for r in rows):.3e}")
 
 
-def _cmd_lyapunov(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    E = _complex_pair(_require(cfg, "E"), "E")
-    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
-    reorth = _field(cfg, "reorth_every", int, lyapunov.DEFAULT_REORTH)
-    cfg.setdefault("steps", steps)
-    cfg.setdefault("reorth_every", reorth)
-    spec = lyapunov.lyapunov_spectrum(params, E, steps=steps, seed=seed, reorth_every=reorth)
+def _cmd_lyapunov(v, cfg: dict, out: str, args) -> None:
+    spec = lyapunov.lyapunov_spectrum(v.params, v.E, steps=v.steps, seed=v.seed, reorth_every=v.reorth_every)
     m = spec.exponents.size
     header = (
         ["E_re", "E_im"]
@@ -252,30 +269,19 @@ def _cmd_lyapunov(cfg: dict, out: str, args) -> None:
         + [f"se_{p}" for p in range(1, m + 1)]
         + ["steps", "seed"]
     )
-    row = [E.real, E.imag, *spec.exponents, *spec.se, spec.steps, seed]
+    row = [v.E.real, v.E.imag, *spec.exponents, *spec.se, spec.steps, v.seed]
     _write_csv(os.path.join(out, "lyapunov.csv"), cfg, header, [row])
     _progress(args, f"exponents {spec.exponents}")
 
 
-def _cmd_thouless(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    energies = [_complex_pair(e, "energies[]") for e in _require(cfg, "energies")]
-    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
-    dos_cfg = cfg.get("dos", {})
-    if not isinstance(dos_cfg, dict):
-        raise ConfigError(f"dos must be an object, got {dos_cfg!r}")
-    dos_n = _field(dos_cfg, "n", int, params.n)
-    dos_num = _field(dos_cfg, "num_realizations", int, 20, low=1)
-    dos_bins = _field(dos_cfg, "bins", int, 50, low=1)
-    cfg.setdefault("steps", steps)
-    cfg["dos"] = {"n": dos_n, "num_realizations": dos_num, "bins": dos_bins, **dos_cfg}
-    dos_params = ModelParams.xy(n=dos_n, gamma=float(params.gamma[0]), rho=params.rho, mu=float(params.mu[0]))
-    specs = spectral.ensemble_spectra(dos_params, dos_num, seed + 1, threads=args.threads)
-    dos = spectral.dos_histogram(specs, bins=dos_bins)
+def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
+    params = v.params
+    dos_params = ModelParams.xy(n=v.dos.n, gamma=float(params.gamma[0]), rho=params.rho, mu=float(params.mu[0]))
+    specs = spectral.ensemble_spectra(dos_params, v.dos.num_realizations, v.seed + 1, threads=args.threads)
+    dos = spectral.dos_histogram(specs, bins=v.dos.bins)
     rows = []
-    for E in energies:
-        rep = lyapunov.thouless_check(params, E, dos, steps=steps, seed=seed)
+    for E in v.energies:
+        rep = lyapunov.thouless_check(params, E, dos, steps=v.steps, seed=v.seed)
         rows.append(
             (E.real, E.imag, rep.index_value, rep.index_se, rep.hopping_term, rep.dos_term,
              rep.predicted, rep.residual)
@@ -289,15 +295,12 @@ def _cmd_thouless(cfg: dict, out: str, args) -> None:
     )
 
 
-def _cmd_zero_energy(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
+def _cmd_zero_energy(v, cfg: dict, out: str, args) -> None:
+    params, seed = v.params, v.seed
     gamma = float(params.gamma[0])
-    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
-    cfg.setdefault("steps", steps)
-    aux = lyapunov.zero_energy_aux_exponent(gamma, params.rho, steps=steps, seed=seed)
+    aux = lyapunov.zero_energy_aux_exponent(gamma, params.rho, steps=v.steps, seed=seed)
     pred = lyapunov.zero_energy_closed_form(gamma, aux)
-    direct = lyapunov.lyapunov_spectrum(params, 0.0, steps=steps, seed=seed + 1)
+    direct = lyapunov.lyapunov_spectrum(params, 0.0, steps=v.steps, seed=seed + 1)
     payload = {
         "gamma": gamma,
         "branch": pred.branch,
@@ -315,22 +318,9 @@ def _cmd_zero_energy(cfg: dict, out: str, args) -> None:
     _progress(args, f"deviation {payload['max_deviation_in_se']:.2f} se")
 
 
-def _cmd_alpha_scan(cfg: dict, out: str, args) -> None:
-    seed = _resolve_seed(cfg, args)
-    gamma = _field(cfg, "gamma", float)
-    rho = rho_from_config(_require(cfg, "rho"))
-    steps = _field(cfg, "steps", int, lyapunov.DEFAULT_STEPS)
-    grid_points = _field(cfg, "grid_points", int, 9, low=1)
-    cfg.setdefault("steps", steps)
-    cfg.setdefault("grid_points", grid_points)
+def _cmd_alpha_scan(v, cfg: dict, out: str, args) -> None:
     result = lyapunov.critical_alpha_scan(
-        gamma,
-        rho,
-        _field(cfg, "alpha_lo", float),
-        _field(cfg, "alpha_hi", float),
-        steps=steps,
-        seed=seed,
-        grid_points=grid_points,
+        v.gamma, v.rho, v.alpha_lo, v.alpha_hi, steps=v.steps, seed=v.seed, grid_points=v.grid_points
     )
     rows = zip(result.alphas, result.f_values, result.se_values)
     _write_csv(os.path.join(out, "scan.csv"), cfg, ["alpha", "f_alpha", "se"], rows)
@@ -342,19 +332,14 @@ def _cmd_alpha_scan(cfg: dict, out: str, args) -> None:
     _progress(args, f"roots {result.roots}")
 
 
-def _cmd_zariski(cfg: dict, out: str, args) -> None:
-    gamma = _field(cfg, "gamma", float)
-    grid = [_number(E, float, "E_grid") for E in _require(cfg, "E_grid")]
-    depth = _field(cfg, "depth", int, 3, low=0)
-    records = energy_sweep_rank(gamma, grid, depth=depth)
+def _cmd_zariski(v, cfg: dict, out: str, args) -> None:
+    records = energy_sweep_rank(v.gamma, v.E_grid, depth=v.depth)
     rows = [(r.E, r.dimension, r.marginal) for r in records]
     _write_csv(os.path.join(out, "zariski.csv"), cfg, ["E", "rank", "marginal_flag"], rows)
-    samples = _field(cfg, "certificate_samples", int, 0, low=0)
-    if samples:
-        seed = _resolve_seed(cfg, args)
-        rng = realization_rng(seed, 2)
-        nu = rng.uniform(-2.0, 2.0, samples)
-        cert = zero_energy_reducibility_certificate(gamma, nu)
+    if v.certificate_samples:
+        rng = realization_rng(v.seed, 2)
+        nu = rng.uniform(-2.0, 2.0, v.certificate_samples)
+        cert = zero_energy_reducibility_certificate(v.gamma, nu)
         _write_json(
             os.path.join(out, "certificate.json"),
             cfg,
@@ -370,22 +355,12 @@ def _cmd_zariski(cfg: dict, out: str, args) -> None:
     _progress(args, f"ranks {sorted({r.dimension for r in records})}")
 
 
-def _cmd_correlator(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    window = _require(cfg, "window")
-    if not (
-        isinstance(window, (list, tuple))
-        and len(window) == 2
-        and all(isinstance(x, (int, float)) and math.isfinite(x) for x in window)
-        and window[0] <= window[1]
-    ):
-        raise ConfigError(f"window must be [lo, hi], two finite numbers with lo <= hi, got {window!r}")
-    num = _field(cfg, "num_realizations", int, 100, low=1)
-    zeta = _field(cfg, "zeta", float, 0.9)
-    lo, hi = (_number(x, float, "window") for x in window)
-    field = localization.ensemble_correlator(params, (lo, hi), num, seed, threads=args.threads)
-    fit = localization.fit_decay(field, zeta=zeta, boundary=_field(cfg, "boundary", int, 5, low=0))
+def _cmd_correlator(v, cfg: dict, out: str, args) -> None:
+    _check_dense("2 n", 2 * v.n)
+    if v.n - 2 * v.boundary < 2:
+        raise ConfigError(f"boundary {v.boundary} leaves fewer than 2 of the n = {v.n} sites")
+    field = localization.ensemble_correlator(v.params, v.window, v.num_realizations, v.seed, threads=args.threads)
+    fit = localization.fit_decay(field, zeta=v.zeta, boundary=v.boundary)
     rows = zip(fit.distances, fit.mean_logs, fit.bin_se, fit.counts)
     _write_csv(os.path.join(out, "correlator.csv"), cfg, ["dist", "mean_logQ", "se", "count"], rows)
     _write_json(
@@ -403,36 +378,24 @@ def _cmd_correlator(cfg: dict, out: str, args) -> None:
     _progress(args, f"eta {fit.eta:.4f} ci {fit.eta_ci}")
 
 
-def _cmd_wegner_probe(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
+def _cmd_wegner_probe(v, cfg: dict, out: str, args) -> None:
     records = localization.wegner_probe(
-        params,
-        _field(cfg, "E", float),
-        [_number(L, int, "L_list") for L in _require(cfg, "L_list")],
-        beta=_field(cfg, "beta", float),
-        sigma=_field(cfg, "sigma", float),
-        samples=_field(cfg, "samples", int, 100, low=1),
-        seed=seed,
-        threads=args.threads,
+        v.params, v.E, v.L_list, beta=v.beta, sigma=v.sigma, samples=v.samples, seed=v.seed, threads=args.threads
     )
     rows = [(r.L, r.eps, r.probability) for r in records]
     _write_csv(os.path.join(out, "wegner.csv"), cfg, ["L", "eps", "probability"], rows)
     _progress(args, f"probabilities {[r.probability for r in records]}")
 
 
-def _cmd_xy_verify(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    n = _field(cfg, "n_verify", int, min(params.n, 6))
-    t_list = [_number(t, float, "t_list") for t in cfg.get("t_list", [0.5, 1.7, 5.0])]
-    real = sample_disorder(params, seed, 0)
+def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
+    params, n = v.params, v.n_verify
+    real = sample_disorder(params, v.seed, 0)
     sliced_params, sliced_real = xy_oracle.slice_chain(params, real, n)
     H = xy_oracle.build_hamiltonian(sliced_params, sliced_real, n)
     Mhat = assemble_hat_form(sliced_params, sliced_real)
     fermions = xy_oracle.build_jordan_wigner(min(n, 8))
     quad = xy_oracle.verify_quadratic_form(H, Mhat)
-    heis = xy_oracle.verify_heisenberg_identity(params, real, n, t_list)
+    heis = xy_oracle.verify_heisenberg_identity(params, real, n, v.t_list)
     free_dev = xy_oracle.verify_free_fermion_spectrum(H, Mhat)
     payload = {
         "n": n,
@@ -452,23 +415,16 @@ def _cmd_xy_verify(cfg: dict, out: str, args) -> None:
     _progress(args, f"quadratic residual {quad.residual:.2e}")
 
 
-def _cmd_lr_stats(cfg: dict, out: str, args) -> None:
-    params = params_from_config(cfg)
-    seed = _resolve_seed(cfg, args)
-    n = _field(cfg, "n_verify", int, min(params.n, 8))
-    j = _field(cfg, "j", int, 0)
-    ks = [_number(k, int, "ks") for k in cfg.get("ks", list(range(j + 1, n)))]
-    t_max = _field(cfg, "t_max", float, 10.0)
-    t_points = _field(cfg, "t_points", int, 400, low=1)
+def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
     stats = xy_oracle.lr_commutator_stats(
-        params,
-        n,
-        j,
-        ks,
-        t_grid=np.linspace(0.0, t_max, t_points),
-        num_realizations=_field(cfg, "num_realizations", int, 50, low=1),
-        seed=seed,
-        observables=tuple(cfg.get("observables", ["x", "x"])),
+        v.params,
+        v.n_verify,
+        v.j,
+        v.ks,
+        t_grid=np.linspace(0.0, v.t_max, v.t_points),
+        num_realizations=v.num_realizations,
+        seed=v.seed,
+        observables=v.observables,
         threads=args.threads,
     )
     rows = [(s.separation, s.mean_sup, s.se) for s in stats]
@@ -476,22 +432,60 @@ def _cmd_lr_stats(cfg: dict, out: str, args) -> None:
     _progress(args, f"means {[round(s.mean_sup, 4) for s in stats]}")
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "dos": _cmd_dos,
-    "periodic": _cmd_periodic,
-    "asspec": _cmd_asspec,
-    "green-check": _cmd_green_check,
-    "charpoly-check": _cmd_charpoly_check,
-    "lyapunov": _cmd_lyapunov,
-    "thouless": _cmd_thouless,
-    "zero-energy": _cmd_zero_energy,
-    "alpha-scan": _cmd_alpha_scan,
-    "zariski": _cmd_zariski,
-    "correlator": _cmd_correlator,
-    "wegner-probe": _cmd_wegner_probe,
-    "xy-verify": _cmd_xy_verify,
-    "lr-stats": _cmd_lr_stats,
+# ---------------------------------------------------------------------------
+# the field table
+
+_SEED = Field(_int)
+_MODEL = {  # params_from_config parses gamma, mu and rho
+    "n": Field(_int, low=2),
+    "gamma": Field(None),
+    "mu": Field(None, 1.0),
+    "ell": Field(_int, 2),
+    "rho": Field(None),
+    "seed": _SEED,
+}
+_STEPS = Field(_int, lyapunov.DEFAULT_STEPS, low=1)
+_CHAINS = {"seed": _SEED, "ell_values": Field(_list(_int), [1, 2, 3], low=1), "L_max": Field(_int, 50, low=2)}
+
+_COMMANDS: dict[str, tuple[Callable, dict]] = {
+    "spectrum": (_cmd_spectrum, {**_MODEL, "num_realizations": Field(_int, 1, low=1),
+                                 "dump_matrix": Field(_bool, False)}),
+    "dos": (_cmd_dos, {**_MODEL, "num_realizations": Field(_int, 20, low=1), "bins": Field(_int, 50, low=1)}),
+    "periodic": (_cmd_periodic, {"potential": Field(_list(_float)), "gamma": Field(_float)}),
+    "asspec": (_cmd_asspec, {"rho": Field(_rho), "gamma": Field(_float), "max_period": Field(_int, 2, low=1),
+                             "samples_per_period": Field(_int, 41, low=1)}),
+    "green-check": (_cmd_green_check, {**_CHAINS, "instances": Field(_int, 100, low=1),
+                                       "z": Field(_complex, [0.7, 0.3])}),
+    "charpoly-check": (_cmd_charpoly_check, {**_CHAINS, "instances": Field(_int, 20, low=1),
+                                             "E": Field(_complex, 0.37)}),
+    "lyapunov": (_cmd_lyapunov, {**_MODEL, "E": Field(_complex), "steps": _STEPS,
+                                 "reorth_every": Field(_int, lyapunov.DEFAULT_REORTH, low=1)}),
+    "thouless": (_cmd_thouless, {**_MODEL, "energies": Field(_list(_complex)), "steps": _STEPS,
+                                 "dos": Field({"n": Field(_int, lambda v: v["n"], low=2),
+                                               "num_realizations": Field(_int, 20, low=1),
+                                               "bins": Field(_int, 50, low=1)}, {})}),
+    "zero-energy": (_cmd_zero_energy, {**_MODEL, "steps": _STEPS}),
+    "alpha-scan": (_cmd_alpha_scan, {"seed": _SEED, "gamma": Field(_float), "rho": Field(_rho),
+                                     "alpha_lo": Field(_float), "alpha_hi": Field(_float), "steps": _STEPS,
+                                     "grid_points": Field(_int, 9, low=1)}),
+    "zariski": (_cmd_zariski, {"gamma": Field(_float), "E_grid": Field(_list(_float)),
+                               "depth": Field(_int, 3, low=0), "certificate_samples": Field(_int, 0, low=0),
+                               # only the certificate draws, so a run without one needs no seed
+                               "seed": Field(_int, lambda v: _REQUIRED if v["certificate_samples"] else 0)}),
+    "correlator": (_cmd_correlator, {**_MODEL, "window": Field(_window),
+                                     "num_realizations": Field(_int, 100, low=1), "zeta": Field(_float, 0.9),
+                                     "boundary": Field(_int, 5, low=0)}),
+    "wegner-probe": (_cmd_wegner_probe, {**_MODEL, "E": Field(_float), "L_list": Field(_list(_int), low=2),
+                                         "beta": Field(_float), "sigma": Field(_float),
+                                         "samples": Field(_int, 100, low=1)}),
+    "xy-verify": (_cmd_xy_verify, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 6), low=2),
+                                   "t_list": Field(_list(_float), [0.5, 1.7, 5.0])}),
+    "lr-stats": (_cmd_lr_stats, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 8), low=2),
+                                 "j": Field(_int, 0, low=0),
+                                 "ks": Field(_list(_int), lambda v: list(range(v["j"] + 1, v["n_verify"]))),
+                                 "t_max": Field(_float, 10.0), "t_points": Field(_int, 400, low=1),
+                                 "num_realizations": Field(_int, 50, low=1),
+                                 "observables": Field(_paulis, ["x", "x"])}),
 }
 
 
@@ -504,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     parser = argparse.ArgumentParser(prog="randblock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
 
@@ -519,10 +513,9 @@ def run(argv: Sequence[str] | None = None) -> None:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    values = _parse_config(args.command, cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    _HANDLERS[args.command](cfg, args.out, args)
+    _COMMANDS[args.command][0](values, cfg, args.out, args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

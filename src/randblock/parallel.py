@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .errors import ConfigError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -20,10 +22,13 @@ THREADS_ENV_VAR = "RANDBLOCK_THREADS"
 def resolve_threads(threads: int | None = None) -> int:
     """Effective worker count: explicit argument, else RANDBLOCK_THREADS, else 1."""
     if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        threads = int(env) if env else 1
+        env = os.environ.get(THREADS_ENV_VAR, "").strip() or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+        raise ConfigError(f"thread count must be >= 1, got {threads}")
     return threads
 
 

@@ -1,10 +1,14 @@
+import copy
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randblock import cli, spectral
+from randblock import cli, model, spectral
 from randblock.errors import NumericalFailure
 from randblock.lyapunov import DEFAULT_REORTH, DEFAULT_STEPS
 from randblock.model import assemble_block_jacobi, params_from_config, sample_disorder
@@ -16,6 +20,7 @@ FIXTURE_CFG = {
     "rho": {"kind": "discrete", "points": [1.0, 2.0], "weights": [0.5, 0.5]},
     "seed": 1,
 }
+WEGNER = {"E": 1.0, "L_list": [4], "beta": 0.5, "sigma": 0.5, "samples": 2}
 
 
 def write_cfg(path, cfg):
@@ -128,10 +133,10 @@ class TestErrorPaths:
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        def blow_up(cfg, out, args):
+        def blow_up(values, cfg, out, args):
             raise NumericalFailure("synthetic instability")
 
-        monkeypatch.setitem(cli._HANDLERS, "spectrum", blow_up)
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (blow_up, cli._COMMANDS["spectrum"][1]))
         cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
         code = cli.main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 3
@@ -171,6 +176,11 @@ class TestErrorPaths:
             ("spectrum", {"n": 4, "gamma": ["a", "b", "c"]}),
             ("charpoly-check", {"ell_values": 3}),
             ("green-check", {"ell_values": 3}),
+            ("wegner-probe", {**WEGNER, "L_list": 5}),
+            ("lr-stats", {"observables": ["q", "x"]}),
+            ("zariski", {"E_grid": 0.5}),
+            ("thouless", {"energies": 1.0}),
+            ("spectrum", {"dump_matrix": "yes"}),
         ],
     )
     def test_non_numeric_field_exits_2(self, tmp_path, capsys, command, change):
@@ -211,6 +221,12 @@ class TestErrorPaths:
             ("correlator", {"n": 20, "window": [0.5, 1.5], "boundary": -3}),
             ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "grid_points": -1}),
             ("zariski", {"E_grid": [0.5], "depth": -1}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 2, "boundary": 100}),
+            ("wegner-probe", {**WEGNER, "E": math.nan}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 2, "zeta": math.nan}),
+            ("lr-stats", {"t_max": math.inf}),
+            ("zariski", {"E_grid": [0.5], "gamma": math.nan}),
+            ("asspec", {"max_period": 1.5}),
         ],
     )
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
@@ -219,7 +235,19 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
-    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    @pytest.mark.parametrize(
+        "argv, env",
+        [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "abc")],
+    )
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("RANDBLOCK_THREADS", env)
+        cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
+        code = cli.main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o"), *argv])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_non_object_config_exits_2(self, tmp_path, capsys, command):
         for i, cfg in enumerate(([1, 2], "text")):
             cfg_path = write_cfg(tmp_path / f"c{i}.json", cfg)
@@ -236,15 +264,23 @@ class TestErrorPaths:
         assert code == 2
         assert "100 sites" in json.loads(capsys.readouterr().err)["error"]
 
-    @pytest.mark.parametrize("command", ["green-check", "charpoly-check"])
+    @pytest.mark.parametrize("command", ["green-check", "charpoly-check", "correlator", "spectrum"])
     def test_dense_reference_size_guard_exits_2(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(cli, "_MAX_DENSE_DIM", 10)
 
         def no_draws(*args, **kwargs):
-            raise AssertionError("a chain was drawn before the size guard")
+            raise AssertionError("a random draw happened before the size guard")
 
-        monkeypatch.setattr(cli, "random_instance", no_draws)
-        cfg_path = write_cfg(tmp_path / "c.json", {"seed": 1, "ell_values": [1, 2], "L_max": 6})
+        monkeypatch.setattr(cli, "realization_rng", no_draws)
+        monkeypatch.setattr(model, "realization_rng", no_draws)
+        chains = {"seed": 1, "ell_values": [1, 2], "L_max": 6}
+        cfg = {
+            "green-check": chains,
+            "charpoly-check": chains,
+            "correlator": {**FIXTURE_CFG, "n": 6, "window": [0.5, 1.5], "boundary": 0},
+            "spectrum": {**FIXTURE_CFG, "n": 6, "dump_matrix": True},
+        }[command]
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "exceeds 10" in json.loads(capsys.readouterr().err)["error"]
@@ -309,10 +345,41 @@ class TestJsonCommands:
         assert payload["max_deviation_in_se"] >= 0.0
 
 
-class TestEffectiveConfig:
-    """Cocycle artifacts embed the defaults they ran with and replay bit for bit."""
+UNIFORM = {"kind": "uniform", "a": -1.0, "b": 1.0}
+MODEL = {"n": 4, "gamma": 0.5, "rho": UNIFORM, "seed": 5}
+# the required fields of each subcommand, and nothing else
+MINIMAL = {
+    "spectrum": MODEL,
+    "dos": MODEL,
+    "periodic": {"potential": [1.0], "gamma": 0.5},
+    "asspec": {"rho": UNIFORM, "gamma": 0.5},
+    "green-check": {"seed": 5},
+    "charpoly-check": {"seed": 5},
+    "lyapunov": {**MODEL, "E": [1.0, 0.5]},
+    "thouless": {**MODEL, "energies": [[1.0, 0.5]]},
+    "zero-energy": MODEL,
+    "alpha-scan": {"seed": 5, "gamma": 0.5, "rho": UNIFORM, "alpha_lo": 0.1, "alpha_hi": 1.0},
+    "zariski": {"gamma": 0.5, "E_grid": [0.5]},
+    "correlator": {**MODEL, "n": 30, "window": [0.5, 1.5]},
+    "wegner-probe": {**MODEL, "E": 1.0, "L_list": [4], "beta": 0.5, "sigma": 0.5},
+    "xy-verify": MODEL,
+    "lr-stats": MODEL,
+}
 
-    BASE = {"n": 2, "gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "seed": 5}
+
+def load_bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEffectiveConfig:
+    """Artifacts embed the defaults they ran with and replay bit for bit."""
+
+    BASE = {"n": 2, "gamma": 0.5, "rho": UNIFORM, "seed": 5}
 
     def run(self, tmp_path, command, cfg, name):
         out = tmp_path / name
@@ -347,3 +414,33 @@ class TestEffectiveConfig:
         embedded, _, _ = read_csv(self.run(tmp_path, "thouless", cfg, "t") / "thouless.csv")
         assert embedded["steps"] == 2000.0
         assert embedded["dos"] == {"n": 20, "num_realizations": 2, "bins": 50}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_minimal_config_embeds_every_field(self, tmp_path, command):
+        first = self.run(tmp_path, command, MINIMAL[command], "first")
+        names = sorted(p.name for p in first.iterdir())
+        for name in names:
+            path = first / name
+            embedded = read_csv(path)[0] if path.suffix == ".csv" else json.loads(path.read_text())["config"]
+            for key, field in cli._COMMANDS[command][1].items():
+                assert key in embedded
+                if isinstance(field.kind, dict):
+                    assert set(field.kind) <= set(embedded[key])
+        second = self.run(tmp_path, command, embedded, "second")
+        assert sorted(p.name for p in second.iterdir()) == names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_benchmark_job_configs_parse(self, monkeypatch):
+        # the benchmark configs spell out every field, so parsing adds nothing
+        # to them and their artifacts do not depend on the declared defaults
+        workloads = load_bench_workloads(monkeypatch)
+        for workload in workloads.WORKLOADS:
+            for job in workloads.jobs_for(workload, 1):
+                cfg = copy.deepcopy(job.cfg)
+                cli._parse_config(job.command, cfg)
+                assert cfg == job.cfg, job.name
+                if job.command == "lr-stats":
+                    assert cfg["method"] == "fermionic"
+            for job in workloads.warmup_jobs(workload):
+                cli._parse_config(job.command, copy.deepcopy(job.cfg))
