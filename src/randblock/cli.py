@@ -387,7 +387,13 @@ def _cmd_wegner_probe(v, cfg: dict, out: str, args) -> None:
     _progress(args, f"probabilities {[r.probability for r in records]}")
 
 
+def _check_n_verify(v) -> None:
+    if v.n_verify > v.n:
+        raise ConfigError(f"n_verify = {v.n_verify} exceeds the chain length n = {v.n}")
+
+
 def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
+    _check_n_verify(v)
     params, n = v.params, v.n_verify
     real = sample_disorder(params, v.seed, 0)
     sliced_params, sliced_real = xy_oracle.slice_chain(params, real, n)
@@ -416,6 +422,8 @@ def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
+    _check_n_verify(v)
+    _check_dense("2 n_verify", 2 * v.n_verify)  # the hat matrix of the fermionic route
     stats = xy_oracle.lr_commutator_stats(
         v.params,
         v.n_verify,

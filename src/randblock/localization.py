@@ -71,7 +71,7 @@ def ensemble_correlator(
         return eigenfunction_correlator(spec, window)
 
     fields = parallel_map(one, range(num_realizations), threads=threads)
-    Q = np.mean([f.Q for f in fields], axis=0)
+    Q = sum(f.Q for f in fields) / num_realizations  # no stacked (R, n, n) copy
     count = float(np.mean([f.mean_window_count for f in fields]))
     return CorrelatorField(
         window=(float(window[0]), float(window[1])),

@@ -1,15 +1,17 @@
 """Finite-chain spectra, symmetry and gap checks, periodic approximants, and DOS.
 
-Finite chains are diagonalized exactly: eigenvalues alone from the band
-storage of the operator, eigenvectors from the dense matrix.  The spectrum
-of a periodic chain is computed from its Bloch symbol, a Hermitian 2p x 2p
-matrix family over the angle theta, whose sorted eigenvalue branches sweep
-out the bands.  The Bloch scan is batched: a stack of same-period
-potentials gets one stacked symbol build and one stacked eigvalsh over the
-angle grid, and then every branch extremum is refined by golden-section
-search in lockstep, one stacked eigvalsh per step.  Unions of bands are
-kept as sorted disjoint closed intervals with exact Hausdorff distance
-evaluation.
+Finite chains are diagonalized exactly and no dense matrix is built:
+eigenvalues alone from the band storage of the operator, eigenvectors of
+the chiral XY chain from one SVD of its n x n coupling C (the
+Lieb-Schultz-Mattis reduction, see `BlockJacobiMatrix.chiral_coupling`).
+The spectrum of a periodic chain is computed from its Bloch symbol, a
+Hermitian 2p x 2p matrix family over the angle theta, whose sorted
+eigenvalue branches sweep out the bands.  The Bloch scan is batched: a
+stack of same-period potentials gets one stacked symbol build and one
+stacked eigvalsh over the angle grid, and then every branch extremum is
+refined by golden-section search in lockstep, one stacked eigvalsh per
+step.  Unions of bands are kept as sorted disjoint closed intervals with
+exact Hausdorff distance evaluation.
 """
 
 from __future__ import annotations
@@ -65,23 +67,37 @@ class SpectralData:
 
 
 def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
-    """Diagonalize a block Jacobi matrix.
+    """Diagonalize a block Jacobi matrix without building its dense form.
 
-    Eigenvalues alone come from its band storage (bandwidth 2 ell - 1), so
-    no dense matrix is built.  With eigenvectors, raises NumericalFailure if
-    the reconstructed residual max_i |M v_i - lambda_i v_i| exceeds
-    EIGEN_RESIDUAL_TOL relative to the matrix norm.
+    Eigenvalues alone come from its band storage (bandwidth 2 ell - 1).
+    Eigenvectors need a chiral chain (ConfigError otherwise) and come from
+    one SVD C v_i = sigma_i u_i of its n x n coupling `M.chiral_coupling()`:
+    the eigenvalues are -sigma then +sigma, ascending and exactly +- paired,
+    with psi_+-(k) = (u_k +- v_k, u_k -+ v_k) / 2.  Raises NumericalFailure
+    if the residual max_i |M psi_i - lambda_i psi_i| exceeds
+    EIGEN_RESIDUAL_TOL relative to max(1, max |lambda|).
     """
     if not want_vectors:
         vals = scipy.linalg.eig_banded(M.band(), lower=True, eigvals_only=True)
         return SpectralData(eigenvalues=vals, eigenvectors=None, ell=M.ell, n=M.n)
-    dense = M.dense()
-    vals, vecs = np.linalg.eigh(dense)
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    residual = float(np.max(np.abs(dense @ vecs - vecs * vals)))
-    if residual > EIGEN_RESIDUAL_TOL * scale:
+    C = M.chiral_coupling()
+    U, sigma, Vt = np.linalg.svd(C)
+    V = Vt.T
+    # psi_+- is a per-site rotation of (u, +-v) / sqrt2, so with r_u = C v - sigma u
+    # and r_v = C^t u - sigma v the entries of M psi_+- -+ sigma psi_+- are
+    # (r_u +- r_v) / 2 and (r_u -+ r_v) / 2: their largest modulus is (|r_u| + |r_v|) / 2
+    r_u, r_v = C @ V - U * sigma, C.T @ U - V * sigma
+    residual = 0.5 * float(np.max(np.abs(r_u) + np.abs(r_v)))
+    if residual > EIGEN_RESIDUAL_TOL * max(1.0, float(sigma[0])):
         raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
-    return SpectralData(eigenvalues=vals, eigenvectors=vecs, ell=M.ell, n=M.n)
+    n = M.n
+    plus, minus = 0.5 * (U + V), 0.5 * (U - V)
+    # sigma descends, so -sigma ascends and +sigma ascends reversed
+    vals = np.concatenate([-sigma, sigma[::-1]])
+    vecs = np.empty((n, 2, 2 * n))
+    vecs[:, 0, :n], vecs[:, 1, :n] = minus, plus
+    vecs[:, 0, n:], vecs[:, 1, n:] = plus[:, ::-1], minus[:, ::-1]
+    return SpectralData(eigenvalues=vals, eigenvectors=vecs.reshape(2 * n, 2 * n), ell=M.ell, n=n)
 
 
 @dataclass

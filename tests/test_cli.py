@@ -264,7 +264,7 @@ class TestErrorPaths:
         assert code == 2
         assert "100 sites" in json.loads(capsys.readouterr().err)["error"]
 
-    @pytest.mark.parametrize("command", ["green-check", "charpoly-check", "correlator", "spectrum"])
+    @pytest.mark.parametrize("command", ["green-check", "charpoly-check", "correlator", "spectrum", "lr-stats"])
     def test_dense_reference_size_guard_exits_2(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(cli, "_MAX_DENSE_DIM", 10)
 
@@ -279,11 +279,19 @@ class TestErrorPaths:
             "charpoly-check": chains,
             "correlator": {**FIXTURE_CFG, "n": 6, "window": [0.5, 1.5], "boundary": 0},
             "spectrum": {**FIXTURE_CFG, "n": 6, "dump_matrix": True},
+            "lr-stats": {**FIXTURE_CFG, "n": 6, "num_realizations": 2},  # hat matrix of size 2 n_verify = 12
         }[command]
         cfg_path = write_cfg(tmp_path / "c.json", cfg)
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "exceeds 10" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command", ["xy-verify", "lr-stats"])
+    def test_n_verify_above_n_exits_2(self, tmp_path, capsys, command):
+        cfg_path = write_cfg(tmp_path / "c.json", {**FIXTURE_CFG, "n": 4, "n_verify": 7})
+        code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "n_verify" in json.loads(capsys.readouterr().err)["error"]
 
     @pytest.mark.filterwarnings("error")
     def test_cocycle_overflow_stderr_is_one_json_object(self, tmp_path, capsys):

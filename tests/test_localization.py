@@ -11,7 +11,13 @@ from randblock.localization import (
     fit_decay,
     wegner_probe,
 )
-from randblock.model import ModelParams, SingleSiteDistribution, assemble_block_jacobi, sample_disorder
+from randblock.model import (
+    BlockJacobiMatrix,
+    ModelParams,
+    SingleSiteDistribution,
+    assemble_block_jacobi,
+    sample_disorder,
+)
 from randblock.spectral import eigensolve, ensemble_spectra
 
 
@@ -38,6 +44,14 @@ class TestCorrelator:
         single = eigenfunction_correlator(spec, (0.5, 1.5))
         assert np.array_equal(mean.Q, single.Q)
         assert mean.num_realizations == 1
+
+    def test_ensemble_never_builds_dense(self, xy_params, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built on the correlator path")
+
+        monkeypatch.setattr(BlockJacobiMatrix, "dense", refuse)
+        field = ensemble_correlator(xy_params(n=30), (0.5, 1.5), num_realizations=3, seed=4)
+        assert field.Q.shape == (30, 30) and not field.empty
 
     def test_disjoint_seed_batches_agree(self, xy_params):
         # entrywise agreement of two independent ensemble means, in units of

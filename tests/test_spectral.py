@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
 from randblock import localization, spectral
-from randblock.errors import ConfigError
+from randblock.errors import ConfigError, NumericalFailure
 from randblock.model import (
     BlockJacobiMatrix,
     DisorderRealization,
@@ -122,6 +122,71 @@ class TestBandedValues:
         assert [s.eigenvalues.size for s in specs] == [60, 60, 60]
         records = localization.wegner_probe(p, 0.3, [10, 20], beta=0.5, sigma=1.0, samples=4, seed=1)
         assert [r.L for r in records] == [10, 20]
+
+
+rho_kinds = st.sampled_from(
+    [
+        SingleSiteDistribution.two_point(0.0, 1.0),
+        SingleSiteDistribution.uniform(-2.0, 2.0),
+        SingleSiteDistribution.discrete([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5]),
+    ]
+)
+anisotropy = st.floats(-3.0, 3.0).filter(lambda g: abs(abs(g) - 1.0) > 1e-3)
+hopping = st.floats(-3.0, 3.0).filter(lambda m: abs(m) > 1e-2)
+
+
+@st.composite
+def xy_chains(draw):
+    """(params, realization) of an XY chain with per-bond mu and gamma."""
+    n = draw(st.integers(2, 40))
+    bonds = st.lists(st.tuples(hopping, anisotropy), min_size=n - 1, max_size=n - 1)
+    mu, gamma = np.array(draw(bonds)).T
+    p = ModelParams(n=n, mu=mu, gamma=gamma, rho=draw(rho_kinds))
+    return p, sample_disorder(p, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestChiralForm:
+    @settings(max_examples=80, deadline=None)
+    @given(chain=xy_chains())
+    def test_coupling_is_the_hat_form_difference(self, chain):
+        p, real = chain
+        M = assemble_block_jacobi(p, real)
+        hat = assemble_hat_form(p, real)
+        np.testing.assert_array_equal(M.chiral_coupling(), hat.A - hat.B)
+        perm = interleave_permutation(p.n)
+        np.testing.assert_array_equal(hat.dense()[np.ix_(perm, perm)], M.dense())
+
+    @settings(max_examples=80, deadline=None)
+    @given(chain=xy_chains())
+    def test_eigensolve_matches_dense(self, chain):
+        M = assemble_block_jacobi(*chain)
+        dense = M.dense()
+        spec = eigensolve(M)
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+        tol = 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(dense), rtol=0, atol=tol)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.array_equal(vals, -vals[::-1])
+        assert np.max(np.abs(dense @ vecs - vecs * vals)) <= 1e-12
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(2 * M.n))) <= 1e-12
+
+    def test_residual_guard_rejects_a_bad_decomposition(self, xy_params, monkeypatch):
+        # shifting every singular value by delta = 1e-6 makes the residual delta max |psi|
+        svd = np.linalg.svd
+
+        def shifted(C):
+            U, sigma, Vt = svd(C)
+            return U, sigma + 1e-6, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", shifted)
+        with pytest.raises(NumericalFailure, match="residual"):
+            eigensolve(assemble_block_jacobi(xy_params(n=10), DisorderRealization(0, 0, np.ones(10))))
+
+    def test_non_chiral_matrix_has_values_only(self):
+        M = random_instance(np.random.default_rng(5), 2, 6)
+        with pytest.raises(ConfigError, match="chiral"):
+            eigensolve(M)
+        assert eigensolve(M, want_vectors=False).eigenvalues.size == 12
 
 
 class TestSymmetryAndGap:
