@@ -277,11 +277,13 @@ def _cmd_lyapunov(v, cfg: dict, out: str, args) -> None:
 def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
     params = v.params
     dos_params = ModelParams.xy(n=v.dos.n, gamma=float(params.gamma[0]), rho=params.rho, mu=float(params.mu[0]))
-    specs = spectral.ensemble_spectra(dos_params, v.dos.num_realizations, v.seed + 1, threads=args.threads)
-    dos = spectral.dos_histogram(specs, bins=v.dos.bins)
+    chains = [
+        assemble_block_jacobi(dos_params, sample_disorder(dos_params, v.seed + 1, r))
+        for r in range(v.dos.num_realizations)
+    ]
     rows = []
-    for E in v.energies:
-        rep = lyapunov.thouless_check(params, E, dos, steps=v.steps, seed=v.seed)
+    for rep in lyapunov.thouless_check(params, v.energies, chains, steps=v.steps, seed=v.seed):
+        E = rep.energy
         rows.append(
             (E.real, E.imag, rep.index_value, rep.index_se, rep.hopping_term, rep.dos_term,
              rep.predicted, rep.residual)
@@ -470,8 +472,7 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
                                  "reorth_every": Field(_int, lyapunov.DEFAULT_REORTH, low=1)}),
     "thouless": (_cmd_thouless, {**_MODEL, "energies": Field(_list(_complex)), "steps": _STEPS,
                                  "dos": Field({"n": Field(_int, lambda v: v["n"], low=2),
-                                               "num_realizations": Field(_int, 20, low=1),
-                                               "bins": Field(_int, 50, low=1)}, {})}),
+                                               "num_realizations": Field(_int, 20, low=1)}, {})}),
     "zero-energy": (_cmd_zero_energy, {**_MODEL, "steps": _STEPS}),
     "alpha-scan": (_cmd_alpha_scan, {"seed": _SEED, "gamma": Field(_float), "rho": Field(_rho),
                                      "alpha_lo": Field(_float), "alpha_hi": Field(_float), "steps": _STEPS,

@@ -16,14 +16,20 @@ zero energy from one auxiliary exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .model import SIGMA_Z, ModelParams, SingleSiteDistribution, anisotropy_block, realization_rng
-from .spectral import DOSHistogram
-from .transfer import DEFAULT_REORTH, qr_block, transfer_factors
+from .model import (
+    SIGMA_Z,
+    BlockJacobiMatrix,
+    ModelParams,
+    SingleSiteDistribution,
+    anisotropy_block,
+    realization_rng,
+)
+from .transfer import DEFAULT_REORTH, log_abs_det, qr_block, transfer_factors
 
 DEFAULT_STEPS = 100_000
 DEFAULT_BATCHES = 50
@@ -38,8 +44,10 @@ ALPHA_ROOT_WIDTH = 1e-2
 class BlockEnsemble:
     """i.i.d. law of (V, S) block pairs feeding the transfer cocycle.
 
-    draw_blocks(rng, m) must return (V, S) with shapes (m, ell, ell); the
-    exact mean of log |det S| is kept alongside for the Thouless formula.
+    draw_blocks(rng, m) must return (V, S) with V of shape (m, ell, ell) and
+    S either of shape (m, ell, ell) or one (ell, ell) block shared by all m
+    draws; the exact mean of log |det S| is kept alongside for the
+    Thouless formula.
     """
 
     def __init__(
@@ -64,8 +72,7 @@ class BlockEnsemble:
         def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
             nu = rho.sample(rng, m)
             V = nu[:, None, None] * SIGMA_Z[None, :, :]
-            S = np.broadcast_to(S_const, (m, 2, 2))
-            return V, S
+            return V, S_const
 
         # det(mu S(gamma)) = mu^2 (gamma^2 - 1)
         mean_log = float(np.log(mu[0] ** 2 * abs(gamma[0] ** 2 - 1.0)))
@@ -101,18 +108,19 @@ class BlockEnsemble:
 
         Consecutive factors share hopping blocks, so the sampler carries the
         last drawn S across calls; one extra block draw initializes the
-        boundary hopping.
+        boundary hopping.  A shared hopping passes to transfer_factors as
+        one block, which inverts it once per call.
         """
         state: dict = {"carry": None}
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             if state["carry"] is None:
                 _, S0 = self.draw_blocks(rng, 1)
-                state["carry"] = S0[0]
+                state["carry"] = S0 if S0.ndim == 2 else S0[0]
             V, S = self.draw_blocks(rng, m)
-            S_prev = np.concatenate([state["carry"][None], S[:-1]])
-            state["carry"] = S[-1].copy()
-            return transfer_factors(V, S_prev, E)
+            if S.ndim == 3:
+                S, state["carry"] = np.concatenate([state["carry"][None], S[:-1]]), S[-1].copy()
+            return transfer_factors(V, S, E)
 
         return draw
 
@@ -264,30 +272,41 @@ class ThoulessReport:
 
 def thouless_check(
     model: ModelParams | BlockEnsemble,
-    E: complex,
-    dos: DOSHistogram,
+    energies: Sequence[complex],
+    dos_chains: Sequence[BlockJacobiMatrix],
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
-) -> ThoulessReport:
-    """Check gamma(E) = -(1/l) E[log|det S|] + integral of log|E - x| dN(x).
+) -> list[ThoulessReport]:
+    """Check gamma(E) = -(1/l) E[log|det S|] + integral of log|E - x| dN(x) at each energy.
 
-    The left side is measured by the cocycle engine, the right side combines
-    the exact hopping mean with a histogram estimate of the DOS integral.
-    Use E off the real axis or away from the spectrum so the log kernel is
-    smooth on the bins.
+    The left side is measured by the cocycle engine.  On the right, the
+    hopping mean is exact, and the DOS integral is the mean over the
+    equal-length chains dos_chains of log|det(M - E)| / (n l), which is the
+    mean of log|E - lambda| over their eigenvalues.  One Schur sweep
+    (`transfer.log_abs_det`) gives it at every energy before any cocycle
+    runs.  It is exact off the real axis; at real E it is exact unless E
+    is an eigenvalue of a leading sub-chain, and an exactly singular pivot
+    raises NumericalFailure.
     """
+    if len({M.V.shape for M in dos_chains}) != 1:
+        raise ConfigError("the DOS chains must be non-empty and of equal length and block size")
     ensemble = BlockEnsemble.from_params(model) if isinstance(model, ModelParams) else model
-    spec = lyapunov_spectrum(ensemble, E, steps=steps, seed=seed)
-    index = lyapunov_index(spec)
     hopping_term = -ensemble.mean_log_abs_det_s / ensemble.ell
-    dos_term = dos.log_abs_moment(E)
-    return ThoulessReport(
-        energy=E,
-        index_value=index.value,
-        index_se=index.se,
-        hopping_term=hopping_term,
-        dos_term=dos_term,
-    )
+    n, ell = dos_chains[0].n, dos_chains[0].ell
+    dos_terms = log_abs_det(dos_chains, energies).mean(axis=0) / (n * ell)
+    reports = []
+    for E, dos_term in zip(energies, dos_terms):
+        index = lyapunov_index(lyapunov_spectrum(ensemble, E, steps=steps, seed=seed))
+        reports.append(
+            ThoulessReport(
+                energy=E,
+                index_value=index.value,
+                index_se=index.se,
+                hopping_term=hopping_term,
+                dos_term=float(dos_term),
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +327,7 @@ def anderson_lyapunov_2x2(
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         nu = rho.sample(rng, m)
-        return transfer_factors(c * nu[:, None, None], np.ones((m, 1, 1)), 0.0)
+        return transfer_factors(c * nu[:, None, None], np.ones((1, 1)), 0.0)
 
     exps, se, counted = _qr_exponents(draw, 2, steps, seed, DEFAULT_REORTH)
     return ExponentEstimate(value=float(exps[0]), se=float(se[0]), steps=counted, seed=seed)

@@ -403,21 +403,10 @@ class DOSHistogram:
     def total_mass(self) -> float:
         return float(self.mass.sum())
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
     def cumulative(self, energies: np.ndarray | float) -> np.ndarray:
         """Piecewise linear integrated DOS N(E), 0 below and 1 above."""
         cdf = np.concatenate([[0.0], np.cumsum(self.mass)])
         return np.interp(np.asarray(energies, dtype=float), self.edges, cdf, left=0.0, right=cdf[-1])
-
-    def log_abs_moment(self, z: complex) -> float:
-        """Integral of log|z - lambda| dN(lambda) via bin midpoints.
-
-        Safe for z off the real axis; for real z avoid hitting a midpoint.
-        """
-        return float(np.sum(self.mass * np.log(np.abs(z - self.midpoints))))
 
 
 def dos_histogram(ensemble: Sequence[SpectralData], bins: int | np.ndarray = 50) -> DOSHistogram:

@@ -23,12 +23,16 @@ solutions, which grow exponentially in L: schur_sweep eliminates the chain
 site by site, GreenEvaluator runs it forward and on the reversed chain, and
 every pivot stays of the size of the resolvent itself.  Setup costs
 O(L ell^3); GreenEvaluator.blocks() returns all L^2 blocks in O(L^2 ell^3)
-time and O(L^2 ell^2) memory.  The fundamental solutions and their
-Wronskian remain as an independent check of the recursion.
+time and O(L^2 ell^2) memory.  The same sweep, batched over chains and
+energies, gives log |det(M - z)| as the sum of log |det P_k| over its
+pivots (log_abs_det), the DOS term of the Thouless formula.  The
+fundamental solutions and their Wronskian remain as an independent check
+of the recursion.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -76,8 +80,10 @@ def _energy(E: complex) -> complex:
 def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarray:
     """Stack of A_k built from diagonal blocks V (m, ell, ell) and incoming hoppings S_prev.
 
-    The result is float64 unless V, S_prev or E is complex; a complex E
-    with zero imaginary part counts as real.
+    S_prev is either a stack (m, ell, ell) or one hopping (ell, ell) shared
+    by every factor, which is then inverted once.  The result is float64
+    unless V, S_prev or E is complex; a complex E with zero imaginary part
+    counts as real.
     """
     V = np.asarray(V)
     S_prev = np.asarray(S_prev)
@@ -97,6 +103,12 @@ def transfer_matrix(V_k: np.ndarray, S_prev: np.ndarray, E: complex) -> Transfer
     return TransferMatrix(matrix=A, energy=_energy(E))
 
 
+@functools.cache
+def _qr_kernels(dtype: np.dtype) -> tuple[Callable, Callable]:
+    """LAPACK geqrf and orgqr (ungqr for complex) of one dtype, looked up once."""
+    return scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"), dtype=dtype)
+
+
 def qr_block(
     X: np.ndarray,
     factors: Iterable,
@@ -112,7 +124,7 @@ def qr_block(
     """
     for F in factors:
         X = step(F, X)
-    geqrf, orgqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"), (X,))  # ungqr if complex
+    geqrf, orgqr = _qr_kernels(X.dtype)
     packed, tau, _, info = geqrf(X)
     if info != 0:
         raise NumericalFailure(f"QR factorization of the frame failed (geqrf info {info})")
@@ -164,11 +176,14 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
     """Forward and backward fundamental solutions at spectral parameter z.
 
     The forward solution U has U(0) = 0, U(1) = I; the backward solution V
-    has V(L) = I, V(L+1) = 0.  Overflow raises NumericalFailure: these
-    unscaled solutions are meant for moderate chain lengths.
+    has V(L) = I, V(L+1) = 0.  The padded hoppings are inverted once, in
+    one batched call.  Overflow raises NumericalFailure: these unscaled
+    solutions are meant for moderate chain lengths.
     """
     ell, L = M.ell, M.n
     S = _padded_hopping(M)
+    S_inv = np.linalg.inv(S)
+    S_inv_t = np.swapaxes(S_inv, -1, -2)  # (S^t)^{-1} = (S^{-1})^t
     eye = np.eye(ell)
     z = _energy(z)
     dtype = np.result_type(M.V, z)
@@ -177,7 +192,7 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
     U[1] = eye
     for k in range(1, L + 1):
         rhs = (M.V[k - 1] - z * eye) @ U[k] - S[k - 1].T @ U[k - 1]
-        U[k + 1] = np.linalg.solve(S[k], rhs)
+        U[k + 1] = S_inv[k] @ rhs
         if np.max(np.abs(U[k + 1])) > OVERFLOW_LIMIT:
             raise NumericalFailure(f"forward solution overflowed at site {k + 1}")
 
@@ -185,7 +200,7 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
     Vs[L] = eye
     for k in range(L, 0, -1):
         rhs = (M.V[k - 1] - z * eye) @ Vs[k] - S[k] @ Vs[k + 1]
-        Vs[k - 1] = np.linalg.solve(S[k - 1].T, rhs)
+        Vs[k - 1] = S_inv_t[k - 1] @ rhs
         if np.max(np.abs(Vs[k - 1])) > OVERFLOW_LIMIT:
             raise NumericalFailure(f"backward solution overflowed at site {k - 1}")
 
@@ -218,12 +233,14 @@ def _inverse(P: np.ndarray) -> np.ndarray:
 
 
 def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward Schur complements of a block tridiagonal matrix.
+    """Forward Schur complements of block tridiagonal matrices.
 
-    The matrix has diagonal blocks D (L, ell, ell), upper blocks B
-    (L-1, ell, ell) and lower blocks B^t.  Eliminating sites 0..k-1 leaves
-    the pivot P_k = D_k - B_{k-1}^t g_{k-1} B_{k-1} at site k, with
-    g_k = P_k^{-1} and P_0 = D_0.  Returns the stacks P and g.  The
+    A matrix has diagonal blocks D (L, ..., ell, ell), upper blocks B
+    (L-1, ..., ell, ell) and lower blocks B^t; the axes between the site
+    axis and the block axes stack independent chains, and B broadcasts
+    against D there.  Eliminating sites 0..k-1 leaves the pivot
+    P_k = D_k - B_{k-1}^t g_{k-1} B_{k-1} at site k, with g_k = P_k^{-1}
+    and P_0 = D_0.  Returns the stacks P and g, shaped like D.  The
     backward sweep is this one on the reversed chain, with hoppings
     B[::-1] transposed.
     """
@@ -232,9 +249,34 @@ def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P[0] = D[0]
     g[0] = _inverse(D[0])
     for k in range(1, D.shape[0]):
-        P[k] = D[k] - B[k - 1].T @ g[k - 1] @ B[k - 1]
+        P[k] = D[k] - np.swapaxes(B[k - 1], -1, -2) @ g[k - 1] @ B[k - 1]
         g[k] = _inverse(P[k])
     return P, g
+
+
+def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]) -> np.ndarray:
+    """log |det(M_r - z_j)| for equal-length chains M_r and energies z_j, shape (R, K).
+
+    One schur_sweep runs over every chain and energy at once, and
+    log |det(M - z)| is the sum of log |det P_k| over its pivots.  Off the
+    real axis every pivot is invertible.  At real z the sum is exact unless
+    z is an eigenvalue of a leading sub-chain M[0..k]: an exactly singular
+    pivot, or a pivot so near singular that the sum is not finite, is a
+    NumericalFailure.
+    """
+    V = np.stack([M.V for M in chains], axis=1)  # (L, R, ell, ell)
+    S = np.stack([M.S for M in chains], axis=1)
+    z = np.asarray(energies)
+    if np.iscomplexobj(z) and not np.any(z.imag):
+        z = z.real  # real energies keep real arithmetic
+    D = V[:, :, None] - z[:, None, None] * np.eye(V.shape[-1])  # (L, R, K, ell, ell)
+    # a pivot that overflows is reported by the finiteness check below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, logs = np.linalg.slogdet(schur_sweep(D, -S[:, :, None])[0])
+    total = logs.sum(axis=0)
+    if not np.all(np.isfinite(total)):
+        raise NumericalFailure("Schur pivot log-determinants are not finite: z is at a sub-chain eigenvalue")
+    return total
 
 
 def _cond1(P: np.ndarray, P_inv: np.ndarray) -> float:

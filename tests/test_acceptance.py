@@ -38,9 +38,7 @@ from randblock.spectral import (
     IntervalUnion,
     almost_sure_spectrum_approx,
     check_gap,
-    dos_histogram,
     eigensolve,
-    ensemble_spectra,
     periodic_spectrum,
 )
 from randblock.transfer import GreenEvaluator, charpoly_identity_check, fundamental_solutions, wronskian
@@ -174,11 +172,11 @@ def general_hopping_ensemble():
 def test_criterion_3_thouless_formula():
     t0 = time.monotonic()
     params = ModelParams.xy(n=1000, gamma=0.5, rho=TWO_POINT)
-    dos = dos_histogram(ensemble_spectra(params, 50, seed=300), bins=80)
+    chains = [assemble_block_jacobi(params, sample_disorder(params, 300, r)) for r in range(50)]
     checks = []
     hopping_target = -0.5 * math.log(0.75)
-    for E in (1.0 + 0.5j, 2.0j, -1.0 + 0.5j):
-        report = thouless_check(params, E, dos, steps=100_000, seed=301)
+    for report in thouless_check(params, [1.0 + 0.5j, 2.0j, -1.0 + 0.5j], chains, steps=100_000, seed=301):
+        E = report.energy
         checks.append(
             (f"xy residual {abs(report.residual):.1e} at E={E}", abs(report.residual) <= THOULESS_TOL)
         )
@@ -192,14 +190,14 @@ def test_criterion_3_thouless_formula():
     V_choices, S_choices = general_hopping_ensemble()
     ensemble = BlockEnsemble.from_choices(V_choices, S_choices)
 
-    def general_spec(index):
+    def general_chain(index):
         grng = realization_rng(400, index)
         Vs = V_choices[grng.integers(0, 3, size=500)]
         Ss = S_choices[grng.integers(0, 2, size=499)]
-        return eigensolve(assemble_general(2, list(Vs), list(Ss)), want_vectors=False)
+        return assemble_general(2, list(Vs), list(Ss))
 
-    gdos = dos_histogram([general_spec(i) for i in range(30)], bins=80)
-    greport = thouless_check(ensemble, 2.0j, gdos, steps=100_000, seed=401)
+    general_chains = [general_chain(i) for i in range(30)]
+    [greport] = thouless_check(ensemble, [2.0j], general_chains, steps=100_000, seed=401)
     checks.append(
         (
             f"general ell=2 residual {abs(greport.residual):.1e} "

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from randblock import cli, model, spectral
 from randblock.errors import NumericalFailure
@@ -333,6 +334,47 @@ class TestGreenCheck:
         assert "worst pivot cond" in capsys.readouterr().err
 
 
+class TestThoulessCommand:
+    CFG = {"n": 2, "gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "seed": 11,
+           "steps": 2000, "dos": {"n": 40, "num_realizations": 5}}
+
+    def test_dos_term_is_the_eigenvalue_mean(self, tmp_path):
+        energies = [[1.0, 0.5], [-0.4, 0.05], 0.37, [2.6, 0.0]]
+        cfg = {**self.CFG, "energies": energies}
+        out = tmp_path / "t"
+        assert cli.main(["thouless", "--config", write_cfg(tmp_path / "t.json", cfg), "--out", str(out)]) == 0
+        _, header, rows = read_csv(out / "thouless.csv")
+        dos_params = params_from_config({**cfg, "n": 40})
+        lam = np.concatenate([
+            scipy.linalg.eig_banded(
+                assemble_block_jacobi(dos_params, sample_disorder(dos_params, 12, r)).band(),
+                lower=True, eigvals_only=True,
+            )
+            for r in range(5)
+        ])
+        assert lam.size == 5 * 80
+        for E, row in zip(energies, rows):
+            got = dict(zip(header, row))
+            E = complex(*E) if isinstance(E, list) else complex(E)
+            assert (got["E_re"], got["E_im"]) == (E.real, E.imag)
+            assert abs(got["dos_term"] - np.mean(np.log(np.abs(E - lam)))) <= 1e-10
+            assert got["predicted"] == got["hopping_term"] + got["dos_term"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("E, message", [(0.0, "singular Schur pivot"), (1e-310, "not finite")])
+    def test_singular_pivot_at_real_energy_exits_3(self, tmp_path, capsys, E, message):
+        # with nu = 0 every V_k vanishes, so at E = 0 the first pivot V_1 - E is the zero
+        # block; at a subnormal E its inverse overflows
+        cfg = {**self.CFG, "rho": {"kind": "uniform", "a": 0.0, "b": 0.0}, "energies": [[1.0, 0.5], E]}
+        out = tmp_path / "t"
+        with pytest.warns(model.TrivialDisorderWarning):
+            code = cli.main(["thouless", "--config", write_cfg(tmp_path / "t.json", cfg), "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical" and message in err["error"]
+        assert not (out / "thouless.csv").exists()
+
+
 class TestJsonCommands:
     def test_zero_energy_payload(self, tmp_path):
         cfg = {
@@ -421,6 +463,10 @@ class TestEffectiveConfig:
                "dos": {"num_realizations": 2}}
         embedded, _, _ = read_csv(self.run(tmp_path, "thouless", cfg, "t") / "thouless.csv")
         assert embedded["steps"] == 2000.0
+        assert embedded["dos"] == {"n": 20, "num_realizations": 2}
+        # a field the table does not declare is echoed as given
+        cfg["dos"]["bins"] = 50
+        embedded, _, _ = read_csv(self.run(tmp_path, "thouless", cfg, "b") / "thouless.csv")
         assert embedded["dos"] == {"n": 20, "num_realizations": 2, "bins": 50}
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))

@@ -24,10 +24,11 @@ from randblock.model import (
     ModelParams,
     SingleSiteDistribution,
     TrivialDisorderWarning,
+    assemble_block_jacobi,
     assemble_general,
     realization_rng,
+    sample_disorder,
 )
-from randblock.spectral import dos_histogram, eigensolve
 from randblock.transfer import transfer_factors
 
 FREE_SCALAR = BlockEnsemble.from_choices(
@@ -184,32 +185,38 @@ class TestIndex:
 class TestThouless:
     def test_scalar_anderson_at_imaginary_energy(self, two_point_field):
         # classical case: S=1 kills the hopping term, both sides computed
-        # from scratch (transfer products vs log-moment of the DOS)
+        # from scratch (transfer products vs log-determinants of finite chains)
         ens = BlockEnsemble.from_choices(
             V_choices=np.array([[[0.0]], [[1.0]]]), S_choices=np.ones((1, 1, 1))
         )
         assert ens.mean_log_abs_det_s == 0.0
         rng = realization_rng(77, 0)
-        specs = []
+        chains = []
         for _ in range(30):
             nu = rng.choice([0.0, 1.0], size=600)
-            M = assemble_general(1, [np.array([[v]]) for v in nu], [np.eye(1)] * 599)
-            specs.append(eigensolve(M, want_vectors=False))
-        dos = dos_histogram(specs, bins=60)
-        rep = thouless_check(ens, 2j, dos, steps=40_000, seed=5)
+            chains.append(assemble_general(1, [np.array([[v]]) for v in nu], [np.eye(1)] * 599))
+        [rep] = thouless_check(ens, [2j], chains, steps=40_000, seed=5)
         assert rep.residual <= 5e-2
         assert rep.hopping_term == 0.0
 
     def test_report_wiring(self, two_point_field):
         p = ModelParams.xy(200, 0.5, two_point_field)
-        from randblock.spectral import ensemble_spectra
+        chains = [assemble_block_jacobi(p, sample_disorder(p, 91, r)) for r in range(10)]
+        energies = [1.0 + 0.5j, -0.3 + 1.0j]
+        reps = thouless_check(p, energies, chains, steps=20_000, seed=8)
+        assert [rep.energy for rep in reps] == energies
+        for rep in reps:
+            assert rep.predicted == pytest.approx(rep.hopping_term + rep.dos_term)
+            assert rep.residual == pytest.approx(rep.index_value - rep.predicted)
+            # gamma=1/2, mu=1: -(1/2) E log|det S| = -(1/2) log(3/4)
+            assert rep.hopping_term == pytest.approx(-0.5 * np.log(0.75), abs=1e-12)
 
-        dos = dos_histogram(ensemble_spectra(p, 10, seed=91), bins=50)
-        rep = thouless_check(p, 1.0 + 0.5j, dos, steps=20_000, seed=8)
-        assert rep.predicted == pytest.approx(rep.hopping_term + rep.dos_term)
-        assert rep.residual == pytest.approx(abs(rep.index_value - rep.predicted))
-        # gamma=1/2, mu=1: -(1/2) E log|det S| = -(1/2) log(3/4)
-        assert rep.hopping_term == pytest.approx(-0.5 * np.log(0.75), abs=1e-12)
+    def test_chains_of_unequal_length_are_rejected(self, two_point_field):
+        p = ModelParams.xy(20, 0.5, two_point_field)
+        q = ModelParams.xy(21, 0.5, two_point_field)
+        chains = [assemble_block_jacobi(m, sample_disorder(m, 1)) for m in (p, q)]
+        with pytest.raises(ConfigError, match="equal length"):
+            thouless_check(p, [1.0j], chains, steps=1000)
 
 
 class TestScalarCocycles:

@@ -18,7 +18,9 @@ from randblock.transfer import (
     GreenEvaluator,
     charpoly_identity_check,
     fundamental_solutions,
+    log_abs_det,
     qr_block,
+    schur_sweep,
     symplectic_form,
     transfer_factors,
     transfer_matrix,
@@ -80,6 +82,14 @@ class TestTransferFactors:
             defect = np.abs(A[k].T @ J @ A[k] - J).max()
             assert defect <= 1e-12 * max(1.0, np.abs(A[k]).max() ** 2)
             assert np.array_equal(A[k], transfer_matrix(V[k], S[k], E).matrix)
+
+    @pytest.mark.parametrize("E", [0.6, 0.6 + 0.3j])
+    def test_shared_hopping_equals_its_stack(self, rng, E):
+        V = rng.normal(size=(7, 2, 2))
+        V = V + np.swapaxes(V, 1, 2)
+        S = rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
+        A = transfer_factors(V, S, E)
+        assert np.array_equal(A, transfer_factors(V, np.broadcast_to(S, (7, 2, 2)), E))
 
 
 class TestQRBlock:
@@ -278,6 +288,56 @@ class TestGreen:
         lam = eigensolve(M, want_vectors=False).eigenvalues[3]
         with pytest.raises(NumericalFailure):
             GreenEvaluator(M, lam)
+
+
+class TestSchurLogDet:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.integers(1, 3),
+        L=st.integers(1, 40),
+        re_z=st.floats(-3.0, 3.0),
+        im_z=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_slogdet(self, ell, L, re_z, im_z, seed):
+        rng = np.random.default_rng(seed)
+        chains = [random_instance(rng, ell, L) for _ in range(2)]
+        z = [complex(re_z, im_z), complex(-re_z, 2.0 * im_z)]
+        got = log_abs_det(chains, z)
+        assert got.shape == (2, 2)
+        for r, M in enumerate(chains):
+            for j, zj in enumerate(z):
+                _, ref = np.linalg.slogdet(M.dense() - zj * np.eye(L * ell))
+                assert got[r, j] == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_batched_sweep_equals_per_chain_sweeps(self, ell):
+        rng = realization_rng(20260011, ell)
+        L, z = 25, np.array([0.3 + 0.2j, -1.1 + 0.05j, 2.0 + 1.0j])
+        chains = [random_instance(rng, ell, L) for _ in range(4)]
+        V = np.stack([M.V for M in chains], axis=1)
+        B = -np.stack([M.S for M in chains], axis=1)[:, :, None]
+        P, g = schur_sweep(V[:, :, None] - z[:, None, None] * np.eye(ell), B)
+        assert P.shape == g.shape == (L, 4, 3, ell, ell)
+        for r, M in enumerate(chains):
+            for j in range(z.size):
+                P1, g1 = schur_sweep(M.V - z[j] * np.eye(ell), -M.S)
+                assert np.array_equal(P[:, r, j], P1)
+                assert np.array_equal(g[:, r, j], g1)
+
+    def test_real_energies_stay_real(self, rng):
+        chains = [random_instance(rng, 2, 9) for _ in range(3)]
+        got = log_abs_det(chains, [complex(0.37, 0.0), 1.9])
+        assert got.dtype == np.float64
+        for r, M in enumerate(chains):
+            for j, E in enumerate([0.37, 1.9]):
+                assert got[r, j] == pytest.approx(np.linalg.slogdet(M.dense() - E * np.eye(18))[1], abs=1e-10)
+
+    def test_exactly_singular_pivot_is_numerical_failure(self):
+        # V_1 = 0.4 and E = 0.4: the first pivot is exactly zero
+        chains = [scalar_instance([0.4, -0.2, 0.1])]
+        with pytest.raises(NumericalFailure, match="singular Schur pivot"):
+            log_abs_det(chains, [0.4])
 
 
 class TestCharpoly:
