@@ -64,11 +64,9 @@ from .lyapunov import (
 from .furstenberg import (
     CertificateReport,
     ClosureResult,
-    LieAlgebraElement,
     Sp2Element,
     build_A0,
     build_M,
-    canceled_generator,
     energy_sweep_rank,
     lie_closure_dimension,
     site_transfer,

@@ -8,17 +8,21 @@ bound; `_parse` checks all of them by the same rules and writes each absent
 field into the embedded config with its default.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
-machine-readable JSON object on stderr.  --threads (or RANDBLOCK_THREADS)
-only parallelizes independent realizations and never changes any number.
+machine-readable JSON object on stderr, and an almost surely constant disorder
+law emits {"warning": ..., "kind": "TrivialDisorderWarning"} there.  --threads
+(or RANDBLOCK_THREADS) only parallelizes independent realizations and never
+changes any number.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import sys
+import warnings
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -29,6 +33,7 @@ from .errors import ConfigError, NumericalFailure
 from .furstenberg import energy_sweep_rank, zero_energy_reducibility_certificate
 from .model import (
     ModelParams,
+    TrivialDisorderWarning,
     assemble_block_jacobi,
     assemble_hat_form,
     params_from_config,
@@ -527,17 +532,26 @@ def run(argv: Sequence[str] | None = None) -> None:
     _COMMANDS[args.command][0](values, cfg, args.out, args)
 
 
+def _show_warning(show, message, category, *args) -> None:
+    """A TrivialDisorderWarning becomes one JSON line on stderr; `show` gets every other warning."""
+    if issubclass(category, TrivialDisorderWarning):
+        print(json.dumps({"warning": str(message), "kind": "TrivialDisorderWarning"}), file=sys.stderr)
+    else:
+        show(message, category, *args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        run(argv)
-    except ConfigError as exc:
-        json.dump({"error": str(exc), "kind": "config"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except NumericalFailure as exc:
-        json.dump({"error": str(exc), "kind": "numerical"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+    # catch_warnings restores showwarning on exit and leaves the filters as they are
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        try:
+            run(argv)
+        except ConfigError as exc:
+            print(json.dumps({"error": str(exc), "kind": "config"}), file=sys.stderr)
+            return 2
+        except NumericalFailure as exc:
+            print(json.dumps({"error": str(exc), "kind": "numerical"}), file=sys.stderr)
+            return 3
     return 0
 
 

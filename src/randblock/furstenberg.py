@@ -8,6 +8,10 @@ and their conjugates under powers of A_0(E) measures how large the closure
 is: full sp(2) has dimension 10, and a drop below 10 signals an invariant
 structure.  At E = 0 the cocycle is exactly reducible; the certificate
 below exhibits the splitting in closed form.
+
+Both diagnostics work on (m, 4, 4) stacks: the closure grows one depth at a
+time with a few stacked products per depth, and the certificate treats every
+potential sample in one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .model import SIGMA_Z, anisotropy_block
 from .transfer import symplectic_form, transfer_matrix
 
 SYMPLECTIC_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-12
 RANK_TOL = 1e-9
 CERTIFICATE_TOL = 1e-12
 # commutators below this (relative to the factors) are roundoff around an
@@ -34,12 +37,26 @@ J4 = symplectic_form(2)
 U_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 UU = scipy.linalg.block_diag(U_HADAMARD, U_HADAMARD)
 
-# basis-free coordinates of sp(2): X = [[a, b1], [b2, -a^t]], b1 = b1^t, b2 = b2^t
-_SP2_COORDS = [
+# basis-free coordinates of sp(2): X = [[a, b1], [b2, -a^t]], b1 = b1^t, b2 = b2^t;
+# (rows, columns) of the 10 free entries
+_SP2_COORDS = tuple(np.array([
     (0, 0), (0, 1), (1, 0), (1, 1),      # a
     (0, 2), (0, 3), (1, 3),              # b1 upper triangle
     (2, 0), (2, 1), (3, 1),              # b2 lower-left upper triangle
-]
+]).T)
+
+
+def _symplectic_defect(A: np.ndarray) -> np.ndarray:
+    """max |A^t J A - J| of each matrix in a (..., 4, 4) stack."""
+    return np.abs(np.swapaxes(A, -1, -2) @ J4 @ A - J4).max(axis=(-2, -1))
+
+
+def _require_symplectic(A: np.ndarray) -> None:
+    """Raise unless every matrix of the stack is symplectic to SYMPLECTIC_TOL max(1, max |A|)^2."""
+    defect = _symplectic_defect(A)
+    failed = defect > SYMPLECTIC_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) ** 2
+    if np.any(failed):
+        raise ConfigError(f"matrix is not symplectic, defect {np.max(defect, where=failed, initial=0.0):.3e}")
 
 
 @dataclass
@@ -50,31 +67,14 @@ class Sp2Element:
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=float)
-        defect = self.symplectic_defect()
-        scale = max(1.0, float(np.max(np.abs(self.matrix))) ** 2)
-        if defect > SYMPLECTIC_TOL * scale:
-            raise ConfigError(f"matrix is not symplectic, defect {defect:.3e}")
+        _require_symplectic(self.matrix)
 
     def symplectic_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.T @ J4 @ self.matrix - J4)))
+        return float(_symplectic_defect(self.matrix))
 
     def inv(self) -> np.ndarray:
         # J^{-1} A^t J inverts any symplectic matrix without a solve
         return -J4 @ self.matrix.T @ J4
-
-
-@dataclass
-class LieAlgebraElement:
-    """An element of sp(2), i.e. X^t J + J X = 0."""
-
-    matrix: np.ndarray
-
-    def membership_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.T @ J4 + J4 @ self.matrix)))
-
-    def coordinates(self) -> np.ndarray:
-        """The 10 free entries (a block, then both symmetric blocks)."""
-        return np.array([self.matrix[i, j] for i, j in _SP2_COORDS])
 
 
 def build_M(Q: np.ndarray) -> Sp2Element:
@@ -99,81 +99,60 @@ def site_transfer(nu: float, E: float, gamma: float) -> Sp2Element:
     return Sp2Element(matrix=build_M(nu * SIGMA_Z).matrix @ A0.matrix)
 
 
-def canceled_generator(a: float, b: float, E: float, gamma: float) -> Sp2Element:
-    """The group element A_a A_b^{-1} = M((a-b) sigma_z), verified entrywise."""
-    Aa = site_transfer(a, E, gamma)
-    Ab = site_transfer(b, E, gamma)
-    product = Aa.matrix @ Ab.inv()
-    expected = build_M((a - b) * SIGMA_Z).matrix
-    dev = float(np.max(np.abs(product - expected)))
-    if dev > 100 * SYMPLECTIC_TOL * max(1.0, abs(E), abs(a), abs(b)) ** 2:
-        raise ConfigError(f"cancellation identity violated by {dev:.3e}")
-    return Sp2Element(matrix=product)
-
-
 # ---------------------------------------------------------------------------
 # Lie closure rank
+
+
+def _normalized(stack: np.ndarray) -> np.ndarray:
+    """Each matrix over its Frobenius norm; exact zeros stay zero."""
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    return stack / np.where(norms > 0, norms, 1.0)[:, None, None]
 
 
 def _closure_coordinates(E: float, gamma: float, depth: int) -> np.ndarray:
     """Coordinates of the generated Lie algebra elements, one per row.
 
-    Seed: the shear direction [[0, 0], [sigma_z, 0]].  Growth: conjugation
-    by A_0(E)^{+-1}, A_0(E)^{+-2} and pairwise commutators, all in the
-    Hadamard-rotated frame where the zero-energy splitting is axis-aligned.
-    Every element is checked against sp(2) membership and normalized.
+    Everything lives in the Hadamard-rotated frame, where the zero-energy
+    splitting is axis-aligned.  Seed: the shear direction [[0, 0],
+    [sigma_z, 0]].  Each depth appends, to the stack X_1..X_n grown so far,
+    two stacked blocks:
+
+    - the conjugates C X_i C^{-1} by A_0(E)^{+-1} and A_0(E)^{+-2}, element-
+      major and conjugator-minor;
+    - the commutators [X_i, X_j], i < j in row-major order, that pass the
+      COMMUTATOR_DISCARD test relative to |X_i| |X_j|.
+
+    Every new element is normalized.  The grown stack is checked against
+    sp(2) membership in one pass, and its coordinates are read with one
+    fancy index.
     """
-    A0 = build_A0(E, gamma).matrix
-    A0i = build_A0(E, gamma).inv()
-    conjugators = [
+    step = build_A0(E, gamma)
+    A0, A0i = step.matrix, step.inv()
+    conjugators = np.stack([
         UU @ A0 @ UU,
         UU @ A0i @ UU,
         UU @ A0 @ A0 @ UU,
         UU @ A0i @ A0i @ UU,
-    ]
-    conjugator_invs = [
-        UU @ A0i @ UU,
-        UU @ A0 @ UU,
-        UU @ A0i @ A0i @ UU,
-        UU @ A0 @ A0 @ UU,
-    ]
+    ])
+    # the inverse of each conjugator is its neighbour in the pair
+    conjugator_invs = conjugators[[1, 0, 3, 2]]
 
-    seed = np.zeros((4, 4))
-    seed[2:, :2] = SIGMA_Z
-    elements = [UU @ seed @ UU]
-
-    def normalized(X: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(X)
-        return X / norm if norm > 0 else X
-
-    elements = [normalized(elements[0])]
+    seed = np.zeros((1, 4, 4))
+    seed[0, 2:, :2] = SIGMA_Z
+    elements = _normalized(UU @ seed @ UU)
     for _ in range(depth):
-        fresh: list[np.ndarray] = []
-        for X in elements:
-            for C, Ci in zip(conjugators, conjugator_invs):
-                fresh.append(normalized(C @ X @ Ci))
-        for i, X in enumerate(elements):
-            for Y in elements[i + 1:]:
-                Z = X @ Y - Y @ X
-                if np.linalg.norm(Z) > COMMUTATOR_DISCARD * np.linalg.norm(X) * np.linalg.norm(Y):
-                    fresh.append(normalized(Z))
-        elements = elements + fresh
+        conjugates = (conjugators[None] @ elements[:, None] @ conjugator_invs[None]).reshape(-1, 4, 4)
+        norms = np.linalg.norm(elements, axis=(1, 2))
+        i, j = np.triu_indices(len(elements), 1)
+        X, Y = elements[i], elements[j]
+        Z = X @ Y - Y @ X
+        Z = Z[np.linalg.norm(Z, axis=(1, 2)) > COMMUTATOR_DISCARD * norms[i] * norms[j]]
+        elements = np.concatenate([elements, _normalized(conjugates), _normalized(Z)])
 
-    coords = []
-    for X in elements:
-        el = LieAlgebraElement(matrix=X)
-        if el.membership_defect() > COMMUTATOR_DISCARD:
-            raise ConfigError(f"closure element left sp(2), defect {el.membership_defect():.3e}")
-        coords.append(el.coordinates())
-    return np.array(coords)
-
-
-def _pivoted_rank(coords: np.ndarray, tol: float) -> int:
-    _, R, _ = scipy.linalg.qr(coords.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diagonal(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.sum(diag > tol * diag[0]))
+    defect = np.abs(np.swapaxes(elements, 1, 2) @ J4 + J4 @ elements).max()
+    if defect > COMMUTATOR_DISCARD:
+        raise ConfigError(f"closure element left sp(2), defect {defect:.3e}")
+    return elements[:, _SP2_COORDS[0], _SP2_COORDS[1]]
 
 
 @dataclass
@@ -194,12 +173,16 @@ def lie_closure_dimension(E: float, gamma: float, depth: int = 3) -> ClosureResu
 
     The rank is the number of pivoted-QR diagonal entries above RANK_TOL
     relative to the largest; if moving the threshold one decade either way
-    changes the count, the result is flagged marginal.
+    changes the count, the result is flagged marginal.  One factorization
+    serves all three thresholds.
     """
     coords = _closure_coordinates(E, gamma, depth)
-    rank = _pivoted_rank(coords, RANK_TOL)
-    lo = _pivoted_rank(coords, RANK_TOL / 10.0)
-    hi = _pivoted_rank(coords, RANK_TOL * 10.0)
+    _, R, _ = scipy.linalg.qr(coords.T, mode="economic", pivoting=True)
+    # column pivoting puts the largest |R_kk| first; an all-zero diagonal has rank 0
+    diag = np.abs(np.diagonal(R))
+    lo, rank, hi = (
+        int(np.count_nonzero(diag > tol * diag[0])) for tol in (RANK_TOL / 10.0, RANK_TOL, RANK_TOL * 10.0)
+    )
     return ClosureResult(
         E=float(E),
         gamma=float(gamma),
@@ -217,14 +200,18 @@ def energy_sweep_rank(gamma: float, E_grid: Sequence[float], depth: int = 3) -> 
 # zero-energy reducibility
 
 
-def zero_energy_split_blocks(nu: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def zero_energy_split_blocks(nu, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form diagonal blocks of the rotated zero-energy step.
 
     The first block has determinant (1-gamma)/(1+gamma), the second its
-    reciprocal; for gamma > 1 both determinants are negative.
+    reciprocal; for gamma > 1 both determinants are negative.  An array of
+    potential values gives stacks of shape nu.shape + (2, 2).
     """
-    D = np.array([[0.0, 1.0 / (1.0 + gamma)], [-(1.0 - gamma), nu / (1.0 + gamma)]])
-    F = np.array([[0.0, 1.0 / (1.0 - gamma)], [-(1.0 + gamma), nu / (1.0 - gamma)]])
+    nu = np.asarray(nu, dtype=float)
+    D = np.zeros(nu.shape + (2, 2))
+    F = np.zeros(nu.shape + (2, 2))
+    D[..., 0, 1], D[..., 1, 0], D[..., 1, 1] = 1.0 / (1.0 + gamma), -(1.0 - gamma), nu / (1.0 + gamma)
+    F[..., 0, 1], F[..., 1, 0], F[..., 1, 1] = 1.0 / (1.0 - gamma), -(1.0 + gamma), nu / (1.0 - gamma)
     return D, F
 
 
@@ -258,32 +245,30 @@ def zero_energy_reducibility_certificate(gamma: float, nu_samples: Sequence[floa
     determinants multiply to 1 pairwise, which is what makes the closure
     at zero energy strictly smaller than sp(2).  Deviations are judged
     against CERTIFICATE_TOL times max(1, max |nu|, 1 / |1 - gamma|)^2.
+    All samples form one (m, 4, 4) stack of steps M(nu sigma_z) A_0(0), each
+    checked for symplecticity to the Sp2Element bound.
     """
     if gamma <= 0.0 or gamma == 1.0:
         raise ConfigError("certificate applies to gamma in (0, 1) or (1, inf)")
+    nu = np.asarray(nu_samples, dtype=float)
+    if nu.ndim != 1 or nu.size == 0 or not np.all(np.isfinite(nu)):
+        raise ConfigError("certificate needs a non-empty list of finite potential samples")
     branch = "unit_determinant" if gamma < 1.0 else "negative_determinant_two_step"
     Pinv = np.linalg.inv(_P_SPLIT)
-    pattern_dev = 0.0
-    block_dev = 0.0
-    det_dev = 0.0
+    M = np.tile(np.eye(4), (nu.size, 1, 1))
+    M[:, 2:, :2] = nu[:, None, None] * SIGMA_Z
+    A = M @ build_A0(0.0, gamma).matrix
+    _require_symplectic(A)
+    B = Pinv @ (UU @ A @ UU) @ _P_SPLIT
+    D_expect, F_expect = zero_energy_split_blocks(nu, gamma)
     expected_det_d = (1.0 - gamma) / (1.0 + gamma)
-    for nu in nu_samples:
-        A = site_transfer(float(nu), 0.0, gamma).matrix
-        B = Pinv @ (UU @ A @ UU) @ _P_SPLIT
-        off = np.max(np.abs(B[:2, 2:])), np.max(np.abs(B[2:, :2]))
-        pattern_dev = max(pattern_dev, *map(float, off))
-        D_expect, F_expect = zero_energy_split_blocks(float(nu), gamma)
-        block_dev = max(
-            block_dev,
-            float(np.max(np.abs(B[:2, :2] - D_expect))),
-            float(np.max(np.abs(B[2:, 2:] - F_expect))),
-        )
-        det_dev = max(
-            det_dev,
-            float(abs(np.linalg.det(B[:2, :2]) - expected_det_d)),
-            float(abs(np.linalg.det(B[2:, 2:]) - 1.0 / expected_det_d)),
-        )
-    scale = max(1.0, float(np.max(np.abs(nu_samples))), 1.0 / abs(1.0 - gamma)) ** 2
+    pattern_dev = float(max(np.abs(B[:, :2, 2:]).max(), np.abs(B[:, 2:, :2]).max()))
+    block_dev = float(max(np.abs(B[:, :2, :2] - D_expect).max(), np.abs(B[:, 2:, 2:] - F_expect).max()))
+    det_dev = float(max(
+        np.abs(np.linalg.det(B[:, :2, :2]) - expected_det_d).max(),
+        np.abs(np.linalg.det(B[:, 2:, 2:]) - 1.0 / expected_det_d).max(),
+    ))
+    scale = max(1.0, float(np.max(np.abs(nu))), 1.0 / abs(1.0 - gamma)) ** 2
     passed = max(pattern_dev, block_dev) <= CERTIFICATE_TOL * scale and det_dev <= CERTIFICATE_TOL * scale * 10
     return CertificateReport(
         gamma=float(gamma),
@@ -291,6 +276,6 @@ def zero_energy_reducibility_certificate(gamma: float, nu_samples: Sequence[floa
         pattern_max_dev=pattern_dev,
         block_max_dev=block_dev,
         det_max_dev=det_dev,
-        num_samples=len(list(nu_samples)),
+        num_samples=nu.size,
         passed=passed,
     )

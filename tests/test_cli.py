@@ -367,10 +367,12 @@ class TestThoulessCommand:
         # block; at a subnormal E its inverse overflows
         cfg = {**self.CFG, "rho": {"kind": "uniform", "a": 0.0, "b": 0.0}, "energies": [[1.0, 0.5], E]}
         out = tmp_path / "t"
-        with pytest.warns(model.TrivialDisorderWarning):
-            code = cli.main(["thouless", "--config", write_cfg(tmp_path / "t.json", cfg), "--out", str(out)])
+        code = cli.main(["thouless", "--config", write_cfg(tmp_path / "t.json", cfg), "--out", str(out)])
         assert code == 3
-        err = json.loads(capsys.readouterr().err)
+        # stderr is pure JSON: the constant-field warning, then the error
+        warning, err = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert warning == {"warning": "disorder distribution is almost surely constant",
+                           "kind": "TrivialDisorderWarning"}
         assert err["kind"] == "numerical" and message in err["error"]
         assert not (out / "thouless.csv").exists()
 

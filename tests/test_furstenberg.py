@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randblock.errors import ConfigError
 from randblock.furstenberg import (
     _P_SPLIT,
+    _SP2_COORDS,
+    CERTIFICATE_TOL,
+    COMMUTATOR_DISCARD,
+    J4,
     UU,
     Sp2Element,
+    _closure_coordinates,
     build_A0,
     build_M,
-    canceled_generator,
     energy_sweep_rank,
     lie_closure_dimension,
     site_transfer,
@@ -42,15 +48,16 @@ class TestGenerators:
         assert np.array_equal(M.matrix[:2, 2:], np.zeros((2, 2)))
 
     def test_cancellation_with_equal_fields_is_identity(self):
-        G = canceled_generator(0.8, 0.8, 1.3, 0.5)
-        assert np.abs(G.matrix - np.eye(4)).max() <= 1e-12
+        A = site_transfer(0.8, 1.3, 0.5)
+        assert np.abs(A.matrix @ A.inv() - np.eye(4)).max() <= 1e-12
 
     def test_cancellation_leaves_field_difference(self, rng):
+        # A_a A_b^{-1} = M((a-b) sigma_z): the potential-free step cancels exactly
         for _ in range(10):
             a, b = rng.normal(size=2)
             E = rng.uniform(-2, 2)
             gamma = rng.uniform(0.1, 0.9)
-            G = canceled_generator(a, b, E, gamma)
+            G = Sp2Element(matrix=site_transfer(a, E, gamma).matrix @ site_transfer(b, E, gamma).inv())
             lhs = site_transfer(a, E, gamma).matrix @ np.linalg.inv(
                 site_transfer(b, E, gamma).matrix
             )
@@ -83,6 +90,47 @@ class TestClosureRank:
             res = lie_closure_dimension(0.0, gamma, depth=3)
             assert res.deficient
             assert res.dimension == 3
+
+    @pytest.mark.parametrize(
+        "E, gamma, pins",
+        [
+            (1.0, 0.5, [(1, 1), (4, 5), (10, 35), (10, 740)]),
+            (-1.7, 2.0, [(1, 1), (4, 5), (10, 35), (10, 740)]),
+            (0.0, 0.5, [(1, 1), (2, 5), (3, 31), (3, 461)]),
+            (0.0, 2.0, [(1, 1), (2, 5), (3, 31), (3, 461)]),
+        ],
+    )
+    def test_dimension_and_element_count_per_depth(self, E, gamma, pins):
+        # regression pins (dimension, num_elements) at depths 0..3; the element
+        # count depends on which commutators pass the discard rule
+        for depth, (dimension, num_elements) in enumerate(pins):
+            res = lie_closure_dimension(E, gamma, depth=depth)
+            assert (res.dimension, res.marginal, res.num_elements) == (dimension, False, num_elements)
+
+    @pytest.mark.parametrize("E, gamma", [(1.0, 0.5), (0.0, 2.0)])
+    def test_stacked_growth_matches_elementwise_loop(self, E, gamma):
+        A0 = build_A0(E, gamma).matrix
+        A0i = np.linalg.inv(A0)
+        powers = [A0, A0i, A0 @ A0, A0i @ A0i]
+        conj = [(UU @ P @ UU, UU @ np.linalg.inv(P) @ UU) for P in powers]
+        seed = np.zeros((4, 4))
+        seed[2:, :2] = SIGMA_Z
+        X0 = UU @ seed @ UU
+        elements = [X0 / np.linalg.norm(X0)]
+        for _ in range(2):
+            fresh = [C @ X @ Ci / np.linalg.norm(C @ X @ Ci) for X in elements for C, Ci in conj]
+            for i, X in enumerate(elements):
+                for Y in elements[i + 1:]:
+                    Z = X @ Y - Y @ X
+                    if np.linalg.norm(Z) > COMMUTATOR_DISCARD * np.linalg.norm(X) * np.linalg.norm(Y):
+                        fresh.append(Z / np.linalg.norm(Z))
+            elements += fresh
+        for X in elements:
+            assert np.abs(X.T @ J4 + J4 @ X).max() <= 1e-14
+        expected = np.array([[X[i, j] for i, j in zip(*_SP2_COORDS)] for X in elements])
+        got = _closure_coordinates(E, gamma, 2)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-14
 
     def test_sweep_flags_exactly_zero(self):
         results = energy_sweep_rank(0.5, [-1.0, 0.0, 1.0], depth=3)
@@ -133,3 +181,29 @@ class TestZeroEnergyReduction:
             zero_energy_reducibility_certificate(1.0, [0.1])
         with pytest.raises(ConfigError):
             zero_energy_reducibility_certificate(-0.5, [0.1])
+
+    @pytest.mark.parametrize("nu", [[], np.zeros((2, 3)), [0.3, np.nan], [np.inf]])
+    def test_certificate_rejects_empty_or_non_finite_samples(self, nu):
+        with pytest.raises(ConfigError):
+            zero_energy_reducibility_certificate(0.5, nu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0)),
+        nu=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30),
+    )
+    def test_certificate_matches_per_sample_loop(self, gamma, nu):
+        rep = zero_energy_reducibility_certificate(gamma, nu)
+        Pinv = np.linalg.inv(_P_SPLIT)
+        d = (1.0 - gamma) / (1.0 + gamma)
+        pattern = block = det = 0.0
+        for v in nu:
+            B = Pinv @ (UU @ site_transfer(v, 0.0, gamma).matrix @ UU) @ _P_SPLIT
+            D, F = zero_energy_split_blocks(v, gamma)
+            pattern = max(pattern, np.abs(B[:2, 2:]).max(), np.abs(B[2:, :2]).max())
+            block = max(block, np.abs(B[:2, :2] - D).max(), np.abs(B[2:, 2:] - F).max())
+            det = max(det, abs(np.linalg.det(B[:2, :2]) - d), abs(np.linalg.det(B[2:, 2:]) - 1.0 / d))
+        scale = max(1.0, max(abs(v) for v in nu), 1.0 / abs(1.0 - gamma)) ** 2
+        passed = max(pattern, block) <= CERTIFICATE_TOL * scale and det <= CERTIFICATE_TOL * scale * 10
+        assert (rep.pattern_max_dev, rep.block_max_dev, rep.det_max_dev) == (pattern, block, det)
+        assert rep.passed == passed and rep.num_samples == len(nu)
