@@ -279,14 +279,14 @@ class BlockJacobiMatrix:
             raise ConfigError("hopping blocks must be invertible")
 
     def dense(self) -> np.ndarray:
+        """The n ell x n ell matrix, filled by fancy indexing on its (n, ell, n, ell) view."""
         ell, n = self.ell, self.n
-        M = np.zeros((n * ell, n * ell))
-        for k in range(n):
-            M[k * ell:(k + 1) * ell, k * ell:(k + 1) * ell] = self.V[k]
-        for k in range(n - 1):
-            M[k * ell:(k + 1) * ell, (k + 1) * ell:(k + 2) * ell] = -self.S[k]
-            M[(k + 1) * ell:(k + 2) * ell, k * ell:(k + 1) * ell] = -self.S[k].T
-        return M
+        M = np.zeros((n, ell, n, ell))
+        k = np.arange(n)
+        M[k, :, k, :] = self.V
+        M[k[:-1], :, k[1:], :] = -self.S
+        M[k[1:], :, k[:-1], :] = -np.swapaxes(self.S, 1, 2)
+        return M.reshape(n * ell, n * ell)
 
     def band(self) -> np.ndarray:
         """LAPACK lower band storage, shape (2 ell, n ell): band[k, j] = dense[j + k, j].
@@ -412,19 +412,20 @@ def random_instance(
 ) -> BlockJacobiMatrix:
     """Generic random instance: symmetric V blocks, invertible dense S blocks.
 
-    Hopping blocks are redrawn until their determinant clears
-    min_hopping_det, which keeps transfer matrices well conditioned.
+    All V blocks come from one draw.  Hopping blocks are redrawn until their
+    determinant clears min_hopping_det, which keeps transfer matrices well
+    conditioned: each round draws exactly as many candidates as hoppings are
+    still missing and keeps those that clear it, in order.  No round draws
+    past the last accepted candidate, so the chain and the generator state
+    afterwards equal those of drawing one candidate at a time.
     """
-    V_list = []
-    for _ in range(n):
-        raw = rng.uniform(-potential_scale, potential_scale, (ell, ell))
-        V_list.append(0.5 * (raw + raw.T))
-    S_list = []
-    while len(S_list) < n - 1:
-        raw = rng.uniform(-hopping_scale, hopping_scale, (ell, ell))
-        if abs(np.linalg.det(raw)) >= min_hopping_det:
-            S_list.append(raw)
-    return assemble_general(ell, V_list, S_list)
+    raw = rng.uniform(-potential_scale, potential_scale, (n, ell, ell))
+    V = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    S = np.empty((0, ell, ell))
+    while S.shape[0] < n - 1:
+        raw = rng.uniform(-hopping_scale, hopping_scale, (n - 1 - S.shape[0], ell, ell))
+        S = np.concatenate([S, raw[np.abs(np.linalg.det(raw)) >= min_hopping_det]])
+    return BlockJacobiMatrix(ell=ell, n=n, V=V, S=S)
 
 
 def write_dense_csv(matrix: BlockJacobiMatrix, path) -> None:

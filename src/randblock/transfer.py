@@ -14,20 +14,28 @@ Long products are carried on orthonormal frames: qr_block advances a frame
 through a block of steps and re-orthonormalizes it with LAPACK geqrf and
 orgqr (ungqr for complex frames), returning diag R, from which callers take
 log |diag R| and the phase of det R.  The Lyapunov engine and both
-characteristic polynomial routes use it; the engine hands it one product
-per block, folded beforehand from a stack of factors.
+characteristic polynomial routes use it.  The engine and the transfer-minor
+route hand it one product per block, folded beforehand from a stack of
+factors; the solution-recursion route steps its frame site by site, with
+the padded hoppings inverted once per chain.
 
 Green blocks come from the recursive Green's function method (Thouless and
 Kirkpatrick 1981, MacKinnon and Kramer 1983), not from the fundamental
 solutions, which grow exponentially in L: schur_sweep eliminates the chain
-site by site, GreenEvaluator runs it forward and on the reversed chain, and
-every pivot stays of the size of the resolvent itself.  Setup costs
-O(L ell^3); GreenEvaluator.blocks() returns all L^2 blocks in O(L^2 ell^3)
-time and O(L^2 ell^2) memory.  The same sweep, batched over chains and
-energies, gives log |det(M - z)| as the sum of log |det P_k| over its
-pivots (log_abs_det), the DOS term of the Thouless formula.  The
-fundamental solutions and their Wronskian remain as an independent check
-of the recursion.
+site by site, GreenEvaluator runs it forward and on the reversed chain as
+one sweep over a batch of two, and every pivot stays of the size of the
+resolvent itself.  Setup costs O(L ell^3); GreenEvaluator.blocks() returns
+all L^2 blocks in O(L^2 ell^3) time and O(L^2 ell^2) memory.  The same
+sweep, batched over chains and energies, gives log |det(M - z)| as the sum
+of log |det P_k| over its pivots (log_abs_det), the DOS term of the
+Thouless formula.  The fundamental solutions and their Wronskian remain as
+an independent check of the recursion; they invert the padded hoppings and
+form V - z once, and test for overflow once per direction after the sweep.
+
+fundamental_solutions and log_abs_det may run past an overflow: they do so
+under np.errstate and report it afterwards as a NumericalFailure, not as
+floating-point warnings.  The test suite turns any RuntimeWarning raised in
+this module into an error.
 """
 
 from __future__ import annotations
@@ -177,32 +185,32 @@ def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolut
 
     The forward solution U has U(0) = 0, U(1) = I; the backward solution V
     has V(L) = I, V(L+1) = 0.  The padded hoppings are inverted once, in
-    one batched call.  Overflow raises NumericalFailure: these unscaled
+    one batched call, and V - z is formed once.  Overflow raises
+    NumericalFailure naming the first site that overflowed: these unscaled
     solutions are meant for moderate chain lengths.
     """
     ell, L = M.ell, M.n
     S = _padded_hopping(M)
     S_inv = np.linalg.inv(S)
     S_inv_t = np.swapaxes(S_inv, -1, -2)  # (S^t)^{-1} = (S^{-1})^t
-    eye = np.eye(ell)
     z = _energy(z)
-    dtype = np.result_type(M.V, z)
+    shifted = M.V - z * np.eye(ell)
 
-    U = np.zeros((L + 2, ell, ell), dtype=dtype)
-    U[1] = eye
-    for k in range(1, L + 1):
-        rhs = (M.V[k - 1] - z * eye) @ U[k] - S[k - 1].T @ U[k - 1]
-        U[k + 1] = S_inv[k] @ rhs
-        if np.max(np.abs(U[k + 1])) > OVERFLOW_LIMIT:
-            raise NumericalFailure(f"forward solution overflowed at site {k + 1}")
-
-    Vs = np.zeros((L + 2, ell, ell), dtype=dtype)
-    Vs[L] = eye
-    for k in range(L, 0, -1):
-        rhs = (M.V[k - 1] - z * eye) @ Vs[k] - S[k] @ Vs[k + 1]
-        Vs[k - 1] = S_inv_t[k - 1] @ rhs
-        if np.max(np.abs(Vs[k - 1])) > OVERFLOW_LIMIT:
-            raise NumericalFailure(f"backward solution overflowed at site {k - 1}")
+    U = np.zeros((L + 2, ell, ell), dtype=shifted.dtype)
+    Vs = np.zeros_like(U)
+    U[1] = Vs[L] = np.eye(ell)
+    # an overflow is reported by the check below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, L + 1):
+            U[k + 1] = S_inv[k] @ (shifted[k - 1] @ U[k] - S[k - 1].T @ U[k - 1])
+        for k in range(L, 0, -1):
+            Vs[k - 1] = S_inv_t[k - 1] @ (shifted[k - 1] @ Vs[k] - S[k] @ Vs[k + 1])
+    # the sites of each sweep, in the order it computes them
+    sweeps = (("forward", U[2:], range(2, L + 2)), ("backward", Vs[L - 1::-1], range(L - 1, -1, -1)))
+    for kind, values, sites in sweeps:
+        overflowed = ~(np.abs(values).max(axis=(-2, -1)) <= OVERFLOW_LIMIT)
+        if overflowed.any():
+            raise NumericalFailure(f"{kind} solution overflowed at site {sites[np.argmax(overflowed)]}")
 
     return (
         MatrixSolution(values=U, hopping=S, z=z, kind="forward"),
@@ -303,9 +311,12 @@ class GreenEvaluator:
         self.z = z
         D = M.V - _energy(z) * np.eye(M.ell)
         B = -M.S
-        left_piv, g = schur_sweep(D, B)
-        right_piv, h = schur_sweep(D[::-1], np.swapaxes(B[::-1], -1, -2))
-        right_piv, h = right_piv[::-1], h[::-1]
+        # batch entry 0 is the forward sweep, 1 the backward one: reversed chain, transposed hoppings
+        piv, piv_inv = schur_sweep(
+            np.stack([D, D[::-1]], axis=1), np.stack([B, np.swapaxes(B[::-1], -1, -2)], axis=1)
+        )
+        left_piv, g = piv[:, 0], piv_inv[:, 0]
+        right_piv, h = piv[::-1, 1], piv_inv[::-1, 1]
         diag_piv = left_piv + right_piv - D
         self._diagonal = _inverse(diag_piv)
         self.pivot_cond = max(_cond1(left_piv, g), _cond1(right_piv, h), _cond1(diag_piv, self._diagonal))
@@ -349,20 +360,26 @@ class GreenEvaluator:
 
 
 def _renormalized_bottom_minor(
-    ell: int, steps: Sequence, step: Callable[[Any, np.ndarray], np.ndarray]
+    ell: int, blocks: Iterable[Sequence], step: Callable[[Any, np.ndarray], np.ndarray] = operator.matmul
 ) -> tuple[complex, float]:
     """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] after all steps.
 
-    The frame is re-orthonormalized every DEFAULT_REORTH steps; the
-    accumulated R factors carry the scale, so no entry over- or underflows.
+    Each block of steps ends in a re-orthonormalization; the accumulated R
+    factors carry the scale.  A block whose growth overflows, or a frame
+    that loses rank, is a NumericalFailure.
     """
     X = np.concatenate([np.zeros((ell, ell)), np.eye(ell)])
     phase, log_abs = 1.0, 0.0
-    for start in range(0, len(steps), DEFAULT_REORTH):
-        X, d = qr_block(X, steps[start : start + DEFAULT_REORTH], step)
-        abs_d = np.abs(d)
-        phase *= np.prod(d / abs_d)
-        log_abs += float(np.sum(np.log(abs_d)))
+    # an overflow (infinite or NaN diag R) or a lost rank (zero diag R) makes
+    # phase or log_abs non-finite, which the check below reports, not warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for steps in blocks:
+            X, d = qr_block(X, steps, step)
+            abs_d = np.abs(d)
+            phase *= np.prod(d / abs_d)
+            log_abs += float(np.sum(np.log(abs_d)))
+    if not (np.isfinite(phase) and np.isfinite(log_abs)):
+        raise NumericalFailure("renormalized frame overflowed or lost rank within one block")
     sign, logdet = np.linalg.slogdet(X[ell:])
     if sign == 0:
         raise NumericalFailure("bottom block of the renormalized frame is singular")
@@ -372,28 +389,44 @@ def _renormalized_bottom_minor(
 def _forward_determinant(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
     """(phase, log|det|) of P(L+1) from the solution recursion.
 
-    The frame [U(k-1); U(k)] starts at [0; I] and advances by solving
-    S_k U(k+1) = (V_k - E) U(k) - S_{k-1}^t U(k-1).
+    The frame [U(k-1); U(k)] starts at [0; I] and advances by
+    U(k+1) = S_k^{-1} ((V_k - E) U(k) - S_{k-1}^t U(k-1)), with the padded
+    hoppings inverted once, re-orthonormalized every DEFAULT_REORTH steps.
     """
     ell = M.ell
     S = _padded_hopping(M)
+    S_inv = np.linalg.inv(S)
     shifted = M.V - _energy(E) * np.eye(ell)
 
     def recurse(k: int, X: np.ndarray) -> np.ndarray:
         prev, cur = X[:ell], X[ell:]
-        return np.concatenate([cur, np.linalg.solve(S[k], shifted[k - 1] @ cur - S[k - 1].T @ prev)])
+        return np.concatenate([cur, S_inv[k] @ (shifted[k - 1] @ cur - S[k - 1].T @ prev)])
 
-    return _renormalized_bottom_minor(ell, range(1, M.n + 1), recurse)
+    sites = range(1, M.n + 1)
+    blocks = (sites[start : start + DEFAULT_REORTH] for start in range(0, M.n, DEFAULT_REORTH))
+    return _renormalized_bottom_minor(ell, blocks, recurse)
 
 
 def _transfer_minor(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
     """(phase, log|det|) of the bottom-right ell-minor of A_L ... A_1.
 
     This is the top exterior power matrix element of the full transfer
-    product, accumulated independently of the solution recursion.
+    product, accumulated independently of the solution recursion.  Each
+    block of DEFAULT_REORTH factors is folded into one product first,
+    stacked over all blocks (the last one padded with identities, which
+    multiply exactly), so the sequential part is one product and one QR
+    per block.
     """
     A = transfer_factors(M.V, _padded_hopping(M)[:-1], E)
-    return _renormalized_bottom_minor(M.ell, A, operator.matmul)
+    dim = A.shape[-1]
+    pad = np.broadcast_to(np.eye(dim), (-A.shape[0] % DEFAULT_REORTH, dim, dim))
+    A = np.concatenate([A, pad]).reshape(-1, DEFAULT_REORTH, dim, dim)
+    P = A[:, 0]
+    # an overflow is reported by _renormalized_bottom_minor, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, DEFAULT_REORTH):
+            P = A[:, j] @ P
+    return _renormalized_bottom_minor(M.ell, ((F,) for F in P))
 
 
 @dataclass

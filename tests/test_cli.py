@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from randblock import cli, model, spectral
+from randblock import cli, furstenberg, model, spectral
 from randblock.errors import NumericalFailure
 from randblock.lyapunov import DEFAULT_REORTH, DEFAULT_STEPS
 from randblock.model import assemble_block_jacobi, params_from_config, sample_disorder
@@ -235,6 +235,17 @@ class TestErrorPaths:
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    def test_closure_depth_beyond_limit_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("closure elements were built")
+
+        monkeypatch.setattr(furstenberg, "_closure_coordinates", fail)
+        cfg_path = write_cfg(tmp_path / "c.json", {"gamma": 0.5, "E_grid": [0.5], "depth": 5})
+        code = cli.main(["zariski", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and "depth" in err["error"]
 
     @pytest.mark.parametrize(
         "argv, env",

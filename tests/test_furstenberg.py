@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randblock import furstenberg
 from randblock.errors import ConfigError
 from randblock.furstenberg import (
     _P_SPLIT,
@@ -10,6 +11,7 @@ from randblock.furstenberg import (
     CERTIFICATE_TOL,
     COMMUTATOR_DISCARD,
     J4,
+    MAX_CLOSURE_DEPTH,
     UU,
     Sp2Element,
     _closure_coordinates,
@@ -68,6 +70,16 @@ class TestGenerators:
     def test_sp2_membership_guard(self):
         with pytest.raises(ConfigError):
             Sp2Element(matrix=np.diag([1.0, 2.0, 3.0, 4.0]))
+
+    def test_sp2_membership_guard_rejects_nan(self):
+        # the NaN defect must fail the bound, not slip past a `defect > bound` test
+        with pytest.raises(ConfigError, match="not symplectic"):
+            Sp2Element(matrix=np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("E, gamma", [(np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan), (0.5, -np.inf)])
+    def test_A0_rejects_non_finite_input(self, E, gamma):
+        with pytest.raises(ConfigError, match="finite"):
+            build_A0(E, gamma)
 
 
 class TestClosureRank:
@@ -131,6 +143,16 @@ class TestClosureRank:
         got = _closure_coordinates(E, gamma, 2)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("depth", [MAX_CLOSURE_DEPTH + 1, 7, -1])
+    def test_depth_outside_range_is_refused_before_any_element(self, depth, monkeypatch):
+        # depth 5 would need about 3.7e10 elements
+        def fail(*args):
+            raise AssertionError("closure elements were built")
+
+        monkeypatch.setattr(furstenberg, "_closure_coordinates", fail)
+        with pytest.raises(ConfigError, match="depth"):
+            lie_closure_dimension(1.0, 0.5, depth=depth)
 
     def test_sweep_flags_exactly_zero(self):
         results = energy_sweep_rank(0.5, [-1.0, 0.0, 1.0], depth=3)

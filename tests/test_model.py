@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randblock.errors import ConfigError
 from randblock.model import (
@@ -180,6 +182,54 @@ def test_random_instance_respects_constraints(rng):
             assert np.array_equal(V, V.T)
         for S in M.S:
             assert abs(np.linalg.det(S)) >= 0.3
+
+
+def _one_at_a_time_instance(rng, ell, n, min_hopping_det):
+    """Reference draw: one V block at a time, then one candidate hopping at a time."""
+    V = []
+    for _ in range(n):
+        raw = rng.uniform(-1.5, 1.5, (ell, ell))
+        V.append(0.5 * (raw + raw.T))
+    S = []
+    while len(S) < n - 1:
+        raw = rng.uniform(-1.2, 1.2, (ell, ell))
+        if abs(np.linalg.det(raw)) >= min_hopping_det:
+            S.append(raw)
+    return np.array(V), np.array(S).reshape(n - 1, ell, ell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ell=st.integers(1, 3),
+    n=st.integers(1, 40),
+    min_hopping_det=st.one_of(st.floats(0.0, 0.9), st.floats(0.9, 0.99)),
+)
+def test_batched_random_instance_keeps_the_random_stream(seed, ell, n, min_hopping_det):
+    # a threshold near 1 rejects most candidates, so the draw takes many rounds
+    batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    M = random_instance(batched, ell, n, min_hopping_det=min_hopping_det)
+    V, S = _one_at_a_time_instance(reference, ell, n, min_hopping_det)
+    assert np.array_equal(M.V, V)
+    assert np.array_equal(M.S, S)
+    assert batched.random() == reference.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ell=st.integers(1, 3), n=st.integers(1, 30))
+def test_dense_equals_per_site_fill_and_band(seed, ell, n):
+    M = random_instance(np.random.default_rng(seed), ell, n)
+    expected = np.zeros((n * ell, n * ell))
+    for k in range(n):
+        expected[k * ell:(k + 1) * ell, k * ell:(k + 1) * ell] = M.V[k]
+    for k in range(n - 1):
+        expected[k * ell:(k + 1) * ell, (k + 1) * ell:(k + 2) * ell] = -M.S[k]
+        expected[(k + 1) * ell:(k + 2) * ell, k * ell:(k + 1) * ell] = -M.S[k].T
+    dense = M.dense()
+    assert np.array_equal(dense, expected)
+    band = M.band()
+    for k in range(2 * ell):
+        assert np.array_equal(band[k, : max(n * ell - k, 0)], np.diagonal(dense, -k))
 
 
 def test_write_dense_csv_round_trip(tmp_path, xy_params):

@@ -15,6 +15,7 @@ from randblock.model import (
 )
 from randblock.spectral import eigensolve
 from randblock.transfer import (
+    OVERFLOW_LIMIT,
     GreenEvaluator,
     charpoly_identity_check,
     fundamental_solutions,
@@ -166,6 +167,23 @@ class TestFundamentalSolutions:
         assert U.recursion_residual(M) <= 1e-10
         assert V.recursion_residual(M) <= 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ell, scale", [(1, 1e30), (2, 1e20), (3, 1e12)])
+    def test_overflow_names_the_first_site_without_warnings(self, ell, scale):
+        M = random_instance(np.random.default_rng(ell), ell, 40)
+        M = assemble_general(ell, scale * M.V, M.S)
+        z = 0.3 + 0.1j
+        # reference: the step-by-step forward sweep, stopped at the first site over the limit
+        S = np.concatenate([np.eye(ell)[None], M.S, np.eye(ell)[None]])
+        U = [np.zeros((ell, ell)), np.eye(ell)]
+        for k in range(1, M.n + 1):
+            U.append(np.linalg.solve(S[k], (M.V[k - 1] - z * np.eye(ell)) @ U[k] - S[k - 1].T @ U[k - 1]))
+            if np.max(np.abs(U[k + 1])) > OVERFLOW_LIMIT:
+                break
+        assert k < M.n  # the sweep runs on past the overflow, to inf and nan
+        with pytest.raises(NumericalFailure, match=f"forward solution overflowed at site {k + 1}$"):
+            fundamental_solutions(M, z)
+
     def test_real_z_given_as_complex_stays_real(self, rng):
         M = random_instance(rng, 2, 10)
         U, V = fundamental_solutions(M, complex(0.3, 0.0))
@@ -199,6 +217,24 @@ class TestWronskian:
         for k in range(10):
             single = V[k].T @ S[k] @ U[k + 1] - (S[k] @ V[k + 1]).T @ U[k]
             np.testing.assert_allclose(W[k], single, rtol=0, atol=1e-13 * np.abs(W).max())
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(1, 3),
+        L=st.integers(1, 30),
+        re_z=st.floats(-3.0, 3.0),
+        im_z=st.floats(-1.0, 1.0),
+    )
+    def test_constancy_invariant(self, seed, ell, L, re_z, im_z):
+        M = random_instance(np.random.default_rng(seed), ell, L)
+        U, V = fundamental_solutions(M, complex(re_z, im_z))
+        W = wronskian(U, V)
+        assert np.array_equal(W[0], V[0].T)  # S_0 = U(1) = I and U(0) = 0
+        # roundoff relative to the two terms of W(k), which grow with the solutions
+        u, v = (np.abs(X.values).max(axis=(-2, -1)) for X in (U, V))
+        scale = max(1.0, float(np.max(v[:-1] * u[1:] + v[1:] * u[:-1])))
+        assert np.abs(W - W[0]).max() <= 1e-13 * scale
 
     def test_scalar_chain_reduces_to_classical_wronskian(self):
         # ell=1, S=1: W = v(k) u(k+1) - v(k+1) u(k)
@@ -362,6 +398,13 @@ class TestCharpoly:
         assert np.isfinite(rep.log_direct) and np.isfinite(rep.log_transfer)
         assert rep.log_direct > 600.0
         assert rep.residual <= 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_within_one_block_is_numerical_failure(self):
+        # ten steps of growth 1e40 overflow before the frame is re-orthonormalized
+        M = scalar_instance([1e40] * 30)
+        with pytest.raises(NumericalFailure, match="overflowed"):
+            charpoly_identity_check(M, 0.3)
 
     @pytest.mark.parametrize("L", [150, 300])
     @pytest.mark.parametrize("ell", [2, 3])
