@@ -10,8 +10,8 @@ field into the embedded config with its default.
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr, and an almost surely constant disorder
 law emits {"warning": ..., "kind": "TrivialDisorderWarning"} there.  --threads
-(or RANDBLOCK_THREADS) only parallelizes independent realizations and never
-changes any number.
+(or RANDBLOCK_THREADS) only parallelizes the independent realizations of
+spectrum, dos and lr-stats, and never changes any number.
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ def _cmd_correlator(v, cfg: dict, out: str, args) -> None:
     _check_dense("2 n", 2 * v.n)
     if v.n - 2 * v.boundary < 2:
         raise ConfigError(f"boundary {v.boundary} leaves fewer than 2 of the n = {v.n} sites")
-    field = localization.ensemble_correlator(v.params, v.window, v.num_realizations, v.seed, threads=args.threads)
+    field = localization.ensemble_correlator(v.params, v.window, v.num_realizations, v.seed)
     fit = localization.fit_decay(field, zeta=v.zeta, boundary=v.boundary)
     rows = zip(fit.distances, fit.mean_logs, fit.bin_se, fit.counts)
     _write_csv(os.path.join(out, "correlator.csv"), cfg, ["dist", "mean_logQ", "se", "count"], rows)
@@ -387,7 +387,7 @@ def _cmd_correlator(v, cfg: dict, out: str, args) -> None:
 
 def _cmd_wegner_probe(v, cfg: dict, out: str, args) -> None:
     records = localization.wegner_probe(
-        v.params, v.E, v.L_list, beta=v.beta, sigma=v.sigma, samples=v.samples, seed=v.seed, threads=args.threads
+        v.params, v.E, v.L_list, beta=v.beta, sigma=v.sigma, samples=v.samples, seed=v.seed
     )
     rows = [(r.L, r.eps, r.probability) for r in records]
     _write_csv(os.path.join(out, "wegner.csv"), cfg, ["L", "eps", "probability"], rows)
@@ -508,7 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the JSON run config")
     common.add_argument("--out", required=True, help="output directory (created if missing)")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads (default: RANDBLOCK_THREADS or 1)")
+    common.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads for spectrum, dos and lr-stats (default: RANDBLOCK_THREADS or 1)",
+    )
     common.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     parser = argparse.ArgumentParser(prog="randblock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,6 +10,10 @@ the operator norm of P_j g(M) chi_J(M) P_k^* is at most Q(j, k), so a
 stretched-exponential bound on the ensemble mean of Q is a dynamical
 localization statement.  Site indices in this module are 0-based array
 positions.
+
+The Wegner probe counts eigenvalues instead of computing them: two Sturm
+counts at the ends of a window, from the Schur pivots of one batched sweep
+(transfer.eigenvalue_counts), say whether the window holds an eigenvalue.
 """
 
 from __future__ import annotations
@@ -18,14 +22,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .model import ModelParams, assemble_block_jacobi, sample_disorder
-from .parallel import parallel_map
 from .spectral import SpectralData, eigensolve
+from .transfer import eigenvalue_counts
 
 DEFAULT_BOUNDARY_EXCLUSION = 5
 MIN_PAIRS_PER_BIN = 4
 CI_FACTOR = 1.96  # two-sided 95% normal quantile
+# Chain sites per count sweep of the Wegner probe: the sweep holds about
+# 0.5 kB per chain site, so this bounds its memory near 30 MB, or one
+# chain's worth at L beyond it.
+COUNT_SWEEP_SITES = 1 << 16
 
 
 @dataclass
@@ -61,23 +69,26 @@ def ensemble_correlator(
     window: tuple[float, float],
     num_realizations: int,
     seed: int,
-    threads: int | None = None,
 ) -> CorrelatorField:
-    """Mean correlator over realizations index = 0..num_realizations-1."""
+    """Mean correlator over realizations index = 0..num_realizations-1.
 
-    def one(index: int) -> CorrelatorField:
+    Q is summed from zeros in realization order as each field is made, so
+    only one n x n field is held beside the sum.
+    """
+    if num_realizations < 1:
+        raise ConfigError(f"need at least one realization, got {num_realizations}")
+    Q = np.zeros((params.n, params.n))
+    counts = []
+    for index in range(num_realizations):
         real = sample_disorder(params, seed, index)
-        spec = eigensolve(assemble_block_jacobi(params, real))
-        return eigenfunction_correlator(spec, window)
-
-    fields = parallel_map(one, range(num_realizations), threads=threads)
-    Q = sum(f.Q for f in fields) / num_realizations  # no stacked (R, n, n) copy
-    count = float(np.mean([f.mean_window_count for f in fields]))
+        field = eigenfunction_correlator(eigensolve(assemble_block_jacobi(params, real)), window)
+        Q += field.Q
+        counts.append(field.mean_window_count)
     return CorrelatorField(
         window=(float(window[0]), float(window[1])),
-        Q=Q,
+        Q=Q / num_realizations,
         num_realizations=num_realizations,
-        mean_window_count=count,
+        mean_window_count=float(np.mean(counts)),
     )
 
 
@@ -230,13 +241,25 @@ def wegner_probe(
     sigma: float,
     samples: int,
     seed: int = 0,
-    threads: int | None = None,
 ) -> list[WegnerRecord]:
     """Probability that the spectrum approaches E at stretched scale exp(-sigma L^beta).
 
-    For each length L, counts realizations whose nearest eigenvalue to E is
-    within eps_L = exp(-sigma * L^beta).  Realization index (L << 32) | s
-    keeps all draws independent across lengths and samples.
+    For each length L, counts realizations with an eigenvalue in the closed
+    window [E - eps_L, E + eps_L], eps_L = exp(-sigma * L^beta).
+    transfer.eigenvalue_counts gives the Sturm counts N(x) = #{lambda < x} at
+    both ends, in one sweep per batch of at most COUNT_SWEEP_SITES chain
+    sites, and a realization hits when N(E + eps_L) - N(E - eps_L) > 0.
+    Tie rule, for a closed window: the lower count is taken at the double
+    just below E - eps_L, so an eigenvalue at E - eps_L is inside; at
+    E + eps_L an eigenvalue that makes the first pivot vanish exactly is
+    floored below x, so it is inside too.  Any other eigenvalue of the
+    chain within rounding of a window end is decided by rounding, as it is
+    for a computed nearest eigenvalue.  A realization whose count the sweep
+    leaves unresolved (a leading sub-chain with an eigenvalue within
+    rounding of a window end, as an atom of a discrete law at E makes
+    likely) is decided by min |lambda - E| <= eps_L over the eigenvalues of
+    a banded eigensolve.  Realization index (L << 32) | s keeps all draws
+    independent across lengths and samples.
     """
     mu0, gamma0 = float(params.mu[0]), float(params.gamma[0])
     if not (np.all(params.mu == mu0) and np.all(params.gamma == gamma0)):
@@ -245,12 +268,18 @@ def wegner_probe(
     for L in L_list:
         eps = float(np.exp(-sigma * L**beta))
         p_L = ModelParams.xy(n=L, gamma=gamma0, rho=params.rho, mu=mu0)
-
-        def one(s: int, p_L=p_L, L=L) -> bool:
-            real = sample_disorder(p_L, seed, (L << 32) | s)
-            vals = eigensolve(assemble_block_jacobi(p_L, real), want_vectors=False).eigenvalues
-            return bool(np.min(np.abs(vals - E)) <= eps)
-
-        hits = sum(parallel_map(one, range(samples), threads=threads))
-        records.append(WegnerRecord(L=L, eps=eps, hits=int(hits), samples=samples))
+        window = [np.nextafter(E - eps, -np.inf), E + eps]
+        batch = max(1, COUNT_SWEEP_SITES // L)
+        hits = 0
+        for start in range(0, samples, batch):
+            indices = range(start, min(start + batch, samples))
+            chains = [assemble_block_jacobi(p_L, sample_disorder(p_L, seed, (L << 32) | s)) for s in indices]
+            counts, resolved = eigenvalue_counts(chains, window)
+            resolved = resolved.all(axis=1)
+            hits += int(np.count_nonzero(resolved & (counts[:, 1] > counts[:, 0])))
+            for M, ok in zip(chains, resolved):
+                if not ok:
+                    vals = eigensolve(M, want_vectors=False).eigenvalues
+                    hits += int(np.min(np.abs(vals - E)) <= eps)
+        records.append(WegnerRecord(L=L, eps=eps, hits=hits, samples=samples))
     return records

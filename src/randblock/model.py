@@ -37,9 +37,18 @@ class TrivialDisorderWarning(UserWarning):
     """Raised when a disorder distribution is almost surely constant."""
 
 
-def anisotropy_block(gamma: float) -> np.ndarray:
-    """Hopping block S(gamma) = [[1, gamma], [-gamma, -1]]."""
-    return np.array([[1.0, gamma], [-gamma, -1.0]])
+def anisotropy_block(gamma: float | np.ndarray) -> np.ndarray:
+    """Hopping block S(gamma) = [[1, gamma], [-gamma, -1]].
+
+    An array of gamma gives the stack of blocks, shape gamma.shape + (2, 2).
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    S = np.empty(gamma.shape + (2, 2))
+    S[..., 0, 0] = 1.0
+    S[..., 0, 1] = gamma
+    S[..., 1, 0] = -gamma
+    S[..., 1, 1] = -1.0
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +382,7 @@ def assemble_block_jacobi(params: ModelParams, real: DisorderRealization) -> Blo
     if real.nu.shape != (params.n,):
         raise ConfigError(f"realization has {real.nu.shape[0]} potential entries, expected {params.n}")
     V = real.nu[:, None, None] * SIGMA_Z[None, :, :]
-    S = params.mu[:, None, None] * np.array([anisotropy_block(g) for g in params.gamma])
+    S = params.mu[:, None, None] * anisotropy_block(params.gamma)
     return BlockJacobiMatrix(ell=2, n=params.n, V=V, S=S)
 
 

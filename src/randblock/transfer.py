@@ -26,16 +26,44 @@ site by site, GreenEvaluator runs it forward and on the reversed chain as
 one sweep over a batch of two, and every pivot stays of the size of the
 resolvent itself.  Setup costs O(L ell^3); GreenEvaluator.blocks() returns
 all L^2 blocks in O(L^2 ell^3) time and O(L^2 ell^2) memory.  The same
-sweep, batched over chains and energies, gives log |det(M - z)| as the sum
-of log |det P_k| over its pivots (log_abs_det), the DOS term of the
-Thouless formula.  The fundamental solutions and their Wronskian remain as
-an independent check of the recursion; they invert the padded hoppings and
-form V - z once, and test for overflow once per direction after the sweep.
+sweep, batched over chains and energies, gives two more quantities from its
+pivots P_k:
 
-fundamental_solutions and log_abs_det may run past an overflow: they do so
-under np.errstate and report it afterwards as a NumericalFailure, not as
-floating-point warnings.  The test suite turns any RuntimeWarning raised in
-this module into an error.
+* log |det(M - z)| = sum of log |det P_k| (log_abs_det), the DOS term of
+  the Thouless formula;
+* at real x, the eigenvalue count #{lambda < x} = sum of the numbers of
+  negative eigenvalues of the P_k (eigenvalue_counts).  M - x = L D L^t with
+  D = diag(P_k), so by Sylvester's law of inertia M - x and D have equally
+  many negative eigenvalues: the Sturm count of LAPACK dstebz (Kahan 1966)
+  with ell x ell pivots in place of scalars.
+
+A pivot is exactly singular when z is an eigenvalue of a leading sub-chain.
+The Green and log-determinant sweeps refuse it.  The count sweep floors it
+as dstebz does with pivmin: at a step where inversion fails, every pivot
+whose entries all lie within PIVOT_FLOOR of zero is replaced by
+-PIVOT_FLOOR I, so an eigenvalue that makes a pivot vanish counts as below
+x.  Block pivots (ell >= 2) need one more guard, which scalar Sturm counts
+do not: when P_{k-1} is near singular, g_{k-1} is large along one
+direction, and the other eigenvalues of the next pivot are formed by
+cancellation and carry rounding errors of the size of |B|^2 |g_{k-1}|.
+So a count is resolved only when every pivot eigenvalue exceeds
+COUNT_ROUNDING times the size of the terms its pivot was formed from;
+eigenvalue_counts reports each count with that flag.  A rank-deficient pivot
+that the floor does not reach, or a pivot that overflows, leaves its
+chain unresolved without stopping the other chains of the sweep.  The
+floor and the flag live on the count path only, in the inversion it hands
+to schur_sweep and after the sweep; the other sweeps do no extra work per
+step.
+
+The fundamental solutions and their Wronskian remain as an independent
+check of the recursion; they invert the padded hoppings and form V - z
+once, and test for overflow once per direction after the sweep.
+
+fundamental_solutions, log_abs_det and eigenvalue_counts may run past an
+overflow: they do so under np.errstate and report it afterwards, as a
+NumericalFailure or as an unresolved count, not as floating-point
+warnings.  The test suite turns any RuntimeWarning raised in this module
+into an error.
 """
 
 from __future__ import annotations
@@ -54,6 +82,17 @@ from .model import BlockJacobiMatrix
 OVERFLOW_LIMIT = 1e250
 PIVOT_COND_LIMIT = 1e12
 DEFAULT_REORTH = 10
+# Count-path pivot floor, about 1.5e-154: the square root of the smallest
+# normal double.  An eigenvalue within it of x is a tie at any scale the
+# program meets, and 1 / PIVOT_FLOOR times a squared hopping overflows only
+# for hoppings beyond 1e77 (dstebz's pivmin, safmin max(1, max e^2), guards
+# the same overflow).
+PIVOT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+# Count-path rounding bound, about 1.4e-14: a pivot eigenvalue no larger than
+# COUNT_ROUNDING (|D_k| + |B_{k-1}|^2 / min |eig P_{k-1}|), Frobenius norms,
+# may have its sign set by rounding, and its count is unresolved.  64 ulps
+# cover the rounding of one ell <= 3 block product, inverse and eigvalsh.
+COUNT_ROUNDING = 64 * float(np.finfo(float).eps)
 
 
 def symplectic_form(ell: int) -> np.ndarray:
@@ -240,7 +279,27 @@ def _inverse(P: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"exactly singular Schur pivot: {exc}") from exc
 
 
-def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _floored_inverse(P: np.ndarray) -> np.ndarray:
+    """Inverse for the count sweep: if P holds an exactly singular pivot, change P in place first.
+
+    Every pivot of the stack with no entry larger than PIVOT_FLOOR in
+    magnitude becomes -PIVOT_FLOOR I.  A pivot that is still exactly
+    singular becomes NaN, so its chain's later pivots are NaN and
+    eigenvalue_counts reports its counts unresolved.  A stack without a
+    singular pivot is inverted as it is.
+    """
+    try:
+        return np.linalg.inv(P)
+    except np.linalg.LinAlgError:
+        P[np.abs(P).max(axis=(-2, -1)) <= PIVOT_FLOOR] = -PIVOT_FLOOR * np.eye(P.shape[-1])
+        sign, _ = np.linalg.slogdet(P)
+        P[~(np.abs(sign) > 0.0)] = np.nan
+        return _inverse(P)
+
+
+def schur_sweep(
+    D: np.ndarray, B: np.ndarray, invert: Callable[[np.ndarray], np.ndarray] = _inverse
+) -> tuple[np.ndarray, np.ndarray]:
     """Forward Schur complements of block tridiagonal matrices.
 
     A matrix has diagonal blocks D (L, ..., ell, ell), upper blocks B
@@ -250,16 +309,29 @@ def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P_k = D_k - B_{k-1}^t g_{k-1} B_{k-1} at site k, with g_k = P_k^{-1}
     and P_0 = D_0.  Returns the stacks P and g, shaped like D.  The
     backward sweep is this one on the reversed chain, with hoppings
-    B[::-1] transposed.
+    B[::-1] transposed.  invert maps the stack of pivots at one site to
+    their inverses; it may change the pivots in place, as the count sweep's
+    floor does, and by default refuses an exactly singular one.
     """
     P = np.empty_like(D)
     g = np.empty_like(D)
     P[0] = D[0]
-    g[0] = _inverse(D[0])
+    g[0] = invert(P[0])
     for k in range(1, D.shape[0]):
         P[k] = D[k] - np.swapaxes(B[k - 1], -1, -2) @ g[k - 1] @ B[k - 1]
-        g[k] = _inverse(P[k])
+        g[k] = invert(P[k])
     return P, g
+
+
+def _shifted_stack(chains: Sequence[BlockJacobiMatrix], z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of M_r - z_j for equal-length chains M_r and energies z_j.
+
+    Returns the diagonal blocks V - z, shape (L, R, K, ell, ell), and the
+    upper blocks -S, shape (L-1, R, 1, ell, ell).
+    """
+    V = np.stack([M.V for M in chains], axis=1)  # (L, R, ell, ell)
+    S = np.stack([M.S for M in chains], axis=1)
+    return V[:, :, None] - z[:, None, None] * np.eye(V.shape[-1]), -S[:, :, None]
 
 
 def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]) -> np.ndarray:
@@ -272,19 +344,50 @@ def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]
     pivot, or a pivot so near singular that the sum is not finite, is a
     NumericalFailure.
     """
-    V = np.stack([M.V for M in chains], axis=1)  # (L, R, ell, ell)
-    S = np.stack([M.S for M in chains], axis=1)
     z = np.asarray(energies)
     if np.iscomplexobj(z) and not np.any(z.imag):
         z = z.real  # real energies keep real arithmetic
-    D = V[:, :, None] - z[:, None, None] * np.eye(V.shape[-1])  # (L, R, K, ell, ell)
     # a pivot that overflows is reported by the finiteness check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, logs = np.linalg.slogdet(schur_sweep(D, -S[:, :, None])[0])
+        _, logs = np.linalg.slogdet(schur_sweep(*_shifted_stack(chains, z))[0])
     total = logs.sum(axis=0)
     if not np.all(np.isfinite(total)):
         raise NumericalFailure("Schur pivot log-determinants are not finite: z is at a sub-chain eigenvalue")
     return total
+
+
+def eigenvalue_counts(
+    chains: Sequence[BlockJacobiMatrix], energies: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """#{eigenvalues of M_r below x_j} for equal-length chains M_r and real x_j, with a resolved flag.
+
+    Returns the integer counts and the boolean flags, both of shape (R, K).
+    One schur_sweep runs over every chain and energy at once, and the count
+    is the number of negative eigenvalues of all its pivots together
+    (Sylvester's law of inertia).  No eigensolve of M is made.  An exactly
+    singular pivot is floored to -PIVOT_FLOOR I (see the module docstring),
+    so an eigenvalue that makes a pivot vanish counts as below x.  A count
+    is resolved when every one of its pivot eigenvalues exceeds
+    COUNT_ROUNDING times the size of the terms the pivot was formed from:
+    then no pivot sign is left to rounding, and only an eigenvalue of M
+    within rounding of x may count on either side.  A near-singular leading
+    sub-chain, a rank-deficient pivot the floor does not reach, or an
+    overflow makes its count unresolved, and such a count may be wrong.
+    """
+    x = np.asarray(energies)
+    if np.iscomplexobj(x) and np.any(x.imag):
+        raise ValueError("eigenvalue counts need real energies")
+    D, B = _shifted_stack(chains, x.real.astype(float))
+    # a singular or overflowing pivot is reported by the flag below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        P, _ = schur_sweep(D, B, invert=_floored_inverse)
+        finite = np.isfinite(P).all(axis=(-2, -1))  # (L, R, K)
+        w = np.linalg.eigvalsh(np.where(finite[..., None, None], P, 0.0))
+        smallest = np.abs(w).min(axis=-1)
+        scale = np.sqrt(np.square(D).sum(axis=(-2, -1)))
+        scale[1:] += np.square(B).sum(axis=(-2, -1)) / smallest[:-1]
+        resolved = (finite & (smallest > COUNT_ROUNDING * scale)).all(axis=0)
+    return np.count_nonzero(w < 0.0, axis=(0, -1)), resolved
 
 
 def _cond1(P: np.ndarray, P_inv: np.ndarray) -> float:

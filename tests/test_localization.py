@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from randblock.errors import NumericalFailure
+from randblock import localization
+from randblock.errors import ConfigError, NumericalFailure
 from randblock.localization import (
     CorrelatorField,
     dynamical_sup_lower_bound,
@@ -44,6 +45,16 @@ class TestCorrelator:
         single = eigenfunction_correlator(spec, (0.5, 1.5))
         assert np.array_equal(mean.Q, single.Q)
         assert mean.num_realizations == 1
+
+    def test_mean_is_the_in_order_sum_of_single_fields(self, xy_params):
+        p = xy_params(n=15)
+        mean = ensemble_correlator(p, (0.5, 1.5), num_realizations=5, seed=9)
+        specs = ensemble_spectra(p, 5, seed=9, want_vectors=True)
+        fields = [eigenfunction_correlator(s, (0.5, 1.5)) for s in specs]
+        assert np.array_equal(mean.Q, sum(f.Q for f in fields) / 5)
+        assert mean.mean_window_count == np.mean([f.mean_window_count for f in fields])
+        with pytest.raises(ConfigError, match="at least one realization"):
+            ensemble_correlator(p, (0.5, 1.5), num_realizations=0, seed=9)
 
     def test_ensemble_never_builds_dense(self, xy_params, monkeypatch):
         def refuse(self):
@@ -154,6 +165,52 @@ class TestWegner:
         p = ModelParams.xy(20, 0.5, two_point_field)
         recs = wegner_probe(p, 0.0, [10], beta=0.5, sigma=-1.0, samples=20, seed=2)
         assert recs[0].probability == 1.0
+
+    @staticmethod
+    def nearest_eigenvalue_hits(rho, E, L, eps, samples, seed):
+        p_L = ModelParams.xy(L, 0.5, rho)
+        reals = [sample_disorder(p_L, seed, (L << 32) | s) for s in range(samples)]
+        chains = [assemble_block_jacobi(p_L, real) for real in reals]
+        return sum(np.min(np.abs(eigensolve(M, want_vectors=False).eigenvalues - E)) <= eps for M in chains)
+
+    @pytest.mark.parametrize("E", [0.7, 1.011822, 1.3])
+    def test_hits_equal_nearest_eigenvalue_reference(self, E):
+        p = ModelParams.xy(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        L_list, beta, sigma, samples, seed = [50, 100, 200, 400], 0.5, 0.5, 12, 1003
+        records = wegner_probe(p, E, L_list, beta=beta, sigma=sigma, samples=samples, seed=seed)
+        for rec, L in zip(records, L_list):
+            eps = np.exp(-sigma * L**beta)
+            assert rec.eps == eps
+            assert rec.hits == self.nearest_eigenvalue_hits(p.rho, E, L, eps, samples, seed)
+        assert any(0 < rec.hits < samples for rec in records)
+
+    def test_unresolved_counts_fall_back_to_the_eigensolve(self, two_point_field, monkeypatch):
+        # eps < ulp(1) / 2, so E + eps rounds to E = 1: a chain with nu_1 = 1 has the singular first
+        # pivot diag(0, -2) at the upper end and a near-singular one at the lower end
+        p = ModelParams.xy(2, 0.5, two_point_field)
+        L, samples, seed = 1400, 6, 7
+        eps = np.exp(-np.sqrt(L))
+        assert 1.0 + eps == 1.0
+        solved = []
+
+        def traced(M, **kw):
+            solved.append(M.V[0, 0, 0])
+            return eigensolve(M, **kw)
+
+        monkeypatch.setattr(localization, "eigensolve", traced)
+        (rec,) = wegner_probe(p, 1.0, [L], beta=0.5, sigma=1.0, samples=samples, seed=seed)
+        p_L = ModelParams.xy(L, 0.5, two_point_field)
+        first = [sample_disorder(p_L, seed, (L << 32) | s).nu[0] for s in range(samples)]
+        assert 0 < first.count(1.0) <= solved.count(1.0)  # every chain with nu_1 = 1 is eigensolved
+        assert rec.hits == self.nearest_eigenvalue_hits(two_point_field, 1.0, L, eps, samples, seed)
+
+    def test_batches_of_chains_give_the_same_hits(self, monkeypatch):
+        p = ModelParams.xy(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        args = dict(E=0.7, L_list=[50, 200], beta=0.5, sigma=0.3, samples=7, seed=5)
+        whole = wegner_probe(p, **args)
+        monkeypatch.setattr(localization, "COUNT_SWEEP_SITES", 120)  # two chains of 50, one of 200
+        assert wegner_probe(p, **args) == whole
+        assert any(0 < rec.hits < 7 for rec in whole)
 
     def test_probability_decays_with_length(self, two_point_field):
         p = ModelParams.xy(50, 0.5, two_point_field)

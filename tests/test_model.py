@@ -232,6 +232,21 @@ def test_dense_equals_per_site_fill_and_band(seed, ell, n):
         assert np.array_equal(band[k, : max(n * ell - k, 0)], np.diagonal(dense, -k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_assembled_hoppings_equal_the_per_site_stack(seed, n):
+    rng = np.random.default_rng(seed)
+    gamma = rng.choice([0.0, -0.5, 2.0], n - 1) * rng.uniform(0.1, 0.9, n - 1)
+    mu = rng.uniform(-3.0, 3.0, n - 1)
+    p = ModelParams(n=n, mu=mu, gamma=gamma, rho=SingleSiteDistribution.uniform(-1.0, 1.0))
+    S = assemble_block_jacobi(p, sample_disorder(p, seed)).S
+    stack = anisotropy_block(gamma)
+    assert stack.tobytes() == np.array([anisotropy_block(g) for g in gamma]).tobytes()
+    expected = np.array([m * anisotropy_block(g) for m, g in zip(mu, gamma)])
+    assert np.array_equal(S, expected)
+    assert S.tobytes() == expected.tobytes()  # signed zeros too
+
+
 def test_write_dense_csv_round_trip(tmp_path, xy_params):
     p = xy_params(n=4)
     M = assemble_block_jacobi(p, sample_disorder(p, 9))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_chebyu
 
 from randblock.errors import NumericalFailure
 from randblock.model import (
+    DisorderRealization,
     ModelParams,
+    SingleSiteDistribution,
     assemble_block_jacobi,
     assemble_general,
     random_instance,
@@ -18,6 +20,7 @@ from randblock.transfer import (
     OVERFLOW_LIMIT,
     GreenEvaluator,
     charpoly_identity_check,
+    eigenvalue_counts,
     fundamental_solutions,
     log_abs_det,
     qr_block,
@@ -374,6 +377,95 @@ class TestSchurLogDet:
         chains = [scalar_instance([0.4, -0.2, 0.1])]
         with pytest.raises(NumericalFailure, match="singular Schur pivot"):
             log_abs_det(chains, [0.4])
+
+
+class TestEigenvalueCounts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.integers(1, 3),
+        L=st.integers(1, 40),
+        x=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_eigvalsh_counts(self, ell, L, x, seed):
+        rng = np.random.default_rng(seed)
+        chains = [random_instance(rng, ell, L) for _ in range(2)]
+        spectra = [np.linalg.eigvalsh(M.dense()) for M in chains]
+        assume(all(np.min(np.abs(w[:, None] - np.array(x))) >= 1e-8 for w in spectra))
+        got, resolved = eigenvalue_counts(chains, x)
+        assert got.shape == resolved.shape == (2, len(x))
+        assert resolved.all()
+        for r, w in enumerate(spectra):
+            assert got[r].tolist() == [int(np.sum(w < xj)) for xj in x]
+
+    def test_vanishing_first_pivot_is_floored(self):
+        # P_0 = 0.5 - 0.5 = 0 exactly and is floored; the eigenvalues are 0.1 -+ sqrt(1.16)
+        M = scalar_instance([0.5, -0.3])
+        counts, resolved = eigenvalue_counts([M], [0.5])
+        assert counts.tolist() == [[1]] and resolved.all()
+        assert int(np.sum(np.linalg.eigvalsh(M.dense()) < 0.5)) == 1
+
+    def test_zero_atom_at_zero_energy_matches_dense_count(self):
+        # nu_1 = 0 makes the first 2x2 pivot vanish at E = 0; nu_2 = 0 then meets its floored inverse
+        p = ModelParams.xy(30, 0.5, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        nu = sample_disorder(p, 2).nu.copy()
+        nu[:2] = 0.0
+        M = assemble_block_jacobi(p, DisorderRealization(seed=2, index=0, nu=nu))
+        with pytest.raises(NumericalFailure, match="singular Schur pivot"):
+            log_abs_det([M], [0.0])
+        w = np.linalg.eigvalsh(M.dense())
+        assert np.min(np.abs(w)) > 1e-10  # the dense count is unambiguous
+        counts, resolved = eigenvalue_counts([M], [0.0])
+        assert counts.tolist() == [[int(np.sum(w < 0.0))]] and resolved.all()
+
+    def test_rank_deficient_block_pivot_is_unresolved(self):
+        # P_0 = 0.5 sigma_z - 0.5 = diag(0, -1): singular, but not within the floor; the other
+        # chains of the sweep are still counted
+        p = ModelParams.xy(6, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        M = assemble_block_jacobi(p, DisorderRealization(seed=0, index=0, nu=np.full(6, 0.5)))
+        other = assemble_block_jacobi(p, sample_disorder(p, 3))
+        counts, resolved = eigenvalue_counts([M, other, M], [0.5, 0.2])
+        assert resolved.tolist() == [[False, True], [True, True], [False, True]]
+        for r, N in enumerate([M, other, M]):
+            assert counts[r, 1] == np.sum(np.linalg.eigvalsh(N.dense()) < 0.2)
+        assert counts[1, 0] == np.sum(np.linalg.eigvalsh(other.dense()) < 0.5)
+
+    def test_near_singular_leading_pivot_is_unresolved(self):
+        # at x one ulp below nu_1 = 1, P_0 = diag(1.1e-16, -2): the next pivot's small eigenvalue is lost
+        p = ModelParams.xy(8, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        nu = np.array([1.0, 0.3, -0.2, 0.9, -0.7, 0.1, 0.6, -0.4])
+        M = assemble_block_jacobi(p, DisorderRealization(seed=0, index=0, nu=nu))
+        _, resolved = eigenvalue_counts([M], [np.nextafter(1.0, -np.inf), 1.0, 0.5])
+        assert resolved.tolist() == [[False, False, True]]
+
+    def test_overflowing_pivot_is_unresolved(self):
+        # P_1 = 0.2 - 1e300^2 / 0.5 overflows; the second chain is counted as usual
+        big, small = scalar_instance([0.5, 0.2, -0.1], hop=[1e300, 1.0]), scalar_instance([0.5, 0.2, -0.1])
+        counts, resolved = eigenvalue_counts([big, small], [0.0])
+        assert resolved.tolist() == [[False], [True]]
+        assert counts[1, 0] == np.sum(np.linalg.eigvalsh(small.dense()) < 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=st.sampled_from([0.0, 0.3, 0.5, 2.0]),
+        nu=st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=30),
+        x=st.sampled_from([1.0, float(np.nextafter(1.0, -np.inf)), float(np.nextafter(1.0, np.inf)),
+                           0.0, -1.0, 1.0 - 1e-14, 1.0 + 1e-13]),
+    )
+    def test_resolved_counts_at_atoms_match_dense(self, gamma, nu, x):
+        # potentials on the atoms of a two-point law put x at or within rounding of
+        # sub-chain eigenvalues; a resolved count must still be the dense count
+        p = ModelParams.xy(len(nu), gamma, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        M = assemble_block_jacobi(p, DisorderRealization(seed=0, index=0, nu=np.array(nu)))
+        w = np.linalg.eigvalsh(M.dense())
+        assume(np.min(np.abs(w - x)) >= 1e-8)
+        counts, resolved = eigenvalue_counts([M], [x])
+        if resolved[0, 0]:
+            assert counts[0, 0] == np.sum(w < x)
+
+    def test_complex_energy_is_refused(self, rng):
+        with pytest.raises(ValueError, match="real energies"):
+            eigenvalue_counts([random_instance(rng, 2, 5)], [0.3 + 0.1j])
 
 
 class TestCharpoly:
