@@ -27,7 +27,6 @@ from .spectral import (
     SpectralData,
     almost_sure_spectrum_approx,
     check_gap,
-    check_spectral_symmetry,
     dos_histogram,
     eigensolve,
     ensemble_spectra,
@@ -38,7 +37,6 @@ from .transfer import (
     CharpolyReport,
     GreenEvaluator,
     MatrixSolution,
-    TransferMatrix,
     charpoly_identity_check,
     fundamental_solutions,
     transfer_matrix,
@@ -76,7 +74,6 @@ from .localization import (
     CorrelatorField,
     DecayFit,
     WegnerRecord,
-    dynamical_sup_lower_bound,
     eigenfunction_correlator,
     ensemble_correlator,
     evolution_block_norm,

@@ -9,9 +9,8 @@ field into the embedded config with its default.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr, and an almost surely constant disorder
-law emits {"warning": ..., "kind": "TrivialDisorderWarning"} there.  --threads
-(or RANDBLOCK_THREADS) only parallelizes the independent realizations of
-spectrum, dos and lr-stats, and never changes any number.
+law emits {"warning": ..., "kind": "TrivialDisorderWarning"} there.  Every
+subcommand runs its realizations one after another, in index order.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .model import (
     sample_disorder,
     write_dense_csv,
 )
-from .parallel import resolve_threads
 
 
 def _fmt(value) -> str:
@@ -86,6 +84,12 @@ def _int(value, name: str) -> int:
 def _float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, name: str) -> float:
+    if not _float(value, name) > 0.0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
     return float(value)
 
 
@@ -184,7 +188,7 @@ def _check_dense(what: str, dim: int) -> None:
 def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
     if v.dump_matrix:
         _check_dense("2 n", 2 * v.n)
-    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed, threads=args.threads)
+    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed)
     rows = []
     for r, spec in enumerate(specs):
         for i, lam in enumerate(spec.eigenvalues):
@@ -197,7 +201,7 @@ def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_dos(v, cfg: dict, out: str, args) -> None:
-    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed, threads=args.threads)
+    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed)
     dos = spectral.dos_histogram(specs, bins=v.bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
     _write_csv(os.path.join(out, "dos.csv"), cfg, ["bin_lo", "bin_hi", "mass"], rows)
@@ -440,7 +444,6 @@ def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
         num_realizations=v.num_realizations,
         seed=v.seed,
         observables=v.observables,
-        threads=args.threads,
     )
     rows = [(s.separation, s.mean_sup, s.se) for s in stats]
     _write_csv(os.path.join(out, "lr_stats.csv"), cfg, ["separation", "mean_sup_comm", "se"], rows)
@@ -487,10 +490,10 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
                                # only the certificate draws, so a run without one needs no seed
                                "seed": Field(_int, lambda v: _REQUIRED if v["certificate_samples"] else 0)}),
     "correlator": (_cmd_correlator, {**_MODEL, "window": Field(_window),
-                                     "num_realizations": Field(_int, 100, low=1), "zeta": Field(_float, 0.9),
+                                     "num_realizations": Field(_int, 100, low=1), "zeta": Field(_positive, 0.9),
                                      "boundary": Field(_int, 5, low=0)}),
     "wegner-probe": (_cmd_wegner_probe, {**_MODEL, "E": Field(_float), "L_list": Field(_list(_int), low=2),
-                                         "beta": Field(_float), "sigma": Field(_float),
+                                         "beta": Field(_positive), "sigma": Field(_positive),
                                          "samples": Field(_int, 100, low=1)}),
     "xy-verify": (_cmd_xy_verify, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 6), low=2),
                                    "t_list": Field(_list(_float), [0.5, 1.7, 5.0])}),
@@ -508,10 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the JSON run config")
     common.add_argument("--out", required=True, help="output directory (created if missing)")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for spectrum, dos and lr-stats (default: RANDBLOCK_THREADS or 1)",
-    )
     common.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     parser = argparse.ArgumentParser(prog="randblock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -522,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
-    resolve_threads(args.threads)  # validate early
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import ConfigError
 from .model import SIGMA_Z, anisotropy_block
-from .transfer import symplectic_form, transfer_matrix
+from .transfer import symplectic_defect, symplectic_form, transfer_matrix
 
 SYMPLECTIC_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -47,17 +47,12 @@ _SP2_COORDS = tuple(np.array([
 ]).T)
 
 
-def _symplectic_defect(A: np.ndarray) -> np.ndarray:
-    """max |A^t J A - J| of each matrix in a (..., 4, 4) stack."""
-    return np.abs(np.swapaxes(A, -1, -2) @ J4 @ A - J4).max(axis=(-2, -1))
-
-
 def _require_symplectic(A: np.ndarray) -> None:
     """Raise unless every matrix of the stack is symplectic to SYMPLECTIC_TOL max(1, max |A|)^2.
 
     The test is written so that a NaN defect fails it.
     """
-    defect = _symplectic_defect(A)
+    defect = symplectic_defect(A)
     failed = ~(defect <= SYMPLECTIC_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) ** 2)
     if np.any(failed):
         raise ConfigError(f"matrix is not symplectic, defect {np.max(defect, where=failed, initial=0.0):.3e}")
@@ -72,9 +67,6 @@ class Sp2Element:
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=float)
         _require_symplectic(self.matrix)
-
-    def symplectic_defect(self) -> float:
-        return float(_symplectic_defect(self.matrix))
 
     def inv(self) -> np.ndarray:
         # J^{-1} A^t J inverts any symplectic matrix without a solve
@@ -95,7 +87,7 @@ def build_A0(E: float, gamma: float) -> Sp2Element:
         raise ConfigError(f"E and gamma must be finite, got E={E}, gamma={gamma}")
     if abs(gamma) == 1.0:
         raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
-    A = transfer_matrix(np.zeros((2, 2)), anisotropy_block(gamma), float(E)).matrix
+    A = transfer_matrix(np.zeros((2, 2)), anisotropy_block(gamma), float(E))
     return Sp2Element(matrix=A)
 
 

@@ -18,7 +18,7 @@ counts at the ends of a window, from the Schur pivots of one batched sweep
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,10 @@ def fit_decay(
 
     Pairs within `boundary` sites of either edge are excluded, positive
     entries are aggregated by distance as means of log Q, and bins with
-    fewer than MIN_PAIRS_PER_BIN contributing pairs are dropped.
+    fewer than MIN_PAIRS_PER_BIN contributing pairs are dropped.  The
+    quadratic refit sums d^(4 zeta) over the bins, so a regressor d^zeta
+    whose fourth powers do not sum to a finite number, or that takes one
+    value for every distance, is a NumericalFailure.
     """
     if field.empty:
         raise NumericalFailure("correlator window contains no spectrum")
@@ -150,7 +153,12 @@ def fit_decay(
     if len(distances) < 3:
         raise NumericalFailure("not enough populated distance bins for a decay fit")
 
-    x = np.asarray(distances) ** zeta
+    # an overflow is reported by the check below, not as warnings
+    with np.errstate(over="ignore"):
+        x = np.asarray(distances) ** zeta
+        fourth = float(np.sum(x**4))
+    if not (np.isfinite(fourth) and np.ptp(x) > 0.0):
+        raise NumericalFailure(f"regressor d^zeta at zeta = {zeta} is not finite or is constant")
     y = np.asarray(mean_logs)
     m = x.size
     X = np.column_stack([np.ones(m), x])
@@ -210,17 +218,6 @@ def evolution_block_norm(
     return float(np.linalg.norm(block, 2))
 
 
-def dynamical_sup_lower_bound(
-    spec: SpectralData,
-    window: tuple[float, float],
-    j: int,
-    k: int,
-    t_grid: np.ndarray,
-) -> float:
-    """max over the grid of the evolution block norm; a lower bound for sup_t."""
-    return max(evolution_block_norm(spec, window, j, k, float(t)) for t in np.asarray(t_grid))
-
-
 @dataclass
 class WegnerRecord:
     L: int
@@ -245,7 +242,8 @@ def wegner_probe(
     """Probability that the spectrum approaches E at stretched scale exp(-sigma L^beta).
 
     For each length L, counts realizations with an eigenvalue in the closed
-    window [E - eps_L, E + eps_L], eps_L = exp(-sigma * L^beta).
+    window [E - eps_L, E + eps_L], eps_L = exp(-sigma * L^beta); an L^beta
+    beyond the float range gives eps_L = 0.
     transfer.eigenvalue_counts gives the Sturm counts N(x) = #{lambda < x} at
     both ends, in one sweep per batch of at most COUNT_SWEEP_SITES chain
     sites, and a realization hits when N(E + eps_L) - N(E - eps_L) > 0.
@@ -266,7 +264,8 @@ def wegner_probe(
         raise NumericalFailure("wegner probe varies n and needs homogeneous couplings")
     records = []
     for L in L_list:
-        eps = float(np.exp(-sigma * L**beta))
+        with np.errstate(over="ignore"):  # L^beta = inf gives exp(-inf) = 0
+            eps = float(np.exp(-sigma * np.float64(L) ** beta))
         p_L = ModelParams.xy(n=L, gamma=gamma0, rho=params.rho, mu=mu0)
         window = [np.nextafter(E - eps, -np.inf), E + eps]
         batch = max(1, COUNT_SWEEP_SITES // L)

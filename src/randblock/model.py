@@ -21,7 +21,6 @@ form (Lieb, Schultz and Mattis 1961); `chiral_coupling` builds C.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -341,14 +340,6 @@ class BlockJacobiMatrix:
         C[k, k + 1] = -(S[:, 0, 0] - S[:, 0, 1])
         C[k + 1, k] = -(S[:, 0, 0] + S[:, 0, 1])
         return C
-
-    def fingerprint(self) -> str:
-        """Short content hash, stable across runs, for provenance lines."""
-        h = hashlib.sha1()
-        h.update(np.int64([self.ell, self.n]).tobytes())
-        h.update(np.ascontiguousarray(self.V).tobytes())
-        h.update(np.ascontiguousarray(self.S).tobytes())
-        return h.hexdigest()[:12]
 
 
 @dataclass

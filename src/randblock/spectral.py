@@ -1,4 +1,4 @@
-"""Finite-chain spectra, symmetry and gap checks, periodic approximants, and DOS.
+"""Finite-chain spectra, a gap check, periodic approximants, and DOS.
 
 Finite chains are diagonalized exactly and no dense matrix is built:
 eigenvalues alone from the band storage of the operator, eigenvectors of
@@ -32,13 +32,11 @@ from .model import (
     assemble_block_jacobi,
     sample_disorder,
 )
-from .parallel import parallel_map
 
 EIGEN_RESIDUAL_TOL = 1e-8
 BAND_EDGE_TOL = 1e-8
 BAND_MERGE_TOL = 1e-9
 BASE_THETA_GRID = 512
-SYMMETRY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -100,38 +98,17 @@ def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
     return SpectralData(eigenvalues=vals, eigenvectors=vecs.reshape(2 * n, 2 * n), ell=M.ell, n=n)
 
 
-@dataclass
-class SymmetryReport:
-    max_deviation: float
-    passed: bool
-
-
-def check_spectral_symmetry(spec: SpectralData) -> SymmetryReport:
-    """Check that the spectrum is symmetric about zero, lambda <-> -lambda, to SYMMETRY_TOL."""
-    vals = np.sort(spec.eigenvalues)
-    dev = float(np.max(np.abs(vals + vals[::-1]))) if vals.size else 0.0
-    return SymmetryReport(max_deviation=dev, passed=dev <= SYMMETRY_TOL)
-
-
 def check_gap(spec: SpectralData, lam: float) -> bool:
     """True iff no eigenvalue lies in the open window (-lam, lam)."""
     return not bool(np.any(np.abs(spec.eigenvalues) < lam))
 
 
-def ensemble_spectra(
-    params: ModelParams,
-    num_realizations: int,
-    seed: int,
-    want_vectors: bool = False,
-    threads: int | None = None,
-) -> list[SpectralData]:
-    """Diagonalize independent realizations index = 0..num_realizations-1."""
-
-    def one(index: int) -> SpectralData:
-        real = sample_disorder(params, seed, index)
-        return eigensolve(assemble_block_jacobi(params, real), want_vectors=want_vectors)
-
-    return parallel_map(one, range(num_realizations), threads=threads)
+def ensemble_spectra(params: ModelParams, num_realizations: int, seed: int) -> list[SpectralData]:
+    """Eigenvalues of independent realizations index = 0..num_realizations-1, in that order."""
+    return [
+        eigensolve(assemble_block_jacobi(params, sample_disorder(params, seed, index)), want_vectors=False)
+        for index in range(num_realizations)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -102,21 +102,10 @@ def symplectic_form(ell: int) -> np.ndarray:
     return J
 
 
-@dataclass
-class TransferMatrix:
-    """One 2ell x 2ell transfer step at a fixed (possibly complex) energy."""
-
-    matrix: np.ndarray
-    energy: complex
-
-    @property
-    def ell(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def symplectic_defect(self) -> float:
-        """max |A^t J A - J|; zero in exact arithmetic for symmetric V."""
-        J = symplectic_form(self.ell)
-        return float(np.max(np.abs(self.matrix.T @ J @ self.matrix - J)))
+def symplectic_defect(A: np.ndarray) -> np.ndarray:
+    """max |A^t J A - J| of each matrix in a (..., 2ell, 2ell) stack; zero in exact arithmetic for every A_k."""
+    J = symplectic_form(A.shape[-1] // 2)
+    return np.abs(np.swapaxes(A, -1, -2) @ J @ A - J).max(axis=(-2, -1))
 
 
 def _energy(E: complex) -> complex:
@@ -144,10 +133,9 @@ def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarra
     return A
 
 
-def transfer_matrix(V_k: np.ndarray, S_prev: np.ndarray, E: complex) -> TransferMatrix:
-    """Build A_k from the diagonal block V_k and the incoming hopping S_{k-1}."""
-    A = transfer_factors(np.asarray(V_k)[None], np.asarray(S_prev)[None], E)[0]
-    return TransferMatrix(matrix=A, energy=_energy(E))
+def transfer_matrix(V_k: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarray:
+    """The 2ell x 2ell factor A_k from the diagonal block V_k and the incoming hopping S_{k-1}."""
+    return transfer_factors(np.asarray(V_k)[None], np.asarray(S_prev)[None], E)[0]
 
 
 @functools.cache

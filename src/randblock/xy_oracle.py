@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import DisorderRealization, HatBlockMatrix, ModelParams, assemble_hat_form, sample_disorder
-from .parallel import parallel_map
 
 MAX_DENSE_QUBITS = 12
 HERMITICITY_TOL = 1e-12
@@ -330,7 +329,6 @@ def lr_commutator_stats(
     num_realizations: int = 50,
     seed: int = 0,
     observables: tuple[str, str] = ("x", "x"),
-    threads: int | None = None,
 ) -> list[LRStat]:
     """Disorder statistics of sup_t |[tau_t(A_j), B_k]| versus separation.
 
@@ -358,7 +356,7 @@ def lr_commutator_stats(
         Bs = [site_operator(_PAULI_BY_NAME[observables[1]], k, n) for k in ks]
         return _dense_sup_commutator(H, A, Bs, t_grid)
 
-    rows = np.stack(parallel_map(one, range(num_realizations), threads=threads))
+    rows = np.stack([one(index) for index in range(num_realizations)])
     out = []
     for col, k in enumerate(ks):
         vals = rows[:, col]

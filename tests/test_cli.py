@@ -63,12 +63,6 @@ class TestSpectrumCommand:
         b = run_spectrum(tmp_path, FIXTURE_CFG, "b")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = {**FIXTURE_CFG, "n": 12, "num_realizations": 6}
-        one = run_spectrum(tmp_path, cfg, "t1", extra=["--threads", "1"])
-        four = run_spectrum(tmp_path, cfg, "t4", extra=["--threads", "4"])
-        assert one.read_bytes() == four.read_bytes()
-
     def test_provenance_roundtrip(self, tmp_path):
         # the embedded config line alone must reproduce the file, including
         # a seed supplied only on the command line
@@ -228,6 +222,12 @@ class TestErrorPaths:
             ("lr-stats", {"t_max": math.inf}),
             ("zariski", {"E_grid": [0.5], "gamma": math.nan}),
             ("asspec", {"max_period": 1.5}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 2, "zeta": 0}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 2, "zeta": -0.5}),
+            ("wegner-probe", {**WEGNER, "sigma": -100}),
+            ("wegner-probe", {**WEGNER, "sigma": 0}),
+            ("wegner-probe", {**WEGNER, "beta": 0}),
+            ("wegner-probe", {**WEGNER, "beta": -1}),
         ],
     )
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
@@ -247,17 +247,21 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config" and "depth" in err["error"]
 
-    @pytest.mark.parametrize(
-        "argv, env",
-        [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "abc")],
-    )
-    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, argv, env):
-        if env is not None:
-            monkeypatch.setenv("RANDBLOCK_THREADS", env)
-        cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
-        code = cli.main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o"), *argv])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+    def test_overflowing_decay_regressor_exits_3(self, tmp_path, capsys):
+        # d^400 overflows for every distance d >= 6 of the fit
+        cfg = {**FIXTURE_CFG, "n": 40, "window": [0.5, 1.5], "num_realizations": 2, "zeta": 400}
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        assert cli.main(["correlator", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical" and "d^zeta" in err["error"]
+
+    def test_wegner_scale_beyond_the_float_range_gives_zero_eps(self, tmp_path):
+        # 400^1000 overflows a double, so eps = exp(-sigma 400^1000) is 0
+        cfg_path = write_cfg(tmp_path / "c.json", {**FIXTURE_CFG, **WEGNER, "beta": 1000, "L_list": [400]})
+        out = tmp_path / "o"
+        assert cli.main(["wegner-probe", "--config", cfg_path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "wegner.csv")
+        assert len(rows) == 1 and rows[0][:2] == [400.0, 0.0] and 0.0 <= rows[0][2] <= 1.0
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_non_object_config_exits_2(self, tmp_path, capsys, command):
@@ -321,6 +325,12 @@ class TestErrorPaths:
         cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
         with pytest.raises(SystemExit) as exc:
             cli.main(["spectrum", "--config", cfg_path])
+        assert exc.value.code == 2
+
+    def test_threads_flag_is_usage_error(self, tmp_path):
+        cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o"), "--threads", "2"])
         assert exc.value.code == 2
 
     def test_unknown_command_is_usage_error(self):

@@ -164,15 +164,6 @@ def test_block_matrix_validation():
         assemble_general(2, [np.zeros((2, 2))] * 3, [np.eye(2)])  # length mismatch
 
 
-def test_fingerprint_is_stable_and_sensitive(xy_params):
-    p = xy_params(n=10)
-    M1 = assemble_block_jacobi(p, sample_disorder(p, 1))
-    M2 = assemble_block_jacobi(p, sample_disorder(p, 1))
-    M3 = assemble_block_jacobi(p, sample_disorder(p, 2))
-    assert M1.fingerprint() == M2.fingerprint()
-    assert M1.fingerprint() != M3.fingerprint()
-    assert len(M1.fingerprint()) == 12
-
 
 def test_random_instance_respects_constraints(rng):
     for ell in (1, 2, 3):

@@ -25,6 +25,7 @@ from randblock.transfer import (
     log_abs_det,
     qr_block,
     schur_sweep,
+    symplectic_defect,
     symplectic_form,
     transfer_factors,
     transfer_matrix,
@@ -49,17 +50,17 @@ class TestTransferMatrix:
             S = rng.normal(size=(ell, ell)) + 2 * np.eye(ell)
             for E in (0.3, 1.0 + 0.5j):
                 A = transfer_matrix(V, S, E)
-                assert A.symplectic_defect() <= 1e-12 * max(1.0, np.abs(A.matrix).max() ** 2)
+                assert symplectic_defect(A) <= 1e-12 * max(1.0, np.abs(A).max() ** 2)
 
     def test_real_energy_stays_real(self):
         A = transfer_matrix(np.zeros((1, 1)), np.eye(1), complex(0.37, 0.0))
-        assert A.matrix.dtype == np.float64
+        assert A.dtype == np.float64
 
     def test_free_scalar_at_zero_energy_has_period_four(self):
         # A = [[0,1],[-1,0]] is a quarter rotation
         A = transfer_matrix(np.zeros((1, 1)), np.eye(1), 0.0)
-        assert np.array_equal(np.linalg.matrix_power(A.matrix, 4), np.eye(2))
-        assert np.array_equal(np.linalg.matrix_power(A.matrix, 2), -np.eye(2))
+        assert np.array_equal(np.linalg.matrix_power(A, 4), np.eye(2))
+        assert np.array_equal(np.linalg.matrix_power(A, 2), -np.eye(2))
 
 
 class TestTransferFactors:
@@ -81,11 +82,13 @@ class TestTransferFactors:
         A = transfer_factors(V, S, E)
         assert A.shape == (m, 2 * ell, 2 * ell)
         assert A.dtype == (np.float64 if E_im == 0.0 else np.complex128)
+        defect = symplectic_defect(A)
+        assert defect.shape == (m,)
+        assert np.all(defect <= 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)) ** 2))
         J = symplectic_form(ell)
         for k in range(m):
-            defect = np.abs(A[k].T @ J @ A[k] - J).max()
-            assert defect <= 1e-12 * max(1.0, np.abs(A[k]).max() ** 2)
-            assert np.array_equal(A[k], transfer_matrix(V[k], S[k], E).matrix)
+            assert defect[k] == np.abs(A[k].T @ J @ A[k] - J).max()
+            assert np.array_equal(A[k], transfer_matrix(V[k], S[k], E))
 
     @pytest.mark.parametrize("E", [0.6, 0.6 + 0.3j])
     def test_shared_hopping_equals_its_stack(self, rng, E):
@@ -514,3 +517,9 @@ def test_symplectic_form_square():
     J = symplectic_form(2)
     assert np.array_equal(J @ J, -np.eye(4))
     assert np.array_equal(J.T, -J)
+
+
+def test_symplectic_defect_of_a_non_symplectic_stack():
+    # diag(a, b, 1/a, 1/b) is symplectic, diag(2, 1, 1, 1) has defect |2 * 1 - 1| = 1
+    A = np.stack([np.diag([2.0, 3.0, 0.5, 1.0 / 3.0]), np.diag([2.0, 1.0, 1.0, 1.0])])
+    np.testing.assert_allclose(symplectic_defect(A), [0.0, 1.0], rtol=0, atol=1e-15)
