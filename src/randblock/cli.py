@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import json
 import os
@@ -31,7 +32,6 @@ from . import localization, lyapunov, spectral, transfer, xy_oracle
 from .errors import ConfigError, NumericalFailure
 from .furstenberg import energy_sweep_rank, zero_energy_reducibility_certificate
 from .model import (
-    ModelParams,
     TrivialDisorderWarning,
     assemble_block_jacobi,
     assemble_hat_form,
@@ -285,7 +285,7 @@ def _cmd_lyapunov(v, cfg: dict, out: str, args) -> None:
 
 def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
     params = v.params
-    dos_params = ModelParams.xy(n=v.dos.n, gamma=float(params.gamma[0]), rho=params.rho, mu=float(params.mu[0]))
+    dos_params = dataclasses.replace(params, n=v.dos.n)
     chains = [
         assemble_block_jacobi(dos_params, sample_disorder(dos_params, v.seed + 1, r))
         for r in range(v.dos.num_realizations)
@@ -308,7 +308,7 @@ def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
 
 def _cmd_zero_energy(v, cfg: dict, out: str, args) -> None:
     params, seed = v.params, v.seed
-    gamma = float(params.gamma[0])
+    gamma = params.gamma
     aux = lyapunov.zero_energy_aux_exponent(gamma, params.rho, steps=v.steps, seed=seed)
     pred = lyapunov.zero_energy_closed_form(gamma, aux)
     direct = lyapunov.lyapunov_spectrum(params, 0.0, steps=v.steps, seed=seed + 1)

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError
-from .model import SIGMA_Z, anisotropy_block
+from .model import SIGMA_Z, anisotropy_block, check_gamma
 from .transfer import symplectic_defect, symplectic_form, transfer_matrix
 
 SYMPLECTIC_TOL = 1e-12
@@ -83,10 +83,9 @@ def build_M(Q: np.ndarray) -> Sp2Element:
 
 def build_A0(E: float, gamma: float) -> Sp2Element:
     """Potential-free site transfer at energy E for anisotropy gamma."""
-    if not (np.isfinite(E) and np.isfinite(gamma)):
-        raise ConfigError(f"E and gamma must be finite, got E={E}, gamma={gamma}")
-    if abs(gamma) == 1.0:
-        raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
+    if not np.isfinite(E):
+        raise ConfigError(f"energy E must be finite, got {E!r}")
+    check_gamma(gamma)
     A = transfer_matrix(np.zeros((2, 2)), anisotropy_block(gamma), float(E))
     return Sp2Element(matrix=A)
 

@@ -18,7 +18,7 @@ counts at the ends of a window, from the Schur pivots of one batched sweep
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,7 +128,9 @@ def fit_decay(
     fewer than MIN_PAIRS_PER_BIN contributing pairs are dropped.  The
     quadratic refit sums d^(4 zeta) over the bins, so a regressor d^zeta
     whose fourth powers do not sum to a finite number, or that takes one
-    value for every distance, is a NumericalFailure.
+    value for every distance, is a NumericalFailure.  So is a regressor
+    that leaves either least-squares design below full rank, and a fit
+    whose eta, its interval, log C, C or curvature is not finite.
     """
     if field.empty:
         raise NumericalFailure("correlator window contains no spectrum")
@@ -162,7 +164,7 @@ def fit_decay(
     y = np.asarray(mean_logs)
     m = x.size
     X = np.column_stack([np.ones(m), x])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
     dof = m - 2
     s2 = float(resid @ resid) / dof
@@ -172,14 +174,20 @@ def fit_decay(
     eta_se = float(np.sqrt(slope_var))
     ci = (eta - CI_FACTOR * eta_se, eta + CI_FACTOR * eta_se)
 
-    # quadratic refit in the same regressor flags systematic curvature
+    # quadratic refit in the same regressor flags systematic curvature; with
+    # X2 = QR the variance of the x^2 coefficient is s2_2 / R[2, 2]^2, never negative
     X2 = np.column_stack([np.ones(m), x, x**2])
-    coef2, *_ = np.linalg.lstsq(X2, y, rcond=None)
+    coef2, _, rank2, _ = np.linalg.lstsq(X2, y, rcond=None)
+    if rank < 2 or rank2 < 3:
+        raise NumericalFailure(f"regressor d^zeta at zeta = {zeta} is too close to constant for the fit")
     resid2 = y - X2 @ coef2
     s2_2 = float(resid2 @ resid2) / max(m - 3, 1)
-    cov2 = s2_2 * np.linalg.inv(X2.T @ X2)
     curv = float(coef2[2])
-    curv_se = float(np.sqrt(cov2[2, 2]))
+    curv_se = float(np.sqrt(s2_2) / abs(np.linalg.qr(X2, mode="r")[2, 2]))
+    with np.errstate(over="ignore"):
+        C = np.exp(coef[0])
+    if not np.all(np.isfinite([eta, *ci, coef[0], C, curv, curv_se])):
+        raise NumericalFailure(f"decay fit at zeta = {zeta} is not finite: eta = {eta}, log C = {coef[0]}")
     return DecayFit(
         zeta=zeta,
         eta=eta,
@@ -259,14 +267,11 @@ def wegner_probe(
     a banded eigensolve.  Realization index (L << 32) | s keeps all draws
     independent across lengths and samples.
     """
-    mu0, gamma0 = float(params.mu[0]), float(params.gamma[0])
-    if not (np.all(params.mu == mu0) and np.all(params.gamma == gamma0)):
-        raise NumericalFailure("wegner probe varies n and needs homogeneous couplings")
     records = []
     for L in L_list:
         with np.errstate(over="ignore"):  # L^beta = inf gives exp(-inf) = 0
             eps = float(np.exp(-sigma * np.float64(L) ** beta))
-        p_L = ModelParams.xy(n=L, gamma=gamma0, rho=params.rho, mu=mu0)
+        p_L = replace(params, n=L)
         window = [np.nextafter(E - eps, -np.inf), E + eps]
         batch = max(1, COUNT_SWEEP_SITES // L)
         hits = 0

@@ -62,11 +62,9 @@ class BlockEnsemble:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "BlockEnsemble":
-        """Stationary ensemble of a homogeneous chain: constant mu, gamma."""
+        """Stationary ensemble of the chain: i.i.d. nu_k sigma_z and one hopping mu S(gamma)."""
         mu, gamma = params.mu, params.gamma
-        if not (np.all(mu == mu[0]) and np.all(gamma == gamma[0])):
-            raise ConfigError("cocycle ensembles need homogeneous couplings")
-        S_const = mu[0] * anisotropy_block(gamma[0])
+        S_const = mu * anisotropy_block(gamma)
         rho = params.rho
 
         def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +73,7 @@ class BlockEnsemble:
             return V, S_const
 
         # det(mu S(gamma)) = mu^2 (gamma^2 - 1)
-        mean_log = float(np.log(mu[0] ** 2 * abs(gamma[0] ** 2 - 1.0)))
+        mean_log = float(np.log(mu**2 * abs(gamma**2 - 1.0)))
         return cls(ell=2, draw_blocks=draw, mean_log_abs_det_s=mean_log)
 
     @classmethod

@@ -6,7 +6,7 @@ The operator acts on vectors u = (u(1), ..., u(n)) with u(k) in C^ell as
 
 i.e. the dense matrix carries V_k on the diagonal and -S_k / -S_k^t on the
 off-diagonals.  The anisotropic single-band chain is the special case
-ell = 2, V_k = nu_k sigma_z, S_k = mu_k S(gamma_k) with
+ell = 2, V_k = nu_k sigma_z, S_k = mu S(gamma) with
 
     S(gamma) = [[1, gamma], [-gamma, -1]],   det S(gamma) = gamma^2 - 1.
 
@@ -21,8 +21,9 @@ form (Lieb, Schultz and Mattis 1961); `chiral_coupling` builds C.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,18 @@ def anisotropy_block(gamma: float | np.ndarray) -> np.ndarray:
     S[..., 1, 0] = -gamma
     S[..., 1, 1] = -1.0
     return S
+
+
+def check_gamma(gamma: float) -> None:
+    """ConfigError unless the anisotropy gamma is finite with |gamma| != 1.
+
+    |gamma| = 1 makes every hopping block singular and the transfer matrix
+    formalism meaningless, so it is rejected outright.
+    """
+    if not np.isfinite(gamma):
+        raise ConfigError(f"anisotropy gamma must be finite, got {gamma!r}")
+    if abs(gamma) == 1.0:
+        raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +164,6 @@ class SingleSiteDistribution:
             return rng.uniform(self.a, self.b, size)
         return rng.choice(np.asarray(self.points), size=size, p=np.asarray(self.weights))
 
-    def to_config(self) -> dict:
-        if self.kind == "two_point":
-            return {"kind": "two_point", "a": self.a, "b": self.b, "p": self.p}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "a": self.a, "b": self.b}
-        return {"kind": "discrete", "points": list(self.points), "weights": list(self.weights)}
-
 
 # ---------------------------------------------------------------------------
 # model parameters and disorder realizations
@@ -167,62 +173,28 @@ class SingleSiteDistribution:
 class ModelParams:
     """Parameters of the ell = 2 anisotropic chain on n sites.
 
-    `mu` and `gamma` are per-bond sequences of length n - 1; `rho` is the
-    common law of the i.i.d. diagonal potential entries nu_1, ..., nu_n.
+    One hopping strength `mu` and one anisotropy `gamma` serve every bond;
+    `rho` is the common law of the i.i.d. diagonal potential entries
+    nu_1, ..., nu_n.  Both couplings are stored as floats; a bool or a
+    non-number, a non-finite value, mu = 0 and |gamma| = 1 are ConfigErrors.
     """
 
     n: int
-    mu: np.ndarray
-    gamma: np.ndarray
+    gamma: float
     rho: SingleSiteDistribution
-    ell: int = field(default=2, init=False)
+    mu: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigError(f"need at least 2 sites, got n={self.n}")
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if self.mu.size == 1:
-            self.mu = np.full(self.n - 1, self.mu[0])
-        if self.gamma.size == 1:
-            self.gamma = np.full(self.n - 1, self.gamma[0])
-        if self.mu.shape != (self.n - 1,) or self.gamma.shape != (self.n - 1,):
-            raise ConfigError(
-                f"mu/gamma must have length n-1={self.n - 1}, "
-                f"got {self.mu.shape} and {self.gamma.shape}"
-            )
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.gamma))):
-            raise ConfigError("mu and gamma must be finite numbers")
-        if np.any(self.mu == 0.0):
-            raise ConfigError("hopping strengths mu must be nonzero")
-        # |gamma| = 1 makes every hopping block singular and the transfer
-        # matrix formalism meaningless, so it is rejected outright.
-        if np.any(np.abs(self.gamma) == 1.0):
-            raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
-
-    @classmethod
-    def xy(
-        cls,
-        n: int,
-        gamma: float,
-        rho: SingleSiteDistribution,
-        mu: float = 1.0,
-    ) -> "ModelParams":
-        """Homogeneous couplings: mu_k = mu and gamma_k = gamma on every bond."""
-        return cls(n=n, mu=np.array([mu]), gamma=np.array([gamma]), rho=rho)
-
-    def to_config(self) -> dict:
-        mu = self.mu
-        gamma = self.gamma
-        mu_cfg = f"const:{mu[0]}" if np.all(mu == mu[0]) else list(map(float, mu))
-        gamma_cfg = float(gamma[0]) if np.all(gamma == gamma[0]) else list(map(float, gamma))
-        return {
-            "ell": self.ell,
-            "n": self.n,
-            "gamma": gamma_cfg,
-            "mu": mu_cfg,
-            "rho": self.rho.to_config(),
-        }
+        for name in ("mu", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            setattr(self, name, float(value))
+        if not (np.isfinite(self.mu) and self.mu != 0.0):
+            raise ConfigError(f"hopping strength mu must be finite and nonzero, got {self.mu!r}")
+        check_gamma(self.gamma)
 
 
 @dataclass
@@ -348,7 +320,7 @@ class HatBlockMatrix:
 
     A is the symmetric tridiagonal single-band part (diagonal nu, off
     diagonal -mu) and B the antisymmetric anisotropy band with
-    B[j, j+1] = -mu_j gamma_j.  Conjugating `dense()` by the interleaving
+    B[j, j+1] = -mu gamma.  Conjugating `dense()` by the interleaving
     permutation recovers the block Jacobi dense matrix exactly.
     """
 
@@ -373,7 +345,7 @@ def assemble_block_jacobi(params: ModelParams, real: DisorderRealization) -> Blo
     if real.nu.shape != (params.n,):
         raise ConfigError(f"realization has {real.nu.shape[0]} potential entries, expected {params.n}")
     V = real.nu[:, None, None] * SIGMA_Z[None, :, :]
-    S = params.mu[:, None, None] * anisotropy_block(params.gamma)
+    S = np.repeat(params.mu * anisotropy_block(params.gamma)[None], params.n - 1, axis=0)
     return BlockJacobiMatrix(ell=2, n=params.n, V=V, S=S)
 
 
@@ -382,8 +354,9 @@ def assemble_hat_form(params: ModelParams, real: DisorderRealization) -> HatBloc
     if real.nu.shape != (params.n,):
         raise ConfigError(f"realization has {real.nu.shape[0]} potential entries, expected {params.n}")
     n = params.n
-    A = np.diag(real.nu) + np.diag(-params.mu, 1) + np.diag(-params.mu, -1)
-    band = params.mu * params.gamma
+    hop = np.full(n - 1, params.mu)
+    band = hop * params.gamma
+    A = np.diag(real.nu) + np.diag(-hop, 1) + np.diag(-hop, -1)
     B = np.diag(-band, 1) + np.diag(band, -1)
     return HatBlockMatrix(n=n, A=A, B=B)
 
@@ -461,30 +434,12 @@ def rho_from_config(cfg: dict) -> SingleSiteDistribution:
     raise ConfigError(f"unknown rho kind {kind!r}")
 
 
-def _coupling_from_config(value, n: int, name: str) -> np.ndarray:
-    """Parse 'const:X', a scalar, or an explicit per-bond list."""
-    if isinstance(value, str):
-        if not value.startswith("const:"):
-            raise ConfigError(f"{name} string form must be 'const:<value>', got {value!r}")
-        try:
-            return np.array([float(value.split(":", 1)[1])])
-        except ValueError as exc:
-            raise ConfigError(f"bad {name} constant in {value!r}") from exc
-    if isinstance(value, (int, float)):
-        return np.array([float(value)])
-    if isinstance(value, (list, tuple)):
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} list must hold numbers, got {value!r}") from exc
-        if arr.shape != (n - 1,):
-            raise ConfigError(f"{name} list must have length n-1={n - 1}, got {len(arr)}")
-        return arr
-    raise ConfigError(f"cannot parse {name} entry of type {type(value).__name__}")
-
-
 def params_from_config(cfg: dict) -> ModelParams:
-    """Parse the model section of a run config into ModelParams."""
+    """Parse the model section of a run config into ModelParams.
+
+    `gamma` and the optional `mu` (default 1.0) are single numbers;
+    ModelParams rejects every other form, a per-bond list included.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("n", "gamma", "rho"):
@@ -496,7 +451,4 @@ def params_from_config(cfg: dict) -> ModelParams:
     n = cfg["n"]
     if not isinstance(n, int) or n < 2:
         raise ConfigError(f"n must be an integer >= 2, got {n!r}")
-    mu = _coupling_from_config(cfg.get("mu", 1.0), n, "mu")
-    gamma = _coupling_from_config(cfg["gamma"], n, "gamma")
-    rho = rho_from_config(cfg["rho"])
-    return ModelParams(n=n, mu=mu, gamma=gamma, rho=rho)
+    return ModelParams(n=n, gamma=cfg["gamma"], rho=rho_from_config(cfg["rho"]), mu=cfg.get("mu", 1.0))

@@ -30,6 +30,7 @@ from .model import (
     SingleSiteDistribution,
     anisotropy_block,
     assemble_block_jacobi,
+    check_gamma,
     sample_disorder,
 )
 
@@ -286,13 +287,6 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     return np.stack([lo, hi], axis=-1)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not np.isfinite(gamma):
-        raise ConfigError(f"anisotropy gamma must be finite, got {gamma!r}")
-    if abs(gamma) == 1.0:
-        raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
-
-
 def periodic_spectrum(potential: Sequence[float], gamma: float) -> IntervalUnion:
     """Band spectrum of the periodic chain with the given one-period potential.
 
@@ -301,7 +295,7 @@ def periodic_spectrum(potential: Sequence[float], gamma: float) -> IntervalUnion
     union over branches of [min, max] is exact even through band crossings
     because sorted branches are continuous and cover the same set.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     try:
         pot = np.asarray(potential, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -334,7 +328,7 @@ def almost_sure_spectrum_approx(
     period go through _band_edges in chunks of _SCAN_SYMBOLS symbols.  An
     enumeration of more than _MAX_APPROXIMANT_SITES sites is a ConfigError.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if max_period < 1 or samples_per_period < 1:
         raise ConfigError("max_period and samples_per_period must be >= 1, "
                           f"got {max_period} and {samples_per_period}")

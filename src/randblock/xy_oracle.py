@@ -2,7 +2,7 @@
 
 Builds the spin Hamiltonian
 
-    H = sum_j mu_j [(1+gamma_j) sx_j sx_{j+1} + (1-gamma_j) sy_j sy_{j+1}]
+    H = sum_j mu [(1+gamma) sx_j sx_{j+1} + (1-gamma) sy_j sy_{j+1}]
         + sum_j nu_j sz_j
 
 on n qubits, the Jordan-Wigner fermions, and verifies three exact bridges
@@ -16,7 +16,7 @@ module is exactness, not scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Sequence
 
@@ -79,8 +79,8 @@ def build_hamiltonian(
         raise ConfigError(f"realization has only {real.nu.size} potential entries, need {n}")
     dim = 2**n
     H = np.zeros((dim, dim), dtype=complex)
+    mu, gamma = params.mu, params.gamma
     for j in range(n - 1):
-        mu, gamma = params.mu[j], params.gamma[j]
         sxsx = site_operator(PAULI_X, j, n) @ site_operator(PAULI_X, j + 1, n)
         sysy = site_operator(PAULI_Y, j, n) @ site_operator(PAULI_Y, j + 1, n)
         H += mu * ((1.0 + gamma) * sxsx + (1.0 - gamma) * sysy)
@@ -249,8 +249,7 @@ def slice_chain(params: ModelParams, real: DisorderRealization, n: int):
     """Restrict a (params, realization) pair to its first n sites."""
     if n == params.n:
         return params, real
-    sliced = ModelParams(n=n, mu=params.mu[: n - 1].copy(), gamma=params.gamma[: n - 1].copy(), rho=params.rho)
-    return sliced, DisorderRealization(seed=real.seed, index=real.index, nu=real.nu[:n].copy())
+    return replace(params, n=n), DisorderRealization(seed=real.seed, index=real.index, nu=real.nu[:n].copy())
 
 
 # ---------------------------------------------------------------------------

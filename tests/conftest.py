@@ -36,7 +36,7 @@ def xy_params(two_point_field):
     """Factory for the workhorse anisotropic chain used across the suite."""
 
     def make(n: int = 40, gamma: float = 0.5, rho=None) -> ModelParams:
-        return ModelParams.xy(n, gamma, two_point_field if rho is None else rho)
+        return ModelParams(n, gamma, two_point_field if rho is None else rho)
 
     return make
 

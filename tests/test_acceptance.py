@@ -171,7 +171,7 @@ def general_hopping_ensemble():
 
 def test_criterion_3_thouless_formula():
     t0 = time.monotonic()
-    params = ModelParams.xy(n=1000, gamma=0.5, rho=TWO_POINT)
+    params = ModelParams(n=1000, gamma=0.5, rho=TWO_POINT)
     chains = [assemble_block_jacobi(params, sample_disorder(params, 300, r)) for r in range(50)]
     checks = []
     hopping_target = -0.5 * math.log(0.75)
@@ -214,7 +214,7 @@ def test_criterion_4_zero_energy_exponents():
     for gamma in (0.5, 2.0):
         aux = zero_energy_aux_exponent(gamma, TWO_POINT, steps=100_000, seed=410)
         pred = zero_energy_closed_form(gamma, aux)
-        params = ModelParams.xy(n=2, gamma=gamma, rho=TWO_POINT)
+        params = ModelParams(n=2, gamma=gamma, rho=TWO_POINT)
         direct = lyapunov_spectrum(params, 0.0, steps=100_000, seed=411)
         combined = np.sqrt(pred.se**2 + direct.se**2)
         dev = float(np.max(np.abs(pred.exponents - direct.exponents) / combined))
@@ -229,7 +229,7 @@ def test_criterion_4_zero_energy_exponents():
         gamma = rng.uniform(0.2, 2.5)
         while abs(gamma - 1.0) < 0.1:
             gamma = rng.uniform(0.2, 2.5)
-        params = ModelParams.xy(n=2, gamma=gamma, rho=TWO_POINT)
+        params = ModelParams(n=2, gamma=gamma, rho=TWO_POINT)
         spec = lyapunov_spectrum(params, E, steps=10_000, seed=425)
         worst_abs = max(worst_abs, float(spec.pair_sum_defects().max()))
         worst_rel = max(worst_rel, float((spec.pair_sum_defects() / spec.pair_sum_se()).max()))
@@ -266,11 +266,11 @@ def test_criterion_5_lie_closure_rank():
 
 def test_criterion_6_localization_decay():
     t0 = time.monotonic()
-    params = ModelParams.xy(n=200, gamma=0.5, rho=TWO_POINT)
+    params = ModelParams(n=200, gamma=0.5, rho=TWO_POINT)
     field = ensemble_correlator(params, (0.5, 1.5), 100, seed=600)
     fit = fit_decay(field, zeta=0.9)
 
-    gapped = ModelParams.xy(n=200, gamma=0.5, rho=SingleSiteDistribution.uniform(2.5, 3.5))
+    gapped = ModelParams(n=200, gamma=0.5, rho=SingleSiteDistribution.uniform(2.5, 3.5))
     gap_hits = 0
     for index in range(100):
         spec = eigensolve(
@@ -292,12 +292,12 @@ def test_criterion_7_many_body_bridges():
     t0 = time.monotonic()
     car = build_jordan_wigner(8).car_defect()
 
-    params6 = ModelParams.xy(n=6, gamma=0.5, rho=SingleSiteDistribution.uniform(-1.5, 1.5))
+    params6 = ModelParams(n=6, gamma=0.5, rho=SingleSiteDistribution.uniform(-1.5, 1.5))
     real6 = sample_disorder(params6, seed=700)
     quad = verify_quadratic_form(build_hamiltonian(params6, real6), assemble_hat_form(params6, real6))
     heis = verify_heisenberg_identity(params6, real6, 6, [0.5, 1.0, 2.5, 5.0])
 
-    params4 = ModelParams.xy(n=4, gamma=0.5, rho=SingleSiteDistribution.uniform(-1.5, 1.5))
+    params4 = ModelParams(n=4, gamma=0.5, rho=SingleSiteDistribution.uniform(-1.5, 1.5))
     real4 = sample_disorder(params4, seed=701)
     ff = verify_free_fermion_spectrum(build_hamiltonian(params4, real4), assemble_hat_form(params4, real4))
 
@@ -315,7 +315,7 @@ def test_criterion_7_many_body_bridges():
 
 def test_criterion_8_commutator_decay():
     t0 = time.monotonic()
-    gapped = ModelParams.xy(n=8, gamma=0.5, rho=SingleSiteDistribution.uniform(2.5, 3.5))
+    gapped = ModelParams(n=8, gamma=0.5, rho=SingleSiteDistribution.uniform(2.5, 3.5))
     stats = lr_commutator_stats(gapped, n=8, j=0, ks=[1, 2, 3, 4, 5, 6, 7], num_realizations=50, seed=800)
     means = np.array([s.mean_sup for s in stats])
     ses = np.array([s.se for s in stats])

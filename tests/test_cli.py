@@ -176,6 +176,14 @@ class TestErrorPaths:
             ("zariski", {"E_grid": 0.5}),
             ("thouless", {"energies": 1.0}),
             ("spectrum", {"dump_matrix": "yes"}),
+        ]
+        # one mu and one gamma per chain: bools, per-bond lists and "const:" strings are config errors
+        + [
+            (command, {**extra, field: bad})
+            for command, extra in (("spectrum", {"n": 4}), ("lyapunov", {"E": 0.5, "steps": 1000}),
+                                   ("wegner-probe", WEGNER))
+            for field in ("gamma", "mu")
+            for bad in (False, True, [0.5, 0.5, 0.5], "const:1.0")
         ],
     )
     def test_non_numeric_field_exits_2(self, tmp_path, capsys, command, change):
@@ -254,6 +262,25 @@ class TestErrorPaths:
         assert cli.main(["correlator", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "numerical" and "d^zeta" in err["error"]
+
+    @pytest.mark.parametrize("zeta", [1e-12, 1e-8, 1e-4])
+    def test_degenerate_decay_fit_exits_3(self, tmp_path, capsys, zeta):
+        # d^zeta is nearly constant over the bins: a rank-deficient design or an overflowing C
+        cfg = {**FIXTURE_CFG, "n": 40, "window": [0.5, 1.5], "num_realizations": 2, "zeta": zeta}
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        assert cli.main(["correlator", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical" and f"zeta = {zeta}" in err["error"]
+
+    def test_small_zeta_fit_is_finite(self, tmp_path, capsys):
+        cfg = {**FIXTURE_CFG, "n": 40, "window": [0.5, 1.5], "num_realizations": 2, "zeta": 1e-3}
+        cfg_path = write_cfg(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["correlator", "--config", cfg_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        fit = json.loads((out / "fit.json").read_text())
+        numbers = [fit["eta"], *fit["eta_ci"], fit["C"], fit["eta_se"]]
+        assert all(math.isfinite(x) for x in numbers) and fit["eta"] > 0.0
 
     def test_wegner_scale_beyond_the_float_range_gives_zero_eps(self, tmp_path):
         # 400^1000 overflows a double, so eps = exp(-sigma 400^1000) is 0

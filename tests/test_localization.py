@@ -150,7 +150,7 @@ class TestDecayFit:
 
     def test_gapped_window_decay_is_positive(self):
         rho = SingleSiteDistribution.two_point(2.5, 3.5, 0.5)
-        p = ModelParams.xy(120, 0.5, rho)
+        p = ModelParams(120, 0.5, rho)
         field = ensemble_correlator(p, (0.0, 8.0), num_realizations=30, seed=17)
         fit = fit_decay(field, zeta=0.9)
         assert fit.eta > 0
@@ -160,26 +160,26 @@ class TestDecayFit:
 class TestWegner:
     def test_gap_keeps_probability_zero(self):
         rho = SingleSiteDistribution.two_point(2.5, 3.5, 0.5)
-        p = ModelParams.xy(20, 0.5, rho)
+        p = ModelParams(20, 0.5, rho)
         # spectrum avoids (-0.5, 0.5) a.s.; eps = e^{-sqrt(L)} < 0.5 throughout
         for rec in wegner_probe(p, 0.0, [20, 40], beta=0.5, sigma=1.0, samples=30, seed=4):
             assert rec.hits == 0 and rec.probability == 0.0
 
     def test_huge_window_hits_everything(self, two_point_field):
-        p = ModelParams.xy(20, 0.5, two_point_field)
+        p = ModelParams(20, 0.5, two_point_field)
         recs = wegner_probe(p, 0.0, [10], beta=0.5, sigma=-1.0, samples=20, seed=2)
         assert recs[0].probability == 1.0
 
     @staticmethod
     def nearest_eigenvalue_hits(rho, E, L, eps, samples, seed):
-        p_L = ModelParams.xy(L, 0.5, rho)
+        p_L = ModelParams(L, 0.5, rho)
         reals = [sample_disorder(p_L, seed, (L << 32) | s) for s in range(samples)]
         chains = [assemble_block_jacobi(p_L, real) for real in reals]
         return sum(np.min(np.abs(eigensolve(M, want_vectors=False).eigenvalues - E)) <= eps for M in chains)
 
     @pytest.mark.parametrize("E", [0.7, 1.011822, 1.3])
     def test_hits_equal_nearest_eigenvalue_reference(self, E):
-        p = ModelParams.xy(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        p = ModelParams(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
         L_list, beta, sigma, samples, seed = [50, 100, 200, 400], 0.5, 0.5, 12, 1003
         records = wegner_probe(p, E, L_list, beta=beta, sigma=sigma, samples=samples, seed=seed)
         for rec, L in zip(records, L_list):
@@ -191,7 +191,7 @@ class TestWegner:
     def test_unresolved_counts_fall_back_to_the_eigensolve(self, two_point_field, monkeypatch):
         # eps < ulp(1) / 2, so E + eps rounds to E = 1: a chain with nu_1 = 1 has the singular first
         # pivot diag(0, -2) at the upper end and a near-singular one at the lower end
-        p = ModelParams.xy(2, 0.5, two_point_field)
+        p = ModelParams(2, 0.5, two_point_field)
         L, samples, seed = 1400, 6, 7
         eps = np.exp(-np.sqrt(L))
         assert 1.0 + eps == 1.0
@@ -203,13 +203,13 @@ class TestWegner:
 
         monkeypatch.setattr(localization, "eigensolve", traced)
         (rec,) = wegner_probe(p, 1.0, [L], beta=0.5, sigma=1.0, samples=samples, seed=seed)
-        p_L = ModelParams.xy(L, 0.5, two_point_field)
+        p_L = ModelParams(L, 0.5, two_point_field)
         first = [sample_disorder(p_L, seed, (L << 32) | s).nu[0] for s in range(samples)]
         assert 0 < first.count(1.0) <= solved.count(1.0)  # every chain with nu_1 = 1 is eigensolved
         assert rec.hits == self.nearest_eigenvalue_hits(two_point_field, 1.0, L, eps, samples, seed)
 
     def test_batches_of_chains_give_the_same_hits(self, monkeypatch):
-        p = ModelParams.xy(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        p = ModelParams(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
         args = dict(E=0.7, L_list=[50, 200], beta=0.5, sigma=0.3, samples=7, seed=5)
         whole = wegner_probe(p, **args)
         monkeypatch.setattr(localization, "COUNT_SWEEP_SITES", 120)  # two chains of 50, one of 200
@@ -217,7 +217,7 @@ class TestWegner:
         assert any(0 < rec.hits < 7 for rec in whole)
 
     def test_probability_decays_with_length(self, two_point_field):
-        p = ModelParams.xy(50, 0.5, two_point_field)
+        p = ModelParams(50, 0.5, two_point_field)
         recs = wegner_probe(p, 1.0, [20, 40, 80], beta=0.5, sigma=1.0, samples=60, seed=0)
         probs = [r.probability for r in recs]
         eps = [r.eps for r in recs]

@@ -88,31 +88,31 @@ class TestEngine:
     def test_reciprocal_pairing_is_exact(self, two_point_field):
         # symplectic products have singular values in exact reciprocal pairs,
         # so the finite-step estimates pair to machine precision
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         for E in (1.0, 1.0 + 0.5j):
             spec = lyapunov_spectrum(p, E, steps=10_000, seed=3)
             assert max(spec.pair_sum_defects()) <= 1e-10
 
     def test_exponents_sorted_descending(self, two_point_field):
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         spec = lyapunov_spectrum(p, 0.7, steps=10_000, seed=2)
         assert np.all(np.diff(spec.exponents) <= 0)
 
     def test_seed_independence(self, two_point_field):
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         a = lyapunov_spectrum(p, 1.0, steps=40_000, seed=11)
         b = lyapunov_spectrum(p, 1.0, steps=40_000, seed=999)
         dev = np.abs(a.exponents - b.exponents)
         assert np.all(dev <= 3 * np.sqrt(a.se**2 + b.se**2))
 
     def test_determinism(self, two_point_field):
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         a = lyapunov_spectrum(p, 1.0, steps=5_000, seed=4)
         b = lyapunov_spectrum(p, 1.0, steps=5_000, seed=4)
         assert np.array_equal(a.exponents, b.exponents)
 
     def test_real_energy_as_complex_stays_real(self, two_point_field):
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         a = lyapunov_spectrum(p, 1.3, steps=5_000, seed=4)
         b = lyapunov_spectrum(p, complex(1.3, 0.0), steps=5_000, seed=4)
         assert np.array_equal(a.exponents, b.exponents)
@@ -128,7 +128,7 @@ class TestEngine:
         # room for the warmup (at most one batch) and the batches
         total = (steps // reorth_every // DEFAULT_BATCHES) * (DEFAULT_BATCHES + 1) * reorth_every
         if dim == 4:
-            p = ModelParams.xy(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+            p = ModelParams(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
             factors = BlockEnsemble.from_params(p).factor_sampler(E)(rng, total)
         else:
             nu = rng.uniform(-1.0, 1.0, total) / np.sqrt(0.75)
@@ -140,7 +140,7 @@ class TestEngine:
 
     def test_frame_overflow_raises(self, two_point_field):
         # |E| = 50 over 500 unnormalized steps is far beyond double range
-        p = ModelParams.xy(2, 0.5, two_point_field)
+        p = ModelParams(2, 0.5, two_point_field)
         with pytest.raises(NumericalFailure, match="overflowed"):
             lyapunov_spectrum(p, 50.0, steps=25_000, seed=0, reorth_every=500)
 
@@ -153,7 +153,7 @@ class TestEngine:
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
 
     def test_step_budget_validation(self, two_point_field):
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         with pytest.raises(ConfigError):
             lyapunov_spectrum(p, 1.0, steps=100, seed=0)  # fewer than batches*reorth
 
@@ -177,7 +177,7 @@ class TestIndex:
         assert est.value == spec.exponents[0]
 
     def test_complex_energy_positive_and_finite(self, two_point_field):
-        p = ModelParams.xy(16, 0.5, two_point_field)
+        p = ModelParams(16, 0.5, two_point_field)
         est = lyapunov_index(lyapunov_spectrum(p, 1.0 + 0.5j, steps=20_000, seed=5))
         assert np.isfinite(est.value) and est.value > 0
 
@@ -200,7 +200,7 @@ class TestThouless:
         assert rep.hopping_term == 0.0
 
     def test_report_wiring(self, two_point_field):
-        p = ModelParams.xy(200, 0.5, two_point_field)
+        p = ModelParams(200, 0.5, two_point_field)
         chains = [assemble_block_jacobi(p, sample_disorder(p, 91, r)) for r in range(10)]
         energies = [1.0 + 0.5j, -0.3 + 1.0j]
         reps = thouless_check(p, energies, chains, steps=20_000, seed=8)
@@ -212,8 +212,8 @@ class TestThouless:
             assert rep.hopping_term == pytest.approx(-0.5 * np.log(0.75), abs=1e-12)
 
     def test_chains_of_unequal_length_are_rejected(self, two_point_field):
-        p = ModelParams.xy(20, 0.5, two_point_field)
-        q = ModelParams.xy(21, 0.5, two_point_field)
+        p = ModelParams(20, 0.5, two_point_field)
+        q = ModelParams(21, 0.5, two_point_field)
         chains = [assemble_block_jacobi(m, sample_disorder(m, 1)) for m in (p, q)]
         with pytest.raises(ConfigError, match="equal length"):
             thouless_check(p, [1.0j], chains, steps=1000)
@@ -261,7 +261,7 @@ class TestZeroEnergy:
         aux = zero_energy_aux_exponent(gamma, two_point_field, steps=60_000, seed=21)
         pred = zero_energy_closed_form(gamma, aux)
         assert pred.branch == branch
-        p = ModelParams.xy(16, gamma, two_point_field)
+        p = ModelParams(16, gamma, two_point_field)
         direct = lyapunov_spectrum(p, 0.0, steps=60_000, seed=22)
         dev = np.abs(pred.exponents - direct.exponents)
         tol = 3 * np.sqrt(pred.se**2 + direct.se**2)
@@ -305,11 +305,3 @@ class TestEnsembleConstruction:
             BlockEnsemble.from_choices(
                 np.zeros((1, 1, 1)), np.ones((1, 1, 1)), s_weights=np.array([0.4])
             )
-
-    def test_from_params_requires_homogeneous_couplings(self, two_point_field):
-        p = ModelParams.xy(6, 0.5, two_point_field)
-        p_var = ModelParams(
-            n=6, gamma=np.array([0.5, 0.5, 0.3, 0.5, 0.5]), mu=p.mu, rho=two_point_field
-        )
-        with pytest.raises(ConfigError):
-            BlockEnsemble.from_params(p_var)

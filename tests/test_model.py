@@ -77,20 +77,29 @@ class TestSingleSiteDistribution:
 
 class TestModelParams:
     def test_broadcast_and_fields(self, two_point_field):
-        p = ModelParams.xy(5, 0.5, two_point_field)
-        assert p.ell == 2
-        assert np.array_equal(p.mu, np.ones(4))
-        assert np.array_equal(p.gamma, np.full(4, 0.5))
+        # one mu and one gamma, as floats, serve all n - 1 bonds of the assembled chain
+        p = ModelParams(5, 0, two_point_field, mu=-2)
+        assert (p.n, p.gamma, p.mu) == (5, 0.0, -2.0)
+        assert type(p.gamma) is float and type(p.mu) is float
+        q = ModelParams(5, 0.5, two_point_field, mu=-2)
+        S = assemble_block_jacobi(q, sample_disorder(q, 0)).S
+        assert S.shape == (4, 2, 2)
+        assert np.array_equal(S, np.broadcast_to(-2.0 * anisotropy_block(0.5), (4, 2, 2)))
 
     def test_rejects_bad_couplings(self, two_point_field):
         with pytest.raises(ConfigError):
-            ModelParams.xy(1, 0.5, two_point_field)
+            ModelParams(1, 0.5, two_point_field)
         with pytest.raises(ConfigError):
-            ModelParams.xy(5, 1.0, two_point_field)  # singular hopping
+            ModelParams(5, 1.0, two_point_field)  # singular hopping
         with pytest.raises(ConfigError):
-            ModelParams.xy(5, -1.0, two_point_field)
+            ModelParams(5, -1.0, two_point_field)
         with pytest.raises(ConfigError):
-            ModelParams.xy(5, 0.5, two_point_field, mu=0.0)
+            ModelParams(5, 0.5, two_point_field, mu=0.0)
+        for bad in (True, [0.5, 0.5, 0.5, 0.5], "const:0.5", np.array([0.5]), np.nan):
+            with pytest.raises(ConfigError):
+                ModelParams(5, bad, two_point_field)
+            with pytest.raises(ConfigError):
+                ModelParams(5, 0.5, two_point_field, mu=bad)
 
 
 def test_realization_determinism(xy_params):
@@ -116,7 +125,7 @@ def test_interleave_permutation_explicit():
 
 def test_dense_fixture_n2():
     # n=2, gamma=1/2, nu=(1,2): every entry of the 4x4 block layout
-    p = ModelParams.xy(2, 0.5, SingleSiteDistribution.discrete([1.0, 2.0], [0.5, 0.5]))
+    p = ModelParams(2, 0.5, SingleSiteDistribution.discrete([1.0, 2.0], [0.5, 0.5]))
     real = DisorderRealization(seed=0, index=0, nu=np.array([1.0, 2.0]))
     M = assemble_block_jacobi(p, real).dense()
     expected = np.array(
@@ -145,8 +154,8 @@ def test_hat_blocks_structure(xy_params):
     real = sample_disorder(p, 11)
     hat = assemble_hat_form(p, real)
     assert np.array_equal(np.diag(hat.A), real.nu)
-    assert np.array_equal(np.diag(hat.A, 1), -p.mu)
-    assert np.array_equal(np.diag(hat.B, 1), -p.mu * p.gamma)
+    assert np.array_equal(np.diag(hat.A, 1), np.full(5, -p.mu))
+    assert np.array_equal(np.diag(hat.B, 1), np.full(5, -p.mu * p.gamma))
     assert np.array_equal(hat.B, -hat.B.T)
     dense = hat.dense()
     assert np.array_equal(dense[:6, :6], hat.A)
@@ -227,13 +236,13 @@ def test_dense_equals_per_site_fill_and_band(seed, ell, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
 def test_assembled_hoppings_equal_the_per_site_stack(seed, n):
     rng = np.random.default_rng(seed)
-    gamma = rng.choice([0.0, -0.5, 2.0], n - 1) * rng.uniform(0.1, 0.9, n - 1)
-    mu = rng.uniform(-3.0, 3.0, n - 1)
-    p = ModelParams(n=n, mu=mu, gamma=gamma, rho=SingleSiteDistribution.uniform(-1.0, 1.0))
+    gamma = float(rng.choice([0.0, -0.5, 2.0]) * rng.uniform(0.1, 0.9))
+    mu = float(rng.uniform(-3.0, 3.0))
+    p = ModelParams(n=n, gamma=gamma, rho=SingleSiteDistribution.uniform(-1.0, 1.0), mu=mu)
     S = assemble_block_jacobi(p, sample_disorder(p, seed)).S
-    stack = anisotropy_block(gamma)
-    assert stack.tobytes() == np.array([anisotropy_block(g) for g in gamma]).tobytes()
-    expected = np.array([m * anisotropy_block(g) for m, g in zip(mu, gamma)])
+    stack = anisotropy_block(np.full(n - 1, gamma))
+    assert stack.tobytes() == np.array([anisotropy_block(gamma)] * (n - 1)).tobytes()
+    expected = np.array([mu * anisotropy_block(gamma) for _ in range(n - 1)])
     assert np.array_equal(S, expected)
     assert S.tobytes() == expected.tobytes()  # signed zeros too
 
@@ -249,28 +258,18 @@ def test_write_dense_csv_round_trip(tmp_path, xy_params):
     assert np.array_equal(back, M.dense())
 
 
-def test_params_from_config_round_trip(two_point_field):
-    cfg = {
-        "n": 6,
-        "gamma": 0.5,
-        "mu": "const:1.0",
-        "rho": {"kind": "two_point", "a": 0.0, "b": 1.0, "p": 0.5},
-        "ell": 2,
-    }
-    p = params_from_config(cfg)
-    assert p.n == 6 and np.array_equal(p.gamma, np.full(5, 0.5))
-    q = params_from_config(p.to_config())
-    assert np.array_equal(q.mu, p.mu) and np.array_equal(q.gamma, p.gamma)
-    assert q.rho.to_config() == p.rho.to_config()
-
-
 def test_params_from_config_rejects_bad_input():
     base = {"n": 6, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0, "p": 0.5}}
     with pytest.raises(ConfigError):
         params_from_config({**base, "ell": 3})
     with pytest.raises(ConfigError):
         params_from_config({k: v for k, v in base.items() if k != "rho"})
-    with pytest.raises(ConfigError):
-        params_from_config({**base, "mu": [1.0, 1.0]})  # needs n-1 entries
+    for bad in ([1.0] * 5, "const:1.0", True):  # per-bond lists and "const:" strings are gone
+        with pytest.raises(ConfigError):
+            params_from_config({**base, "mu": bad})
+        with pytest.raises(ConfigError):
+            params_from_config({**base, "gamma": bad})
+    p = params_from_config({**base, "mu": 2})
+    assert (p.n, p.gamma, p.mu) == (6, 0.5, 2.0)
     with pytest.raises(ConfigError):
         rho_from_config({"kind": "gaussian"})

@@ -11,6 +11,7 @@ from randblock.errors import ConfigError, NumericalFailure
 from randblock.model import (
     BlockJacobiMatrix,
     DisorderRealization,
+    HatBlockMatrix,
     ModelParams,
     SingleSiteDistribution,
     TrivialDisorderWarning,
@@ -50,7 +51,7 @@ def quartic_roots_oracle(M: np.ndarray) -> np.ndarray:
 
 
 def fixture_n2():
-    p = ModelParams.xy(2, 0.5, SingleSiteDistribution.discrete([1.0, 2.0], [0.5, 0.5]))
+    p = ModelParams(2, 0.5, SingleSiteDistribution.discrete([1.0, 2.0], [0.5, 0.5]))
     real = DisorderRealization(seed=0, index=0, nu=np.array([1.0, 2.0]))
     return assemble_block_jacobi(p, real)
 
@@ -136,29 +137,33 @@ hopping = st.floats(-3.0, 3.0).filter(lambda m: abs(m) > 1e-2)
 
 @st.composite
 def xy_chains(draw):
-    """(params, realization) of an XY chain with per-bond mu and gamma."""
+    """(M, mu, gamma): an XY chain built from per-site stacks, with per-bond mu and gamma.
+
+    V_k = nu_k sigma_z with nu_k ~ rho and S_k = mu_k S(gamma_k).
+    """
     n = draw(st.integers(2, 40))
     bonds = st.lists(st.tuples(hopping, anisotropy), min_size=n - 1, max_size=n - 1)
     mu, gamma = np.array(draw(bonds)).T
-    p = ModelParams(n=n, mu=mu, gamma=gamma, rho=draw(rho_kinds))
-    return p, sample_disorder(p, draw(st.integers(0, 2**32 - 1)))
+    nu = draw(rho_kinds).sample(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    S = mu[:, None, None] * anisotropy_block(gamma)
+    return BlockJacobiMatrix(ell=2, n=n, V=nu[:, None, None] * SIGMA_Z, S=S), mu, gamma
 
 
 class TestChiralForm:
     @settings(max_examples=80, deadline=None)
     @given(chain=xy_chains())
     def test_coupling_is_the_hat_form_difference(self, chain):
-        p, real = chain
-        M = assemble_block_jacobi(p, real)
-        hat = assemble_hat_form(p, real)
-        np.testing.assert_array_equal(M.chiral_coupling(), hat.A - hat.B)
-        perm = interleave_permutation(p.n)
-        np.testing.assert_array_equal(hat.dense()[np.ix_(perm, perm)], M.dense())
+        M, mu, gamma = chain
+        A = np.diag(M.V[:, 0, 0]) + np.diag(-mu, 1) + np.diag(-mu, -1)
+        B = np.diag(-mu * gamma, 1) + np.diag(mu * gamma, -1)
+        np.testing.assert_array_equal(M.chiral_coupling(), A - B)
+        perm = interleave_permutation(M.n)
+        np.testing.assert_array_equal(HatBlockMatrix(M.n, A, B).dense()[np.ix_(perm, perm)], M.dense())
 
     @settings(max_examples=80, deadline=None)
     @given(chain=xy_chains())
     def test_eigensolve_matches_dense(self, chain):
-        M = assemble_block_jacobi(*chain)
+        M, _, _ = chain
         dense = M.dense()
         spec = eigensolve(M)
         vals, vecs = spec.eigenvalues, spec.eigenvectors
@@ -197,7 +202,7 @@ class TestSymmetryAndGap:
     @settings(max_examples=80, deadline=None)
     @given(chain=xy_chains())
     def test_xy_instances_are_symmetric(self, chain):
-        M = assemble_block_jacobi(*chain)
+        M, _, _ = chain
         assert symmetric_about_zero(eigensolve(M, want_vectors=False).eigenvalues)
         chiral = eigensolve(M).eigenvalues
         assert np.array_equal(chiral, -chiral[::-1])
@@ -210,7 +215,7 @@ class TestSymmetryAndGap:
 
     def test_gap_present_for_large_field(self):
         rho = SingleSiteDistribution.two_point(2.5, 3.5, 0.5)
-        p = ModelParams.xy(40, 0.5, rho)
+        p = ModelParams(40, 0.5, rho)
         for seed in range(4):
             spec = eigensolve(assemble_block_jacobi(p, sample_disorder(p, seed)), want_vectors=False)
             assert check_gap(spec, 0.5)
@@ -246,7 +251,7 @@ class TestDOS:
         # deterministic nu=1 chain vs the integrated band measure of the symbol
         with pytest.warns(TrivialDisorderWarning):
             rho = SingleSiteDistribution.discrete([1.0], [1.0])
-        p = ModelParams.xy(1000, 0.5, rho)
+        p = ModelParams(1000, 0.5, rho)
         spec = eigensolve(assemble_block_jacobi(p, sample_disorder(p, 0)), want_vectors=False)
         dos = dos_histogram([spec], bins=100)
         thetas = np.linspace(0, 2 * np.pi, 4001, endpoint=False)
@@ -260,7 +265,7 @@ class TestDOS:
 
     def test_isotropic_case_reduces_to_anderson_pair(self, two_point_field):
         # gamma=0: the operator splits into A and -A with scalar Anderson A
-        p = ModelParams.xy(40, 0.0, two_point_field)
+        p = ModelParams(40, 0.0, two_point_field)
         real = sample_disorder(p, 3)
         spec = eigensolve(assemble_block_jacobi(p, real), want_vectors=False)
         hop = np.ones(39)
@@ -457,16 +462,18 @@ class TestAlmostSureSpectrum:
         # eigenvalues need long constant runs of the field), hence the scale
         approx = almost_sure_spectrum_approx(two_point_field, 0.5, max_period=2, samples_per_period=5)
         n = 60_000
-        params = ModelParams.xy(n, 0.5, two_point_field)
+        params = ModelParams(n, 0.5, two_point_field)
         real = sample_disorder(params, seed=0)
-        A = sp.diags([real.nu, -params.mu, -params.mu], [0, 1, -1])
-        B = sp.diags([-params.mu * params.gamma, params.mu * params.gamma], [1, -1])
+        hop = np.full(n - 1, params.mu)
+        A = sp.diags([real.nu, -hop, -hop], [0, 1, -1])
+        B = sp.diags([-hop * params.gamma, hop * params.gamma], [1, -1])
         M = sp.bmat([[A, B], [-B, -A]], format="csr")
         # the sparse assembly mirrors assemble_hat_form; cross-check at n=40
-        small = ModelParams.xy(40, 0.5, two_point_field)
+        small = ModelParams(40, 0.5, two_point_field)
         sreal = sample_disorder(small, seed=0)
-        As = sp.diags([sreal.nu, -small.mu, -small.mu], [0, 1, -1])
-        Bs = sp.diags([-small.mu * small.gamma, small.mu * small.gamma], [1, -1])
+        hop = np.full(39, small.mu)
+        As = sp.diags([sreal.nu, -hop, -hop], [0, 1, -1])
+        Bs = sp.diags([-hop * small.gamma, hop * small.gamma], [1, -1])
         assert np.array_equal(
             sp.bmat([[As, Bs], [-Bs, -As]]).toarray(),
             assemble_hat_form(small, sreal).dense(),

@@ -410,7 +410,7 @@ class TestEigenvalueCounts:
 
     def test_zero_atom_at_zero_energy_matches_dense_count(self):
         # nu_1 = 0 makes the first 2x2 pivot vanish at E = 0; nu_2 = 0 then meets its floored inverse
-        p = ModelParams.xy(30, 0.5, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        p = ModelParams(30, 0.5, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
         nu = sample_disorder(p, 2).nu.copy()
         nu[:2] = 0.0
         M = assemble_block_jacobi(p, DisorderRealization(seed=2, index=0, nu=nu))
@@ -424,7 +424,7 @@ class TestEigenvalueCounts:
     def test_rank_deficient_block_pivot_is_unresolved(self):
         # P_0 = 0.5 sigma_z - 0.5 = diag(0, -1): singular, but not within the floor; the other
         # chains of the sweep are still counted
-        p = ModelParams.xy(6, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        p = ModelParams(6, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
         M = assemble_block_jacobi(p, DisorderRealization(seed=0, index=0, nu=np.full(6, 0.5)))
         other = assemble_block_jacobi(p, sample_disorder(p, 3))
         counts, resolved = eigenvalue_counts([M, other, M], [0.5, 0.2])
@@ -435,7 +435,7 @@ class TestEigenvalueCounts:
 
     def test_near_singular_leading_pivot_is_unresolved(self):
         # at x one ulp below nu_1 = 1, P_0 = diag(1.1e-16, -2): the next pivot's small eigenvalue is lost
-        p = ModelParams.xy(8, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        p = ModelParams(8, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
         nu = np.array([1.0, 0.3, -0.2, 0.9, -0.7, 0.1, 0.6, -0.4])
         M = assemble_block_jacobi(p, DisorderRealization(seed=0, index=0, nu=nu))
         _, resolved = eigenvalue_counts([M], [np.nextafter(1.0, -np.inf), 1.0, 0.5])
@@ -458,7 +458,7 @@ class TestEigenvalueCounts:
     def test_resolved_counts_at_atoms_match_dense(self, gamma, nu, x):
         # potentials on the atoms of a two-point law put x at or within rounding of
         # sub-chain eigenvalues; a resolved count must still be the dense count
-        p = ModelParams.xy(len(nu), gamma, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        p = ModelParams(len(nu), gamma, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
         M = assemble_block_jacobi(p, DisorderRealization(seed=0, index=0, nu=np.array(nu)))
         w = np.linalg.eigvalsh(M.dense())
         assume(np.min(np.abs(w - x)) >= 1e-8)

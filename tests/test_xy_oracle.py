@@ -32,7 +32,7 @@ from randblock.xy_oracle import (
 
 
 def uniform_params(n, gamma=0.5, half_width=1.5):
-    return ModelParams.xy(n=n, gamma=gamma, rho=SingleSiteDistribution.uniform(-half_width, half_width))
+    return ModelParams(n=n, gamma=gamma, rho=SingleSiteDistribution.uniform(-half_width, half_width))
 
 
 class TestHamiltonian:
@@ -45,7 +45,7 @@ class TestHamiltonian:
     def test_isotropic_two_site_spectrum_both_routes(self):
         # zero field, gamma=0, two sites: both the dense diagonalization
         # and the signed sums of one-particle levels give {-2, 0, 0, 2}
-        params = ModelParams.xy(n=2, gamma=0.0, rho=SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        params = ModelParams(n=2, gamma=0.0, rho=SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
         real = DisorderRealization(seed=0, index=0, nu=np.zeros(2))
         H = build_hamiltonian(params, real)
         dense = np.linalg.eigvalsh(H.matrix)
