@@ -76,7 +76,6 @@ from .localization import (
     WegnerRecord,
     eigenfunction_correlator,
     ensemble_correlator,
-    evolution_block_norm,
     fit_decay,
     wegner_probe,
 )

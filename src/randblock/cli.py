@@ -201,8 +201,7 @@ def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_dos(v, cfg: dict, out: str, args) -> None:
-    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed)
-    dos = spectral.dos_histogram(specs, bins=v.bins)
+    dos = spectral.dos_histogram(v.params, v.num_realizations, v.seed, v.bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
     _write_csv(os.path.join(out, "dos.csv"), cfg, ["bin_lo", "bin_hi", "mass"], rows)
     _progress(args, f"dos over {v.num_realizations} realizations, total mass {dos.total_mass}")

@@ -30,10 +30,6 @@ from .transfer import eigenvalue_counts
 DEFAULT_BOUNDARY_EXCLUSION = 5
 MIN_PAIRS_PER_BIN = 4
 CI_FACTOR = 1.96  # two-sided 95% normal quantile
-# Chain sites per count sweep of the Wegner probe: the sweep holds about
-# 0.5 kB per chain site, so this bounds its memory near 30 MB, or one
-# chain's worth at L beyond it.
-COUNT_SWEEP_SITES = 1 << 16
 
 
 @dataclass
@@ -204,28 +200,6 @@ def fit_decay(
     )
 
 
-def evolution_block_norm(
-    spec: SpectralData,
-    window: tuple[float, float],
-    j: int,
-    k: int,
-    t: float,
-) -> float:
-    """Operator norm of P_j exp(-itM) chi_J(M) P_k^* for one realization."""
-    lo, hi = window
-    mask = spec.window_mask(lo, hi)
-    if not mask.any():
-        return 0.0
-    vecs = spec.eigenvectors
-    if vecs is None:
-        raise ValueError("eigenvectors were not requested")
-    Wj = vecs.reshape(spec.n, spec.ell, -1)[j][:, mask]
-    Wk = vecs.reshape(spec.n, spec.ell, -1)[k][:, mask]
-    phases = np.exp(-1j * t * spec.eigenvalues[mask])
-    block = (Wj * phases) @ Wk.conj().T
-    return float(np.linalg.norm(block, 2))
-
-
 @dataclass
 class WegnerRecord:
     L: int
@@ -253,8 +227,8 @@ def wegner_probe(
     window [E - eps_L, E + eps_L], eps_L = exp(-sigma * L^beta); an L^beta
     beyond the float range gives eps_L = 0.
     transfer.eigenvalue_counts gives the Sturm counts N(x) = #{lambda < x} at
-    both ends, in one sweep per batch of at most COUNT_SWEEP_SITES chain
-    sites, and a realization hits when N(E + eps_L) - N(E - eps_L) > 0.
+    both ends, in one streaming sweep per L over every sample, and a
+    realization hits when N(E + eps_L) - N(E - eps_L) > 0.
     Tie rule, for a closed window: the lower count is taken at the double
     just below E - eps_L, so an eigenvalue at E - eps_L is inside; at
     E + eps_L an eigenvalue that makes the first pivot vanish exactly is
@@ -273,17 +247,14 @@ def wegner_probe(
             eps = float(np.exp(-sigma * np.float64(L) ** beta))
         p_L = replace(params, n=L)
         window = [np.nextafter(E - eps, -np.inf), E + eps]
-        batch = max(1, COUNT_SWEEP_SITES // L)
-        hits = 0
-        for start in range(0, samples, batch):
-            indices = range(start, min(start + batch, samples))
-            chains = [assemble_block_jacobi(p_L, sample_disorder(p_L, seed, (L << 32) | s)) for s in indices]
-            counts, resolved = eigenvalue_counts(chains, window)
-            resolved = resolved.all(axis=1)
-            hits += int(np.count_nonzero(resolved & (counts[:, 1] > counts[:, 0])))
-            for M, ok in zip(chains, resolved):
-                if not ok:
-                    vals = eigensolve(M, want_vectors=False).eigenvalues
-                    hits += int(np.min(np.abs(vals - E)) <= eps)
+        reals = [sample_disorder(p_L, seed, (L << 32) | s) for s in range(samples)]
+        chains = [assemble_block_jacobi(p_L, real) for real in reals]
+        counts, resolved = eigenvalue_counts(chains, window)
+        resolved = resolved.all(axis=1)
+        hits = int(np.count_nonzero(resolved & (counts[:, 1] > counts[:, 0])))
+        for M, ok in zip(chains, resolved):
+            if not ok:
+                vals = eigensolve(M, want_vectors=False).eigenvalues
+                hits += int(np.min(np.abs(vals - E)) <= eps)
         records.append(WegnerRecord(L=L, eps=eps, hits=hits, samples=samples))
     return records

@@ -11,7 +11,9 @@ stack of same-period potentials gets one stacked symbol build and one
 stacked eigvalsh over the angle grid, and then every branch extremum is
 refined by golden-section search in lockstep, one stacked eigvalsh per
 step.  Unions of bands are kept as sorted disjoint closed intervals with
-exact Hausdorff distance evaluation.
+exact Hausdorff distance evaluation.  The DOS histogram diagonalizes
+nothing: its bin masses are differences of exact eigenvalue counts at
+fixed edges (transfer.eigenvalue_counts).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .model import (
     check_gamma,
     sample_disorder,
 )
+from .transfer import eigenvalue_counts
 
 EIGEN_RESIDUAL_TOL = 1e-8
 BAND_EDGE_TOL = 1e-8
@@ -380,20 +383,30 @@ class DOSHistogram:
         return np.interp(np.asarray(energies, dtype=float), self.edges, cdf, left=0.0, right=cdf[-1])
 
 
-def dos_histogram(ensemble: Sequence[SpectralData], bins: int | np.ndarray = 50) -> DOSHistogram:
-    """Aggregate ensemble eigenvalues into a histogram of total mass 1.
+def dos_histogram(params: ModelParams, num_realizations: int, seed: int, bins: int = 50) -> DOSHistogram:
+    """Eigenvalue histogram of realizations index = 0..num_realizations-1, total mass 1, from exact counts.
 
-    With an integer bin count the range is the eigenvalue range padded
-    slightly, so boundary eigenvalues always land inside a bin; an array
-    gives the bin edges.
+    The edges split [-G, G] into equal bins, where G = max |supp rho| +
+    2 |mu| (1 + |gamma|) is the Gershgorin bound of ||M||: computed from
+    the parameters, so the same at every seed.  They are antisymmetric
+    exactly, and with an even bin count the middle edge is 0.0.  Each
+    bin's mass is a difference of the eigenvalue counts N(x) = #{lambda < x}
+    at its edges, from one transfer.eigenvalue_counts sweep over every
+    chain and edge; the top edge is counted at the next double above it,
+    so the last bin is closed, as in np.histogram.  A chain with an
+    unresolved count gets one banded eigensolve, and its counts at every
+    edge are taken from those eigenvalues.
     """
-    if not ensemble:
-        raise ValueError("empty ensemble")
-    all_vals = np.concatenate([spec.eigenvalues for spec in ensemble])
-    window = None
-    if isinstance(bins, int):
-        lo, hi = float(all_vals.min()), float(all_vals.max())
-        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-        window = (lo - pad, hi + pad)
-    counts, edges = np.histogram(all_vals, bins=bins, range=window)
-    return DOSHistogram(edges=edges, mass=counts / all_vals.size)
+    if num_realizations < 1 or bins < 1:
+        raise ValueError(f"need at least one realization and one bin, got {num_realizations} and {bins}")
+    lo, hi = params.rho.support()
+    bound = max(abs(lo), abs(hi)) + 2.0 * abs(params.mu) * (1.0 + abs(params.gamma))
+    # bound * (-m) / bins is exactly -(bound * m / bins), so the edges are antisymmetric
+    edges = bound * np.arange(-bins, bins + 1, 2) / bins
+    x = edges.copy()
+    x[-1] = np.nextafter(x[-1], np.inf)
+    chains = [assemble_block_jacobi(params, sample_disorder(params, seed, r)) for r in range(num_realizations)]
+    counts, resolved = eigenvalue_counts(chains, x)
+    for r in np.flatnonzero(~resolved.all(axis=1)):
+        counts[r] = np.searchsorted(eigensolve(chains[r], want_vectors=False).eigenvalues, x)
+    return DOSHistogram(edges=edges, mass=np.diff(counts.sum(axis=0)) / (2 * params.n * num_realizations))

@@ -25,9 +25,14 @@ solutions, which grow exponentially in L: schur_sweep eliminates the chain
 site by site, GreenEvaluator runs it forward and on the reversed chain as
 one sweep over a batch of two, and every pivot stays of the size of the
 resolvent itself.  Setup costs O(L ell^3); GreenEvaluator.blocks() returns
-all L^2 blocks in O(L^2 ell^3) time and O(L^2 ell^2) memory.  The same
-sweep, batched over chains and energies, gives two more quantities from its
-pivots P_k:
+all L^2 blocks in O(L^2 ell^3) time and O(L^2 ell^2) memory.
+
+The same elimination, streamed over the sites of a batch of chains and
+energies, gives two more quantities from its pivots P_k.  The stream
+carries the current pivot of each chain and energy from site to site and
+holds the pivots of at most STREAM_BLOCK sites, whose inertia and size it
+reads in one vectorized pass per block; it never holds the stacks that
+schur_sweep returns:
 
 * log |det(M - z)| = sum of log |det P_k| (log_abs_det), the DOS term of
   the Thouless formula;
@@ -37,23 +42,27 @@ pivots P_k:
   many negative eigenvalues: the Sturm count of LAPACK dstebz (Kahan 1966)
   with ell x ell pivots in place of scalars.
 
+For ell = 2 the inverse, the determinant and the inertia of a pivot are
+closed forms on its three entries: det < 0 means one negative eigenvalue,
+det > 0 with trace < 0 two, and the smallest |eigenvalue| is |det| over
+the largest.  Other ell use stacked np.linalg.  Each pivot is carried as
+a scale times a pivot of unit size, so that its determinant does not
+overflow or underflow before the pivot itself does.
+
 A pivot is exactly singular when z is an eigenvalue of a leading sub-chain.
 The Green and log-determinant sweeps refuse it.  The count sweep floors it
-as dstebz does with pivmin: at a step where inversion fails, every pivot
-whose entries all lie within PIVOT_FLOOR of zero is replaced by
--PIVOT_FLOOR I, so an eigenvalue that makes a pivot vanish counts as below
-x.  Block pivots (ell >= 2) need one more guard, which scalar Sturm counts
-do not: when P_{k-1} is near singular, g_{k-1} is large along one
-direction, and the other eigenvalues of the next pivot are formed by
-cancellation and carry rounding errors of the size of |B|^2 |g_{k-1}|.
-So a count is resolved only when every pivot eigenvalue exceeds
-COUNT_ROUNDING times the size of the terms its pivot was formed from;
-eigenvalue_counts reports each count with that flag.  A rank-deficient pivot
-that the floor does not reach, or a pivot that overflows, leaves its
-chain unresolved without stopping the other chains of the sweep.  The
-floor and the flag live on the count path only, in the inversion it hands
-to schur_sweep and after the sweep; the other sweeps do no extra work per
-step.
+as dstebz does with pivmin: every exactly singular pivot whose entries all
+lie within PIVOT_FLOOR of zero is replaced by -PIVOT_FLOOR I, so an
+eigenvalue that makes a pivot vanish counts as below x.  Block pivots
+(ell >= 2) need one more guard, which scalar Sturm counts do not: when
+P_{k-1} is near singular, g_{k-1} is large along one direction, and the
+other eigenvalues of the next pivot are formed by cancellation and carry
+rounding errors of the size of |B|^2 |g_{k-1}|.  So a count is resolved
+only when every pivot eigenvalue exceeds COUNT_ROUNDING times the size of
+the terms its pivot was formed from; eigenvalue_counts reports each count
+with that flag.  A rank-deficient pivot that the floor does not reach, or
+a pivot that overflows, leaves its chain unresolved without stopping the
+other chains of the sweep.
 
 The fundamental solutions and their Wronskian remain as an independent
 check of the recursion; they invert the padded hoppings and form V - z
@@ -93,6 +102,10 @@ PIVOT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # may have its sign set by rounding, and its count is unresolved.  64 ulps
 # cover the rounding of one ell <= 3 block product, inverse and eigvalsh.
 COUNT_ROUNDING = 64 * float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Sites per block of the streaming sweep: it holds the pivots of one block
+# at a time and reads their inertia and size in one pass per block.
+STREAM_BLOCK = 64
 
 
 def symplectic_form(ell: int) -> np.ndarray:
@@ -267,65 +280,189 @@ def _inverse(P: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"exactly singular Schur pivot: {exc}") from exc
 
 
-def _floored_inverse(P: np.ndarray) -> np.ndarray:
-    """Inverse for the count sweep: if P holds an exactly singular pivot, change P in place first.
-
-    Every pivot of the stack with no entry larger than PIVOT_FLOOR in
-    magnitude becomes -PIVOT_FLOOR I.  A pivot that is still exactly
-    singular becomes NaN, so its chain's later pivots are NaN and
-    eigenvalue_counts reports its counts unresolved.  A stack without a
-    singular pivot is inverted as it is.
-    """
-    try:
-        return np.linalg.inv(P)
-    except np.linalg.LinAlgError:
-        P[np.abs(P).max(axis=(-2, -1)) <= PIVOT_FLOOR] = -PIVOT_FLOOR * np.eye(P.shape[-1])
-        sign, _ = np.linalg.slogdet(P)
-        P[~(np.abs(sign) > 0.0)] = np.nan
-        return _inverse(P)
-
-
-def schur_sweep(
-    D: np.ndarray, B: np.ndarray, invert: Callable[[np.ndarray], np.ndarray] = _inverse
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward Schur complements of block tridiagonal matrices.
+def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward Schur complements of block tridiagonal matrices, with every pivot kept.
 
     A matrix has diagonal blocks D (L, ..., ell, ell), upper blocks B
     (L-1, ..., ell, ell) and lower blocks B^t; the axes between the site
     axis and the block axes stack independent chains, and B broadcasts
     against D there.  Eliminating sites 0..k-1 leaves the pivot
     P_k = D_k - B_{k-1}^t g_{k-1} B_{k-1} at site k, with g_k = P_k^{-1}
-    and P_0 = D_0.  Returns the stacks P and g, shaped like D.  The
-    backward sweep is this one on the reversed chain, with hoppings
-    B[::-1] transposed.  invert maps the stack of pivots at one site to
-    their inverses; it may change the pivots in place, as the count sweep's
-    floor does, and by default refuses an exactly singular one.
+    and P_0 = D_0.  Returns the stacks P and g, shaped like D, which
+    GreenEvaluator needs whole; an exactly singular pivot is a
+    NumericalFailure.  The backward sweep is this one on the reversed
+    chain, with hoppings B[::-1] transposed.
     """
     P = np.empty_like(D)
     g = np.empty_like(D)
     P[0] = D[0]
-    g[0] = invert(P[0])
+    g[0] = _inverse(P[0])
     for k in range(1, D.shape[0]):
         P[k] = D[k] - np.swapaxes(B[k - 1], -1, -2) @ g[k - 1] @ B[k - 1]
-        g[k] = invert(P[k])
+        g[k] = _inverse(P[k])
     return P, g
 
 
-def _shifted_stack(chains: Sequence[BlockJacobiMatrix], z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of M_r - z_j for equal-length chains M_r and energies z_j.
+class _ClosedFormPivots:
+    """Symmetric 2x2 pivots [[a, b], [b, c]], kept as their entries (a, b, c) on axis -2: (R, 3, K) per site.
 
-    Returns the diagonal blocks V - z, shape (L, R, K, ell, ell), and the
-    upper blocks -S, shape (L-1, R, 1, ell, ell).
+    With adj P = [[c, -b], [-b, a]], the Schur update B^t P^{-1} B is
+    Q (a, b, c) / det P for a 3 x 3 matrix Q built once from each hopping.
+    """
+
+    ell = 2
+    axes = -2
+    expand = (..., None, slice(None))
+    identity = np.array([1.0, 0.0, 1.0])[:, None]
+    _weights = np.array([1.0, 2.0, 1.0])
+
+    def __init__(self, V: np.ndarray, B: np.ndarray, z: np.ndarray):
+        self.V = V[:, :, [0, 0, 1], [0, 1, 1], None]  # (L, R, 3, 1)
+        self.shift = self.identity * z  # (3, K)
+        (b00, b01), (b10, b11) = np.moveaxis(B, (-2, -1), (0, 1))  # each (L-1, R)
+        # row i gives entry i of B^t adj(P) B, column j the coefficient of entry j of P
+        self.Q = np.stack(
+            [
+                np.stack([b10 * b10, -2.0 * b00 * b10, b00 * b00], axis=-1),
+                np.stack([b10 * b11, -(b00 * b11 + b10 * b01), b00 * b01], axis=-1),
+                np.stack([b11 * b11, -2.0 * b01 * b11, b01 * b01], axis=-1),
+            ],
+            axis=-2,
+        )  # (L-1, R, 3, 3)
+
+    def diagonal(self, start: int, stop: int) -> np.ndarray:
+        return self.V[start:stop] - self.shift
+
+    def eliminate(self, D: np.ndarray, k: int, unit: np.ndarray, s: np.ndarray, det: np.ndarray) -> np.ndarray:
+        return D - self.Q[k - 1] @ unit / (s * det)[self.expand]
+
+    @classmethod
+    def scale(cls, P: np.ndarray) -> np.ndarray:
+        return cls._weights @ np.abs(P)  # |a| + 2 |b| + |c|
+
+    @staticmethod
+    def det(unit: np.ndarray) -> np.ndarray:
+        return unit[..., 0, :] * unit[..., 2, :] - unit[..., 1, :] * unit[..., 1, :]
+
+    @classmethod
+    def norm(cls, D: np.ndarray) -> np.ndarray:
+        return np.sqrt(cls._weights @ (D * D))
+
+    @classmethod
+    def inertia(cls, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Number of negative eigenvalues and smallest |eigenvalue| of each real pivot.
+
+        det < 0 means one negative eigenvalue, det > 0 with trace < 0 two;
+        the eigenvalues are tr/2 +- hypot((a - c)/2, b), so the smallest
+        modulus is |det| over the largest.
+        """
+        a, b, c = unit[..., 0, :], unit[..., 1, :], unit[..., 2, :]
+        trace, det = a + c, cls.det(unit)
+        below = trace < 0.0
+        negative = below.astype(int) + (below ^ (det < 0.0))
+        return negative, np.abs(det) / (0.5 * np.abs(trace) + np.hypot(0.5 * (a - c), b))
+
+
+class _StackedPivots:
+    """ell x ell pivots of any size, (R, K, ell, ell) per site, through stacked np.linalg."""
+
+    axes = (-2, -1)
+    expand = (..., None, None)
+
+    def __init__(self, V: np.ndarray, B: np.ndarray, z: np.ndarray):
+        self.ell = V.shape[-1]
+        self.V = V[:, :, None]  # (L, R, 1, ell, ell)
+        self.B = B[:, :, None]
+        self.identity = np.eye(self.ell)
+        self.shift = z[:, None, None] * self.identity  # (K, ell, ell)
+
+    def diagonal(self, start: int, stop: int) -> np.ndarray:
+        return self.V[start:stop] - self.shift
+
+    def eliminate(self, D: np.ndarray, k: int, unit: np.ndarray, s: np.ndarray, det: np.ndarray) -> np.ndarray:
+        B = self.B[k - 1]
+        return D - np.swapaxes(B, -1, -2) @ np.linalg.inv(unit) @ B / s[self.expand]
+
+    @staticmethod
+    def scale(P: np.ndarray) -> np.ndarray:
+        return np.abs(P).max(axis=(-2, -1))
+
+    @staticmethod
+    def det(unit: np.ndarray) -> np.ndarray:
+        return np.linalg.det(unit)
+
+    @staticmethod
+    def norm(D: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.square(D).sum(axis=(-2, -1)))
+
+    @staticmethod
+    def inertia(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Number of negative eigenvalues and smallest |eigenvalue| of each pivot; NaN for a non-finite one."""
+        finite = np.isfinite(unit).all(axis=(-2, -1))
+        w = np.linalg.eigvalsh(np.where(finite[..., None, None], unit, 0.0))
+        return np.count_nonzero(w < 0.0, axis=-1), np.where(finite, np.abs(w).min(axis=-1), np.nan)
+
+
+def _schur_stream(
+    chains: Sequence[BlockJacobiMatrix], z: np.ndarray, count: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward Schur sweep of M_r - z_j over equal-length chains M_r and energies z_j, one site at a time.
+
+    Each pivot is carried as s times a pivot of unit size, so that no
+    determinant over- or underflows before the pivot itself does.  The
+    site loop does only the elimination; the signs and sizes of the pivots
+    are read in one pass per block of STREAM_BLOCK sites, the only pivots
+    held.  Returns arrays of shape (R, K): with count, the numbers of
+    negative pivot eigenvalues and the resolved flags, and log |det| left
+    at zero; without it, log |det(M_r - z_j)| and the other two left at
+    their start.  With count, an exactly singular pivot is floored (see the
+    module docstring); without it, it is a NumericalFailure.
     """
     V = np.stack([M.V for M in chains], axis=1)  # (L, R, ell, ell)
-    S = np.stack([M.S for M in chains], axis=1)
-    return V[:, :, None] - z[:, None, None] * np.eye(V.shape[-1]), -S[:, :, None]
+    B = -np.stack([M.S for M in chains], axis=1)  # (L-1, R, ell, ell)
+    kernel = (_ClosedFormPivots if V.shape[-1] == 2 else _StackedPivots)(V, B, z)
+    shape = (V.shape[1], z.size)
+    # |B_{k-1}|^2 for the pivot at site k; site 0 has none
+    hopping = np.concatenate([np.zeros((1, shape[0], 1)), np.square(B).sum(axis=(-2, -1))[..., None]])
+    log_abs, negative, resolved = np.zeros(shape), np.zeros(shape, dtype=int), np.ones(shape, dtype=bool)
+    previous = np.full(shape, np.inf)
+    for start in range(0, V.shape[0], STREAM_BLOCK):
+        D = kernel.diagonal(start, min(start + STREAM_BLOCK, V.shape[0]))
+        units, scales = np.empty_like(D), np.empty((D.shape[0],) + shape)
+        for i, k in enumerate(range(start, start + D.shape[0])):
+            P = D[i] if k == 0 else kernel.eliminate(D[i], k, unit, s, det)
+            s = np.maximum(kernel.scale(P), _TINY)  # so a zero pivot has det 0, not 0 / 0
+            unit = P / s[kernel.expand]
+            det = kernel.det(unit)
+            if np.count_nonzero(det) < det.size:
+                singular = det == 0.0
+                if not count:
+                    raise NumericalFailure(
+                        "exactly singular Schur pivot: z is an eigenvalue of a leading sub-chain"
+                    )
+                floored = singular & (np.abs(P).max(axis=kernel.axes) <= PIVOT_FLOOR)
+                unit = np.where(singular[kernel.expand], np.nan, unit)
+                unit = np.where(floored[kernel.expand], -kernel.identity, unit)
+                s = np.where(floored, PIVOT_FLOOR, s)
+                det = kernel.det(unit)
+            units[i], scales[i] = unit, s
+        if count:
+            below, smallest = kernel.inertia(units)
+            negative += below.sum(axis=0)
+            smallest *= scales
+            before = np.concatenate([previous[None], smallest[:-1]])
+            formed_from = kernel.norm(D) + hopping[start:start + D.shape[0]] / before
+            resolved &= (smallest > COUNT_ROUNDING * formed_from).all(axis=0)
+            previous = smallest[-1]
+        else:
+            log_abs += (np.log(np.abs(kernel.det(units))) + kernel.ell * np.log(scales)).sum(axis=0)
+    return log_abs, negative, resolved
 
 
 def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]) -> np.ndarray:
     """log |det(M_r - z_j)| for equal-length chains M_r and energies z_j, shape (R, K).
 
-    One schur_sweep runs over every chain and energy at once, and
+    One streaming Schur sweep runs over every chain and energy at once, and
     log |det(M - z)| is the sum of log |det P_k| over its pivots.  Off the
     real axis every pivot is invertible.  At real z the sum is exact unless
     z is an eigenvalue of a leading sub-chain M[0..k]: an exactly singular
@@ -337,8 +474,7 @@ def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]
         z = z.real  # real energies keep real arithmetic
     # a pivot that overflows is reported by the finiteness check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, logs = np.linalg.slogdet(schur_sweep(*_shifted_stack(chains, z))[0])
-    total = logs.sum(axis=0)
+        total, _, _ = _schur_stream(chains, z, count=False)
     if not np.all(np.isfinite(total)):
         raise NumericalFailure("Schur pivot log-determinants are not finite: z is at a sub-chain eigenvalue")
     return total
@@ -350,12 +486,12 @@ def eigenvalue_counts(
     """#{eigenvalues of M_r below x_j} for equal-length chains M_r and real x_j, with a resolved flag.
 
     Returns the integer counts and the boolean flags, both of shape (R, K).
-    One schur_sweep runs over every chain and energy at once, and the count
-    is the number of negative eigenvalues of all its pivots together
-    (Sylvester's law of inertia).  No eigensolve of M is made.  An exactly
-    singular pivot is floored to -PIVOT_FLOOR I (see the module docstring),
-    so an eigenvalue that makes a pivot vanish counts as below x.  A count
-    is resolved when every one of its pivot eigenvalues exceeds
+    One streaming Schur sweep runs over every chain and energy at once, and
+    the count is the number of negative eigenvalues of all its pivots
+    together (Sylvester's law of inertia).  No eigensolve of M is made.  An
+    exactly singular pivot is floored to -PIVOT_FLOOR I (see the module
+    docstring), so an eigenvalue that makes a pivot vanish counts as below
+    x.  A count is resolved when every one of its pivot eigenvalues exceeds
     COUNT_ROUNDING times the size of the terms the pivot was formed from:
     then no pivot sign is left to rounding, and only an eigenvalue of M
     within rounding of x may count on either side.  A near-singular leading
@@ -365,17 +501,10 @@ def eigenvalue_counts(
     x = np.asarray(energies)
     if np.iscomplexobj(x) and np.any(x.imag):
         raise ValueError("eigenvalue counts need real energies")
-    D, B = _shifted_stack(chains, x.real.astype(float))
-    # a singular or overflowing pivot is reported by the flag below, not as warnings
+    # a singular or overflowing pivot is reported by the flag, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        P, _ = schur_sweep(D, B, invert=_floored_inverse)
-        finite = np.isfinite(P).all(axis=(-2, -1))  # (L, R, K)
-        w = np.linalg.eigvalsh(np.where(finite[..., None, None], P, 0.0))
-        smallest = np.abs(w).min(axis=-1)
-        scale = np.sqrt(np.square(D).sum(axis=(-2, -1)))
-        scale[1:] += np.square(B).sum(axis=(-2, -1)) / smallest[:-1]
-        resolved = (finite & (smallest > COUNT_ROUNDING * scale)).all(axis=0)
-    return np.count_nonzero(w < 0.0, axis=(0, -1)), resolved
+        _, counts, resolved = _schur_stream(chains, x.real.astype(float), count=True)
+    return counts, resolved
 
 
 def _cond1(P: np.ndarray, P_inv: np.ndarray) -> float:

@@ -7,7 +7,6 @@ from randblock.localization import (
     CorrelatorField,
     eigenfunction_correlator,
     ensemble_correlator,
-    evolution_block_norm,
     fit_decay,
     wegner_probe,
 )
@@ -18,7 +17,20 @@ from randblock.model import (
     assemble_block_jacobi,
     sample_disorder,
 )
-from randblock.spectral import eigensolve
+from randblock.spectral import SpectralData, eigensolve
+from randblock.transfer import eigenvalue_counts
+
+
+def evolution_block_norm(spec: SpectralData, window: tuple[float, float], j: int, k: int, t: float) -> float:
+    """Operator norm of P_j exp(-itM) chi_J(M) P_k^* for one realization."""
+    lo, hi = window
+    mask = spec.window_mask(lo, hi)
+    if not mask.any():
+        return 0.0
+    blocks = spec.eigenvectors.reshape(spec.n, spec.ell, -1)
+    Wj, Wk = blocks[j][:, mask], blocks[k][:, mask]
+    phases = np.exp(-1j * t * spec.eigenvalues[mask])
+    return float(np.linalg.norm((Wj * phases) @ Wk.conj().T, 2))
 
 
 def chiral_spectra(params, num_realizations, seed):
@@ -209,10 +221,16 @@ class TestWegner:
         assert rec.hits == self.nearest_eigenvalue_hits(two_point_field, 1.0, L, eps, samples, seed)
 
     def test_batches_of_chains_give_the_same_hits(self, monkeypatch):
+        # the probe sweeps every sample of one L at once; one sweep per chain must give the same hits
         p = ModelParams(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
         args = dict(E=0.7, L_list=[50, 200], beta=0.5, sigma=0.3, samples=7, seed=5)
         whole = wegner_probe(p, **args)
-        monkeypatch.setattr(localization, "COUNT_SWEEP_SITES", 120)  # two chains of 50, one of 200
+
+        def chain_by_chain(chains, x):
+            counts, resolved = zip(*(eigenvalue_counts([M], x) for M in chains))
+            return np.concatenate(counts), np.concatenate(resolved)
+
+        monkeypatch.setattr(localization, "eigenvalue_counts", chain_by_chain)
         assert wegner_probe(p, **args) == whole
         assert any(0 < rec.hits < 7 for rec in whole)
 

@@ -34,6 +34,7 @@ from randblock.spectral import (
     floquet_symbol,
     periodic_spectrum,
 )
+from randblock.transfer import eigenvalue_counts
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -230,17 +231,30 @@ class TestSymmetryAndGap:
         assert check_gap(spec, 1e-15)  # vacuously true as the window shrinks
 
 
+def histogram_slack(ref: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per bin, how many eigenvalues within 1e-9 of one of its edges may have landed in a neighbour."""
+    near = (np.abs(ref[:, None] - edges[None, :]) <= 1e-9).sum(axis=0)
+    slack = np.zeros(edges.size - 1, dtype=int)
+    for j, k in enumerate(near):
+        slack[max(j - 1, 0)] += k
+        slack[min(j, slack.size - 1)] += k
+    return slack
+
+
+def dense_eigenvalues(params, num_realizations, seed):
+    chains = [assemble_block_jacobi(params, sample_disorder(params, seed, r)) for r in range(num_realizations)]
+    return np.concatenate([np.linalg.eigvalsh(M.dense()) for M in chains])
+
+
 class TestDOS:
     def test_single_realization_single_bin(self, xy_params):
-        p = xy_params(n=10)
-        spec = eigensolve(assemble_block_jacobi(p, sample_disorder(p, 0)), want_vectors=False)
-        lo, hi = spec.eigenvalues[0] - 0.1, spec.eigenvalues[-1] + 0.1
-        dos = dos_histogram([spec], bins=np.array([lo, hi]))
+        dos = dos_histogram(xy_params(n=10), 1, seed=0, bins=1)
         assert dos.mass.size == 1 and dos.mass[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_and_monotone_cumulative(self, xy_params):
         p = xy_params(n=30)
-        dos = dos_histogram(ensemble_spectra(p, 5, seed=3), bins=40)
+        # 57 bins over [-4, 4] are no wider than the 40 that once spanned the eigenvalue range
+        dos = dos_histogram(p, 5, seed=3, bins=57)
         assert dos.total_mass == pytest.approx(1.0, abs=1e-12)
         grid = np.linspace(dos.edges[0] - 1, dos.edges[-1] + 1, 200)
         N = np.array([dos.cumulative(E) for E in grid])
@@ -252,8 +266,8 @@ class TestDOS:
         with pytest.warns(TrivialDisorderWarning):
             rho = SingleSiteDistribution.discrete([1.0], [1.0])
         p = ModelParams(1000, 0.5, rho)
-        spec = eigensolve(assemble_block_jacobi(p, sample_disorder(p, 0)), want_vectors=False)
-        dos = dos_histogram([spec], bins=100)
+        # 134 bins over [-4, 4] are no wider than the 100 that once spanned the spectrum [-3, 3]
+        dos = dos_histogram(p, 1, seed=0, bins=134)
         thetas = np.linspace(0, 2 * np.pi, 4001, endpoint=False)
         sym = np.sort(
             np.concatenate([np.linalg.eigvalsh(floquet_symbol([1.0], 0.5, th)) for th in thetas])
@@ -262,6 +276,72 @@ class TestDOS:
         N_sym = np.searchsorted(sym, grid, side="right") / sym.size
         N_dos = np.array([dos.cumulative(E) for E in grid])
         assert np.max(np.abs(N_sym - N_dos)) <= 2e-2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        gamma=st.sampled_from([0.0, 0.5, 2.0]),
+        mu=st.sampled_from([1.0, -0.7, 2.5]),
+        rho=st.sampled_from(
+            [
+                SingleSiteDistribution.uniform(-1.0, 1.0),
+                SingleSiteDistribution.uniform(-0.5, 2.0),
+                SingleSiteDistribution.two_point(0.0, 1.0),
+                SingleSiteDistribution.two_point(-1.5, 0.5, 0.3),
+            ]
+        ),
+        num_realizations=st.integers(1, 3),
+        bins=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_masses_are_the_histogram_of_dense_eigenvalues(self, n, gamma, mu, rho, num_realizations, bins,
+                                                           seed):
+        p = ModelParams(n, gamma, rho, mu)
+        dos = dos_histogram(p, num_realizations, seed, bins)
+        edges = dos.edges
+        assert edges.size == bins + 1 and np.array_equal(edges, -edges[::-1])
+        if bins % 2 == 0:
+            assert edges[bins // 2] == 0.0
+        ref = dense_eigenvalues(p, num_realizations, seed)
+        counts = dos.mass * ref.size
+        assert np.max(np.abs(counts - np.rint(counts))) <= 1e-9
+        expected, _ = np.histogram(ref, bins=edges)
+        assert np.all(np.abs(np.rint(counts) - expected) <= histogram_slack(ref, edges))
+
+    def test_unresolved_chains_fall_back_to_one_eigensolve(self, two_point_field, monkeypatch):
+        # with G = 4, 8 bins put an edge at the atom 1.0, where a chain with nu_1 = 1 has the
+        # rank-deficient first pivot diag(0, -2): its counts come from its eigenvalues
+        p = ModelParams(20, 0.5, two_point_field)
+        solved = []
+
+        def traced(M, **kw):
+            solved.append(M.V[0, 0, 0])
+            return eigensolve(M, **kw)
+
+        monkeypatch.setattr(spectral, "eigensolve", traced)
+        dos = dos_histogram(p, 6, seed=7, bins=8)
+        assert dos.edges[5] == 1.0
+        first = [sample_disorder(p, 7, r).nu[0] for r in range(6)]
+        assert 0 < first.count(1.0) <= solved.count(1.0) and len(solved) < 6
+        ref = dense_eigenvalues(p, 6, 7)
+        expected, _ = np.histogram(ref, bins=dos.edges)
+        assert np.all(np.abs(np.rint(dos.mass * ref.size) - expected) <= histogram_slack(ref, dos.edges))
+
+    @pytest.mark.parametrize("seed", [1001, 2001, 3001])
+    def test_edge_zero_modes_are_counted_at_the_middle_edge(self, seed, monkeypatch):
+        # uniform(-1, 1) field, gamma = 1/2, n = 1000: each chain has a pair of edge zero modes at
+        # about +-1e-15, and the middle edge 0.0 splits them exactly, with no eigensolve
+        p = ModelParams(1000, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        chains = [assemble_block_jacobi(p, sample_disorder(p, seed, r)) for r in range(4)]
+        counts, resolved = eigenvalue_counts(chains, [0.0])
+        assert resolved.all() and counts.ravel().tolist() == [1000] * 4
+
+        def refuse(M, **kw):
+            raise AssertionError("every count should be resolved")
+
+        monkeypatch.setattr(spectral, "eigensolve", refuse)
+        dos = dos_histogram(p, 4, seed, bins=50)
+        assert dos.edges[25] == 0.0 and np.array_equal(dos.mass, dos.mass[::-1])
 
     def test_isotropic_case_reduces_to_anderson_pair(self, two_point_field):
         # gamma=0: the operator splits into A and -A with scalar Anderson A

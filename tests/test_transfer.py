@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_chebyu
 
+from randblock import transfer
 from randblock.errors import NumericalFailure
 from randblock.model import (
     DisorderRealization,
@@ -17,7 +18,9 @@ from randblock.model import (
 )
 from randblock.spectral import eigensolve
 from randblock.transfer import (
+    COUNT_ROUNDING,
     OVERFLOW_LIMIT,
+    STREAM_BLOCK,
     GreenEvaluator,
     charpoly_identity_check,
     eigenvalue_counts,
@@ -421,6 +424,19 @@ class TestEigenvalueCounts:
         counts, resolved = eigenvalue_counts([M], [0.0])
         assert counts.tolist() == [[int(np.sum(w < 0.0))]] and resolved.all()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floored_pivot_does_not_overflow_the_next_determinant(self, seed):
+        # gamma = 2: after the floor -PIVOT_FLOOR I at nu_1 = 0, the next pivot has entries near
+        # 5 / PIVOT_FLOOR = 3e154, whose 2x2 determinant overflows unless the pivot is scaled
+        p = ModelParams(40, 2.0, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        nu = sample_disorder(p, seed).nu.copy()
+        nu[0] = 0.0
+        M = assemble_block_jacobi(p, DisorderRealization(seed=seed, index=0, nu=nu))
+        w = np.linalg.eigvalsh(M.dense())
+        assert np.min(np.abs(w)) > 1e-10
+        counts, resolved = eigenvalue_counts([M], [0.0])
+        assert resolved.all() and counts.tolist() == [[int(np.sum(w < 0.0))]]
+
     def test_rank_deficient_block_pivot_is_unresolved(self):
         # P_0 = 0.5 sigma_z - 0.5 = diag(0, -1): singular, but not within the floor; the other
         # chains of the sweep are still counted
@@ -469,6 +485,58 @@ class TestEigenvalueCounts:
     def test_complex_energy_is_refused(self, rng):
         with pytest.raises(ValueError, match="real energies"):
             eigenvalue_counts([random_instance(rng, 2, 5)], [0.3 + 0.1j])
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_stream_equals_the_stored_sweep_across_blocks(self, ell):
+        # reference: every pivot kept by schur_sweep, its inertia from eigvalsh, the resolved rule on
+        # the whole stack
+        rng = realization_rng(20260017, ell)
+        L, x = 2 * STREAM_BLOCK + 7, np.array([-1.3, 0.0, 0.4, 2.2])
+        chains = [random_instance(rng, ell, L) for _ in range(3)]
+        D = np.stack([M.V for M in chains], axis=1)[:, :, None] - x[:, None, None] * np.eye(ell)
+        B = -np.stack([M.S for M in chains], axis=1)[:, :, None]
+        w = np.linalg.eigvalsh(schur_sweep(D, B)[0])
+        smallest = np.abs(w).min(axis=-1)
+        formed_from = np.sqrt(np.square(D).sum(axis=(-2, -1)))
+        formed_from[1:] += np.square(B).sum(axis=(-2, -1)) / smallest[:-1]
+        counts, resolved = eigenvalue_counts(chains, x)
+        assert counts.tolist() == np.count_nonzero(w < 0.0, axis=(0, -1)).tolist()
+        assert resolved.tolist() == (smallest > COUNT_ROUNDING * formed_from).all(axis=0).tolist()
+        for r, M in enumerate(chains):
+            assert counts[r].tolist() == [int(np.sum(np.linalg.eigvalsh(M.dense()) < xj)) for xj in x]
+
+    def test_resolved_rule_carries_across_a_block_boundary(self):
+        # the last pivot of the first block gets a small eigenvalue 1e-12, so the first pivot of
+        # the next one is formed from terms of size |B|^2 1e12 and its other eigenvalue 1e-3 is
+        # within their rounding: unresolved, though 1e-3 is far above the rounding of D alone
+        rng = realization_rng(20260018, 2)
+        M, x, k = random_instance(rng, 2, STREAM_BLOCK + 20), 0.3, STREAM_BLOCK
+        for site, target in ((k - 1, 1e-12), (k, 1e-3)):
+            P, _ = schur_sweep(M.V - x * np.eye(2), -M.S)
+            lam, U = np.linalg.eigh(P[site])
+            j = np.argmin(np.abs(lam))
+            M.V[site] += (target - lam[j]) * np.outer(U[:, j], U[:, j])
+        P, _ = schur_sweep(M.V - x * np.eye(2), -M.S)
+        assert np.min(np.abs(np.linalg.eigvalsh(P[k - 1]))) == pytest.approx(1e-12, rel=1e-3)
+        _, resolved = eigenvalue_counts([M], [x])
+        assert resolved.tolist() == [[False]]
+        _, resolved = eigenvalue_counts([M], [x + 1e-6])  # away from the tuned pivots
+        assert resolved.tolist() == [[True]]
+
+    def test_block_size_changes_no_count_or_flag(self, monkeypatch):
+        # near the atoms of a two-point law many pivots are near singular, so the resolved rule
+        # at the first site of a block depends on the last pivot of the block before it
+        p = ModelParams(150, 2.0, SingleSiteDistribution.two_point(0.0, 1.0, 0.5))
+        chains = [assemble_block_jacobi(p, sample_disorder(p, 11, r)) for r in range(8)]
+        x = [0.0, 1.0, float(np.nextafter(1.0, -np.inf)), 1.0 - 1e-14, 0.5]
+        z = [0.3 + 0.2j, -1.0 + 0.05j]
+        whole, logs = eigenvalue_counts(chains, x), log_abs_det(chains, z)
+        assert not whole[1].all() and whole[1].any()
+        for block in (1, 3, 64):
+            monkeypatch.setattr(transfer, "STREAM_BLOCK", block)
+            counts, resolved = eigenvalue_counts(chains, x)
+            assert np.array_equal(counts, whole[0]) and np.array_equal(resolved, whole[1])
+            np.testing.assert_allclose(log_abs_det(chains, z), logs, rtol=1e-13)
 
 
 class TestCharpoly:
