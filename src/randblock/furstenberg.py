@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .model import SIGMA_Z, anisotropy_block, check_gamma
 from .transfer import symplectic_defect, symplectic_form, transfer_matrix
 
@@ -50,10 +50,12 @@ _SP2_COORDS = tuple(np.array([
 def _require_symplectic(A: np.ndarray) -> None:
     """Raise unless every matrix of the stack is symplectic to SYMPLECTIC_TOL max(1, max |A|)^2.
 
-    The test is written so that a NaN defect fails it.
+    The test is written so that a NaN defect fails it; an overflow in it
+    shows as an infinite bound or a NaN defect, not as warnings.
     """
-    defect = symplectic_defect(A)
-    failed = ~(defect <= SYMPLECTIC_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = symplectic_defect(A)
+        failed = ~(defect <= SYMPLECTIC_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) ** 2)
     if np.any(failed):
         raise ConfigError(f"matrix is not symplectic, defect {np.max(defect, where=failed, initial=0.0):.3e}")
 
@@ -125,30 +127,33 @@ def _closure_coordinates(E: float, gamma: float, depth: int) -> np.ndarray:
     """
     step = build_A0(E, gamma)
     A0, A0i = step.matrix, step.inv()
-    conjugators = np.stack([
-        UU @ A0 @ UU,
-        UU @ A0i @ UU,
-        UU @ A0 @ A0 @ UU,
-        UU @ A0i @ A0i @ UU,
-    ])
-    # the inverse of each conjugator is its neighbour in the pair
-    conjugator_invs = conjugators[[1, 0, 3, 2]]
+    # at a large |E| the conjugators overflow; that shows as non-finite elements, which
+    # the check below reports as a NumericalFailure, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        conjugators = np.stack([
+            UU @ A0 @ UU,
+            UU @ A0i @ UU,
+            UU @ A0 @ A0 @ UU,
+            UU @ A0i @ A0i @ UU,
+        ])
+        # the inverse of each conjugator is its neighbour in the pair
+        conjugator_invs = conjugators[[1, 0, 3, 2]]
 
-    seed = np.zeros((1, 4, 4))
-    seed[0, 2:, :2] = SIGMA_Z
-    elements = _normalized(UU @ seed @ UU)
-    for _ in range(depth):
-        conjugates = (conjugators[None] @ elements[:, None] @ conjugator_invs[None]).reshape(-1, 4, 4)
-        norms = np.linalg.norm(elements, axis=(1, 2))
-        i, j = np.triu_indices(len(elements), 1)
-        X, Y = elements[i], elements[j]
-        Z = X @ Y - Y @ X
-        Z = Z[np.linalg.norm(Z, axis=(1, 2)) > COMMUTATOR_DISCARD * norms[i] * norms[j]]
-        elements = np.concatenate([elements, _normalized(conjugates), _normalized(Z)])
+        seed = np.zeros((1, 4, 4))
+        seed[0, 2:, :2] = SIGMA_Z
+        elements = _normalized(UU @ seed @ UU)
+        for _ in range(depth):
+            conjugates = (conjugators[None] @ elements[:, None] @ conjugator_invs[None]).reshape(-1, 4, 4)
+            norms = np.linalg.norm(elements, axis=(1, 2))
+            i, j = np.triu_indices(len(elements), 1)
+            X, Y = elements[i], elements[j]
+            Z = X @ Y - Y @ X
+            Z = Z[np.linalg.norm(Z, axis=(1, 2)) > COMMUTATOR_DISCARD * norms[i] * norms[j]]
+            elements = np.concatenate([elements, _normalized(conjugates), _normalized(Z)])
 
-    defect = np.abs(np.swapaxes(elements, 1, 2) @ J4 + J4 @ elements).max()
-    if defect > COMMUTATOR_DISCARD:
-        raise ConfigError(f"closure element left sp(2), defect {defect:.3e}")
+        defect = np.abs(np.swapaxes(elements, 1, 2) @ J4 + J4 @ elements).max()
+    if not (np.all(np.isfinite(elements)) and defect <= COMMUTATOR_DISCARD):
+        raise NumericalFailure(f"closure elements are not finite or left sp(2), defect {defect:.3e}")
     return elements[:, _SP2_COORDS[0], _SP2_COORDS[1]]
 
 

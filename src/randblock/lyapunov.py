@@ -29,7 +29,7 @@ from .model import (
     anisotropy_block,
     realization_rng,
 )
-from .transfer import DEFAULT_REORTH, log_abs_det, qr_block, transfer_factors
+from .transfer import DEFAULT_REORTH, log_abs_det, qr_product, transfer_factors
 
 DEFAULT_STEPS = 100_000
 DEFAULT_BATCHES = 50
@@ -72,8 +72,11 @@ class BlockEnsemble:
             V = nu[:, None, None] * SIGMA_Z[None, :, :]
             return V, S_const
 
-        # det(mu S(gamma)) = mu^2 (gamma^2 - 1)
-        mean_log = float(np.log(mu**2 * abs(gamma**2 - 1.0)))
+        # det(mu S(gamma)) = mu^2 (gamma^2 - 1), as a sum of float64 logs: a Python-float
+        # power raises OverflowError beyond 1e154, where a float64 square is inf and its log inf
+        g = np.float64(gamma)
+        with np.errstate(over="ignore"):
+            mean_log = float(2.0 * np.log(abs(np.float64(mu))) + np.log(abs(g * g - 1.0)))
         return cls(ell=2, draw_blocks=draw, mean_log_abs_det_s=mean_log)
 
     @classmethod
@@ -138,10 +141,10 @@ def _qr_exponents(
 
     Steps are grouped into DEFAULT_BATCHES equal batches of whole
     re-orthonormalization blocks; a short uncounted warmup aligns the frame
-    with the stationary flag before accumulation starts.  Each block of
-    reorth_every factors is first folded into one product, stacked over a
-    chunk of blocks, so the sequential part is one product and one QR per
-    block.
+    with the stationary flag before accumulation starts.  Factors are drawn
+    a chunk of blocks at a time, and each chunk goes through one
+    transfer.qr_product call, which folds each block of reorth_every
+    factors into one product and re-orthonormalizes once per block.
     """
     if reorth_every < 1:
         raise ConfigError("reorth_every must be >= 1")
@@ -161,15 +164,7 @@ def _qr_exponents(
         done = 0
         while done < count:
             take = min(chunk_blocks, count - done)
-            F = draw_factors(rng, take * reorth_every).reshape(take, reorth_every, dim, dim)
-            diag_r = np.empty((take, dim), dtype=F.dtype)
-            # an overflow is reported by the finiteness check below, not as warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                P = F[:, 0]
-                for j in range(1, reorth_every):
-                    P = F[:, j] @ P
-                for b in range(take):
-                    X, diag_r[b] = qr_block(X, (P[b],))
+            X, diag_r = qr_product(X, draw_factors(rng, take * reorth_every), reorth_every)
             if not np.all(np.isfinite(X)):
                 raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
             if sums is not None:

@@ -254,8 +254,9 @@ class BlockJacobiMatrix:
         asym = np.max(np.abs(self.V - np.transpose(self.V, (0, 2, 1)))) if self.n else 0.0
         if asym != 0.0:
             raise ConfigError(f"diagonal blocks must be exactly symmetric, max asymmetry {asym}")
-        dets = np.linalg.det(self.S)
-        if np.any(dets == 0.0) or np.any(np.abs(dets) < 1e-300):
+        # the slogdet sign is 0 exactly at a singular block, at any scale of S
+        signs, _ = np.linalg.slogdet(self.S)
+        if not np.all(signs != 0.0):
             raise ConfigError("hopping blocks must be invertible")
 
     def dense(self) -> np.ndarray:

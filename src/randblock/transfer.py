@@ -10,13 +10,14 @@ A_k satisfies A_k^t J A_k = J exactly (transpose, not adjoint), also for
 complex E.  Boundary hoppings are padded with identities, S_0 = S_L = I,
 so that fundamental solutions on a chain of L sites are indexed k = 0..L+1.
 
-Long products are carried on orthonormal frames: qr_block advances a frame
-through a block of steps and re-orthonormalizes it with LAPACK geqrf and
-orgqr (ungqr for complex frames), returning diag R, from which callers take
-log |diag R| and the phase of det R.  The Lyapunov engine and both
-characteristic polynomial routes use it.  The engine and the transfer-minor
-route hand it one product per block, folded beforehand from a stack of
-factors; the solution-recursion route steps its frame site by site, with
+Long products are carried on orthonormal frames by one engine, qr_product:
+it folds each block of factors of a stack into one product, stacked over
+all blocks, then advances the frame by one product per block and
+re-orthonormalizes it with LAPACK geqrf and orgqr (ungqr for complex
+frames), returning diag R, from which callers take log |diag R| and the
+phase of det R.  The Lyapunov engine and both characteristic polynomial
+routes use it: the transfer-minor route on the stack of A_k, the
+solution-recursion route on its own stack of recursion steps, built with
 the padded hoppings inverted once per chain.
 
 Green blocks come from the recursive Green's function method (Thouless and
@@ -68,19 +69,18 @@ The fundamental solutions and their Wronskian remain as an independent
 check of the recursion; they invert the padded hoppings and form V - z
 once, and test for overflow once per direction after the sweep.
 
-fundamental_solutions, log_abs_det and eigenvalue_counts may run past an
-overflow: they do so under np.errstate and report it afterwards, as a
-NumericalFailure or as an unresolved count, not as floating-point
-warnings.  The test suite turns any RuntimeWarning raised in this module
+qr_product, fundamental_solutions, log_abs_det and eigenvalue_counts may
+run past an overflow: they do so under np.errstate and report it
+afterwards, as a non-finite frame, a NumericalFailure or an unresolved
+count, not as floating-point warnings.  The test suite turns any RuntimeWarning raised in this module
 into an error.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg.lapack
@@ -157,30 +157,40 @@ def _qr_kernels(dtype: np.dtype) -> tuple[Callable, Callable]:
     return scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"), dtype=dtype)
 
 
-def qr_block(
-    X: np.ndarray,
-    factors: Iterable,
-    step: Callable[[Any, np.ndarray], np.ndarray] = operator.matmul,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the frame X through factors and re-orthonormalize it.
+def qr_product(X: np.ndarray, F: np.ndarray, reorth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the frame X through the factors F (m, dim, dim), re-orthonormalizing every reorth of them.
 
-    Each factor F maps X to step(F, X), the matrix product F @ X by
-    default.  With Y = Q R the reduced QR factorization of the advanced
-    frame (LAPACK geqrf, then orgqr/ungqr), returns Q and diag R:
-    log |diag R| carries the growth, and the product of diag R / |diag R|
-    is the phase of det R.  X may be square or tall.
+    Each block of reorth consecutive factors is first folded into one
+    product, stacked over all blocks (a short last block is padded with
+    identities, which multiply exactly), so the sequential part is one
+    product and one reduced QR factorization per block: LAPACK geqrf, then
+    orgqr (ungqr for complex frames).  Returns the last frame Q and the
+    (blocks, cols) stack of diag R: log |diag R| carries the growth, and the
+    product of diag R / |diag R| is the phase of det R.  X may be square or
+    tall; with no factors it comes back unchanged.  An overflow shows as a
+    non-finite frame or diag R, which callers check, not as warnings.
     """
-    for F in factors:
-        X = step(F, X)
-    geqrf, orgqr = _qr_kernels(X.dtype)
-    packed, tau, _, info = geqrf(X)
-    if info != 0:
-        raise NumericalFailure(f"QR factorization of the frame failed (geqrf info {info})")
-    diag_r = packed.diagonal().copy()
-    Q, _, info = orgqr(packed, tau, overwrite_a=1)
-    if info != 0:
-        raise NumericalFailure(f"QR factorization of the frame failed (orgqr info {info})")
-    return Q, diag_r
+    dim = F.shape[-1]
+    pad = -F.shape[0] % reorth
+    if pad:
+        F = np.concatenate([F, np.broadcast_to(np.eye(dim), (pad, dim, dim))])
+    F = F.reshape(-1, reorth, dim, dim)
+    dtype = np.result_type(F, X)
+    geqrf, orgqr = _qr_kernels(dtype)
+    diag_r = np.empty((F.shape[0], X.shape[1]), dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = F[:, 0]
+        for j in range(1, reorth):
+            P = F[:, j] @ P
+        for b in range(F.shape[0]):
+            packed, tau, _, info = geqrf(P[b] @ X)
+            if info != 0:
+                raise NumericalFailure(f"QR factorization of the frame failed (geqrf info {info})")
+            diag_r[b] = packed.diagonal()
+            X, _, info = orgqr(packed, tau, overwrite_a=1)
+            if info != 0:
+                raise NumericalFailure(f"QR factorization of the frame failed (orgqr info {info})")
+    return X, diag_r
 
 
 def _padded_hopping(M: BlockJacobiMatrix) -> np.ndarray:
@@ -579,25 +589,21 @@ class GreenEvaluator:
 # characteristic polynomial identity
 
 
-def _renormalized_bottom_minor(
-    ell: int, blocks: Iterable[Sequence], step: Callable[[Any, np.ndarray], np.ndarray] = operator.matmul
-) -> tuple[complex, float]:
-    """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] after all steps.
+def _bottom_minor(factors: np.ndarray) -> tuple[complex, float]:
+    """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] carried through the factors.
 
-    Each block of steps ends in a re-orthonormalization; the accumulated R
-    factors carry the scale.  A block whose growth overflows, or a frame
-    that loses rank, is a NumericalFailure.
+    The frame is re-orthonormalized every DEFAULT_REORTH factors by
+    qr_product, and its diag R carries the scale.  A block whose growth
+    overflows, or a frame that loses rank, is a NumericalFailure.
     """
-    X = np.concatenate([np.zeros((ell, ell)), np.eye(ell)])
-    phase, log_abs = 1.0, 0.0
+    ell = factors.shape[-1] // 2
+    X, d = qr_product(np.concatenate([np.zeros((ell, ell)), np.eye(ell)]), factors, DEFAULT_REORTH)
     # an overflow (infinite or NaN diag R) or a lost rank (zero diag R) makes
     # phase or log_abs non-finite, which the check below reports, not warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for steps in blocks:
-            X, d = qr_block(X, steps, step)
-            abs_d = np.abs(d)
-            phase *= np.prod(d / abs_d)
-            log_abs += float(np.sum(np.log(abs_d)))
+        abs_d = np.abs(d)
+        phase = np.prod(d / abs_d)
+        log_abs = float(np.sum(np.log(abs_d)))
     if not (np.isfinite(phase) and np.isfinite(log_abs)):
         raise NumericalFailure("renormalized frame overflowed or lost rank within one block")
     sign, logdet = np.linalg.slogdet(X[ell:])
@@ -609,44 +615,30 @@ def _renormalized_bottom_minor(
 def _forward_determinant(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
     """(phase, log|det|) of P(L+1) from the solution recursion.
 
-    The frame [U(k-1); U(k)] starts at [0; I] and advances by
-    U(k+1) = S_k^{-1} ((V_k - E) U(k) - S_{k-1}^t U(k-1)), with the padded
-    hoppings inverted once, re-orthonormalized every DEFAULT_REORTH steps.
+    The frame [U(k-1); U(k)] starts at [0; I] and advances by the step
+    [[0, I], [-S_k^{-1} S_{k-1}^t, S_k^{-1} (V_k - E)]], which is
+    U(k+1) = S_k^{-1} ((V_k - E) U(k) - S_{k-1}^t U(k-1)).  The steps of
+    every site are built as one stack, with the padded hoppings inverted
+    once and without transfer_factors.
     """
     ell = M.ell
     S = _padded_hopping(M)
-    S_inv = np.linalg.inv(S)
+    S_inv = np.linalg.inv(S[1:])
     shifted = M.V - _energy(E) * np.eye(ell)
-
-    def recurse(k: int, X: np.ndarray) -> np.ndarray:
-        prev, cur = X[:ell], X[ell:]
-        return np.concatenate([cur, S_inv[k] @ (shifted[k - 1] @ cur - S[k - 1].T @ prev)])
-
-    sites = range(1, M.n + 1)
-    blocks = (sites[start : start + DEFAULT_REORTH] for start in range(0, M.n, DEFAULT_REORTH))
-    return _renormalized_bottom_minor(ell, blocks, recurse)
+    steps = np.zeros((M.n, 2 * ell, 2 * ell), dtype=shifted.dtype)
+    steps[:, :ell, ell:] = np.eye(ell)
+    steps[:, ell:, :ell] = -S_inv @ np.swapaxes(S[:-1], -1, -2)
+    steps[:, ell:, ell:] = S_inv @ shifted
+    return _bottom_minor(steps)
 
 
 def _transfer_minor(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
     """(phase, log|det|) of the bottom-right ell-minor of A_L ... A_1.
 
     This is the top exterior power matrix element of the full transfer
-    product, accumulated independently of the solution recursion.  Each
-    block of DEFAULT_REORTH factors is folded into one product first,
-    stacked over all blocks (the last one padded with identities, which
-    multiply exactly), so the sequential part is one product and one QR
-    per block.
+    product, accumulated independently of the solution recursion.
     """
-    A = transfer_factors(M.V, _padded_hopping(M)[:-1], E)
-    dim = A.shape[-1]
-    pad = np.broadcast_to(np.eye(dim), (-A.shape[0] % DEFAULT_REORTH, dim, dim))
-    A = np.concatenate([A, pad]).reshape(-1, DEFAULT_REORTH, dim, dim)
-    P = A[:, 0]
-    # an overflow is reported by _renormalized_bottom_minor, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, DEFAULT_REORTH):
-            P = A[:, j] @ P
-    return _renormalized_bottom_minor(M.ell, ((F,) for F in P))
+    return _bottom_minor(transfer_factors(M.V, _padded_hopping(M)[:-1], E))
 
 
 @dataclass

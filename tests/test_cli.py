@@ -348,6 +348,44 @@ class TestErrorPaths:
         assert json.loads(err) == {"error": "cocycle frame overflowed; reduce reorth_every",
                                    "kind": "numerical"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("change", [{"mu": 1e160}, {"gamma": 1e155}, {"gamma": 1e300}])
+    @pytest.mark.parametrize("command", ["lyapunov", "thouless", "zero-energy"])
+    def test_couplings_beyond_1e154_do_not_overflow_the_hopping_term(self, tmp_path, capsys, command,
+                                                                     change):
+        # mu^2 and gamma^2 overflow a Python float; the mean log |det S| must not raise
+        cfg = {"n": 2, "gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "seed": 1,
+               "steps": 1000, "E": 0.5, "energies": [0.5], "dos": {"n": 10, "num_realizations": 2},
+               **change}
+        code = cli.main([command, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert code in (0, 3)
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert all(r["kind"] == "numerical" for r in records) and len(records) == (code == 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("E", [1e40, 1e100, 1e300])
+    def test_zariski_energy_beyond_the_closure_range_exits_3(self, tmp_path, capsys, E):
+        cfg_path = write_cfg(tmp_path / "c.json", {"gamma": 0.5, "E_grid": [E]})
+        assert cli.main(["zariski", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+        (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert err["kind"] == "numerical" and "sp(2)" in err["error"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, mu, expected",
+        [(command, mu, 0) for command in ("dos", "spectrum", "wegner-probe") for mu in (1e-160, 1e160)]
+        + [("thouless", 1e-160, 3), ("thouless", 1e160, 3)],
+    )
+    def test_hopping_scale_does_not_decide_invertibility(self, tmp_path, capsys, command, mu, expected):
+        # mu S(gamma) is as well conditioned at mu = 1e-160 or 1e160 as at mu = 1, although its
+        # determinant under- or overflows; the cocycle and Schur sweep of thouless overflow
+        cfg = {**FIXTURE_CFG, **WEGNER, "n": 8, "mu": mu, "steps": 1000, "energies": [0.5],
+               "dos": {"n": 10, "num_realizations": 2}}
+        code = cli.main([command, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert code == expected
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert all(r["kind"] == "numerical" for r in records) and len(records) == (code == 3)
+
     def test_missing_required_arg_is_usage_error(self, tmp_path):
         cfg_path = write_cfg(tmp_path / "c.json", FIXTURE_CFG)
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,7 @@ from randblock.transfer import (
     eigenvalue_counts,
     fundamental_solutions,
     log_abs_det,
-    qr_block,
+    qr_product,
     schur_sweep,
     symplectic_defect,
     symplectic_form,
@@ -102,17 +102,18 @@ class TestTransferFactors:
         assert np.array_equal(A, transfer_factors(V, np.broadcast_to(S, (7, 2, 2)), E))
 
 
-class TestQRBlock:
+class TestQRProduct:
     @settings(max_examples=80, deadline=None)
     @given(
         ell=st.integers(1, 3),
         tall=st.booleans(),
         complex_type=st.booleans(),
-        nfactors=st.integers(0, 3),
+        nfactors=st.integers(0, 7),
+        reorth=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lapack_step_is_a_qr_of_the_advanced_frame(self, ell, tall, complex_type, nfactors,
-                                                        seed):
+    def test_each_block_is_a_qr_of_the_advanced_frame(self, ell, tall, complex_type, nfactors, reorth,
+                                                      seed):
         rng = np.random.default_rng(seed)
         dim, cols = 2 * ell, ell if tall else 2 * ell
 
@@ -121,22 +122,44 @@ class TestQRBlock:
             return a + 1j * rng.normal(size=shape) if complex_type else a
 
         X0, factors = draw(dim, cols), draw(nfactors, dim, dim)
-        Y = X0
-        for F in factors:
-            Y = F @ Y
-        Q, d = qr_block(X0, factors)
-        assert Q.shape == (dim, cols) and d.shape == (cols,)
-        assert Q.dtype == Y.dtype and d.dtype == Y.dtype
-        assert np.abs(Q.conj().T @ Q - np.eye(cols)).max() <= 1e-13
-        # Q^H Y is R up to roundoff; its upper triangle must rebuild Y
+        Q, d = qr_product(X0, factors, reorth)
+        blocks = -(-nfactors // reorth)  # a short last block is padded with identities
+        assert d.shape == (blocks, cols) and Q.shape == (dim, cols)
+        if blocks == 0:
+            assert np.array_equal(Q, X0)
+            return
+        assert Q.dtype == np.result_type(X0, factors) and d.dtype == Q.dtype
+        # every block against the frame it starts from, advanced one factor at a time
+        for b in range(blocks):
+            start, _ = qr_product(X0, factors[:b * reorth], reorth)
+            block = factors[b * reorth:(b + 1) * reorth]
+            Y = start
+            for F in block:
+                Y = F @ Y
+            _, R_ref = np.linalg.qr(Y)
+            # the folded product rounds like the factors' norms multiplied, not like |Y|
+            fold_scale = np.linalg.norm(start) * np.prod(np.linalg.norm(block, axis=(1, 2)))
+            np.testing.assert_allclose(
+                np.abs(d[b]), np.abs(np.diagonal(R_ref)), rtol=1e-12, atol=1e-14 * fold_scale
+            )
         scale = np.linalg.norm(Y)
+        assert np.abs(Q.conj().T @ Q - np.eye(cols)).max() <= 1e-13
+        # Q^H Y is R up to roundoff; its upper triangle must rebuild the last advanced frame
         R = np.triu(Q.conj().T @ Y)
-        assert np.abs(np.diagonal(R) - d).max() <= 1e-12 * scale
+        assert np.abs(np.diagonal(R) - d[-1]).max() <= 1e-12 * scale
         assert np.linalg.norm(Q @ R - Y) <= 1e-12 * scale
-        _, R_ref = np.linalg.qr(Y)
-        np.testing.assert_allclose(
-            np.abs(d), np.abs(np.diagonal(R_ref)), rtol=1e-12, atol=1e-15 * scale
-        )
+
+    def test_no_factors_leave_the_frame_unchanged(self, rng):
+        X0 = rng.normal(size=(4, 2))
+        Q, d = qr_product(X0, np.empty((0, 4, 4)), 3)
+        assert np.array_equal(Q, X0) and d.shape == (0, 2)
+
+    def test_short_last_block_is_padded_with_identities(self, rng):
+        X0, factors = rng.normal(size=(4, 4)), rng.normal(size=(5, 4, 4))
+        padded = np.concatenate([factors, np.eye(4)[None]])
+        Q, d = qr_product(X0, factors, 3)
+        Q_pad, d_pad = qr_product(X0, padded, 3)
+        assert np.array_equal(Q, Q_pad) and np.array_equal(d, d_pad)
 
 
 class TestFundamentalSolutions:
@@ -568,6 +591,17 @@ class TestCharpoly:
         M = scalar_instance([1e40] * 30)
         with pytest.raises(NumericalFailure, match="overflowed"):
             charpoly_identity_check(M, 0.3)
+
+    @pytest.mark.parametrize("L", [1, 10, 11])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_single_full_and_ragged_last_blocks(self, ell, L):
+        # with DEFAULT_REORTH = 10 factors per block, L = 1 is one short block, L = 10 one
+        # full block, and L = 11 a full block then a last block of one factor and nine identities
+        rng = realization_rng(20260018, ell * 100 + L)
+        for E in (0.37, 0.37 + 0.2j):
+            rep = charpoly_identity_check(random_instance(rng, ell, L), E)
+            assert rep.identity_residual <= 1e-10
+            assert rep.exterior_residual <= 1e-10
 
     @pytest.mark.parametrize("L", [150, 300])
     @pytest.mark.parametrize("ell", [2, 3])
