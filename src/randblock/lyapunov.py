@@ -1,8 +1,9 @@
 """Lyapunov spectra of random transfer cocycles via QR re-orthonormalization.
 
-The engine multiplies i.i.d. transfer factors into a frame, re-orthonormalizes
-every few steps, and accumulates log |R_pp|; batch means over the run give a
-standard error for every exponent.  Factors are built with transposes only,
+The engine multiplies i.i.d. transfer factors into frames, one per batch of
+the run, re-orthonormalizes every few steps, and accumulates log |R_pp|; the
+batch frames advance in lockstep as lanes of one stacked QR, and batch means
+give a standard error for every exponent.  Factors are built with transposes only,
 so the symplectic pairing gamma_p + gamma_{2l+1-p} = 0 survives complex
 spectral parameters.
 
@@ -16,7 +17,7 @@ zero energy from one auxiliary exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,11 +30,14 @@ from .model import (
     anisotropy_block,
     realization_rng,
 )
-from .transfer import DEFAULT_REORTH, log_abs_det, qr_product, transfer_factors
+from .transfer import DEFAULT_REORTH, block_products, log_abs_det, qr_product, transfer_factors
 
 DEFAULT_STEPS = 100_000
 DEFAULT_BATCHES = 50
 TWO_STEP_DET_TOL = 1e-12
+# Block products one group of lanes of the QR engine holds, its warm-up
+# included: 8 MB of real 4 x 4 blocks.  A longer batch runs alone.
+GROUP_BLOCKS = 1 << 16
 ALPHA_ROOT_WIDTH = 1e-2
 
 
@@ -140,11 +144,18 @@ def _qr_exponents(
     """(exponents desc, standard errors, counted steps) of a random product.
 
     Steps are grouped into DEFAULT_BATCHES equal batches of whole
-    re-orthonormalization blocks; a short uncounted warmup aligns the frame
-    with the stationary flag before accumulation starts.  Factors are drawn
-    a chunk of blocks at a time, and each chunk goes through one
-    transfer.qr_product call, which folds each block of reorth_every
-    factors into one product and re-orthonormalizes once per block.
+    re-orthonormalization blocks, laid out on one stream after warm_blocks
+    uncounted blocks.  Every batch is a lane with a frame of its own: the
+    frame starts from the identity and warms up over the warm_blocks blocks
+    just before its batch, which aligns it with the stationary flag before
+    it accumulates log |diag R|.  Factors are drawn a chunk of blocks at a
+    time, and transfer.block_products folds each chunk into one product per
+    block.  The lanes of a group of consecutive batches then advance
+    together through transfer.qr_product, one stacked product and one
+    stacked QR per block position.  A group holds the block products of at
+    most GROUP_BLOCKS blocks, its warm-up included; its first lane warms up
+    on the tail of the previous group.  A batch too long for that runs
+    alone, its block products fed to qr_product chunk by chunk.
     """
     if reorth_every < 1:
         raise ConfigError("reorth_every must be >= 1")
@@ -154,27 +165,58 @@ def _qr_exponents(
     blocks_per_batch = total_blocks // DEFAULT_BATCHES
     batch_steps = blocks_per_batch * reorth_every
     rng = realization_rng(seed, 0)
-
-    X = np.eye(dim)
     warm_blocks = min(100, blocks_per_batch)
     chunk_blocks = max(1, 1024 // reorth_every)
 
-    def run_blocks(count: int, sums: np.ndarray | None) -> None:
-        nonlocal X
-        done = 0
-        while done < count:
+    def products(count: int) -> Iterator[np.ndarray]:
+        """Block products of the next count blocks of the stream, one chunk at a time."""
+        for done in range(0, count, chunk_blocks):
             take = min(chunk_blocks, count - done)
-            X, diag_r = qr_product(X, draw_factors(rng, take * reorth_every), reorth_every)
-            if not np.all(np.isfinite(X)):
-                raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
-            if sums is not None:
-                sums += np.log(np.abs(diag_r)).sum(axis=0)
-            done += take
+            yield block_products(draw_factors(rng, take * reorth_every), reorth_every)
 
-    run_blocks(warm_blocks, None)
-    batch_sums = np.zeros((DEFAULT_BATCHES, dim))
-    for b in range(DEFAULT_BATCHES):
-        run_blocks(blocks_per_batch, batch_sums[b])
+    def advance(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frames and log |diag R| after the lanes X (lanes, dim, dim) run through P (lanes, blocks, dim, dim)."""
+        X, diag_r = qr_product(X, P, 1)
+        if not np.all(np.isfinite(X)):
+            raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
+        return X, np.log(np.abs(diag_r))
+
+    def run_group(tail: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the next lanes batches, run in lockstep, and the warm-up tail of the next group."""
+        span = warm_blocks + blocks_per_batch
+        P = np.empty((warm_blocks + lanes * blocks_per_batch,) + tail.shape[1:], dtype=tail.dtype)
+        P[:warm_blocks] = tail
+        filled = warm_blocks
+        for _ in range(lanes):
+            for chunk in products(blocks_per_batch):
+                P[filled:filled + chunk.shape[0]] = chunk
+                filled += chunk.shape[0]
+        # lane i runs through blocks i B .. i B + warm_blocks + B - 1 of P, B = blocks_per_batch
+        strides = (blocks_per_batch * P.strides[0],) + P.strides
+        lanes_view = np.lib.stride_tricks.as_strided(P, (lanes, span) + P.shape[1:], strides, writeable=False)
+        _, logs = advance(np.repeat(np.eye(dim)[None], lanes, axis=0), lanes_view)
+        # a running sum, which run_alone continues chunk by chunk in the same order
+        return np.cumsum(logs[:, warm_blocks:], axis=1)[:, -1], P[-warm_blocks:].copy()
+
+    def run_alone(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the next batch as one frame fed chunk by chunk, and the warm-up tail of the next batch."""
+        X, _ = advance(np.eye(dim)[None], tail[None])
+        sums = np.zeros(dim)
+        for chunk in products(blocks_per_batch):
+            X, logs = advance(X, chunk[None])
+            sums = np.cumsum(np.concatenate([sums[None], logs[0]]), axis=0)[-1]
+            tail = np.concatenate([tail, chunk])[-warm_blocks:]
+        return sums, tail
+
+    tail = np.concatenate(list(products(warm_blocks)))
+    batch_sums = np.empty((DEFAULT_BATCHES, dim))
+    lanes_per_group = (GROUP_BLOCKS - warm_blocks) // blocks_per_batch
+    for first in range(0, DEFAULT_BATCHES, max(1, lanes_per_group)):
+        if lanes_per_group:
+            lanes = min(lanes_per_group, DEFAULT_BATCHES - first)
+            batch_sums[first:first + lanes], tail = run_group(tail, lanes)
+        else:
+            batch_sums[first], tail = run_alone(tail)
 
     batch_exponents = batch_sums / batch_steps
     exponents = batch_exponents.mean(axis=0)
@@ -354,7 +396,8 @@ def two_step_lyapunov(
         F[:, 0, 1] = a / d
         F[:, 1, 0] = b
         F[:, 1, 1] = 1.0 + a * b / d
-        worst = float(np.max(np.abs(np.linalg.det(F) - 1.0)))
+        det = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+        worst = float(np.max(np.abs(det - 1.0)))
         if worst > TWO_STEP_DET_TOL:
             raise NumericalFailure(f"two-step factor determinant drifted by {worst:.3e}")
         return F

@@ -462,6 +462,22 @@ class TestThoulessCommand:
         assert err["kind"] == "numerical" and message in err["error"]
         assert not (out / "thouless.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "change, E, cause, other",
+        [({"mu": 1e160}, 0.5, "overflowed", "sub-chain"),
+         ({"rho": {"kind": "uniform", "a": 0.0, "b": 0.0}}, 1e-310, "sub-chain eigenvalue", "overflow")],
+    )
+    def test_log_determinant_failure_names_its_cause(self, tmp_path, capsys, change, E, cause, other):
+        # at mu = 1e160 the Schur update B^t P^-1 B overflows; with nu = 0 the first pivot
+        # -E I at a subnormal E has a determinant that underflows before the update divides by it
+        cfg = {**self.CFG, **change, "energies": [E]}
+        out = tmp_path / "t"
+        code = cli.main(["thouless", "--config", write_cfg(tmp_path / "t.json", cfg), "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["kind"] == "numerical" and cause in err["error"] and other not in err["error"]
+
 
 class TestJsonCommands:
     def test_zero_energy_payload(self, tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from randblock import cli
+from randblock import cli, lyapunov
 from randblock.errors import ConfigError, NumericalFailure
 from randblock.lyapunov import (
     DEFAULT_BATCHES,
@@ -52,29 +52,70 @@ def replay(factors):
     return draw
 
 
-def per_step_reference(factors, dim, steps, reorth_every, nbatches=DEFAULT_BATCHES):
-    """Exponents of the same stream by the plain QR method: X <- F X on every
-    step, np.linalg.qr every reorth_every steps, with the engine's warmup and
-    batch layout."""
-    blocks_per_batch = steps // reorth_every // nbatches
-    X, k = np.eye(dim), 0  # k walks the stream exactly as the engine's draws do
-
-    def block():
-        nonlocal X, k
-        for _ in range(reorth_every):
+def qr_steps(factors, X, start, blocks, reorth_every):
+    """X <- F X on every step of factors[start:], np.linalg.qr every reorth_every steps;
+    the last frame and the sum of log |diag R| over blocks blocks."""
+    sums = np.zeros(X.shape[1])
+    for b in range(blocks):
+        for k in range(start + b * reorth_every, start + (b + 1) * reorth_every):
             X = factors[k] @ X
-            k += 1
         X, R = np.linalg.qr(X)
-        return np.log(np.abs(np.diagonal(R)))
+        sums += np.log(np.abs(np.diagonal(R)))
+    return X, sums
 
-    for _ in range(min(100, blocks_per_batch)):
-        block()
-    sums = np.array([sum(block() for _ in range(blocks_per_batch)) for _ in range(nbatches)])
-    batch_exponents = sums / (blocks_per_batch * reorth_every)
+
+def batch_statistics(sums, batch_steps):
+    batch_exponents = np.array(sums) / batch_steps
     exponents = batch_exponents.mean(axis=0)
-    se = batch_exponents.std(axis=0, ddof=1) / np.sqrt(nbatches)
+    se = batch_exponents.std(axis=0, ddof=1) / np.sqrt(len(sums))
     order = np.argsort(exponents)[::-1]
     return exponents[order], se[order]
+
+
+def per_step_reference(factors, dim, steps, reorth_every, nbatches=DEFAULT_BATCHES):
+    """Exponents of the same stream by the plain QR method with the engine's lanes:
+    the batches lie on the stream after min(100, blocks per batch) warm-up
+    blocks, and each batch runs its own frame from the identity through the
+    warm-up blocks just before it, then through the batch."""
+    blocks_per_batch = steps // reorth_every // nbatches
+    warm = min(100, blocks_per_batch)
+    sums = []
+    for b in range(nbatches):
+        X, _ = qr_steps(factors, np.eye(dim), b * blocks_per_batch * reorth_every, warm, reorth_every)
+        first = (warm + b * blocks_per_batch) * reorth_every
+        sums.append(qr_steps(factors, X, first, blocks_per_batch, reorth_every)[1])
+    return batch_statistics(sums, blocks_per_batch * reorth_every)
+
+
+def sequential_reference(factors, dim, steps, reorth_every, nbatches=DEFAULT_BATCHES):
+    """The same stream and batches run as one frame: the warm-up blocks, then
+    every batch in turn, each starting from the frame the last one left."""
+    blocks_per_batch = steps // reorth_every // nbatches
+    warm = min(100, blocks_per_batch)
+    X, _ = qr_steps(factors, np.eye(dim), 0, warm, reorth_every)
+    sums = []
+    for b in range(nbatches):
+        X, batch = qr_steps(factors, X, (warm + b * blocks_per_batch) * reorth_every, blocks_per_batch,
+                            reorth_every)
+        sums.append(batch)
+    return batch_statistics(sums, blocks_per_batch * reorth_every)
+
+
+def engine_and_stream(E, dim, steps, reorth_every):
+    """Engine exponents of a fixed factor stream, with the stream: the gamma = 1/2
+    chain (dim 4) or its zero-energy single-band reduction with coupling
+    1/sqrt(1 - gamma^2) (dim 2), uniform(-1, 1) fields."""
+    rng = realization_rng(20260010, dim)
+    # room for the warmup (at most one batch) and the batches
+    total = (steps // reorth_every // DEFAULT_BATCHES) * (DEFAULT_BATCHES + 1) * reorth_every
+    if dim == 4:
+        p = ModelParams(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+        factors = BlockEnsemble.from_params(p).factor_sampler(E)(rng, total)
+    else:
+        nu = rng.uniform(-1.0, 1.0, total) / np.sqrt(0.75)
+        factors = transfer_factors(nu[:, None, None], np.ones((total, 1, 1)), E)
+    exps, se, _ = _qr_exponents(replay(factors), dim, steps, 0, reorth_every)
+    return exps, se, factors
 
 
 class TestEngine:
@@ -121,22 +162,36 @@ class TestEngine:
     @pytest.mark.parametrize("reorth_every", [1, 3, 10])
     @pytest.mark.parametrize("dim", [2, 4])
     def test_block_products_match_per_step_loop(self, E, reorth_every, dim):
-        # gamma = 1/2 chain (dim 4) and its zero-energy single-band reduction
-        # with coupling 1/sqrt(1 - gamma^2) (dim 2), uniform(-1, 1) fields
-        rng = realization_rng(20260010, dim)
         steps = 3000
-        # room for the warmup (at most one batch) and the batches
-        total = (steps // reorth_every // DEFAULT_BATCHES) * (DEFAULT_BATCHES + 1) * reorth_every
-        if dim == 4:
-            p = ModelParams(2, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
-            factors = BlockEnsemble.from_params(p).factor_sampler(E)(rng, total)
-        else:
-            nu = rng.uniform(-1.0, 1.0, total) / np.sqrt(0.75)
-            factors = transfer_factors(nu[:, None, None], np.ones((total, 1, 1)), E)
-        exps, se, _ = _qr_exponents(replay(factors), dim, steps, 0, reorth_every)
+        exps, se, factors = engine_and_stream(E, dim, steps, reorth_every)
         ref_exps, ref_se = per_step_reference(factors, dim, steps, reorth_every)
         np.testing.assert_allclose(exps, ref_exps, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(se, ref_se, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("E", [1.0 + 0.5j, 0.7, 0.0])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_lanes_match_one_sequential_frame(self, E, dim):
+        # 100 warm-up blocks of 10 steps align a lane's frame with the one a
+        # single frame carries across batches, far below 1e-10
+        steps = 50_000
+        exps, se, factors = engine_and_stream(E, dim, steps, 10)
+        ref_exps, ref_se = sequential_reference(factors, dim, steps, 10)
+        np.testing.assert_allclose(exps, ref_exps, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(se, ref_se, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("E", [1.0 + 0.5j, 0.7])
+    def test_group_budget_does_not_change_the_exponents(self, two_point_field, monkeypatch, E):
+        # 120 blocks per batch in two chunks of 102 and 18 blocks, 100 warm-up blocks:
+        # one group, groups of 7 lanes and a short last group, one lane per group,
+        # and batches too long for the budget, which run alone chunk by chunk
+        p = ModelParams(2, 0.5, two_point_field)
+        results = []
+        for budget in (lyapunov.GROUP_BLOCKS, 100 + 7 * 120, 100 + 120, 100 + 119):
+            monkeypatch.setattr(lyapunov, "GROUP_BLOCKS", budget)
+            spec = lyapunov_spectrum(p, E, steps=60_000, seed=5, reorth_every=10)
+            results.append((spec.exponents, spec.se))
+        for exponents, se in results[1:]:
+            assert np.array_equal(exponents, results[0][0]) and np.array_equal(se, results[0][1])
 
     def test_frame_overflow_raises(self, two_point_field):
         # |E| = 50 over 500 unnormalized steps is far beyond double range

@@ -101,6 +101,18 @@ class TestTransferFactors:
         A = transfer_factors(V, S, E)
         assert np.array_equal(A, transfer_factors(V, np.broadcast_to(S, (7, 2, 2)), E))
 
+    @pytest.mark.parametrize("E", [0.6, 0.6 + 0.3j])
+    def test_shifted_block_is_v_minus_e_times_inverse_hopping(self, rng, E):
+        # real E keeps the product (V - E) W; complex E forms V W - E W, equal up to rounding
+        V = rng.normal(size=(9, 2, 2))
+        S = rng.normal(size=(9, 2, 2)) + 3.0 * np.eye(2)
+        shifted = (V - E * np.eye(2)) @ np.linalg.inv(S)
+        A = transfer_factors(V, S, E)
+        if isinstance(E, complex):
+            np.testing.assert_allclose(A[:, 2:, 2:], shifted, rtol=0.0, atol=1e-15 * np.abs(shifted).max())
+        else:
+            assert np.array_equal(A[:, 2:, 2:], shifted)
+
 
 class TestQRProduct:
     @settings(max_examples=80, deadline=None)
@@ -153,6 +165,32 @@ class TestQRProduct:
         X0 = rng.normal(size=(4, 2))
         Q, d = qr_product(X0, np.empty((0, 4, 4)), 3)
         assert np.array_equal(Q, X0) and d.shape == (0, 2)
+
+    @pytest.mark.parametrize("complex_type", [False, True])
+    @pytest.mark.parametrize("reorth", [1, 3])
+    def test_lanes_advance_like_single_frames(self, rng, complex_type, reorth):
+        def draw(*shape):
+            a = rng.normal(size=shape)
+            return a + 1j * rng.normal(size=shape) if complex_type else a
+
+        X0, factors = draw(3, 4, 2), draw(3, 7, 4, 4)
+        Q, d = qr_product(X0, factors, reorth)
+        assert Q.shape == (3, 4, 2) and d.shape == (3, -(-7 // reorth), 2)
+        for lane in range(3):
+            Q_ref, d_ref = qr_product(X0[lane], factors[lane], reorth)
+            np.testing.assert_allclose(d[lane], d_ref, rtol=1e-12)
+            np.testing.assert_allclose(Q[lane], Q_ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("reorth", [2, 3, 10])
+    def test_complex_blocks_fold_like_complex_products(self, rng, reorth):
+        factors = rng.normal(size=(2, 11, 4, 4)) + 1j * rng.normal(size=(2, 11, 4, 4))
+        P = transfer.block_products(factors, reorth)
+        assert P.shape == (2, -(-11 // reorth), 4, 4) and P.dtype == np.complex128
+        for b in range(P.shape[1]):
+            ref = np.eye(4)
+            for F in factors[:, b * reorth:(b + 1) * reorth].swapaxes(0, 1):
+                ref = F @ ref
+            np.testing.assert_allclose(P[:, b], ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
     def test_short_last_block_is_padded_with_identities(self, rng):
         X0, factors = rng.normal(size=(4, 4)), rng.normal(size=(5, 4, 4))
