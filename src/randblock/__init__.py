@@ -36,7 +36,6 @@ from .spectral import (
 from .transfer import (
     CharpolyReport,
     GreenEvaluator,
-    MatrixSolution,
     charpoly_identity_check,
     fundamental_solutions,
     transfer_matrix,

@@ -242,7 +242,7 @@ def _cmd_green_check(v, cfg: dict, out: str, args) -> None:
         scale = np.linalg.norm(resolvent, 2)
         reference = resolvent.reshape(L, ell, L, ell).swapaxes(1, 2)
         worst = float(np.max(np.abs(evaluator.blocks() - reference)))
-        W = transfer.wronskian(*transfer.fundamental_solutions(M, z))
+        W = transfer.wronskian(M, *transfer.fundamental_solutions(M, z))
         wdev = float(np.max(np.abs(W - W[0]))) / max(1.0, float(np.max(np.abs(W[0]))))
         rows.append((i, ell, L, z.real, z.imag, worst / scale, wdev))
     _write_csv(

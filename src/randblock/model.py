@@ -72,25 +72,21 @@ class SingleSiteDistribution:
     """Distribution of one potential entry nu_k.
 
     Supported kinds:
-      two_point  P(nu = a) = p, P(nu = b) = 1 - p
       uniform    Lebesgue on [a, b]
-      discrete   finitely many atoms with explicit weights
+      discrete   finitely many atoms with explicit weights, two_point among them
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
-    p: float = 0.5
     points: tuple[float, ...] = ()
     weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("two_point", "uniform", "discrete"):
+        if self.kind not in ("uniform", "discrete"):
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        if not np.all(np.isfinite([self.a, self.b, self.p, *self.points, *self.weights])):
+        if not np.all(np.isfinite([self.a, self.b, *self.points, *self.weights])):
             raise ConfigError("distribution parameters must be finite numbers")
-        if self.kind == "two_point" and not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"two_point weight p={self.p} outside [0, 1]")
         if self.kind == "uniform" and self.b < self.a:
             raise ConfigError(f"uniform endpoints out of order: [{self.a}, {self.b}]")
         if self.kind == "discrete":
@@ -110,7 +106,13 @@ class SingleSiteDistribution:
 
     @classmethod
     def two_point(cls, a: float, b: float, p: float = 0.5) -> "SingleSiteDistribution":
-        return cls(kind="two_point", a=float(a), b=float(b), p=float(p))
+        """The discrete law P(nu = a) = p, P(nu = b) = 1 - p.
+
+        Its draws are np.where(rng.random(size) < p, a, b) bit for bit:
+        Generator.choice draws one random() per sample and picks a below the
+        first cumulative weight, which is p, as p + fl(1 - p) rounds to 1.0.
+        """
+        return cls.discrete((a, b), (p, 1.0 - float(p)))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "SingleSiteDistribution":
@@ -126,8 +128,6 @@ class SingleSiteDistribution:
 
     @property
     def is_trivial(self) -> bool:
-        if self.kind == "two_point":
-            return self.a == self.b or self.p in (0.0, 1.0)
         if self.kind == "uniform":
             return self.a == self.b
         live = {x for x, w in zip(self.points, self.weights) if w > 0.0}
@@ -138,9 +138,6 @@ class SingleSiteDistribution:
         if self.kind == "discrete":
             live = [x for x, w in zip(self.points, self.weights) if w > 0.0]
             return min(live), max(live)
-        if self.kind == "two_point":
-            live = [x for x, w in ((self.a, self.p), (self.b, 1.0 - self.p)) if w > 0.0]
-            return min(live), max(live)
         return self.a, self.b
 
     def support_lattice(self, samples: int) -> np.ndarray:
@@ -149,8 +146,6 @@ class SingleSiteDistribution:
         Atomic distributions return their atoms exactly; the uniform kind
         returns an evenly spaced grid including both endpoints.
         """
-        if self.kind == "two_point":
-            return np.unique([x for x, w in ((self.a, self.p), (self.b, 1.0 - self.p)) if w > 0.0])
         if self.kind == "discrete":
             return np.unique([x for x, w in zip(self.points, self.weights) if w > 0.0])
         if samples < 2 or self.a == self.b:
@@ -158,8 +153,6 @@ class SingleSiteDistribution:
         return np.linspace(self.a, self.b, samples)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "two_point":
-            return np.where(rng.random(size) < self.p, self.a, self.b)
         if self.kind == "uniform":
             return rng.uniform(self.a, self.b, size)
         return rng.choice(np.asarray(self.points), size=size, p=np.asarray(self.weights))

@@ -19,10 +19,16 @@ det R.  The frame may be a single one or a stack of lanes, each with its
 own factors.  A single frame is re-orthonormalized with LAPACK geqrf and
 orgqr (ungqr for complex frames), a stack with one np.linalg.qr over all
 lanes per block.  Both characteristic polynomial routes run single
-frames: the transfer-minor route on the stack of A_k, the
-solution-recursion route on its own stack of recursion steps, built with
-the padded hoppings inverted once per chain.  The Lyapunov engine runs
-its batches as lanes on the block products of one stream.
+frames: the transfer-minor route on the stack of A_k from
+transfer_factors, the solution-recursion route on the stack of steps from
+_recursion_steps.  The Lyapunov engine runs its batches as lanes on the
+block products of one stream.
+
+_recursion_steps is the one builder of the solution recursion
+S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k).  fundamental_solutions runs
+the steps of the chain and of the reversed chain, whose forward solution
+read backwards is the backward one, as two lanes of one loop; with their
+Wronskian they remain an independent check of the Green blocks.
 
 Green blocks come from the recursive Green's function method (Thouless and
 Kirkpatrick 1981, MacKinnon and Kramer 1983), not from the fundamental
@@ -71,10 +77,6 @@ the terms its pivot was formed from; eigenvalue_counts reports each count
 with that flag.  A rank-deficient pivot that the floor does not reach, or
 a pivot that overflows, leaves its chain unresolved without stopping the
 other chains of the sweep.
-
-The fundamental solutions and their Wronskian remain as an independent
-check of the recursion; they invert the padded hoppings and form V - z
-once, and test for overflow once per direction after the sweep.
 
 qr_product, fundamental_solutions, log_abs_det and eigenvalue_counts may
 run past an overflow: they do so under np.errstate and report it
@@ -255,91 +257,64 @@ def qr_product(X: np.ndarray, F: np.ndarray, reorth: int) -> tuple[np.ndarray, n
 
 def _padded_hopping(M: BlockJacobiMatrix) -> np.ndarray:
     """S_0..S_L with identity padding at both ends, shape (L+1, ell, ell)."""
-    eye = np.eye(M.ell)
-    return np.concatenate([eye[None], M.S, eye[None]]) if M.n > 1 else np.stack([eye, eye])
+    eye = np.eye(M.ell)[None]
+    return np.concatenate([eye, M.S, eye])
 
 
-@dataclass
-class MatrixSolution:
-    """ell x ell matrix solution X(k), k = 0..L+1, of the eigenvalue recursion
+def _recursion_steps(V: np.ndarray, S: np.ndarray, z: complex) -> np.ndarray:
+    """Stack (..., L, 2ell, 2ell) of the steps [[0, I], [-S_k^{-1} S_{k-1}^t, S_k^{-1} (V_k - z)]], k = 1..L.
 
-        S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k),   k = 1..L,
-
-    together with the padded hopping sequence it was built against.
+    Step k takes [X(k-1); X(k)] to [X(k); X(k+1)] for every solution of
+    S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k).  V (..., L, ell, ell)
+    holds the diagonal blocks, S (..., L+1, ell, ell) the padded hoppings.
     """
-
-    values: np.ndarray
-    hopping: np.ndarray
-    z: complex
-    kind: str
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-    @property
-    def L(self) -> int:
-        return self.values.shape[0] - 2
-
-    def recursion_residual(self, M: BlockJacobiMatrix) -> float:
-        """Largest entry of the recursion defect at every site, at the solution's own z."""
-        worst = 0.0
-        for k in range(1, self.L + 1):
-            lhs = self.hopping[k] @ self.values[k + 1] + self.hopping[k - 1].T @ self.values[k - 1]
-            rhs = (M.V[k - 1] - self.z * np.eye(M.ell)) @ self.values[k]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+    ell = V.shape[-1]
+    S_inv = np.linalg.inv(S[..., 1:, :, :])
+    shifted = V - _energy(z) * np.eye(ell)
+    steps = np.zeros(shifted.shape[:-2] + (2 * ell, 2 * ell), dtype=shifted.dtype)
+    steps[..., :ell, ell:] = np.eye(ell)
+    steps[..., ell:, :ell] = -S_inv @ np.swapaxes(S[..., :-1, :, :], -1, -2)
+    steps[..., ell:, ell:] = S_inv @ shifted
+    return steps
 
 
-def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[MatrixSolution, MatrixSolution]:
-    """Forward and backward fundamental solutions at spectral parameter z.
+def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward fundamental solutions at spectral parameter z, each of shape (L+2, ell, ell).
 
     The forward solution U has U(0) = 0, U(1) = I; the backward solution V
-    has V(L) = I, V(L+1) = 0.  The padded hoppings are inverted once, in
-    one batched call, and V - z is formed once.  Overflow raises
-    NumericalFailure naming the first site that overflowed: these unscaled
-    solutions are meant for moderate chain lengths.
+    has V(L) = I, V(L+1) = 0.  One loop of stacked products runs the steps
+    of the chain and of the reversed chain (V[::-1], S[::-1] transposed),
+    whose forward solution read backwards is V.  Overflow raises
+    NumericalFailure naming the first site that overflowed, forward first:
+    these unscaled solutions are meant for moderate chain lengths.
     """
     ell, L = M.ell, M.n
     S = _padded_hopping(M)
-    S_inv = np.linalg.inv(S)
-    S_inv_t = np.swapaxes(S_inv, -1, -2)  # (S^t)^{-1} = (S^{-1})^t
-    z = _energy(z)
-    shifted = M.V - z * np.eye(ell)
-
-    U = np.zeros((L + 2, ell, ell), dtype=shifted.dtype)
-    Vs = np.zeros_like(U)
-    U[1] = Vs[L] = np.eye(ell)
+    steps = _recursion_steps(np.stack([M.V, M.V[::-1]]), np.stack([S, np.swapaxes(S[::-1], -1, -2)]), z)
+    lanes = np.zeros((2, L + 2, ell, ell), dtype=steps.dtype)
+    lanes[:, 1] = np.eye(ell)
     # an overflow is reported by the check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, L + 1):
-            U[k + 1] = S_inv[k] @ (shifted[k - 1] @ U[k] - S[k - 1].T @ U[k - 1])
-        for k in range(L, 0, -1):
-            Vs[k - 1] = S_inv_t[k - 1] @ (shifted[k - 1] @ Vs[k] - S[k] @ Vs[k + 1])
-    # the sites of each sweep, in the order it computes them
-    sweeps = (("forward", U[2:], range(2, L + 2)), ("backward", Vs[L - 1::-1], range(L - 1, -1, -1)))
-    for kind, values, sites in sweeps:
-        overflowed = ~(np.abs(values).max(axis=(-2, -1)) <= OVERFLOW_LIMIT)
-        if overflowed.any():
-            raise NumericalFailure(f"{kind} solution overflowed at site {sites[np.argmax(overflowed)]}")
-
-    return (
-        MatrixSolution(values=U, hopping=S, z=z, kind="forward"),
-        MatrixSolution(values=Vs, hopping=S, z=z, kind="backward"),
-    )
+        for k in range(L):
+            # [X(k); X(k+1)] of each lane is a (2 ell, ell) view of two consecutive sites
+            lanes[:, k + 2] = steps[:, k, ell:] @ lanes[:, k:k + 2].reshape(2, 2 * ell, ell)
+    overflowed = ~(np.abs(lanes[:, 2:]).max(axis=(-2, -1)) <= OVERFLOW_LIMIT)
+    # the sites of each lane, in the order it computes them
+    for kind, row, sites in zip(("forward", "backward"), overflowed, (range(2, L + 2), range(L - 1, -1, -1))):
+        if row.any():
+            raise NumericalFailure(f"{kind} solution overflowed at site {sites[np.argmax(row)]}")
+    return lanes[0], lanes[1, ::-1]
 
 
-def wronskian(U: MatrixSolution, V: MatrixSolution) -> np.ndarray:
+def wronskian(M: BlockJacobiMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Stack of the constant Wronskian W(k) = V(k)^t S_k U(k+1) - (S_k V(k+1))^t U(k), k = 0..L.
 
+    U and V are solutions (L+2, ell, ell) on M, S_k its padded hoppings.
     Built with transposes throughout, so constancy in k holds for complex z
-    as well.  For the fundamental pair, W(0) = V(0)^t.  Shape (L+1, ell,
-    ell), in one batched product.
+    as well.  For the fundamental pair, W(0) = V(0)^t.  One batched product.
     """
-    S = U.hopping
-    return (
-        np.swapaxes(V.values[:-1], -1, -2) @ S @ U.values[1:]
-        - np.swapaxes(S @ V.values[1:], -1, -2) @ U.values[:-1]
-    )
+    S = _padded_hopping(M)
+    return np.swapaxes(V[:-1], -1, -2) @ S @ U[1:] - np.swapaxes(S @ V[1:], -1, -2) @ U[:-1]
 
 
 def _inverse(P: np.ndarray) -> np.ndarray:
@@ -684,35 +659,6 @@ def _bottom_minor(factors: np.ndarray) -> tuple[complex, float]:
     return phase * sign, log_abs + float(logdet)
 
 
-def _forward_determinant(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
-    """(phase, log|det|) of P(L+1) from the solution recursion.
-
-    The frame [U(k-1); U(k)] starts at [0; I] and advances by the step
-    [[0, I], [-S_k^{-1} S_{k-1}^t, S_k^{-1} (V_k - E)]], which is
-    U(k+1) = S_k^{-1} ((V_k - E) U(k) - S_{k-1}^t U(k-1)).  The steps of
-    every site are built as one stack, with the padded hoppings inverted
-    once and without transfer_factors.
-    """
-    ell = M.ell
-    S = _padded_hopping(M)
-    S_inv = np.linalg.inv(S[1:])
-    shifted = M.V - _energy(E) * np.eye(ell)
-    steps = np.zeros((M.n, 2 * ell, 2 * ell), dtype=shifted.dtype)
-    steps[:, :ell, ell:] = np.eye(ell)
-    steps[:, ell:, :ell] = -S_inv @ np.swapaxes(S[:-1], -1, -2)
-    steps[:, ell:, ell:] = S_inv @ shifted
-    return _bottom_minor(steps)
-
-
-def _transfer_minor(M: BlockJacobiMatrix, E: complex) -> tuple[complex, float]:
-    """(phase, log|det|) of the bottom-right ell-minor of A_L ... A_1.
-
-    This is the top exterior power matrix element of the full transfer
-    product, accumulated independently of the solution recursion.
-    """
-    return _bottom_minor(transfer_factors(M.V, _padded_hopping(M)[:-1], E))
-
-
 @dataclass
 class CharpolyReport:
     """Log-domain comparison of det(M - E) against the transfer side."""
@@ -736,24 +682,25 @@ def _ratio_residual(sign_a: complex, log_a: float, sign_b: complex, log_b: float
 def charpoly_identity_check(M: BlockJacobiMatrix, E: complex) -> CharpolyReport:
     """Verify det(M - E) = (prod_k det S_k) * det P(L+1) in the log domain.
 
-    Two independent right-hand sides are formed: the solution recursion for
-    P, and the bottom-right compound element of the explicit transfer
-    product.  Both advance the frame [0; I] with QR re-orthonormalization
-    every DEFAULT_REORTH steps and are compared multiplicatively, so the
-    check stays sharp at chain lengths where the determinant itself
-    over/underflows and for every block size ell.
+    Two independent right-hand sides are formed by _bottom_minor: P(L+1)
+    on the steps of _recursion_steps, and the bottom-right ell-minor of
+    A_L ... A_1 on the factors of transfer_factors.  Both carry the frame
+    [0; I] with QR re-orthonormalization every DEFAULT_REORTH steps and are
+    compared multiplicatively, so the check stays sharp at chain lengths
+    where the determinant itself over/underflows and for every ell.
     """
     dense = M.dense() - E * np.eye(M.n * M.ell)
     sign_direct, log_direct = np.linalg.slogdet(dense)
     if sign_direct == 0:
         raise NumericalFailure("E is an eigenvalue of M; identity check undefined")
 
+    S = _padded_hopping(M)
     s_signs, s_logs = np.linalg.slogdet(M.S)
-    sign_p, log_p = _forward_determinant(M, E)
+    sign_p, log_p = _bottom_minor(_recursion_steps(M.V, S, E))
     sign_rec = np.prod(s_signs) * sign_p
     log_rec = float(np.sum(s_logs)) + log_p
 
-    sign_m, log_m = _transfer_minor(M, E)
+    sign_m, log_m = _bottom_minor(transfer_factors(M.V, S[:-1], E))
     return CharpolyReport(
         log_direct=float(log_direct),
         sign_direct=sign_direct,

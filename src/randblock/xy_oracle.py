@@ -149,30 +149,22 @@ class QuadraticFormReport:
 
 
 def verify_quadratic_form(H: ManyBodyOperator, Mhat: HatBlockMatrix) -> QuadraticFormReport:
-    """Find scale s and per-site shift with H = s C^* Mhat C + shift.
+    """Check H = C^* Mhat C + shift, with the per-site shift read off the trace.
 
-    Candidate scales are scanned; the shift is read off the trace, and the
-    winning convention is the one with the smallest entrywise residual.  It
-    matches when that residual is within QUADRATIC_FORM_TOL of the scale of H.
+    The convention has scale 1: it matches when the entrywise residual is
+    within QUADRATIC_FORM_TOL of the scale of H.
     """
     n = H.n
-    fermions = build_jordan_wigner(n)
-    Hq = _quadratic_form(fermions, Mhat.dense())
+    Hq = _quadratic_form(build_jordan_wigner(n), Mhat.dense())
     dim = 2**n
-    scale_ref = max(1.0, float(np.max(np.abs(H.matrix))))
-    best: QuadraticFormReport | None = None
-    for s in (1.0, 2.0, 0.5, 4.0, 0.25):
-        shift_total = float(np.real(np.trace(H.matrix - s * Hq))) / dim
-        residual = float(np.max(np.abs(H.matrix - s * Hq - shift_total * np.eye(dim))))
-        if best is None or residual < best.residual:
-            best = QuadraticFormReport(
-                scale=s,
-                shift_per_site=shift_total / n,
-                residual=residual,
-                matched=residual <= QUADRATIC_FORM_TOL * scale_ref,
-            )
-    assert best is not None
-    return best
+    shift_total = float(np.real(np.trace(H.matrix - Hq))) / dim
+    residual = float(np.max(np.abs(H.matrix - Hq - shift_total * np.eye(dim))))
+    return QuadraticFormReport(
+        scale=1.0,
+        shift_per_site=shift_total / n,
+        residual=residual,
+        matched=residual <= QUADRATIC_FORM_TOL * max(1.0, float(np.max(np.abs(H.matrix)))),
+    )
 
 
 def free_fermion_spectrum(Mhat: HatBlockMatrix) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_criterion_2_green_wronskian_charpoly():
         worst_green = max(worst_green, dev / scale)
 
         U, V = fundamental_solutions(M, z)
-        W = wronskian(U, V)
+        W = wronskian(M, U, V)
         wdev = float(np.max(np.abs(W[:L] - W[0])))
         worst_wron = max(worst_wron, wdev / max(1.0, float(np.max(np.abs(W[0])))))
 

@@ -45,6 +45,19 @@ class TestSingleSiteDistribution:
         freq_a = np.mean(draws == 0.0)
         assert abs(freq_a - 0.3) < 4 * np.sqrt(0.3 * 0.7 / draws.size)
 
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1), size=st.integers(0, 500))
+    def test_two_point_draws_are_the_threshold_rule(self, p, seed, size):
+        # the discrete law on (a, b) with weights (p, 1 - p) draws bit for bit as u < p ? a : b
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrivialDisorderWarning)
+            rho = SingleSiteDistribution.two_point(-0.5, 2.0, p)
+        rng, ref_rng = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+        draws = rho.sample(rng, size)
+        ref = np.where(ref_rng.random(size) < p, -0.5, 2.0)
+        assert draws.dtype == ref.dtype and np.array_equal(draws, ref)
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
     def test_uniform_support_and_range(self):
         rho = SingleSiteDistribution.uniform(-1.0, 2.0)
         lo, hi = rho.support()

@@ -233,9 +233,25 @@ class TestFundamentalSolutions:
 
     def test_forward_solution_recursion_residual(self, rng):
         M = random_instance(rng, 2, 10)
-        U, V = fundamental_solutions(M, 0.3)
-        assert U.recursion_residual(M) <= 1e-10
-        assert V.recursion_residual(M) <= 1e-10
+        z = 0.3
+        S = np.concatenate([np.eye(2)[None], M.S, np.eye(2)[None]])
+        for X in fundamental_solutions(M, z):
+            # S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k) at every site k = 1..L
+            for k in range(1, M.n + 1):
+                lhs = S[k] @ X[k + 1] + S[k - 1].T @ X[k - 1]
+                rhs = (M.V[k - 1] - z * np.eye(2)) @ X[k]
+                assert np.abs(lhs - rhs).max() <= 1e-10
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 7, 30])
+    @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j])
+    def test_backward_solution_is_the_reversed_forward_solution(self, ell, L, z):
+        M = random_instance(np.random.default_rng(100 * ell + L), ell, L)
+        reversed_chain = assemble_general(ell, M.V[::-1], np.swapaxes(M.S[::-1], -1, -2))
+        _, V = fundamental_solutions(M, z)
+        U_reversed, _ = fundamental_solutions(reversed_chain, z)
+        assert V.shape == U_reversed.shape == (L + 2, ell, ell)
+        np.testing.assert_array_equal(V, U_reversed[::-1])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ell, scale", [(1, 1e30), (2, 1e20), (3, 1e12)])
@@ -258,9 +274,9 @@ class TestFundamentalSolutions:
         M = random_instance(rng, 2, 10)
         U, V = fundamental_solutions(M, complex(0.3, 0.0))
         ref_U, ref_V = fundamental_solutions(M, 0.3)
-        assert U.values.dtype == V.values.dtype == np.float64
-        np.testing.assert_array_equal(U.values, ref_U.values)
-        np.testing.assert_array_equal(V.values, ref_V.values)
+        assert U.dtype == V.dtype == np.float64
+        np.testing.assert_array_equal(U, ref_U)
+        np.testing.assert_array_equal(V, ref_V)
 
 
 class TestWronskian:
@@ -268,22 +284,22 @@ class TestWronskian:
         for ell in (1, 2, 3):
             M = random_instance(rng, ell, 7)
             U, _ = fundamental_solutions(M, 0.45)
-            W = wronskian(U, U)
+            W = wronskian(M, U, U)
             assert np.abs(W + np.swapaxes(W, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(W).max())
 
     def test_constancy_across_sites(self, rng):
         M = random_instance(rng, 2, 15)
         U, V = fundamental_solutions(M, 0.7 + 0.3j)
-        W = wronskian(U, V)
+        W = wronskian(M, U, V)
         for k in range(1, 15):
             assert np.abs(W[k] - W[0]).max() <= 1e-10 * max(1.0, np.abs(W[0]).max())
 
     def test_stack_matches_single_sites(self, rng):
         M = random_instance(rng, 3, 9)
         U, V = fundamental_solutions(M, 0.2 + 0.4j)
-        W = wronskian(U, V)
+        W = wronskian(M, U, V)
         assert W.shape == (10, 3, 3)
-        S = U.hopping
+        S = np.concatenate([np.eye(3)[None], M.S, np.eye(3)[None]])
         for k in range(10):
             single = V[k].T @ S[k] @ U[k + 1] - (S[k] @ V[k + 1]).T @ U[k]
             np.testing.assert_allclose(W[k], single, rtol=0, atol=1e-13 * np.abs(W).max())
@@ -299,10 +315,10 @@ class TestWronskian:
     def test_constancy_invariant(self, seed, ell, L, re_z, im_z):
         M = random_instance(np.random.default_rng(seed), ell, L)
         U, V = fundamental_solutions(M, complex(re_z, im_z))
-        W = wronskian(U, V)
+        W = wronskian(M, U, V)
         assert np.array_equal(W[0], V[0].T)  # S_0 = U(1) = I and U(0) = 0
         # roundoff relative to the two terms of W(k), which grow with the solutions
-        u, v = (np.abs(X.values).max(axis=(-2, -1)) for X in (U, V))
+        u, v = (np.abs(X).max(axis=(-2, -1)) for X in (U, V))
         scale = max(1.0, float(np.max(v[:-1] * u[1:] + v[1:] * u[:-1])))
         assert np.abs(W - W[0]).max() <= 1e-13 * scale
 
@@ -311,7 +327,7 @@ class TestWronskian:
         M = scalar_instance([0.3, -0.2, 0.8, 0.1, 0.0])
         z = 0.15
         U, V = fundamental_solutions(M, z)
-        W = wronskian(U, V)
+        W = wronskian(M, U, V)
         for k in range(3):
             classical = V[k][0, 0] * U[k + 1][0, 0] - V[k + 1][0, 0] * U[k][0, 0]
             assert W[k][0, 0] == pytest.approx(classical, abs=1e-12)

@@ -5,6 +5,7 @@ import scipy.linalg
 from randblock.errors import ConfigError
 from randblock.model import (
     DisorderRealization,
+    HatBlockMatrix,
     ModelParams,
     SingleSiteDistribution,
     assemble_hat_form,
@@ -105,6 +106,15 @@ class TestQuadraticForm:
         assert report.shift_per_site == 0.0
         assert report.matched
         assert report.residual <= 1e-10 * max(1.0, float(np.max(np.abs(H.matrix))))
+
+    def test_doubled_hat_matrix_does_not_match(self):
+        # scale 1 is the only convention, so H against 2 Mhat is a mismatch
+        params = uniform_params(4, half_width=2.0)
+        real = sample_disorder(params, seed=11)
+        Mhat = assemble_hat_form(params, real)
+        report = verify_quadratic_form(build_hamiltonian(params, real), HatBlockMatrix(Mhat.n, 2 * Mhat.A, 2 * Mhat.B))
+        assert report.scale == 1.0
+        assert not report.matched
 
     def test_anisotropy_sweep(self):
         for gamma in (0.0, 0.5, 2.0):
