@@ -64,7 +64,6 @@ from .furstenberg import (
     Sp2Element,
     build_A0,
     build_M,
-    energy_sweep_rank,
     lie_closure_dimension,
     site_transfer,
     zero_energy_reducibility_certificate,

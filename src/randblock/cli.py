@@ -30,7 +30,7 @@ import numpy as np
 
 from . import localization, lyapunov, spectral, transfer, xy_oracle
 from .errors import ConfigError, NumericalFailure
-from .furstenberg import energy_sweep_rank, zero_energy_reducibility_certificate
+from .furstenberg import lie_closure_dimension, zero_energy_reducibility_certificate
 from .model import (
     TrivialDisorderWarning,
     assemble_block_jacobi,
@@ -343,9 +343,10 @@ def _cmd_alpha_scan(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_zariski(v, cfg: dict, out: str, args) -> None:
-    records = energy_sweep_rank(v.gamma, v.E_grid, depth=v.depth)
-    rows = [(r.E, r.dimension, r.marginal) for r in records]
-    _write_csv(os.path.join(out, "zariski.csv"), cfg, ["E", "rank", "marginal_flag"], rows)
+    records = [lie_closure_dimension(E, v.gamma) for E in v.E_grid]
+    rows = [(r.E, r.dimension, r.marginal, r.smallest_pivot, r.largest_rejected) for r in records]
+    _write_csv(os.path.join(out, "zariski.csv"), cfg,
+               ["E", "rank", "marginal_flag", "smallest_pivot", "largest_rejected"], rows)
     if v.certificate_samples:
         rng = realization_rng(v.seed, 2)
         nu = rng.uniform(-2.0, 2.0, v.certificate_samples)
@@ -485,7 +486,7 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
                                      "alpha_lo": Field(_float), "alpha_hi": Field(_float), "steps": _STEPS,
                                      "grid_points": Field(_int, 9, low=1)}),
     "zariski": (_cmd_zariski, {"gamma": Field(_float), "E_grid": Field(_list(_float)),
-                               "depth": Field(_int, 3, low=0), "certificate_samples": Field(_int, 0, low=0),
+                               "certificate_samples": Field(_int, 0, low=0),
                                # only the certificate draws, so a run without one needs no seed
                                "seed": Field(_int, lambda v: _REQUIRED if v["certificate_samples"] else 0)}),
     "correlator": (_cmd_correlator, {**_MODEL, "window": Field(_window),

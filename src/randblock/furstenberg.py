@@ -4,14 +4,16 @@ Every site transfer at energy E factors exactly as A = M(Q) A_0(E) with
 M(Q) = [[I, 0], [Q, I]] and A_0(E) the potential-free step, so differences of
 potential values produce the shear generators M((a-b) sigma_z) inside the
 group generated by the cocycle.  The Lie algebra generated by those shears
-and their conjugates under powers of A_0(E) measures how large the closure
-is: full sp(2) has dimension 10, and a drop below 10 signals an invariant
-structure.  At E = 0 the cocycle is exactly reducible; the certificate
-below exhibits the splitting in closed form.
+and their conjugates under A_0(E)^{+-1} measures how large the closure is:
+full sp(2) has dimension 10, and a drop below 10 signals an invariant
+structure (Gol'dsheid-Margulis 1989 ask for the full algebra).  At E = 0 the
+cocycle is exactly reducible; the certificate below exhibits the splitting
+in closed form.
 
-Both diagnostics work on (m, 4, 4) stacks: the closure grows one depth at a
-time with a few stacked products per depth, and the certificate treats every
-potential sample in one pass.
+The closure is computed as a fixed point: an orthonormal basis of at most
+10 vectors in the coordinates of sp(2) grows by the conjugates and
+commutators of its elements until a round adds nothing.  The certificate
+treats every potential sample in one (m, 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from .transfer import symplectic_defect, symplectic_form, transfer_matrix
 SYMPLECTIC_TOL = 1e-12
 RANK_TOL = 1e-9
 CERTIFICATE_TOL = 1e-12
-# commutators below this (relative to the factors) are roundoff around an
-# exact zero; normalizing them would inject spurious directions
-COMMUTATOR_DISCARD = 1e-8
-MAX_CLOSURE_DEPTH = 4
 
 J4 = symplectic_form(2)
 U_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -102,105 +100,86 @@ def site_transfer(nu: float, E: float, gamma: float) -> Sp2Element:
 # Lie closure rank
 
 
-def _normalized(stack: np.ndarray) -> np.ndarray:
-    """Each matrix over its Frobenius norm; exact zeros stay zero."""
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    return stack / np.where(norms > 0, norms, 1.0)[:, None, None]
-
-
-def _closure_coordinates(E: float, gamma: float, depth: int) -> np.ndarray:
-    """Coordinates of the generated Lie algebra elements, one per row.
-
-    Everything lives in the Hadamard-rotated frame, where the zero-energy
-    splitting is axis-aligned.  Seed: the shear direction [[0, 0],
-    [sigma_z, 0]].  Each depth appends, to the stack X_1..X_n grown so far,
-    two stacked blocks:
-
-    - the conjugates C X_i C^{-1} by A_0(E)^{+-1} and A_0(E)^{+-2}, element-
-      major and conjugator-minor;
-    - the commutators [X_i, X_j], i < j in row-major order, that pass the
-      COMMUTATOR_DISCARD test relative to |X_i| |X_j|.
-
-    Every new element is normalized.  The grown stack is checked against
-    sp(2) membership in one pass, and its coordinates are read with one
-    fancy index.
-    """
-    step = build_A0(E, gamma)
-    A0, A0i = step.matrix, step.inv()
-    # at a large |E| the conjugators overflow; that shows as non-finite elements, which
-    # the check below reports as a NumericalFailure, not as warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        conjugators = np.stack([
-            UU @ A0 @ UU,
-            UU @ A0i @ UU,
-            UU @ A0 @ A0 @ UU,
-            UU @ A0i @ A0i @ UU,
-        ])
-        # the inverse of each conjugator is its neighbour in the pair
-        conjugator_invs = conjugators[[1, 0, 3, 2]]
-
-        seed = np.zeros((1, 4, 4))
-        seed[0, 2:, :2] = SIGMA_Z
-        elements = _normalized(UU @ seed @ UU)
-        for _ in range(depth):
-            conjugates = (conjugators[None] @ elements[:, None] @ conjugator_invs[None]).reshape(-1, 4, 4)
-            norms = np.linalg.norm(elements, axis=(1, 2))
-            i, j = np.triu_indices(len(elements), 1)
-            X, Y = elements[i], elements[j]
-            Z = X @ Y - Y @ X
-            Z = Z[np.linalg.norm(Z, axis=(1, 2)) > COMMUTATOR_DISCARD * norms[i] * norms[j]]
-            elements = np.concatenate([elements, _normalized(conjugates), _normalized(Z)])
-
-        defect = np.abs(np.swapaxes(elements, 1, 2) @ J4 + J4 @ elements).max()
-    if not (np.all(np.isfinite(elements)) and defect <= COMMUTATOR_DISCARD):
-        raise NumericalFailure(f"closure elements are not finite or left sp(2), defect {defect:.3e}")
-    return elements[:, _SP2_COORDS[0], _SP2_COORDS[1]]
-
-
 @dataclass
 class ClosureResult:
+    """Closure rank at one energy; `basis` holds its (dimension, 10) orthonormal sp(2) coordinates."""
+
     E: float
     gamma: float
     dimension: int
     marginal: bool
     num_elements: int
+    smallest_pivot: float
+    largest_rejected: float
+    basis: np.ndarray
 
     @property
     def deficient(self) -> bool:
         return self.dimension < 10
 
 
-def lie_closure_dimension(E: float, gamma: float, depth: int = 3) -> ClosureResult:
+def lie_closure_dimension(E: float, gamma: float) -> ClosureResult:
     """Dimension of the Lie algebra generated by the canceled shears.
 
-    The rank is the number of pivoted-QR diagonal entries above RANK_TOL
-    relative to the largest; if moving the threshold one decade either way
-    changes the count, the result is flagged marginal.  One factorization
-    serves all three thresholds.  The element count squares with every
-    depth (740 at depth 3, 271,235 at depth 4, about 3.7e10 at depth 5), so
-    a depth outside 0..MAX_CLOSURE_DEPTH is a ConfigError, raised before any
-    element is built.
+    A fixed point in the 10 coordinates of sp(2), in the Hadamard-rotated
+    frame: an orthonormal basis starts from the shear direction [[0, 0],
+    [sigma_z, 0]].  Each round rebuilds it as exact sp(2) matrices, takes
+    their conjugates by A_0(E)^{+-1} and pairwise commutators, normalizes
+    those, projects them off the span twice and adds the residuals whose
+    pivoted-QR diagonal exceeds RANK_TOL, until a round adds nothing or the
+    basis holds 10.  `num_elements` counts the candidates examined, the seed
+    included.  The result is marginal when an accepted pivot is at most
+    10 RANK_TOL or the last round rejects one above RANK_TOL / 10.  Rounding
+    in a conjugate grows like eps cond_1(A_0(E)); once that reaches 1,
+    NumericalFailure is raised.
     """
-    if not 0 <= depth <= MAX_CLOSURE_DEPTH:
-        raise ConfigError(f"closure depth must lie in 0..{MAX_CLOSURE_DEPTH}, got {depth}")
-    coords = _closure_coordinates(E, gamma, depth)
-    _, R, _ = scipy.linalg.qr(coords.T, mode="economic", pivoting=True)
-    # column pivoting puts the largest |R_kk| first; an all-zero diagonal has rank 0
-    diag = np.abs(np.diagonal(R))
-    lo, rank, hi = (
-        int(np.count_nonzero(diag > tol * diag[0])) for tol in (RANK_TOL / 10.0, RANK_TOL, RANK_TOL * 10.0)
-    )
+    step = build_A0(E, gamma)
+    # at a large |E| the norms overflow to inf, which the guard reports
+    with np.errstate(over="ignore"):
+        C, Ci = UU @ step.matrix @ UU, UU @ step.inv() @ UU
+        rounding = np.finfo(float).eps * np.linalg.norm(C, 1) * np.linalg.norm(Ci, 1)
+    if not rounding < 1.0:
+        raise NumericalFailure(f"conjugates by A_0(E) cannot be resolved in sp(2): eps cond_1 = {rounding:.3e}")
+    seed = np.zeros((4, 4))
+    seed[2:, :2] = SIGMA_Z
+    x = (UU @ seed @ UU)[_SP2_COORDS]
+    basis = (x / np.linalg.norm(x))[None]
+    # the seed is the first candidate examined
+    smallest, examined = 1.0, 1
+    while len(basis) < 10:
+        # the basis as exact sp(2) matrices [[a, b1], [b2, -a^t]]
+        X = np.zeros((len(basis), 4, 4))
+        X[:, _SP2_COORDS[0], _SP2_COORDS[1]] = basis
+        X[:, 2:, 2:] = -np.swapaxes(X[:, :2, :2], 1, 2)
+        X[:, 1, 2], X[:, 3, 0] = X[:, 0, 3], X[:, 2, 1]
+        i, j = np.triu_indices(len(X), 1)
+        candidates = np.concatenate([C @ X @ Ci, Ci @ X @ C, X[i] @ X[j] - X[j] @ X[i]])
+        candidates = candidates[:, _SP2_COORDS[0], _SP2_COORDS[1]]
+        examined += len(candidates)
+        norms = np.linalg.norm(candidates, axis=1)
+        residuals = candidates[norms > 0] / norms[norms > 0, None]
+        for _ in range(2):
+            residuals -= (residuals @ basis.T) @ basis
+        Q, R, _ = scipy.linalg.qr(residuals.T, mode="economic", pivoting=True)
+        # column pivoting keeps the diagonal non-increasing, so the accepted pivots lead
+        pivots = np.abs(np.diagonal(R))
+        added = min(int(np.count_nonzero(pivots > RANK_TOL)), 10 - len(basis))
+        # every earlier candidate comes back in the last round, so its rejections are the ones that count
+        largest_rejected = float(pivots[added:].max(initial=0.0))
+        if added == 0:
+            break
+        smallest = min(smallest, float(pivots[added - 1]))
+        basis = np.concatenate([basis, Q[:, :added].T])
     return ClosureResult(
         E=float(E),
         gamma=float(gamma),
-        dimension=rank,
-        marginal=not (lo == rank == hi),
-        num_elements=coords.shape[0],
+        dimension=len(basis),
+        marginal=smallest <= 10.0 * RANK_TOL or largest_rejected > RANK_TOL / 10.0,
+        num_elements=examined,
+        smallest_pivot=smallest,
+        largest_rejected=largest_rejected,
+        basis=basis,
     )
-
-
-def energy_sweep_rank(gamma: float, E_grid: Sequence[float], depth: int = 3) -> list[ClosureResult]:
-    return [lie_closure_dimension(E, gamma, depth=depth) for E in E_grid]
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,9 @@ def realization_rng(seed: int, index: int) -> np.random.Generator:
     addressable: ensembles can be evaluated in any order or in parallel
     without changing a single sample.
     """
-    return np.random.Generator(np.random.Philox(key=[int(seed) & _U64, int(index) & _U64]))
+    # a list holding a value of 2^63 or more would pass through float64 and merge seeds
+    key = np.array([int(seed) & _U64, int(index) & _U64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_disorder(params: ModelParams, seed: int, index: int = 0) -> DisorderRealization:

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from randblock.furstenberg import (
-    energy_sweep_rank,
     lie_closure_dimension,
     zero_energy_reducibility_certificate,
 )
@@ -248,9 +247,9 @@ def test_criterion_5_lie_closure_rank():
     assert np.all(np.abs(grid) > 1e-6)
     checks = []
     for gamma in (0.3, 0.5, 2.0):
-        results = energy_sweep_rank(gamma, grid, depth=3)
+        results = [lie_closure_dimension(E, gamma) for E in grid]
         full = all(r.dimension == FULL_RANK and not r.marginal for r in results)
-        zero = lie_closure_dimension(0.0, gamma, depth=3)
+        zero = lie_closure_dimension(0.0, gamma)
         checks.append((f"gamma={gamma} rank {FULL_RANK} on 20-point grid", full))
         checks.append(
             (f"gamma={gamma} rank {zero.dimension}<{FULL_RANK} at E=0", zero.dimension < FULL_RANK)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from randblock import cli, furstenberg, model, spectral
+from randblock import cli, model, spectral
 from randblock.errors import NumericalFailure
 from randblock.lyapunov import DEFAULT_REORTH, DEFAULT_STEPS
 from randblock.model import assemble_block_jacobi, params_from_config, sample_disorder
@@ -223,7 +223,6 @@ class TestErrorPaths:
             ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 0}),
             ("correlator", {"n": 20, "window": [0.5, 1.5], "boundary": -3}),
             ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "grid_points": -1}),
-            ("zariski", {"E_grid": [0.5], "depth": -1}),
             ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 2, "boundary": 100}),
             ("wegner-probe", {**WEGNER, "E": math.nan}),
             ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 2, "zeta": math.nan}),
@@ -243,17 +242,6 @@ class TestErrorPaths:
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
-
-    def test_closure_depth_beyond_limit_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
-        def fail(*args):
-            raise AssertionError("closure elements were built")
-
-        monkeypatch.setattr(furstenberg, "_closure_coordinates", fail)
-        cfg_path = write_cfg(tmp_path / "c.json", {"gamma": 0.5, "E_grid": [0.5], "depth": 5})
-        code = cli.main(["zariski", "--config", cfg_path, "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "config" and "depth" in err["error"]
 
     def test_overflowing_decay_regressor_exits_3(self, tmp_path, capsys):
         # d^400 overflows for every distance d >= 6 of the fit
@@ -369,6 +357,18 @@ class TestErrorPaths:
         assert cli.main(["zariski", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
         (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert err["kind"] == "numerical" and "sp(2)" in err["error"]
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0])
+    def test_zariski_has_full_rank_up_to_a_million(self, tmp_path, gamma):
+        grid = [3.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+        cfg_path = write_cfg(tmp_path / "c.json", {"gamma": gamma, "E_grid": grid})
+        assert cli.main(["zariski", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        _, header, rows = read_csv(tmp_path / "o" / "zariski.csv")
+        assert header == ["E", "rank", "marginal_flag", "smallest_pivot", "largest_rejected"]
+        assert [row[0] for row in rows] == grid
+        assert all(row[1] == 10 for row in rows)
+        # from E = 1e4 on the smallest pivot may come near RANK_TOL
+        assert not any(row[2] for row in rows if row[0] <= 1e3)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

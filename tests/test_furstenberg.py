@@ -3,21 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randblock import furstenberg
 from randblock.errors import ConfigError
 from randblock.furstenberg import (
     _P_SPLIT,
     _SP2_COORDS,
     CERTIFICATE_TOL,
-    COMMUTATOR_DISCARD,
     J4,
-    MAX_CLOSURE_DEPTH,
+    RANK_TOL,
     UU,
     Sp2Element,
-    _closure_coordinates,
     build_A0,
     build_M,
-    energy_sweep_rank,
     lie_closure_dimension,
     site_transfer,
     zero_energy_reducibility_certificate,
@@ -82,82 +78,92 @@ class TestGenerators:
             build_A0(E, gamma)
 
 
+def reference_closure_rank(E, gamma):
+    """Closure rank from a plain Gram-Schmidt fixed point on flattened 4x4 matrices in the original frame."""
+    A0 = build_A0(E, gamma).matrix
+    A0i = np.linalg.inv(A0)
+    seed = np.zeros((4, 4))
+    seed[2:, :2] = SIGMA_Z
+    span = [seed.ravel() / np.linalg.norm(seed)]
+    grew = True
+    while grew and len(span) < 10:
+        grew = False
+        elements = [v.reshape(4, 4) for v in span]
+        candidates = [A0 @ X @ A0i for X in elements] + [A0i @ X @ A0 for X in elements]
+        candidates += [X @ Y - Y @ X for k, X in enumerate(elements) for Y in elements[k + 1:]]
+        for Z in candidates:
+            if np.linalg.norm(Z) == 0.0:
+                continue
+            v = Z.ravel() / np.linalg.norm(Z)
+            for _ in range(2):
+                for u in span:
+                    v = v - (u @ v) * u
+            if np.linalg.norm(v) > RANK_TOL and len(span) < 10:
+                span.append(v / np.linalg.norm(v))
+                grew = True
+    return np.linalg.matrix_rank(np.array(span))
+
+
 class TestClosureRank:
     def test_full_rank_at_reference_point(self):
-        res = lie_closure_dimension(1.0, 0.5, depth=2)
+        res = lie_closure_dimension(1.0, 0.5)
         assert res.dimension == 10
         assert not res.deficient
         assert not res.marginal
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0])
     def test_full_rank_on_grid(self, gamma):
-        for res in energy_sweep_rank(gamma, GRID, depth=3):
+        for res in [lie_closure_dimension(E, gamma) for E in GRID]:
             assert res.dimension == 10, f"E={res.E}"
             assert not res.marginal
 
-    def test_zero_energy_is_deficient(self):
-        # the measured closure dimension at E=0 is pinned as a regression
-        # value; the structural claim is only that it falls below 10
-        for gamma in (0.3, 0.5, 2.0):
-            res = lie_closure_dimension(0.0, gamma, depth=3)
-            assert res.deficient
-            assert res.dimension == 3
-
-    @pytest.mark.parametrize(
-        "E, gamma, pins",
-        [
-            (1.0, 0.5, [(1, 1), (4, 5), (10, 35), (10, 740)]),
-            (-1.7, 2.0, [(1, 1), (4, 5), (10, 35), (10, 740)]),
-            (0.0, 0.5, [(1, 1), (2, 5), (3, 31), (3, 461)]),
-            (0.0, 2.0, [(1, 1), (2, 5), (3, 31), (3, 461)]),
-        ],
-    )
-    def test_dimension_and_element_count_per_depth(self, E, gamma, pins):
-        # regression pins (dimension, num_elements) at depths 0..3; the element
-        # count depends on which commutators pass the discard rule
-        for depth, (dimension, num_elements) in enumerate(pins):
-            res = lie_closure_dimension(E, gamma, depth=depth)
-            assert (res.dimension, res.marginal, res.num_elements) == (dimension, False, num_elements)
-
-    @pytest.mark.parametrize("E, gamma", [(1.0, 0.5), (0.0, 2.0)])
-    def test_stacked_growth_matches_elementwise_loop(self, E, gamma):
-        A0 = build_A0(E, gamma).matrix
-        A0i = np.linalg.inv(A0)
-        powers = [A0, A0i, A0 @ A0, A0i @ A0i]
-        conj = [(UU @ P @ UU, UU @ np.linalg.inv(P) @ UU) for P in powers]
-        seed = np.zeros((4, 4))
-        seed[2:, :2] = SIGMA_Z
-        X0 = UU @ seed @ UU
-        elements = [X0 / np.linalg.norm(X0)]
-        for _ in range(2):
-            fresh = [C @ X @ Ci / np.linalg.norm(C @ X @ Ci) for X in elements for C, Ci in conj]
-            for i, X in enumerate(elements):
-                for Y in elements[i + 1:]:
-                    Z = X @ Y - Y @ X
-                    if np.linalg.norm(Z) > COMMUTATOR_DISCARD * np.linalg.norm(X) * np.linalg.norm(Y):
-                        fresh.append(Z / np.linalg.norm(Z))
-            elements += fresh
-        for X in elements:
-            assert np.abs(X.T @ J4 + J4 @ X).max() <= 1e-14
-        expected = np.array([[X[i, j] for i, j in zip(*_SP2_COORDS)] for X in elements])
-        got = _closure_coordinates(E, gamma, 2)
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= 1e-14
-
-    @pytest.mark.parametrize("depth", [MAX_CLOSURE_DEPTH + 1, 7, -1])
-    def test_depth_outside_range_is_refused_before_any_element(self, depth, monkeypatch):
-        # depth 5 would need about 3.7e10 elements
-        def fail(*args):
-            raise AssertionError("closure elements were built")
-
-        monkeypatch.setattr(furstenberg, "_closure_coordinates", fail)
-        with pytest.raises(ConfigError, match="depth"):
-            lie_closure_dimension(1.0, 0.5, depth=depth)
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0, 0.8, 0.9, 0.95, 1.1, 1.5])
+    def test_zero_energy_is_deficient(self, gamma):
+        # the zero-energy certificate splits the cocycle for every gamma != 1; near
+        # gamma = 1 the rank must not pick up roundoff directions
+        res = lie_closure_dimension(0.0, gamma)
+        assert res.deficient
+        assert res.dimension == 3
+        assert not res.marginal
 
     def test_sweep_flags_exactly_zero(self):
-        results = energy_sweep_rank(0.5, [-1.0, 0.0, 1.0], depth=3)
+        results = [lie_closure_dimension(E, 0.5) for E in [-1.0, 0.0, 1.0]]
         flags = [r.deficient for r in results]
         assert flags == [False, True, False]
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0])
+    def test_rank_matches_plain_fixed_point(self, gamma):
+        # the criterion-5 grid and E = 0
+        for E in [*np.linspace(-2.4, 2.4, 20), 0.0]:
+            assert lie_closure_dimension(E, gamma).dimension == reference_closure_rank(E, gamma), f"E={E}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0)),
+        E=st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01)),
+        data=st.data(),
+    )
+    def test_basis_spans_a_closed_subalgebra(self, gamma, E, data):
+        res = lie_closure_dimension(E, gamma)
+        B = res.basis
+        assert B.shape == (res.dimension, 10)
+        assert np.abs(B @ B.T - np.eye(res.dimension)).max() <= 1e-12
+        A0 = UU @ build_A0(E, gamma).matrix @ UU
+        A0i = np.linalg.inv(A0)
+
+        def element(coeffs):
+            X = np.zeros((4, 4))
+            X[_SP2_COORDS] = np.asarray(coeffs) @ B
+            X[1, 2], X[3, 0] = X[0, 3], X[2, 1]
+            X[2:, 2:] = -X[:2, :2].T
+            assert np.abs(X.T @ J4 + J4 @ X).max() == 0.0
+            return X
+
+        coeffs = st.lists(st.floats(-1.0, 1.0), min_size=res.dimension, max_size=res.dimension)
+        X, Y = element(data.draw(coeffs)), element(data.draw(coeffs))
+        for Z in (X @ Y - Y @ X, A0 @ X @ A0i, A0i @ X @ A0):
+            z = Z[_SP2_COORDS]
+            assert np.linalg.norm(z - B.T @ (B @ z)) <= 1e-10 * max(1.0, np.linalg.norm(z))
 
 
 class TestZeroEnergyReduction:

@@ -132,6 +132,21 @@ def test_realization_rng_streams_are_independent():
     assert not np.array_equal(x, y) and not np.array_equal(x, z)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), index=st.integers(0, 2**63 - 1))
+def test_realization_rng_keeps_every_nonnegative_stream(seed, index):
+    # below 2^63 the key array built from a plain list is exact, bit for bit
+    reference = np.random.Generator(np.random.Philox(key=[seed, index]))
+    assert np.array_equal(realization_rng(seed, index).integers(0, 2**63, 8), reference.integers(0, 2**63, 8))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seeds", [(-1, -2), (2**64 - 1024, 2**64 - 1000)])
+def test_realization_rng_keeps_large_and_negative_seeds_apart(seeds):
+    x, y = (realization_rng(seed, 0).random(4) for seed in seeds)
+    assert not np.array_equal(x, y)
+
+
 def test_interleave_permutation_explicit():
     assert np.array_equal(interleave_permutation(3), [0, 3, 1, 4, 2, 5])
 
