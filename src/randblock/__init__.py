@@ -32,6 +32,7 @@ from .spectral import (
     ensemble_spectra,
     floquet_symbol,
     periodic_spectrum,
+    window_eigensolve,
 )
 from .transfer import (
     CharpolyReport,

@@ -9,7 +9,9 @@ Q dominates every smoothed evolution block: for any |g| <= 1 on the window,
 the operator norm of P_j g(M) chi_J(M) P_k^* is at most Q(j, k), so a
 stretched-exponential bound on the ensemble mean of Q is a dynamical
 localization statement.  Site indices in this module are 0-based array
-positions.
+positions.  The ensemble mean needs only the eigenpairs in the window, and
+takes them from `spectral.window_eigensolve`: one eigh of C^t C per chain
+for a window that excludes 0, the full chiral SVD for one that reaches 0.
 
 The Wegner probe counts eigenvalues instead of computing them: two Sturm
 counts at the ends of a window, from the Schur pivots of one batched sweep
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .model import ModelParams, assemble_block_jacobi, sample_disorder
-from .spectral import SpectralData, eigensolve
+from .spectral import SpectralData, eigensolve, window_eigensolve
 from .transfer import eigenvalue_counts
 
 DEFAULT_BOUNDARY_EXCLUSION = 5
@@ -68,8 +70,11 @@ def ensemble_correlator(
 ) -> CorrelatorField:
     """Mean correlator over realizations index = 0..num_realizations-1.
 
-    Q is summed from zeros in realization order as each field is made, so
-    only one n x n field is held beside the sum.
+    Each chain's eigenpairs in the window come from
+    `spectral.window_eigensolve`, so an eigenvalue within rounding of a
+    window end may be counted differently than by `eigensolve` (its tie
+    rule).  Q is summed from zeros in realization order as each field is
+    made, so only one n x n field is held beside the sum.
     """
     if num_realizations < 1:
         raise ConfigError(f"need at least one realization, got {num_realizations}")
@@ -77,7 +82,7 @@ def ensemble_correlator(
     counts = []
     for index in range(num_realizations):
         real = sample_disorder(params, seed, index)
-        field = eigenfunction_correlator(eigensolve(assemble_block_jacobi(params, real)), window)
+        field = eigenfunction_correlator(window_eigensolve(assemble_block_jacobi(params, real), window), window)
         Q += field.Q
         counts.append(field.mean_window_count)
     return CorrelatorField(

@@ -1,9 +1,12 @@
 """Finite-chain spectra, a gap check, periodic approximants, and DOS.
 
-Finite chains are diagonalized exactly and no dense matrix is built:
-eigenvalues alone from the band storage of the operator, eigenvectors of
-the chiral XY chain from one SVD of its n x n coupling C (the
-Lieb-Schultz-Mattis reduction, see `BlockJacobiMatrix.chiral_coupling`).
+Finite chains are diagonalized exactly and no dense matrix of the operator
+is built: eigenvalues alone from the band storage of the operator,
+eigenvectors of the chiral XY chain from one SVD of its n x n coupling C
+(the Lieb-Schultz-Mattis reduction, see `BlockJacobiMatrix.chiral_coupling`).
+The eigenpairs in a window that excludes 0 come from one eigh of the
+pentadiagonal Gram matrix C^t C instead (`window_eigensolve`); a chain
+that fails its checks is recomputed by the SVD.
 The spectrum of a periodic chain is computed from its Bloch symbol, a
 Hermitian 2p x 2p matrix family over the angle theta, whose sorted
 eigenvalue branches sweep out the bands.  The Bloch scan is batched: a
@@ -38,6 +41,9 @@ from .model import (
 from .transfer import eigenvalue_counts
 
 EIGEN_RESIDUAL_TOL = 1e-8
+# the window route's Q departs from the SVD route's by about max |U^t U - I|
+# relative to max Q, so this bounds that departure
+WINDOW_ORTHONORMALITY_TOL = 1e-10
 BAND_EDGE_TOL = 1e-8
 BAND_MERGE_TOL = 1e-9
 BASE_THETA_GRID = 512
@@ -84,22 +90,93 @@ def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
         return SpectralData(eigenvalues=vals, eigenvectors=None, ell=M.ell, n=M.n)
     C = M.chiral_coupling()
     U, sigma, Vt = np.linalg.svd(C)
-    V = Vt.T
+    spec, residual = _chiral_eigenpairs(M, C, U, sigma, Vt.T, signs=(-1, 1))
+    if residual > EIGEN_RESIDUAL_TOL:
+        raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
+    return spec
+
+
+def _chiral_eigenpairs(M: BlockJacobiMatrix, C: np.ndarray, U: np.ndarray, sigma: np.ndarray,
+                       V: np.ndarray, signs: tuple[int, ...]) -> tuple[SpectralData, float]:
+    """Eigenpairs of the chiral chain M from triples C v_i = sigma_i u_i, sigma descending.
+
+    Sign -1 gives the eigenvalues -sigma in the given order and sign +1 gives
+    +sigma reversed, so each ascends, with psi_+-(k) = (u_k +- v_k, u_k -+ v_k) / 2;
+    the sign -1 block comes first.  Also returns the residual
+    max_i |M psi_i - lambda_i psi_i| relative to max(1, max sigma).
+    """
     # psi_+- is a per-site rotation of (u, +-v) / sqrt2, so with r_u = C v - sigma u
     # and r_v = C^t u - sigma v the entries of M psi_+- -+ sigma psi_+- are
     # (r_u +- r_v) / 2 and (r_u -+ r_v) / 2: their largest modulus is (|r_u| + |r_v|) / 2
     r_u, r_v = C @ V - U * sigma, C.T @ U - V * sigma
-    residual = 0.5 * float(np.max(np.abs(r_u) + np.abs(r_v)))
-    if residual > EIGEN_RESIDUAL_TOL * max(1.0, float(sigma[0])):
-        raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
-    n = M.n
+    residual = 0.5 * float(np.max(np.abs(r_u) + np.abs(r_v), initial=0.0))
+    residual /= max(1.0, float(np.max(sigma, initial=0.0)))
+    n, m = U.shape
     plus, minus = 0.5 * (U + V), 0.5 * (U - V)
-    # sigma descends, so -sigma ascends and +sigma ascends reversed
-    vals = np.concatenate([-sigma, sigma[::-1]])
-    vecs = np.empty((n, 2, 2 * n))
-    vecs[:, 0, :n], vecs[:, 1, :n] = minus, plus
-    vecs[:, 0, n:], vecs[:, 1, n:] = plus[:, ::-1], minus[:, ::-1]
-    return SpectralData(eigenvalues=vals, eigenvectors=vecs.reshape(2 * n, 2 * n), ell=M.ell, n=n)
+    vals = np.concatenate([sigma[::-1] if s > 0 else -sigma for s in signs])
+    vecs = np.empty((n, 2, len(signs) * m))
+    for i, s in enumerate(signs):
+        cols = slice(i * m, (i + 1) * m)
+        if s > 0:
+            vecs[:, 0, cols], vecs[:, 1, cols] = plus[:, ::-1], minus[:, ::-1]
+        else:
+            vecs[:, 0, cols], vecs[:, 1, cols] = minus, plus
+    spec = SpectralData(eigenvalues=vals, eigenvectors=vecs.reshape(2 * n, len(signs) * m), ell=M.ell, n=n)
+    return spec, residual
+
+
+def window_eigensolve(M: BlockJacobiMatrix, window: tuple[float, float]) -> SpectralData:
+    """The eigenpairs of a chiral chain with eigenvalue in the closed window, ascending.
+
+    A window [lo, hi] that excludes 0 holds eigenvalues of one sign only,
+    lambda = +sigma for lo > 0 and -sigma for hi < 0, so it needs only the
+    singular triples C v = sigma u with sigma in the window.  They come from
+    one dense eigh of the pentadiagonal Gram matrix G = C^t C, built in
+    O(n) from the three diagonals of C: sigma = sqrt(max(w, 0)) for each
+    eigenvalue w of G, and u = C v / sigma.  The eigenpairs are assembled as
+    in `eigensolve`.  The Gram route squares the condition number, so it is
+    checked, and a chain is recomputed by the SVD route when its residual
+    (the formula of `eigensolve`) exceeds EIGEN_RESIDUAL_TOL, when
+    max |U^t U - I| exceeds WINDOW_ORTHONORMALITY_TOL, or when an
+    eigenvalue of G lies within n eps ||G|| of the square of a window end,
+    where the Gram route cannot tell which side sigma is on (it may show a
+    sigma of 1e-13 as 1e-8, or drop a sigma of 3e-9 as a negative w).  A
+    window that reaches 0, where open chains have edge modes near 1e-15,
+    always takes the SVD route: `eigensolve`, whose guard raises
+    NumericalFailure, with the eigenpairs outside the window dropped.
+    Tie rule: an eigenvalue within rounding of a window end may be kept by
+    one route and dropped by the other.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    if lo > 0.0 or hi < 0.0:
+        sign = 1 if lo > 0.0 else -1
+        C = M.chiral_coupling()
+        d, e, f = np.diagonal(C), np.diagonal(C, 1), np.diagonal(C, -1)
+        # column j of C holds e[j-1], d[j], f[j] in rows j-1, j, j+1
+        diag = d**2
+        diag[1:] += e**2
+        diag[:-1] += f**2
+        G = np.diag(diag)
+        k = np.arange(M.n)
+        G[k[:-1], k[1:]] = G[k[1:], k[:-1]] = d[:-1] * e + f * d[1:]
+        G[k[:-2], k[2:]] = G[k[2:], k[:-2]] = f[:-1] * e[1:]
+        w, V = np.linalg.eigh(G)
+        # w is off by up to about n eps ||G||: near 0 far more than the rounding of sigma
+        near_end = np.abs(w[:, None] - np.array([lo, hi]) ** 2) <= M.n * np.finfo(float).eps * w[-1]
+        sigma = np.sqrt(np.maximum(w, 0.0))
+        lam = sign * sigma
+        keep = np.flatnonzero((lam >= lo) & (lam <= hi))[::-1]  # sigma descending
+        sigma, V = sigma[keep], V[:, keep]
+        U = C @ V / sigma
+        spec, residual = _chiral_eigenpairs(M, C, U, sigma, V, signs=(sign,))
+        orthonormality = float(np.max(np.abs(U.T @ U - np.eye(sigma.size)), initial=0.0))
+        checks = residual <= EIGEN_RESIDUAL_TOL and orthonormality <= WINDOW_ORTHONORMALITY_TOL
+        if checks and not near_end.any():
+            return spec
+    spec = eigensolve(M)
+    mask = spec.window_mask(lo, hi)
+    return SpectralData(eigenvalues=spec.eigenvalues[mask], eigenvectors=spec.eigenvectors[:, mask],
+                        ell=spec.ell, n=spec.n)
 
 
 def check_gap(spec: SpectralData, lam: float) -> bool:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randblock import localization
+from randblock import localization, spectral
 from randblock.errors import ConfigError, NumericalFailure
 from randblock.localization import (
     CorrelatorField,
@@ -17,7 +17,7 @@ from randblock.model import (
     assemble_block_jacobi,
     sample_disorder,
 )
-from randblock.spectral import SpectralData, eigensolve
+from randblock.spectral import SpectralData, eigensolve, window_eigensolve
 from randblock.transfer import eigenvalue_counts
 
 
@@ -33,9 +33,9 @@ def evolution_block_norm(spec: SpectralData, window: tuple[float, float], j: int
     return float(np.linalg.norm((Wj * phases) @ Wk.conj().T, 2))
 
 
-def chiral_spectra(params, num_realizations, seed):
-    """Eigenvalues and eigenvectors of realizations index = 0..num_realizations-1."""
-    return [eigensolve(assemble_block_jacobi(params, sample_disorder(params, seed, index)))
+def chiral_spectra(params, window, num_realizations, seed):
+    """Eigenpairs in the window of realizations index = 0..num_realizations-1."""
+    return [window_eigensolve(assemble_block_jacobi(params, sample_disorder(params, seed, index)), window)
             for index in range(num_realizations)]
 
 
@@ -58,7 +58,7 @@ class TestCorrelator:
     def test_single_realization_mean_is_the_field(self, xy_params):
         p = xy_params(n=15)
         mean = ensemble_correlator(p, (0.5, 1.5), num_realizations=1, seed=9)
-        spec = chiral_spectra(p, 1, seed=9)[0]
+        spec = chiral_spectra(p, (0.5, 1.5), 1, seed=9)[0]
         single = eigenfunction_correlator(spec, (0.5, 1.5))
         assert np.array_equal(mean.Q, single.Q)
         assert mean.num_realizations == 1
@@ -66,7 +66,7 @@ class TestCorrelator:
     def test_mean_is_the_in_order_sum_of_single_fields(self, xy_params):
         p = xy_params(n=15)
         mean = ensemble_correlator(p, (0.5, 1.5), num_realizations=5, seed=9)
-        specs = chiral_spectra(p, 5, seed=9)
+        specs = chiral_spectra(p, (0.5, 1.5), 5, seed=9)
         fields = [eigenfunction_correlator(s, (0.5, 1.5)) for s in specs]
         assert np.array_equal(mean.Q, sum(f.Q for f in fields) / 5)
         assert mean.mean_window_count == np.mean([f.mean_window_count for f in fields])
@@ -81,6 +81,16 @@ class TestCorrelator:
         field = ensemble_correlator(xy_params(n=30), (0.5, 1.5), num_realizations=3, seed=4)
         assert field.Q.shape == (30, 30) and not field.empty
 
+    def test_bench_window_never_takes_the_svd(self, monkeypatch):
+        # the correlator job of the benchmark: every chain passes the window route's guard
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD taken for a window away from 0")
+
+        monkeypatch.setattr(spectral.np.linalg, "svd", refuse)
+        p = ModelParams(200, 0.5, SingleSiteDistribution.two_point(0.0, 1.0))
+        field = ensemble_correlator(p, (0.5, 1.5), num_realizations=60, seed=1002)
+        assert field.Q.shape == (200, 200) and not field.empty
+
     def test_disjoint_seed_batches_agree(self, xy_params):
         # entrywise agreement of two independent ensemble means, in units of
         # the combined standard error computed from the per-realization fields
@@ -88,7 +98,7 @@ class TestCorrelator:
         window = (0.5, 1.5)
 
         def batch(seed):
-            specs = chiral_spectra(p, 25, seed=seed)
+            specs = chiral_spectra(p, window, 25, seed=seed)
             return np.stack([eigenfunction_correlator(s, window).Q for s in specs])
 
         qa, qb = batch(100), batch(900)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
@@ -33,6 +33,7 @@ from randblock.spectral import (
     ensemble_spectra,
     floquet_symbol,
     periodic_spectrum,
+    window_eigensolve,
 )
 from randblock.transfer import eigenvalue_counts
 
@@ -192,6 +193,94 @@ class TestChiralForm:
         with pytest.raises(ConfigError, match="chiral"):
             eigensolve(M)
         assert eigensolve(M, want_vectors=False).eigenvalues.size == 12
+
+
+@st.composite
+def chiral_windows(draw):
+    """(M, window): an XY chain with one gamma, and a closed window above, below or across 0."""
+    n = draw(st.integers(1, 60))
+    gamma = draw(st.floats(-2.0, 2.0).filter(lambda g: abs(abs(g) - 1.0) > 1e-3))  # |gamma| = 1: singular hoppings
+    rho = draw(st.sampled_from([SingleSiteDistribution.uniform(-1.0, 1.0), SingleSiteDistribution.two_point(0.0, 1.0)]))
+    nu = rho.sample(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    M = BlockJacobiMatrix(ell=2, n=n, V=nu[:, None, None] * SIGMA_Z, S=np.tile(anisotropy_block(gamma), (n - 1, 1, 1)))
+    near = 10.0 ** draw(st.floats(-12.0, 0.5))
+    far = near + draw(st.floats(0.0, 3.0))
+    side = draw(st.sampled_from(["above", "below", "across"]))
+    return M, {"above": (near, far), "below": (-far, -near), "across": (-near, far)}[side]
+
+
+def uniform_chain(n, seed):
+    p = ModelParams(n, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
+    return assemble_block_jacobi(p, sample_disorder(p, seed))
+
+
+class TestWindowEigensolve:
+    def assert_matches_svd_route(self, M, window):
+        full, spec = eigensolve(M), window_eigensolve(M, window)
+        mask = full.window_mask(*window)
+        assert spec.eigenvalues.size == mask.sum()
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(full.eigenvalues))))
+        np.testing.assert_allclose(spec.eigenvalues, full.eigenvalues[mask], rtol=0, atol=tol)
+        Q, ref = (localization.eigenfunction_correlator(s, window).Q for s in (spec, full))
+        assert np.max(np.abs(Q - ref)) <= 1e-10 * np.max(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain=chiral_windows())
+    def test_matches_the_svd_route(self, chain):
+        M, window = chain
+        # Q depends on the basis chosen inside a degenerate eigenspace, so only
+        # spectra whose window eigenvalues are separated pin it down
+        vals = eigensolve(M, want_vectors=False).eigenvalues
+        inside = vals[(vals >= window[0]) & (vals <= window[1])]
+        assume(np.all(np.diff(inside) > 1e-5 * max(1.0, float(np.max(np.abs(vals))))))
+        self.assert_matches_svd_route(M, window)
+
+    @pytest.mark.parametrize("n, seed, count", [(60, 2, 11), (60, 3, 9), (40, 1, 6), (40, 2, 8)])
+    def test_singular_values_near_zero_take_the_svd(self, n, seed, count):
+        # C^t C cannot resolve sigma below about sqrt(n eps) ||C||: here it
+        # shows an edge mode of about 1e-13 as about 1e-8 (n = 60), or a mode
+        # of about 3e-9 as a negative eigenvalue (n = 40)
+        M = uniform_chain(n, seed)
+        assert window_eigensolve(M, (1e-9, 1.0)).eigenvalues.size == count
+        self.assert_matches_svd_route(M, (1e-9, 1.0))
+
+    def test_a_bad_gram_decomposition_falls_back(self, monkeypatch):
+        # the top eigenvector turned towards the bottom one (outside the windows),
+        # at its Rayleigh quotient, keeps U^t U = I and fails only the residual;
+        # a repeated eigenpair has small residuals and fails only U^t U = I
+        eigh = np.linalg.eigh
+        M = uniform_chain(30, 5)
+
+        def mixed(G):
+            w, V = eigh(G)
+            w, V = w.copy(), V.copy()
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            w[-1], V[:, -1] = c * c * w[-1] + s * s * w[0], c * V[:, -1] + s * V[:, 0]
+            return w, V
+
+        def repeated(G):
+            w, V = eigh(G)
+            w, V = w.copy(), V.copy()
+            w[-2], V[:, -2] = w[-1], V[:, -1]
+            return w, V
+
+        for broken in (mixed, repeated):
+            monkeypatch.setattr(np.linalg, "eigh", broken)
+            self.assert_matches_svd_route(M, (0.1, 5.0))
+            self.assert_matches_svd_route(M, (-5.0, -0.1))
+
+    def test_windows_through_zero_keep_the_svd_guard(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def shifted(C):
+            U, sigma, Vt = svd(C)
+            return U, sigma + 1e-6, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", shifted)
+        with pytest.raises(NumericalFailure, match="residual"):
+            window_eigensolve(uniform_chain(10, 0), (-0.5, 0.5))
+        with pytest.raises(NumericalFailure, match="residual"):
+            window_eigensolve(uniform_chain(60, 2), (1e-9, 1.0))
 
 
 def symmetric_about_zero(vals: np.ndarray) -> bool:
