@@ -3,9 +3,10 @@
 Every subcommand reads one JSON config, writes its results under --out, and
 embeds its effective config in each output file (a `# config:` line in CSV,
 a "config" key in JSON) so results reproduce from their own files.  Every
-field is declared once, in `_COMMANDS`, with a type, a default and a lower
-bound; `_parse` checks all of them by the same rules and writes each absent
-field into the embedded config with its default.
+field is declared once, in `_COMMANDS`, with a type, a default, a lower
+bound and, for a field that sizes an array, the upper bound `_MAX_SIZE`;
+`_parse` checks all of them by the same rules and writes each absent field
+into the embedded config with its default.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr, and an almost surely constant disorder
@@ -137,6 +138,13 @@ class Field(NamedTuple):
     kind: Callable | dict | None  # a field type above, a nested table, or None to keep the value
     default: object = _REQUIRED  # a value, or a function of the fields declared before it
     low: float | None = None  # smallest allowed value (of every entry, for a list)
+    high: float | None = None  # largest allowed value (of every entry, for a list)
+
+
+# upper bound of every field that sizes an array, such as a site count, so that
+# a huge value exits 2 before anything is allocated; the largest site count of
+# the tests and the benchmark is 1000
+_MAX_SIZE = 10**6
 
 
 def _parse(fields: dict, cfg, where: str = "config", outer: dict | None = None) -> dict:
@@ -154,8 +162,11 @@ def _parse(fields: dict, cfg, where: str = "config", outer: dict | None = None) 
             values[name] = SimpleNamespace(**_parse(field.kind, cfg[name], name, values))
             continue
         value = values[name] = field.kind(cfg[name], name) if field.kind else cfg[name]
-        if field.low is not None and min(value if isinstance(value, list) else [value]) < field.low:
+        entries = value if isinstance(value, list) else [value]
+        if field.low is not None and min(entries) < field.low:
             raise ConfigError(f"{name} must be >= {field.low}, got {cfg[name]!r}")
+        if field.high is not None and max(entries) > field.high:
+            raise ConfigError(f"{name} must be <= {field.high}, got {cfg[name]!r}")
     return {name: values[name] for name in fields}
 
 
@@ -455,7 +466,7 @@ def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
 
 _SEED = Field(_int)
 _MODEL = {  # params_from_config parses gamma, mu and rho
-    "n": Field(_int, low=2),
+    "n": Field(_int, low=2, high=_MAX_SIZE),
     "gamma": Field(None),
     "mu": Field(None, 1.0),
     "ell": Field(_int, 2),
@@ -468,10 +479,11 @@ _CHAINS = {"seed": _SEED, "ell_values": Field(_list(_int), [1, 2, 3], low=1), "L
 _COMMANDS: dict[str, tuple[Callable, dict]] = {
     "spectrum": (_cmd_spectrum, {**_MODEL, "num_realizations": Field(_int, 1, low=1),
                                  "dump_matrix": Field(_bool, False)}),
-    "dos": (_cmd_dos, {**_MODEL, "num_realizations": Field(_int, 20, low=1), "bins": Field(_int, 50, low=1)}),
+    "dos": (_cmd_dos, {**_MODEL, "num_realizations": Field(_int, 20, low=1),
+                       "bins": Field(_int, 50, low=1, high=_MAX_SIZE)}),
     "periodic": (_cmd_periodic, {"potential": Field(_list(_float)), "gamma": Field(_float)}),
     "asspec": (_cmd_asspec, {"rho": Field(_rho), "gamma": Field(_float), "max_period": Field(_int, 2, low=1),
-                             "samples_per_period": Field(_int, 41, low=1)}),
+                             "samples_per_period": Field(_int, 41, low=1, high=_MAX_SIZE)}),
     "green-check": (_cmd_green_check, {**_CHAINS, "instances": Field(_int, 100, low=1),
                                        "z": Field(_complex, [0.7, 0.3])}),
     "charpoly-check": (_cmd_charpoly_check, {**_CHAINS, "instances": Field(_int, 20, low=1),
@@ -479,20 +491,21 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
     "lyapunov": (_cmd_lyapunov, {**_MODEL, "E": Field(_complex), "steps": _STEPS,
                                  "reorth_every": Field(_int, lyapunov.DEFAULT_REORTH, low=1)}),
     "thouless": (_cmd_thouless, {**_MODEL, "energies": Field(_list(_complex)), "steps": _STEPS,
-                                 "dos": Field({"n": Field(_int, lambda v: v["n"], low=2),
+                                 "dos": Field({"n": Field(_int, lambda v: v["n"], low=2, high=_MAX_SIZE),
                                                "num_realizations": Field(_int, 20, low=1)}, {})}),
     "zero-energy": (_cmd_zero_energy, {**_MODEL, "steps": _STEPS}),
     "alpha-scan": (_cmd_alpha_scan, {"seed": _SEED, "gamma": Field(_float), "rho": Field(_rho),
                                      "alpha_lo": Field(_float), "alpha_hi": Field(_float), "steps": _STEPS,
-                                     "grid_points": Field(_int, 9, low=1)}),
+                                     "grid_points": Field(_int, 9, low=1, high=_MAX_SIZE)}),
     "zariski": (_cmd_zariski, {"gamma": Field(_float), "E_grid": Field(_list(_float)),
-                               "certificate_samples": Field(_int, 0, low=0),
+                               "certificate_samples": Field(_int, 0, low=0, high=_MAX_SIZE),
                                # only the certificate draws, so a run without one needs no seed
                                "seed": Field(_int, lambda v: _REQUIRED if v["certificate_samples"] else 0)}),
     "correlator": (_cmd_correlator, {**_MODEL, "window": Field(_window),
                                      "num_realizations": Field(_int, 100, low=1), "zeta": Field(_positive, 0.9),
                                      "boundary": Field(_int, 5, low=0)}),
-    "wegner-probe": (_cmd_wegner_probe, {**_MODEL, "E": Field(_float), "L_list": Field(_list(_int), low=2),
+    "wegner-probe": (_cmd_wegner_probe, {**_MODEL, "E": Field(_float),
+                                         "L_list": Field(_list(_int), low=2, high=_MAX_SIZE),
                                          "beta": Field(_positive), "sigma": Field(_positive),
                                          "samples": Field(_int, 100, low=1)}),
     "xy-verify": (_cmd_xy_verify, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 6), low=2),
@@ -500,7 +513,7 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
     "lr-stats": (_cmd_lr_stats, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 8), low=2),
                                  "j": Field(_int, 0, low=0),
                                  "ks": Field(_list(_int), lambda v: list(range(v["j"] + 1, v["n_verify"]))),
-                                 "t_max": Field(_float, 10.0), "t_points": Field(_int, 400, low=1),
+                                 "t_max": Field(_float, 10.0), "t_points": Field(_int, 400, low=1, high=_MAX_SIZE),
                                  "num_realizations": Field(_int, 50, low=1),
                                  "observables": Field(_paulis, ["x", "x"])}),
 }

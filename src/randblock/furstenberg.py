@@ -12,8 +12,10 @@ in closed form.
 
 The closure is computed as a fixed point: an orthonormal basis of at most
 10 vectors in the coordinates of sp(2) grows by the conjugates and
-commutators of its elements until a round adds nothing.  The certificate
-treats every potential sample in one (m, 4, 4) stack.
+commutators of its elements until a round adds nothing; its pivoted QR is
+scipy's, imported on the first closure, so the certificate and the rest of
+the package load without scipy.  The certificate treats every potential
+sample in one (m, 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NumericalFailure
 from .model import SIGMA_Z, anisotropy_block, check_gamma
@@ -34,7 +35,9 @@ CERTIFICATE_TOL = 1e-12
 
 J4 = symplectic_form(2)
 U_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-UU = scipy.linalg.block_diag(U_HADAMARD, U_HADAMARD)
+# block_diag(U_HADAMARD, U_HADAMARD) bit for bit; np.kron(np.eye(2), U_HADAMARD) would put -0.0 off the blocks
+UU = np.zeros((4, 4))
+UU[:2, :2] = UU[2:, 2:] = U_HADAMARD
 
 # basis-free coordinates of sp(2): X = [[a, b1], [b2, -a^t]], b1 = b1^t, b2 = b2^t;
 # (rows, columns) of the 10 free entries
@@ -133,6 +136,8 @@ def lie_closure_dimension(E: float, gamma: float) -> ClosureResult:
     in a conjugate grows like eps cond_1(A_0(E)); once that reaches 1,
     NumericalFailure is raised.
     """
+    import scipy.linalg  # here, so the routes that need no scipy start without it
+
     step = build_A0(E, gamma)
     # at a large |E| the norms overflow to inf, which the guard reports
     with np.errstate(over="ignore"):

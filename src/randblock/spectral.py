@@ -1,7 +1,8 @@
 """Finite-chain spectra, a gap check, periodic approximants, and DOS.
 
 Finite chains are diagonalized exactly and no dense matrix of the operator
-is built: eigenvalues alone from the band storage of the operator,
+is built: eigenvalues alone from the band storage of the operator (scipy's
+eig_banded, the one route here that imports scipy, on its first call),
 eigenvectors of the chiral XY chain from one SVD of its n x n coupling C
 (the Lieb-Schultz-Mattis reduction, see `BlockJacobiMatrix.chiral_coupling`).
 The eigenpairs in a window that excludes 0 come from one eigh of the
@@ -26,7 +27,6 @@ from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NumericalFailure
 from .model import (
@@ -86,6 +86,8 @@ def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
     EIGEN_RESIDUAL_TOL relative to max(1, max |lambda|).
     """
     if not want_vectors:
+        import scipy.linalg  # here, so the routes that need no scipy start without it
+
         vals = scipy.linalg.eig_banded(M.band(), lower=True, eigvals_only=True)
         return SpectralData(eigenvalues=vals, eigenvectors=None, ell=M.ell, n=M.n)
     C = M.chiral_coupling()

@@ -17,11 +17,12 @@ advances the frame by one product per block and re-orthonormalizes it,
 returning diag R, from which callers take log |diag R| and the phase of
 det R.  The frame may be a single one or a stack of lanes, each with its
 own factors.  A single frame is re-orthonormalized with LAPACK geqrf and
-orgqr (ungqr for complex frames), a stack with one np.linalg.qr over all
-lanes per block.  Both characteristic polynomial routes run single
-frames: the transfer-minor route on the stack of A_k from
-transfer_factors, the solution-recursion route on the stack of steps from
-_recursion_steps.  The Lyapunov engine runs its batches as lanes on the
+orgqr (ungqr for complex frames) from scipy, which is imported on the first
+such QR and is the module's only use of scipy; a stack takes one
+np.linalg.qr over all lanes per block.  Both characteristic polynomial
+routes run single frames: the transfer-minor route on the stack of A_k
+from transfer_factors, the solution-recursion route on the stack of steps
+from _recursion_steps.  The Lyapunov engine runs its batches as lanes on the
 block products of one stream.
 
 _recursion_steps is the one builder of the solution recursion
@@ -92,7 +93,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import NumericalFailure
 from .model import BlockJacobiMatrix
@@ -164,6 +164,8 @@ def transfer_matrix(V_k: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarr
 @functools.cache
 def _qr_kernels(dtype: np.dtype) -> tuple[Callable, Callable]:
     """LAPACK geqrf and orgqr (ungqr for complex) of one dtype, looked up once."""
+    import scipy.linalg.lapack  # on the first single-frame QR, so the other routes start without scipy
+
     return scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"), dtype=dtype)
 
 

@@ -2,6 +2,8 @@ import copy
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -235,6 +237,18 @@ class TestErrorPaths:
             ("wegner-probe", {**WEGNER, "sigma": 0}),
             ("wegner-probe", {**WEGNER, "beta": 0}),
             ("wegner-probe", {**WEGNER, "beta": -1}),
+        ]
+        # every field that sizes an array is bounded by cli._MAX_SIZE, checked before anything is allocated
+        + [
+            ("dos", {"n": 10**12}),
+            ("dos", {"bins": 10**12}),
+            ("spectrum", {"n": 10**12}),
+            ("wegner-probe", {**WEGNER, "L_list": [4, 10**12]}),
+            ("thouless", {"energies": [0.5], "dos": {"n": 10**12}}),
+            ("lr-stats", {"t_points": 10**12}),
+            ("asspec", {"samples_per_period": 10**12}),
+            ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "grid_points": 10**12}),
+            ("zariski", {"E_grid": [0.5], "certificate_samples": 10**12}),
         ],
     )
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
@@ -519,6 +533,89 @@ MINIMAL = {
     "xy-verify": MODEL,
     "lr-stats": MODEL,
 }
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# runs [command, config path, output directory] triples through cli.main in a fresh
+# interpreter and prints the scipy modules loaded after the import and after each run
+FRESH_RUNS = """
+import json, sys
+import randblock, randblock.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+report = {"import": scipy_modules(), "runs": []}
+for command, cfg_path, out in json.loads(sys.argv[1]):
+    code = randblock.cli.main([command, "--config", cfg_path, "--out", out])
+    report["runs"].append({"command": command, "code": code, "scipy": scipy_modules()})
+print(json.dumps(report))
+"""
+
+
+def run_fresh(tmp_path, runs: dict) -> dict:
+    """Run each (command, config) of runs in one fresh interpreter on this checkout's src/.
+
+    The artifacts of run `name` go to tmp_path / "fresh" / name; returns the report of FRESH_RUNS.
+    """
+    triples = [(command, write_cfg(tmp_path / f"fresh-{name}.json", cfg), str(tmp_path / "fresh" / name))
+               for name, (command, cfg) in runs.items()]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(triples)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyIsLoadedOnlyWhereUsed:
+    """scipy is imported by the routes that call it, not by `import randblock.cli`."""
+
+    # small configs of commands none of whose routes call scipy
+    WITHOUT_SCIPY = {
+        "dos": {**MODEL, "num_realizations": 2},
+        "correlator": {**MODEL, "n": 30, "window": [0.5, 1.5], "num_realizations": 2},
+        "wegner-probe": {**MODEL, "E": 1.0, "L_list": [4, 8], "beta": 0.5, "sigma": 0.5, "samples": 4},
+        "lyapunov": {**MODEL, "E": [1.0, 0.5], "steps": 2000},
+        "zero-energy": {**MODEL, "steps": 2000},
+        "alpha-scan": {"seed": 5, "gamma": 0.5, "rho": UNIFORM, "alpha_lo": 0.1, "alpha_hi": 1.0, "steps": 2000,
+                       "grid_points": 3},
+        "thouless": {**MODEL, "energies": [[1.0, 0.5], 0.3], "steps": 2000,
+                     "dos": {"n": 10, "num_realizations": 2}},
+        "green-check": {"seed": 5, "instances": 3, "L_max": 8},
+        "periodic": {"potential": [1.0, -1.0], "gamma": 0.5},
+        "asspec": {"rho": UNIFORM, "gamma": 0.5, "max_period": 2, "samples_per_period": 5},
+        "lr-stats": {**MODEL, "t_points": 20, "num_realizations": 2},
+        "xy-verify": MODEL,
+    }
+    # configs whose routes call scipy: the banded eigensolve, the single-frame QR, the pivoted QR;
+    # the 8 bins of this dos split [-4, 4], so the edges 0 and 1 lie on the atoms of
+    # two_point(0, 1), some counts are unresolved and take the banded eigensolve
+    WITH_SCIPY = {
+        "spectrum": ("spectrum", {**MODEL, "num_realizations": 2}),
+        "charpoly-check": ("charpoly-check", {"seed": 5, "instances": 3, "L_max": 8}),
+        "zariski": ("zariski", {"gamma": 0.5, "E_grid": [0.0, 0.5], "certificate_samples": 10, "seed": 5}),
+        "dos-fallback": ("dos", {"n": 50, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0},
+                                 "seed": 5, "num_realizations": 4, "bins": 8}),
+    }
+
+    def test_commands_without_scipy_routes_never_load_it(self, tmp_path):
+        report = run_fresh(tmp_path, {command: (command, cfg) for command, cfg in self.WITHOUT_SCIPY.items()})
+        assert report["import"] == []
+        assert report["runs"] == [{"command": command, "code": 0, "scipy": []} for command in self.WITHOUT_SCIPY]
+
+    @pytest.mark.parametrize("name", list(WITH_SCIPY))
+    def test_deferred_route_matches_a_process_with_scipy(self, tmp_path, name):
+        command, cfg = self.WITH_SCIPY[name]
+        (run,) = run_fresh(tmp_path, {name: (command, cfg)})["runs"]
+        assert run["code"] == 0 and run["scipy"], "the route ran without loading scipy"
+        # this process imported scipy before the program
+        here = tmp_path / "here"
+        assert cli.main([command, "--config", write_cfg(tmp_path / "here.json", cfg), "--out", str(here)]) == 0
+        fresh = tmp_path / "fresh" / name
+        names = sorted(p.name for p in here.iterdir())
+        assert sorted(p.name for p in fresh.iterdir()) == names
+        for artifact in names:
+            assert (fresh / artifact).read_bytes() == (here / artifact).read_bytes(), artifact
 
 
 def load_bench_workloads(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from randblock.furstenberg import (
     J4,
     RANK_TOL,
     UU,
+    U_HADAMARD,
     Sp2Element,
     build_A0,
     build_M,
@@ -26,6 +28,10 @@ GRID = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 
 
 class TestGenerators:
+    def test_hadamard_frame_is_block_diagonal_bit_for_bit(self):
+        # built without scipy; signed zeros included, so every product with it is unchanged
+        assert UU.tobytes() == scipy.linalg.block_diag(U_HADAMARD, U_HADAMARD).tobytes()
+
     def test_site_transfer_cross_checks_transfer_module(self):
         A = site_transfer(1.0, 1.0, 0.5)
         B = transfer_matrix(SIGMA_Z * 1.0, anisotropy_block(0.5), 1.0)
