@@ -4,7 +4,8 @@ Every subcommand reads one JSON config, writes its results under --out, and
 embeds its effective config in each output file (a `# config:` line in CSV,
 a "config" key in JSON) so results reproduce from their own files.  Every
 field is declared once, in `_COMMANDS`, with a type, a default, a lower
-bound and, for a field that sizes an array, the upper bound `_MAX_SIZE`;
+bound and, for a field that sizes an array or counts realizations, instances
+or samples, the upper bound `_MAX_SIZE` (`_MAX_STEPS` for cocycle steps);
 `_parse` checks all of them by the same rules and writes each absent field
 into the embedded config with its default.
 
@@ -141,10 +142,14 @@ class Field(NamedTuple):
     high: float | None = None  # largest allowed value (of every entry, for a list)
 
 
-# upper bound of every field that sizes an array, such as a site count, so that
-# a huge value exits 2 before anything is allocated; the largest site count of
-# the tests and the benchmark is 1000
+# upper bound of every field that sizes an array, such as a site count, or
+# counts the realizations, instances or samples run, so that a huge value exits
+# 2 before anything is allocated or run; the largest such value of the tests and
+# the benchmark is 1000
 _MAX_SIZE = 10**6
+# upper bound of the cocycle steps, which set only the amount of work; the
+# largest step count of the tests and the benchmark is the default 100,000
+_MAX_STEPS = 10**9
 
 
 def _parse(fields: dict, cfg, where: str = "config", outer: dict | None = None) -> dict:
@@ -473,26 +478,26 @@ _MODEL = {  # params_from_config parses gamma, mu and rho
     "rho": Field(None),
     "seed": _SEED,
 }
-_STEPS = Field(_int, lyapunov.DEFAULT_STEPS, low=1)
+_STEPS = Field(_int, lyapunov.DEFAULT_STEPS, low=1, high=_MAX_STEPS)
 _CHAINS = {"seed": _SEED, "ell_values": Field(_list(_int), [1, 2, 3], low=1), "L_max": Field(_int, 50, low=2)}
 
 _COMMANDS: dict[str, tuple[Callable, dict]] = {
-    "spectrum": (_cmd_spectrum, {**_MODEL, "num_realizations": Field(_int, 1, low=1),
+    "spectrum": (_cmd_spectrum, {**_MODEL, "num_realizations": Field(_int, 1, low=1, high=_MAX_SIZE),
                                  "dump_matrix": Field(_bool, False)}),
-    "dos": (_cmd_dos, {**_MODEL, "num_realizations": Field(_int, 20, low=1),
+    "dos": (_cmd_dos, {**_MODEL, "num_realizations": Field(_int, 20, low=1, high=_MAX_SIZE),
                        "bins": Field(_int, 50, low=1, high=_MAX_SIZE)}),
     "periodic": (_cmd_periodic, {"potential": Field(_list(_float)), "gamma": Field(_float)}),
     "asspec": (_cmd_asspec, {"rho": Field(_rho), "gamma": Field(_float), "max_period": Field(_int, 2, low=1),
                              "samples_per_period": Field(_int, 41, low=1, high=_MAX_SIZE)}),
-    "green-check": (_cmd_green_check, {**_CHAINS, "instances": Field(_int, 100, low=1),
+    "green-check": (_cmd_green_check, {**_CHAINS, "instances": Field(_int, 100, low=1, high=_MAX_SIZE),
                                        "z": Field(_complex, [0.7, 0.3])}),
-    "charpoly-check": (_cmd_charpoly_check, {**_CHAINS, "instances": Field(_int, 20, low=1),
+    "charpoly-check": (_cmd_charpoly_check, {**_CHAINS, "instances": Field(_int, 20, low=1, high=_MAX_SIZE),
                                              "E": Field(_complex, 0.37)}),
     "lyapunov": (_cmd_lyapunov, {**_MODEL, "E": Field(_complex), "steps": _STEPS,
                                  "reorth_every": Field(_int, lyapunov.DEFAULT_REORTH, low=1)}),
     "thouless": (_cmd_thouless, {**_MODEL, "energies": Field(_list(_complex)), "steps": _STEPS,
                                  "dos": Field({"n": Field(_int, lambda v: v["n"], low=2, high=_MAX_SIZE),
-                                               "num_realizations": Field(_int, 20, low=1)}, {})}),
+                                               "num_realizations": Field(_int, 20, low=1, high=_MAX_SIZE)}, {})}),
     "zero-energy": (_cmd_zero_energy, {**_MODEL, "steps": _STEPS}),
     "alpha-scan": (_cmd_alpha_scan, {"seed": _SEED, "gamma": Field(_float), "rho": Field(_rho),
                                      "alpha_lo": Field(_float), "alpha_hi": Field(_float), "steps": _STEPS,
@@ -502,19 +507,19 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
                                # only the certificate draws, so a run without one needs no seed
                                "seed": Field(_int, lambda v: _REQUIRED if v["certificate_samples"] else 0)}),
     "correlator": (_cmd_correlator, {**_MODEL, "window": Field(_window),
-                                     "num_realizations": Field(_int, 100, low=1), "zeta": Field(_positive, 0.9),
-                                     "boundary": Field(_int, 5, low=0)}),
+                                     "num_realizations": Field(_int, 100, low=1, high=_MAX_SIZE),
+                                     "zeta": Field(_positive, 0.9), "boundary": Field(_int, 5, low=0)}),
     "wegner-probe": (_cmd_wegner_probe, {**_MODEL, "E": Field(_float),
                                          "L_list": Field(_list(_int), low=2, high=_MAX_SIZE),
                                          "beta": Field(_positive), "sigma": Field(_positive),
-                                         "samples": Field(_int, 100, low=1)}),
+                                         "samples": Field(_int, 100, low=1, high=_MAX_SIZE)}),
     "xy-verify": (_cmd_xy_verify, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 6), low=2),
                                    "t_list": Field(_list(_float), [0.5, 1.7, 5.0])}),
     "lr-stats": (_cmd_lr_stats, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 8), low=2),
                                  "j": Field(_int, 0, low=0),
                                  "ks": Field(_list(_int), lambda v: list(range(v["j"] + 1, v["n_verify"]))),
                                  "t_max": Field(_float, 10.0), "t_points": Field(_int, 400, low=1, high=_MAX_SIZE),
-                                 "num_realizations": Field(_int, 50, low=1),
+                                 "num_realizations": Field(_int, 50, low=1, high=_MAX_SIZE),
                                  "observables": Field(_paulis, ["x", "x"])}),
 }
 

@@ -15,15 +15,13 @@ It folds each block of factors into one product with block_products, in
 stacked matmuls over all blocks (complex factors in their real form), then
 advances the frame by one product per block and re-orthonormalizes it,
 returning diag R, from which callers take log |diag R| and the phase of
-det R.  The frame may be a single one or a stack of lanes, each with its
-own factors.  A single frame is re-orthonormalized with LAPACK geqrf and
-orgqr (ungqr for complex frames) from scipy, which is imported on the first
-such QR and is the module's only use of scipy; a stack takes one
-np.linalg.qr over all lanes per block.  Both characteristic polynomial
-routes run single frames: the transfer-minor route on the stack of A_k
-from transfer_factors, the solution-recursion route on the stack of steps
-from _recursion_steps.  The Lyapunov engine runs its batches as lanes on the
-block products of one stream.
+det R.  Every frame is a lane: a stack of lanes, each with its own
+factors, is re-orthonormalized by one np.linalg.qr over all lanes per
+block, and a single frame runs as a stack of one lane.  The
+characteristic polynomial check runs its two routes as two lanes of one
+stack: the solution-recursion route on the steps from _recursion_steps,
+the transfer-minor route on the A_k from transfer_factors.  The Lyapunov
+engine runs its batches as lanes on the block products of one stream.
 
 _recursion_steps is the one builder of the solution recursion
 S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k).  fundamental_solutions runs
@@ -90,7 +88,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,14 +160,6 @@ def transfer_matrix(V_k: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarr
 
 
 @functools.cache
-def _qr_kernels(dtype: np.dtype) -> tuple[Callable, Callable]:
-    """LAPACK geqrf and orgqr (ungqr for complex) of one dtype, looked up once."""
-    import scipy.linalg.lapack  # on the first single-frame QR, so the other routes start without scipy
-
-    return scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"), dtype=dtype)
-
-
-@functools.cache
 def _real_form(dim: int) -> np.ndarray:
     """(2 dim, 4 dim) matrix taking row i of a complex matrix, as (re, im) pairs, to rows (i, 0) and (i, 1) of its real form.
 
@@ -221,39 +211,28 @@ def block_products(F: np.ndarray, reorth: int) -> np.ndarray:
 def qr_product(X: np.ndarray, F: np.ndarray, reorth: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance frames X through the factors F, re-orthonormalizing after every reorth of them.
 
-    X is one frame (dim, cols) with F (m, dim, dim), or a stack of lanes
-    (lanes, dim, cols) with F (lanes, m, dim, dim), each lane advanced
-    through its own factors; frames may be square or tall.  Each block of
-    reorth consecutive factors is first folded into one product by
-    block_products, so the sequential part is one product and one reduced
-    QR factorization per block.  One frame uses LAPACK geqrf, then orgqr
-    (ungqr for complex frames), which cost a few microseconds; a stack of
-    lanes makes one stacked np.linalg.qr per block for all of them, whose
-    fixed cost of some 20 microseconds is shared.  Returns the last frames
-    and diag R, of shape (blocks, cols) or (lanes, blocks, cols):
-    log |diag R| carries the growth, and the product of diag R / |diag R|
-    is the phase of det R.  With no factors X comes back unchanged.  An
-    overflow shows as non-finite frames or diag R, which callers check, not
-    as warnings.
+    X is a stack of lanes (lanes, dim, cols) with F (lanes, m, dim, dim),
+    each lane advanced through its own factors, or one frame (dim, cols)
+    with F (m, dim, dim), which runs as a stack of one lane; frames may be
+    square or tall.  Each block of reorth consecutive factors is first
+    folded into one product by block_products, so the sequential part is
+    one stacked product and one stacked np.linalg.qr per block for all
+    lanes, whose fixed cost of some 20 microseconds is shared.  Returns the
+    last frames and diag R, of shape (lanes, blocks, cols), or (blocks,
+    cols) for one frame: log |diag R| carries the growth, and the product
+    of diag R / |diag R| is the phase of det R.  With no factors X comes
+    back unchanged.  An overflow shows as non-finite frames or diag R,
+    which callers check, not as warnings.
     """
+    if X.ndim == 2:
+        X, diag_r = qr_product(X[None], F[None], reorth)
+        return X[0], diag_r[0]
     P = block_products(F, reorth)
-    dtype = np.result_type(P, X)
-    diag_r = np.empty(P.shape[:-2] + X.shape[-1:], dtype=dtype)
+    diag_r = np.empty(P.shape[:-2] + X.shape[-1:], dtype=np.result_type(P, X))
     with np.errstate(over="ignore", invalid="ignore"):
-        if X.ndim == 3:
-            for b in range(P.shape[1]):
-                X, R = np.linalg.qr(P[:, b] @ X)
-                diag_r[:, b] = np.diagonal(R, axis1=-2, axis2=-1)
-            return X, diag_r
-        geqrf, orgqr = _qr_kernels(dtype)
-        for b in range(P.shape[0]):
-            packed, tau, _, info = geqrf(P[b] @ X)
-            if info != 0:
-                raise NumericalFailure(f"QR factorization of the frame failed (geqrf info {info})")
-            diag_r[b] = packed.diagonal()
-            X, _, info = orgqr(packed, tau, overwrite_a=1)
-            if info != 0:
-                raise NumericalFailure(f"QR factorization of the frame failed (orgqr info {info})")
+        for b in range(P.shape[1]):
+            X, R = np.linalg.qr(P[:, b] @ X)
+            diag_r[:, b] = np.diagonal(R, axis1=-2, axis2=-1)
     return X, diag_r
 
 
@@ -638,27 +617,31 @@ class GreenEvaluator:
 # characteristic polynomial identity
 
 
-def _bottom_minor(factors: np.ndarray) -> tuple[complex, float]:
-    """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] carried through the factors.
+def _bottom_minors(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] carried through each lane's factors.
 
-    The frame is re-orthonormalized every DEFAULT_REORTH factors by
-    qr_product, and its diag R carries the scale.  A block whose growth
-    overflows, or a frame that loses rank, is a NumericalFailure.
+    factors is a stack (lanes, m, 2ell, 2ell); every lane starts from [0; I]
+    and is re-orthonormalized every DEFAULT_REORTH factors by one
+    qr_product over all lanes, its diag R carrying the scale.  Returns one
+    phase and one log|det| per lane.  A lane whose growth overflows, or
+    whose frame loses rank or ends with a singular bottom block, is a
+    NumericalFailure.
     """
-    ell = factors.shape[-1] // 2
-    X, d = qr_product(np.concatenate([np.zeros((ell, ell)), np.eye(ell)]), factors, DEFAULT_REORTH)
+    lanes, ell = factors.shape[0], factors.shape[-1] // 2
+    start = np.concatenate([np.zeros((ell, ell)), np.eye(ell)])
+    X, d = qr_product(np.broadcast_to(start, (lanes, 2 * ell, ell)), factors, DEFAULT_REORTH)
     # an overflow (infinite or NaN diag R) or a lost rank (zero diag R) makes
     # phase or log_abs non-finite, which the check below reports, not warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         abs_d = np.abs(d)
-        phase = np.prod(d / abs_d)
-        log_abs = float(np.sum(np.log(abs_d)))
-    if not (np.isfinite(phase) and np.isfinite(log_abs)):
+        phase = np.prod(d / abs_d, axis=(1, 2))
+        log_abs = np.sum(np.log(abs_d), axis=(1, 2))
+    if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(log_abs))):
         raise NumericalFailure("renormalized frame overflowed or lost rank within one block")
-    sign, logdet = np.linalg.slogdet(X[ell:])
-    if sign == 0:
+    sign, logdet = np.linalg.slogdet(X[:, ell:])
+    if np.any(sign == 0):
         raise NumericalFailure("bottom block of the renormalized frame is singular")
-    return phase * sign, log_abs + float(logdet)
+    return phase * sign, log_abs + logdet
 
 
 @dataclass
@@ -684,7 +667,8 @@ def _ratio_residual(sign_a: complex, log_a: float, sign_b: complex, log_b: float
 def charpoly_identity_check(M: BlockJacobiMatrix, E: complex) -> CharpolyReport:
     """Verify det(M - E) = (prod_k det S_k) * det P(L+1) in the log domain.
 
-    Two independent right-hand sides are formed by _bottom_minor: P(L+1)
+    Two independent right-hand sides are formed as two lanes of one
+    _bottom_minors call, so one np.linalg.qr per block serves both: P(L+1)
     on the steps of _recursion_steps, and the bottom-right ell-minor of
     A_L ... A_1 on the factors of transfer_factors.  Both carry the frame
     [0; I] with QR re-orthonormalization every DEFAULT_REORTH steps and are
@@ -698,11 +682,11 @@ def charpoly_identity_check(M: BlockJacobiMatrix, E: complex) -> CharpolyReport:
 
     S = _padded_hopping(M)
     s_signs, s_logs = np.linalg.slogdet(M.S)
-    sign_p, log_p = _bottom_minor(_recursion_steps(M.V, S, E))
+    (sign_p, sign_m), (log_p, log_m) = _bottom_minors(
+        np.stack([_recursion_steps(M.V, S, E), transfer_factors(M.V, S[:-1], E)])
+    )
     sign_rec = np.prod(s_signs) * sign_p
-    log_rec = float(np.sum(s_logs)) + log_p
-
-    sign_m, log_m = _bottom_minor(transfer_factors(M.V, S[:-1], E))
+    log_rec = float(np.sum(s_logs)) + float(log_p)
     return CharpolyReport(
         log_direct=float(log_direct),
         sign_direct=sign_direct,

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from randblock import cli, model, spectral
-from randblock.errors import NumericalFailure
+from randblock.errors import ConfigError, NumericalFailure
 from randblock.lyapunov import DEFAULT_REORTH, DEFAULT_STEPS
 from randblock.model import assemble_block_jacobi, params_from_config, sample_disorder
 from randblock.spectral import eigensolve
@@ -254,6 +254,34 @@ class TestErrorPaths:
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, change):
         cfg_path = write_cfg(tmp_path / "c.json", {**FIXTURE_CFG, **change})
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            # steps is bounded by cli._MAX_STEPS
+            ("lyapunov", {"E": 0.5, "steps": 10**12}),
+            ("thouless", {"energies": [0.5], "steps": 10**12}),
+            ("zero-energy", {"steps": 10**12}),
+            ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "steps": 10**12}),
+            # the counts of realizations, instances and samples by cli._MAX_SIZE
+            ("wegner-probe", {**WEGNER, "samples": 10**12}),
+            ("green-check", {"instances": 10**12}),
+            ("charpoly-check", {"instances": 10**12}),
+            ("spectrum", {"num_realizations": 10**12}),
+            ("dos", {"num_realizations": 10**12}),
+            ("correlator", {"n": 20, "window": [0.5, 1.5], "num_realizations": 10**12}),
+            ("lr-stats", {"num_realizations": 10**12}),
+            ("thouless", {"energies": [0.5], "dos": {"num_realizations": 10**12}}),
+        ],
+    )
+    def test_field_that_sets_only_the_work_is_bounded(self, tmp_path, capsys, command, change):
+        cfg = {**FIXTURE_CFG, **change}
+        # the parse is checked first, because an unbounded field would make cli.main run until killed
+        with pytest.raises(ConfigError, match="must be <="):
+            cli._parse_config(command, copy.deepcopy(cfg))
+        code = cli.main([command, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
@@ -582,17 +610,17 @@ class TestScipyIsLoadedOnlyWhereUsed:
         "thouless": {**MODEL, "energies": [[1.0, 0.5], 0.3], "steps": 2000,
                      "dos": {"n": 10, "num_realizations": 2}},
         "green-check": {"seed": 5, "instances": 3, "L_max": 8},
+        "charpoly-check": {"seed": 5, "instances": 3, "L_max": 8},
         "periodic": {"potential": [1.0, -1.0], "gamma": 0.5},
         "asspec": {"rho": UNIFORM, "gamma": 0.5, "max_period": 2, "samples_per_period": 5},
         "lr-stats": {**MODEL, "t_points": 20, "num_realizations": 2},
         "xy-verify": MODEL,
     }
-    # configs whose routes call scipy: the banded eigensolve, the single-frame QR, the pivoted QR;
+    # configs whose routes call scipy: the banded eigensolve and the pivoted QR;
     # the 8 bins of this dos split [-4, 4], so the edges 0 and 1 lie on the atoms of
     # two_point(0, 1), some counts are unresolved and take the banded eigensolve
     WITH_SCIPY = {
         "spectrum": ("spectrum", {**MODEL, "num_realizations": 2}),
-        "charpoly-check": ("charpoly-check", {"seed": 5, "instances": 3, "L_max": 8}),
         "zariski": ("zariski", {"gamma": 0.5, "E_grid": [0.0, 0.5], "certificate_samples": 10, "seed": 5}),
         "dos-fallback": ("dos", {"n": 50, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0},
                                  "seed": 5, "num_realizations": 4, "bins": 8}),

@@ -178,8 +178,8 @@ class TestQRProduct:
         assert Q.shape == (3, 4, 2) and d.shape == (3, -(-7 // reorth), 2)
         for lane in range(3):
             Q_ref, d_ref = qr_product(X0[lane], factors[lane], reorth)
-            np.testing.assert_allclose(d[lane], d_ref, rtol=1e-12)
-            np.testing.assert_allclose(Q[lane], Q_ref, rtol=0.0, atol=1e-12)
+            # a single frame runs as a stack of one lane, so each lane matches it bit for bit
+            assert np.array_equal(d[lane], d_ref) and np.array_equal(Q[lane], Q_ref)
 
     @pytest.mark.parametrize("reorth", [2, 3, 10])
     def test_complex_blocks_fold_like_complex_products(self, rng, reorth):
