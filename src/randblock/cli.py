@@ -217,6 +217,9 @@ def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_dos(v, cfg: dict, out: str, args) -> None:
+    width = v.num_realizations * (v.bins + 1)  # of the count sweep over every chain and bin edge
+    if width > _MAX_SIZE:
+        raise ConfigError(f"num_realizations x (bins + 1) = {width} exceeds {_MAX_SIZE}, the widest count sweep")
     dos = spectral.dos_histogram(v.params, v.num_realizations, v.seed, v.bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
     _write_csv(os.path.join(out, "dos.csv"), cfg, ["bin_lo", "bin_hi", "mass"], rows)

@@ -288,8 +288,6 @@ def _bloch_symbols(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> np.nda
     sz = np.diag([1.0, -1.0])
     back = np.exp(-1j * thetas)[..., None, None]
     ahead = np.exp(1j * thetas)[..., None, None]
-    if p == 1:
-        return (pots[..., 0, None, None] * sz).astype(complex) - S * back - S.T * ahead
     lead = np.broadcast_shapes(pots.shape[:-1], np.shape(thetas))
     H = np.zeros(lead + (2 * p, 2 * p), dtype=complex)
     for j in range(p):

@@ -38,11 +38,11 @@ resolvent itself.  Setup costs O(L ell^3); GreenEvaluator.blocks() returns
 all L^2 blocks in O(L^2 ell^3) time and O(L^2 ell^2) memory.
 
 The same elimination, streamed over the sites of a batch of chains and
-energies, gives two more quantities from its pivots P_k.  The stream
-carries the current pivot of each chain and energy from site to site and
-holds the pivots of at most STREAM_BLOCK sites, whose inertia and size it
-reads in one vectorized pass per block; it never holds the stacks that
-schur_sweep returns:
+energies, gives two more quantities from its pivots P_k.  _schur_stream
+has one behavior: it carries the current pivot of each chain and energy
+from site to site and yields the pivots of one block of sites at a time,
+never the stacks that schur_sweep returns.  Each reader checks and sums a
+block in one vectorized pass:
 
 * log |det(M - z)| = sum of log |det P_k| (log_abs_det), the DOS term of
   the Thouless formula;
@@ -60,22 +60,22 @@ a scale times a pivot of unit size, so that its determinant does not
 overflow or underflow before the pivot itself does.
 
 A pivot is exactly singular when z is an eigenvalue of a leading sub-chain.
-The Green and log-determinant sweeps refuse it; the log-determinant sweep
-also refuses a pivot whose determinant over its scale, the divisor of the
-next update, underflows, and reports a pivot that is not finite as an
-overflow of the Schur update.  The count sweep floors it
-as dstebz does with pivmin: every exactly singular pivot whose entries all
-lie within PIVOT_FLOOR of zero is replaced by -PIVOT_FLOOR I, so an
-eigenvalue that makes a pivot vanish counts as below x.  Block pivots
-(ell >= 2) need one more guard, which scalar Sturm counts do not: when
-P_{k-1} is near singular, g_{k-1} is large along one direction, and the
-other eigenvalues of the next pivot are formed by cancellation and carry
-rounding errors of the size of |B|^2 |g_{k-1}|.  So a count is resolved
-only when every pivot eigenvalue exceeds COUNT_ROUNDING times the size of
-the terms its pivot was formed from; eigenvalue_counts reports each count
-with that flag.  A rank-deficient pivot that the floor does not reach, or
-a pivot that overflows, leaves its chain unresolved without stopping the
-other chains of the sweep.
+schur_sweep refuses it.  The stream floors it as dstebz does with pivmin:
+an exactly singular pivot whose entries all lie within PIVOT_FLOOR of zero
+becomes -PIVOT_FLOOR I, any other NaN, and a mask marks them.  log_abs_det
+refuses such a pivot, and one whose determinant times its scale, the
+divisor of the next update, underflows; a pivot that is not finite it
+reports as an overflow of the Schur update.  eigenvalue_counts reads the
+floored pivots, so an eigenvalue that makes a pivot vanish counts as below
+x.  Block pivots (ell >= 2) need one more guard, which scalar Sturm counts
+do not: when P_{k-1} is near singular, g_{k-1} is large along one
+direction, and the other eigenvalues of the next pivot are formed by
+cancellation and carry rounding errors of the size of |B|^2 |g_{k-1}|.
+So a count is resolved only when every pivot eigenvalue exceeds
+COUNT_ROUNDING times the size of the terms its pivot was formed from;
+eigenvalue_counts reports each count with that flag.  A rank-deficient
+pivot that the floor does not reach, or a pivot that overflows, leaves its
+chain unresolved without stopping the other chains of the sweep.
 
 qr_product, fundamental_solutions, log_abs_det and eigenvalue_counts may
 run past an overflow: they do so under np.errstate and report it
@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -110,9 +110,10 @@ PIVOT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # cover the rounding of one ell <= 3 block product, inverse and eigvalsh.
 COUNT_ROUNDING = 64 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Sites per block of the streaming sweep: it holds the pivots of one block
-# at a time and reads their inertia and size in one pass per block.
+# Sites per block of the streaming sweep, and pivots per block over all its
+# sites, chains and energies: a width above 1,024 gets fewer sites a block.
 STREAM_BLOCK = 64
+_STREAM_PIVOTS = 2**16
 
 
 def symplectic_form(ell: int) -> np.ndarray:
@@ -376,12 +377,7 @@ class _ClosedFormPivots:
 
     @classmethod
     def inertia(cls, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Number of negative eigenvalues and smallest |eigenvalue| of each real pivot.
-
-        det < 0 means one negative eigenvalue, det > 0 with trace < 0 two;
-        the eigenvalues are tr/2 +- hypot((a - c)/2, b), so the smallest
-        modulus is |det| over the largest.
-        """
+        """Number of negative eigenvalues and smallest |eigenvalue| of each pivot, from tr/2 +- hypot((a - c)/2, b)."""
         a, b, c = unit[..., 0, :], unit[..., 1, :], unit[..., 2, :]
         trace, det = a + c, cls.det(unit)
         below = trace < 0.0
@@ -429,72 +425,46 @@ class _StackedPivots:
         return np.count_nonzero(w < 0.0, axis=-1), np.where(finite, np.abs(w).min(axis=-1), np.nan)
 
 
-def _schur_stream(
-    chains: Sequence[BlockJacobiMatrix], z: np.ndarray, count: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward Schur sweep of M_r - z_j over equal-length chains M_r and energies z_j, one site at a time.
+def _schur_stream(chains: Sequence[BlockJacobiMatrix], z: np.ndarray) -> Iterator[tuple]:
+    """The forward Schur sweep of M_r - z_j over equal-length chains M_r and energies z_j, one block of sites at a time.
 
     Each pivot is carried as s times a pivot of unit size, so that no
-    determinant over- or underflows before the pivot itself does.  The
-    site loop does only the elimination; the signs and sizes of the pivots
-    are read in one pass per block of STREAM_BLOCK sites, the only pivots
-    held.  Returns arrays of shape (R, K): with count, the numbers of
-    negative pivot eigenvalues and the resolved flags, and log |det| left
-    at zero; without it, log |det(M_r - z_j)| and the other two left at
-    their start.  With count, an exactly singular pivot is floored (see the
-    module docstring); without it, it is a NumericalFailure, and so are a
-    pivot whose s det underflows before an update divides by it and a
-    pivot that is not finite.
+    determinant over- or underflows before the pivot itself does; every
+    exactly singular pivot is floored (see the module docstring).  A block
+    holds STREAM_BLOCK sites, or as many as fit in _STREAM_PIVOTS pivots
+    over the width R K, and at least one.  Yields for each block the pivot
+    kernel, the diagonal terms D of its sites, the unit pivots, their
+    scales and the mask of the exactly singular ones, both (sites, R, K).
     """
     V = np.stack([M.V for M in chains], axis=1)  # (L, R, ell, ell)
     B = -np.stack([M.S for M in chains], axis=1)  # (L-1, R, ell, ell)
     kernel = (_ClosedFormPivots if V.shape[-1] == 2 else _StackedPivots)(V, B, z)
     shape = (V.shape[1], z.size)
-    # |B_{k-1}|^2 for the pivot at site k; site 0 has none
-    hopping = np.concatenate([np.zeros((1, shape[0], 1)), np.square(B).sum(axis=(-2, -1))[..., None]])
-    log_abs, negative, resolved = np.zeros(shape), np.zeros(shape, dtype=int), np.ones(shape, dtype=bool)
-    previous = np.full(shape, np.inf)
-    for start in range(0, V.shape[0], STREAM_BLOCK):
-        D = kernel.diagonal(start, min(start + STREAM_BLOCK, V.shape[0]))
+    sites = max(1, min(STREAM_BLOCK, _STREAM_PIVOTS // max(1, shape[0] * shape[1])))
+    for start in range(0, V.shape[0], sites):
+        D = kernel.diagonal(start, min(start + sites, V.shape[0]))
         units, scales = np.empty_like(D), np.empty((D.shape[0],) + shape)
+        singular = np.zeros(scales.shape, dtype=bool)
         for i, k in enumerate(range(start, start + D.shape[0])):
-            if k == 0:
-                P = D[i]
-            else:
-                # the update divides by s det of the last pivot (_StackedPivots: inv(unit) / s)
-                if not count and np.any(np.abs(s * det) < _TINY):
-                    raise NumericalFailure(
-                        "Schur pivot log-determinants are not finite: z is at a sub-chain eigenvalue"
-                    )
-                P = kernel.eliminate(D[i], k, unit, s, det)
+            # the update divides by s det of the last pivot (_StackedPivots: inv(unit) / s)
+            P = D[i] if k == 0 else kernel.eliminate(D[i], k, unit, s, det)
             s = np.maximum(kernel.scale(P), _TINY)  # so a zero pivot has det 0, not 0 / 0
             unit = P / s[kernel.expand]
             det = kernel.det(unit)
             if np.count_nonzero(det) < det.size:
-                singular = det == 0.0
-                if not count:
-                    raise NumericalFailure(
-                        "exactly singular Schur pivot: z is an eigenvalue of a leading sub-chain"
-                    )
-                floored = singular & (np.abs(P).max(axis=kernel.axes) <= PIVOT_FLOOR)
-                unit = np.where(singular[kernel.expand], np.nan, unit)
+                singular[i] = det == 0.0
+                floored = singular[i] & (np.abs(P).max(axis=kernel.axes) <= PIVOT_FLOOR)
+                unit = np.where(singular[i][kernel.expand], np.nan, unit)
                 unit = np.where(floored[kernel.expand], -kernel.identity, unit)
                 s = np.where(floored, PIVOT_FLOOR, s)
                 det = kernel.det(unit)
             units[i], scales[i] = unit, s
-        if count:
-            below, smallest = kernel.inertia(units)
-            negative += below.sum(axis=0)
-            smallest *= scales
-            before = np.concatenate([previous[None], smallest[:-1]])
-            formed_from = kernel.norm(D) + hopping[start:start + D.shape[0]] / before
-            resolved &= (smallest > COUNT_ROUNDING * formed_from).all(axis=0)
-            previous = smallest[-1]
-        elif not np.all(np.isfinite(scales)):
-            raise NumericalFailure("Schur pivot overflowed: the hoppings or z are too large for the Schur update")
-        else:
-            log_abs += (np.log(np.abs(kernel.det(units))) + kernel.ell * np.log(scales)).sum(axis=0)
-    return log_abs, negative, resolved
+        yield kernel, D, units, scales, singular
+
+
+# the refusals of log_abs_det at one site, in the order they are checked
+_LOG_DET_FAILURES = ("Schur pivot log-determinants are not finite: z is at a sub-chain eigenvalue",
+                     "exactly singular Schur pivot: z is an eigenvalue of a leading sub-chain")
 
 
 def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]) -> np.ndarray:
@@ -503,18 +473,33 @@ def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]
     One streaming Schur sweep runs over every chain and energy at once, and
     log |det(M - z)| is the sum of log |det P_k| over its pivots.  Off the
     real axis every pivot is invertible.  At real z the sum is exact unless
-    z is an eigenvalue of a leading sub-chain M[0..k]: an exactly singular
-    pivot, or one so near singular that the next update divides by an
-    underflowing determinant, is a NumericalFailure naming the sub-chain.
-    A pivot that is not finite, because the hoppings or z are too large
-    for the Schur update, is a NumericalFailure naming the overflow.
+    z is an eigenvalue of a leading sub-chain M[0..k].  Each block is
+    checked once, and its first failing site is a NumericalFailure naming
+    the sub-chain: at site k, first a P_{k-1} whose s det underflows though
+    the update of P_k divides by it, then an exactly singular P_k.  A block
+    without either that holds a pivot that is not finite, because the
+    hoppings or z are too large for the Schur update, is a NumericalFailure
+    naming the overflow.
     """
     z = np.asarray(energies)
     if np.iscomplexobj(z) and not np.any(z.imag):
         z = z.real  # real energies keep real arithmetic
-    # an overflowing pivot is reported by the sweep as a NumericalFailure, not as warnings
+    total = np.zeros((len(chains), z.size))
+    underflow = np.zeros(total.shape, dtype=bool)  # of the last pivot before the block
+    # a failing pivot is reported as a NumericalFailure, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total, _, _ = _schur_stream(chains, z, count=False)
+        for kernel, _, units, scales, singular in _schur_stream(chains, z):
+            det = kernel.det(units)
+            tiny = np.abs(scales * det) < _TINY
+            # (site, check) in the order of _LOG_DET_FAILURES; site k checks the divisor s det of P_{k-1}
+            failed = np.stack([np.concatenate([underflow[None], tiny[:-1]]), singular], axis=1)
+            failed = failed.reshape(2 * det.shape[0], -1).any(axis=1)
+            if failed.any():
+                raise NumericalFailure(_LOG_DET_FAILURES[np.argmax(failed) % 2])
+            if not np.all(np.isfinite(scales)):
+                raise NumericalFailure("Schur pivot overflowed: the hoppings or z are too large for the Schur update")
+            underflow = tiny[-1]
+            total += (np.log(np.abs(det)) + kernel.ell * np.log(scales)).sum(axis=0)
     return total
 
 
@@ -530,7 +515,8 @@ def eigenvalue_counts(
     exactly singular pivot is floored to -PIVOT_FLOOR I (see the module
     docstring), so an eigenvalue that makes a pivot vanish counts as below
     x.  A count is resolved when every one of its pivot eigenvalues exceeds
-    COUNT_ROUNDING times the size of the terms the pivot was formed from:
+    COUNT_ROUNDING times |D_k| + |B_{k-1}|^2 / min |eig P_{k-1}|, the size
+    of the terms the pivot was formed from, P_{k-1} carried across blocks:
     then no pivot sign is left to rounding, and only an eigenvalue of M
     within rounding of x may count on either side.  A near-singular leading
     sub-chain, a rank-deficient pivot the floor does not reach, or an
@@ -539,10 +525,22 @@ def eigenvalue_counts(
     x = np.asarray(energies)
     if np.iscomplexobj(x) and np.any(x.imag):
         raise ValueError("eigenvalue counts need real energies")
+    shape = (len(chains), x.size)
+    negative, resolved = np.zeros(shape, dtype=int), np.ones(shape, dtype=bool)
+    previous, start = np.full(shape, np.inf), 0
     # a singular or overflowing pivot is reported by the flag, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, counts, resolved = _schur_stream(chains, x.real.astype(float), count=True)
-    return counts, resolved
+        # |B_{k-1}|^2 for the pivot at site k; site 0 has none
+        hopping = np.pad(np.square(np.stack([M.S for M in chains], axis=1)).sum(axis=(-2, -1)), ((1, 0), (0, 0)))
+        for kernel, D, units, scales, _ in _schur_stream(chains, x.real.astype(float)):
+            below, smallest = kernel.inertia(units)
+            negative += below.sum(axis=0)
+            smallest *= scales
+            before = np.concatenate([previous[None], smallest[:-1]])
+            formed_from = kernel.norm(D) + hopping[start:start + D.shape[0], :, None] / before
+            resolved &= (smallest > COUNT_ROUNDING * formed_from).all(axis=0)
+            previous, start = smallest[-1], start + D.shape[0]
+    return negative, resolved
 
 
 def _cond1(P: np.ndarray, P_inv: np.ndarray) -> float:

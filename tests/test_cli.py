@@ -285,6 +285,15 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    def test_wide_dos_sweep_exits_2(self, tmp_path, capsys):
+        # every field is in range, but the count sweep would span 1000 chains x 1001 bin edges
+        cfg = {**FIXTURE_CFG, "n": 2, "num_realizations": 1000, "bins": 1000}
+        code = cli.main(["dos", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and "num_realizations x (bins + 1) = 1001000" in err["error"]
+        assert not (tmp_path / "o" / "dos.csv").exists()
+
     def test_overflowing_decay_regressor_exits_3(self, tmp_path, capsys):
         # d^400 overflows for every distance d >= 6 of the fit
         cfg = {**FIXTURE_CFG, "n": 40, "window": [0.5, 1.5], "num_realizations": 2, "zeta": 400}

@@ -664,8 +664,6 @@ def scalar_symbol(pot, gamma, theta):
     pot = np.asarray(pot, dtype=float)
     p = pot.size
     S = anisotropy_block(gamma)
-    if p == 1:
-        return (pot[0] * SIGMA_Z).astype(complex) - S * np.exp(-1j * theta) - S.T * np.exp(1j * theta)
     H = np.zeros((2 * p, 2 * p), dtype=complex)
     for j in range(p):
         H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = pot[j] * SIGMA_Z

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -397,6 +399,28 @@ class TestGreen:
         with pytest.raises(NumericalFailure, match="singular Schur pivot"):
             GreenEvaluator(M, 0.4)
 
+    def test_blocks_invert_near_and_on_the_real_axis(self):
+        # a third of the energies real, the rest at Im z = 10^-8 .. 10^-1; every evaluator that
+        # passes its condition guard must invert M - z to rounding
+        rng = np.random.default_rng(20261019)
+        worst, evaluated = 0.0, {True: 0, False: 0}
+        for i in range(600):
+            ell, L = 1 + i % 3, int(rng.integers(1, 31))
+            M = random_instance(rng, ell, L)
+            re_z, log_im = rng.uniform(-3.0, 3.0), rng.uniform(-8.0, -1.0)
+            z = complex(re_z, 0.0 if i % 3 == 0 else 10.0**log_im)
+            try:
+                G = GreenEvaluator(M, z).blocks()
+            except NumericalFailure:
+                continue
+            evaluated[z.imag == 0.0] += 1
+            dense_G = G.swapaxes(1, 2).reshape(L * ell, L * ell)
+            A = M.dense() - z * np.eye(L * ell)
+            scale = np.linalg.norm(A, 2) * np.linalg.norm(dense_G, 2)
+            worst = max(worst, np.abs(A @ dense_G - np.eye(L * ell)).max() / scale)
+        assert evaluated[True] >= 150 and evaluated[False] >= 350
+        assert worst <= 1e-12
+
     def test_block_outside_chain_rejected(self, rng):
         ev = GreenEvaluator(random_instance(rng, 2, 4), 0.3j)
         with pytest.raises(ValueError):
@@ -599,6 +623,22 @@ class TestEigenvalueCounts:
         assert resolved.tolist() == [[False]]
         _, resolved = eigenvalue_counts([M], [x + 1e-6])  # away from the tuned pivots
         assert resolved.tolist() == [[True]]
+
+    def test_wide_sweep_holds_a_bounded_block(self):
+        # 4 chains x 5,001 energies: blocks of STREAM_BLOCK sites would hold about 31 MB per array
+        rng = realization_rng(20261019, 2)
+        chains = [random_instance(rng, 2, 100) for _ in range(4)]
+        x = np.linspace(-3.5, 3.5, 5001)
+        tracemalloc.start()
+        try:
+            counts, resolved = eigenvalue_counts(chains, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert resolved.all()
+        for r, M in enumerate(chains):
+            assert counts[r].tolist() == np.searchsorted(np.linalg.eigvalsh(M.dense()), x).tolist()
 
     def test_block_size_changes_no_count_or_flag(self, monkeypatch):
         # near the atoms of a two-point law many pivots are near singular, so the resolved rule
