@@ -12,10 +12,13 @@ in closed form.
 
 The closure is computed as a fixed point: an orthonormal basis of at most
 10 vectors in the coordinates of sp(2) grows by the conjugates and
-commutators of its elements until a round adds nothing; its pivoted QR is
-scipy's, imported on the first closure, so the certificate and the rest of
-the package load without scipy.  The certificate treats every potential
-sample in one (m, 4, 4) stack.
+commutators of its elements until a round adds nothing.  Each round decides
+its rank from the singular values of one numpy SVD of the candidate
+residuals, so the module needs no scipy.  Its result is marginal when a
+singular value sits near RANK_TOL, or when a rejected one stands above the
+rounding that a conjugate by A_0(E) can make, as it does at |E| of about
+1e-12, where the rank of the E = 0 algebra is not resolved.  The certificate
+treats every potential sample in one (m, 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .transfer import symplectic_defect, symplectic_form, transfer_matrix
 SYMPLECTIC_TOL = 1e-12
 RANK_TOL = 1e-9
 CERTIFICATE_TOL = 1e-12
+# a rejected singular value this many times eps cond_1(A_0(E)) is more than rounding
+_ROUNDING_MARGIN = 30.0
 
 J4 = symplectic_form(2)
 U_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -128,21 +133,23 @@ def lie_closure_dimension(E: float, gamma: float) -> ClosureResult:
     frame: an orthonormal basis starts from the shear direction [[0, 0],
     [sigma_z, 0]].  Each round rebuilds it as exact sp(2) matrices, takes
     their conjugates by A_0(E)^{+-1} and pairwise commutators, normalizes
-    those, projects them off the span twice and adds the residuals whose
-    pivoted-QR diagonal exceeds RANK_TOL, until a round adds nothing or the
-    basis holds 10.  `num_elements` counts the candidates examined, the seed
-    included.  The result is marginal when an accepted pivot is at most
-    10 RANK_TOL or the last round rejects one above RANK_TOL / 10.  Rounding
-    in a conjugate grows like eps cond_1(A_0(E)); once that reaches 1,
-    NumericalFailure is raised.
+    those and projects them off the span twice.  The singular values of
+    the stacked residuals above RANK_TOL, at most 10 minus the basis size,
+    are accepted, and the matching right singular vectors join the basis;
+    the rounds stop when one adds nothing or the basis holds 10.
+    `num_elements` counts the candidates examined, the seed included;
+    `smallest_pivot` is the smallest accepted singular value and
+    `largest_rejected` the largest one the last round did not accept.
+    Rounding in a conjugate grows like eps cond_1(A_0(E)); once that reaches
+    1, NumericalFailure is raised.  The result is marginal when an accepted
+    singular value is at most 10 RANK_TOL, or a rejected one exceeds
+    RANK_TOL / 10 or _ROUNDING_MARGIN eps cond_1(A_0(E)).
     """
-    import scipy.linalg  # here, so the routes that need no scipy start without it
-
     step = build_A0(E, gamma)
     # at a large |E| the norms overflow to inf, which the guard reports
     with np.errstate(over="ignore"):
         C, Ci = UU @ step.matrix @ UU, UU @ step.inv() @ UU
-        rounding = np.finfo(float).eps * np.linalg.norm(C, 1) * np.linalg.norm(Ci, 1)
+        rounding = float(np.finfo(float).eps * np.linalg.norm(C, 1) * np.linalg.norm(Ci, 1))
     if not rounding < 1.0:
         raise NumericalFailure(f"conjugates by A_0(E) cannot be resolved in sp(2): eps cond_1 = {rounding:.3e}")
     seed = np.zeros((4, 4))
@@ -165,21 +172,20 @@ def lie_closure_dimension(E: float, gamma: float) -> ClosureResult:
         residuals = candidates[norms > 0] / norms[norms > 0, None]
         for _ in range(2):
             residuals -= (residuals @ basis.T) @ basis
-        Q, R, _ = scipy.linalg.qr(residuals.T, mode="economic", pivoting=True)
-        # column pivoting keeps the diagonal non-increasing, so the accepted pivots lead
-        pivots = np.abs(np.diagonal(R))
-        added = min(int(np.count_nonzero(pivots > RANK_TOL)), 10 - len(basis))
+        # singular values come in non-increasing order, so the accepted ones lead
+        _, singular, Vt = np.linalg.svd(residuals, full_matrices=False)
+        added = min(int(np.count_nonzero(singular > RANK_TOL)), 10 - len(basis))
         # every earlier candidate comes back in the last round, so its rejections are the ones that count
-        largest_rejected = float(pivots[added:].max(initial=0.0))
+        largest_rejected = float(singular[added:].max(initial=0.0))
         if added == 0:
             break
-        smallest = min(smallest, float(pivots[added - 1]))
-        basis = np.concatenate([basis, Q[:, :added].T])
+        smallest = min(smallest, float(singular[added - 1]))
+        basis = np.concatenate([basis, Vt[:added]])
     return ClosureResult(
         E=float(E),
         gamma=float(gamma),
         dimension=len(basis),
-        marginal=smallest <= 10.0 * RANK_TOL or largest_rejected > RANK_TOL / 10.0,
+        marginal=smallest <= 10.0 * RANK_TOL or largest_rejected > min(RANK_TOL / 10.0, _ROUNDING_MARGIN * rounding),
         num_elements=examined,
         smallest_pivot=smallest,
         largest_rejected=largest_rejected,

@@ -460,6 +460,8 @@ def _schur_stream(chains: Sequence[BlockJacobiMatrix], z: np.ndarray) -> Iterato
                 det = kernel.det(unit)
             units[i], scales[i] = unit, s
         yield kernel, D, units, scales, singular
+        # so that the next block is built while only the reader may hold this one
+        del D, units, scales, singular
 
 
 # the refusals of log_abs_det at one site, in the order they are checked
@@ -498,8 +500,9 @@ def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]
                 raise NumericalFailure(_LOG_DET_FAILURES[np.argmax(failed) % 2])
             if not np.all(np.isfinite(scales)):
                 raise NumericalFailure("Schur pivot overflowed: the hoppings or z are too large for the Schur update")
-            underflow = tiny[-1]
+            underflow = tiny[-1].copy()
             total += (np.log(np.abs(det)) + kernel.ell * np.log(scales)).sum(axis=0)
+            del _, units, scales, singular, det, tiny, failed  # before the stream builds the next block
     return total
 
 
@@ -539,7 +542,8 @@ def eigenvalue_counts(
             before = np.concatenate([previous[None], smallest[:-1]])
             formed_from = kernel.norm(D) + hopping[start:start + D.shape[0], :, None] / before
             resolved &= (smallest > COUNT_ROUNDING * formed_from).all(axis=0)
-            previous, start = smallest[-1], start + D.shape[0]
+            previous, start = smallest[-1].copy(), start + D.shape[0]
+            del D, units, scales, _, below, smallest, before, formed_from  # before the stream builds the next block
     return negative, resolved
 
 

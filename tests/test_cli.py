@@ -624,13 +624,13 @@ class TestScipyIsLoadedOnlyWhereUsed:
         "asspec": {"rho": UNIFORM, "gamma": 0.5, "max_period": 2, "samples_per_period": 5},
         "lr-stats": {**MODEL, "t_points": 20, "num_realizations": 2},
         "xy-verify": MODEL,
+        "zariski": {"gamma": 0.5, "E_grid": [0.0, 0.5], "certificate_samples": 10, "seed": 5},
     }
-    # configs whose routes call scipy: the banded eigensolve and the pivoted QR;
+    # configs whose routes call scipy: the banded eigensolve;
     # the 8 bins of this dos split [-4, 4], so the edges 0 and 1 lie on the atoms of
     # two_point(0, 1), some counts are unresolved and take the banded eigensolve
     WITH_SCIPY = {
         "spectrum": ("spectrum", {**MODEL, "num_realizations": 2}),
-        "zariski": ("zariski", {"gamma": 0.5, "E_grid": [0.0, 0.5], "certificate_samples": 10, "seed": 5}),
         "dos-fallback": ("dos", {"n": 50, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0},
                                  "seed": 5, "num_realizations": 4, "bins": 8}),
     }
@@ -653,6 +653,12 @@ class TestScipyIsLoadedOnlyWhereUsed:
         assert sorted(p.name for p in fresh.iterdir()) == names
         for artifact in names:
             assert (fresh / artifact).read_bytes() == (here / artifact).read_bytes(), artifact
+
+    def test_bands_oracles_workload_never_loads_scipy(self, tmp_path, monkeypatch):
+        workloads = load_bench_workloads(monkeypatch)
+        jobs = workloads.warmup_jobs("bands-oracles") + workloads.jobs_for("bands-oracles", 1)
+        report = run_fresh(tmp_path, {job.name: (job.command, job.cfg) for job in jobs})
+        assert report["runs"] == [{"command": job.command, "code": 0, "scipy": []} for job in jobs]
 
 
 def load_bench_workloads(monkeypatch):

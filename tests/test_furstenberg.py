@@ -137,11 +137,24 @@ class TestClosureRank:
         flags = [r.deficient for r in results]
         assert flags == [False, True, False]
 
-    @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0, 0.9, 1.1])
     def test_rank_matches_plain_fixed_point(self, gamma):
-        # the criterion-5 grid and E = 0
-        for E in [*np.linspace(-2.4, 2.4, 20), 0.0]:
-            assert lie_closure_dimension(E, gamma).dimension == reference_closure_rank(E, gamma), f"E={E}"
+        # the criterion-5 grid, E = 0, and energies up to 1e3, where cond_1(A_0(E)) is about 1e6;
+        # at |E| near 1e-8 the smallest accepted singular value is about 1e-8, and the new basis
+        # rows, combinations of the residuals divided by it, are orthogonal only to about eps / 1e-8
+        for E in [*np.linspace(-2.4, 2.4, 20), 0.0, 0.1, -0.1, 1.0, 2.5, 10.0, 1e3, 1e-8, -1e-8, 1e-6]:
+            res = lie_closure_dimension(E, gamma)
+            assert res.dimension == reference_closure_rank(E, gamma), f"E={E}"
+            assert np.abs(res.basis @ res.basis.T - np.eye(res.dimension)).max() <= 1e-6, f"E={E}"
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 2.0])
+    @pytest.mark.parametrize("E", [1e-12, -1e-12])
+    def test_near_zero_energy_is_marginal(self, gamma, E):
+        # the first direction outside the E = 0 algebra has a singular value of size |E|, below
+        # RANK_TOL, so the rank reads 3; it is rejected far above the rounding of a conjugate
+        res = lie_closure_dimension(E, gamma)
+        assert res.largest_rejected < RANK_TOL / 10.0
+        assert res.marginal
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -640,6 +640,24 @@ class TestEigenvalueCounts:
         for r, M in enumerate(chains):
             assert counts[r].tolist() == np.searchsorted(np.linalg.eigvalsh(M.dense()), x).tolist()
 
+    def test_sweep_holds_one_block_at_a_time(self):
+        # 4 chains x 51 energies: a sweep of 8 blocks peaks near a sweep of 1, so no block is kept alive
+        # while the stream builds the next one (keeping one more block reads about 1.5 times)
+        def peak(reader, chains, energies):
+            tracemalloc.start()
+            try:
+                reader(chains, energies)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rng = realization_rng(20261020, 2)
+        short = [random_instance(rng, 2, STREAM_BLOCK) for _ in range(4)]
+        long = [random_instance(rng, 2, 8 * STREAM_BLOCK) for _ in range(4)]
+        x = np.linspace(-3.5, 3.5, 51)
+        for reader, energies in ((eigenvalue_counts, x), (log_abs_det, x + 0.1j)):
+            assert peak(reader, long, energies) <= 1.35 * peak(reader, short, energies), reader.__name__
+
     def test_block_size_changes_no_count_or_flag(self, monkeypatch):
         # near the atoms of a two-point law many pivots are near singular, so the resolved rule
         # at the first site of a block depends on the last pivot of the block before it
