@@ -12,7 +12,6 @@ from .model import (
     TrivialDisorderWarning,
     anisotropy_block,
     assemble_block_jacobi,
-    assemble_general,
     assemble_hat_form,
     interleave_permutation,
     params_from_config,
@@ -62,11 +61,8 @@ from .lyapunov import (
 from .furstenberg import (
     CertificateReport,
     ClosureResult,
-    Sp2Element,
     build_A0,
-    build_M,
     lie_closure_dimension,
-    site_transfer,
     zero_energy_reducibility_certificate,
 )
 from .localization import (

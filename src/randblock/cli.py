@@ -7,7 +7,8 @@ field is declared once, in `_COMMANDS`, with a type, a default, a lower
 bound and, for a field that sizes an array or counts realizations, instances
 or samples, the upper bound `_MAX_SIZE` (`_MAX_STEPS` for cocycle steps);
 `_parse` checks all of them by the same rules and writes each absent field
-into the embedded config with its default.
+into the embedded config with its default.  A subcommand that holds many
+chains at once also bounds their total sites by `_MAX_SIZE`.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr, and an almost surely constant disorder
@@ -196,6 +197,12 @@ def _check_dense(what: str, dim: int) -> None:
         raise ConfigError(f"{what} = {dim} exceeds {_MAX_DENSE_DIM}, the largest dense matrix built")
 
 
+def _check_sites(what: str, sites: int) -> None:
+    """ConfigError when the chains a subcommand holds at once have more than _MAX_SIZE sites in all."""
+    if sites > _MAX_SIZE:
+        raise ConfigError(f"{what} = {sites} exceeds {_MAX_SIZE}, the most chain sites held at once")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each gets the parsed values, the effective config to
 # embed, the output directory and the command line arguments
@@ -204,6 +211,7 @@ def _check_dense(what: str, dim: int) -> None:
 def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
     if v.dump_matrix:
         _check_dense("2 n", 2 * v.n)
+    _check_sites("num_realizations x n", v.num_realizations * v.n)
     specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed)
     rows = []
     for r, spec in enumerate(specs):
@@ -220,6 +228,7 @@ def _cmd_dos(v, cfg: dict, out: str, args) -> None:
     width = v.num_realizations * (v.bins + 1)  # of the count sweep over every chain and bin edge
     if width > _MAX_SIZE:
         raise ConfigError(f"num_realizations x (bins + 1) = {width} exceeds {_MAX_SIZE}, the widest count sweep")
+    _check_sites("num_realizations x n", v.num_realizations * v.n)
     dos = spectral.dos_histogram(v.params, v.num_realizations, v.seed, v.bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
     _write_csv(os.path.join(out, "dos.csv"), cfg, ["bin_lo", "bin_hi", "mass"], rows)
@@ -303,6 +312,7 @@ def _cmd_lyapunov(v, cfg: dict, out: str, args) -> None:
 
 def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
     params = v.params
+    _check_sites("dos.num_realizations x dos.n", v.dos.num_realizations * v.dos.n)
     dos_params = dataclasses.replace(params, n=v.dos.n)
     chains = [
         assemble_block_jacobi(dos_params, sample_disorder(dos_params, v.seed + 1, r))
@@ -409,6 +419,7 @@ def _cmd_correlator(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_wegner_probe(v, cfg: dict, out: str, args) -> None:
+    _check_sites("samples x max(L_list)", v.samples * max(v.L_list))
     records = localization.wegner_probe(
         v.params, v.E, v.L_list, beta=v.beta, sigma=v.sigma, samples=v.samples, seed=v.seed
     )

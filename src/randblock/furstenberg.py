@@ -17,8 +17,10 @@ its rank from the singular values of one numpy SVD of the candidate
 residuals, so the module needs no scipy.  Its result is marginal when a
 singular value sits near RANK_TOL, or when a rejected one stands above the
 rounding that a conjugate by A_0(E) can make, as it does at |E| of about
-1e-12, where the rank of the E = 0 algebra is not resolved.  The certificate
-treats every potential sample in one (m, 4, 4) stack.
+1e-12, where the rank of the E = 0 algebra is not resolved.  Closer to 0,
+where |E| itself is within that rounding, the result is marginal too.  The
+certificate treats every potential sample in one (m, 4, 4) stack from
+transfer_factors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .model import SIGMA_Z, anisotropy_block, check_gamma
-from .transfer import symplectic_defect, symplectic_form, transfer_matrix
+from .transfer import symplectic_defect, symplectic_form, transfer_factors, transfer_matrix
 
 SYMPLECTIC_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -66,42 +68,14 @@ def _require_symplectic(A: np.ndarray) -> None:
         raise ConfigError(f"matrix is not symplectic, defect {np.max(defect, where=failed, initial=0.0):.3e}")
 
 
-@dataclass
-class Sp2Element:
-    """A 4x4 real symplectic matrix; construction checks A^t J A = J."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        _require_symplectic(self.matrix)
-
-    def inv(self) -> np.ndarray:
-        # J^{-1} A^t J inverts any symplectic matrix without a solve
-        return -J4 @ self.matrix.T @ J4
-
-
-def build_M(Q: np.ndarray) -> Sp2Element:
-    """Lower shear [[I, 0], [Q, I]]; symplectic exactly when Q is symmetric."""
-    Q = np.asarray(Q, dtype=float)
-    out = np.eye(4)
-    out[2:, :2] = Q
-    return Sp2Element(matrix=out)
-
-
-def build_A0(E: float, gamma: float) -> Sp2Element:
-    """Potential-free site transfer at energy E for anisotropy gamma."""
+def build_A0(E: float, gamma: float) -> np.ndarray:
+    """Potential-free site transfer A_0(E) for anisotropy gamma, checked to be symplectic."""
     if not np.isfinite(E):
         raise ConfigError(f"energy E must be finite, got {E!r}")
     check_gamma(gamma)
     A = transfer_matrix(np.zeros((2, 2)), anisotropy_block(gamma), float(E))
-    return Sp2Element(matrix=A)
-
-
-def site_transfer(nu: float, E: float, gamma: float) -> Sp2Element:
-    """Full site step M(nu sigma_z) A_0(E); the factorization is exact."""
-    A0 = build_A0(E, gamma)
-    return Sp2Element(matrix=build_M(nu * SIGMA_Z).matrix @ A0.matrix)
+    _require_symplectic(A)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +117,16 @@ def lie_closure_dimension(E: float, gamma: float) -> ClosureResult:
     Rounding in a conjugate grows like eps cond_1(A_0(E)); once that reaches
     1, NumericalFailure is raised.  The result is marginal when an accepted
     singular value is at most 10 RANK_TOL, or a rejected one exceeds
-    RANK_TOL / 10 or _ROUNDING_MARGIN eps cond_1(A_0(E)).
+    RANK_TOL / 10 or _ROUNDING_MARGIN eps cond_1(A_0(E)), or when E != 0 is
+    itself at most _ROUNDING_MARGIN eps cond_1(A_0(E)): such an energy is
+    within rounding of E = 0, whose smaller algebra the conjugates then
+    reproduce.
     """
     step = build_A0(E, gamma)
-    # at a large |E| the norms overflow to inf, which the guard reports
+    # J^{-1} A^t J inverts a symplectic A without a solve; at a large |E| the norms
+    # overflow to inf, which the guard reports
     with np.errstate(over="ignore"):
-        C, Ci = UU @ step.matrix @ UU, UU @ step.inv() @ UU
+        C, Ci = UU @ step @ UU, UU @ (-J4 @ step.T @ J4) @ UU
         rounding = float(np.finfo(float).eps * np.linalg.norm(C, 1) * np.linalg.norm(Ci, 1))
     if not rounding < 1.0:
         raise NumericalFailure(f"conjugates by A_0(E) cannot be resolved in sp(2): eps cond_1 = {rounding:.3e}")
@@ -185,7 +163,11 @@ def lie_closure_dimension(E: float, gamma: float) -> ClosureResult:
         E=float(E),
         gamma=float(gamma),
         dimension=len(basis),
-        marginal=smallest <= 10.0 * RANK_TOL or largest_rejected > min(RANK_TOL / 10.0, _ROUNDING_MARGIN * rounding),
+        marginal=(
+            smallest <= 10.0 * RANK_TOL
+            or largest_rejected > min(RANK_TOL / 10.0, _ROUNDING_MARGIN * rounding)
+            or 0.0 < abs(E) <= _ROUNDING_MARGIN * rounding
+        ),
         num_elements=examined,
         smallest_pivot=smallest,
         largest_rejected=largest_rejected,
@@ -242,19 +224,19 @@ def zero_energy_reducibility_certificate(gamma: float, nu_samples: Sequence[floa
     determinants multiply to 1 pairwise, which is what makes the closure
     at zero energy strictly smaller than sp(2).  Deviations are judged
     against CERTIFICATE_TOL times max(1, max |nu|, 1 / |1 - gamma|)^2.
-    All samples form one (m, 4, 4) stack of steps M(nu sigma_z) A_0(0), each
-    checked for symplecticity to the Sp2Element bound.
+    All samples form one (m, 4, 4) stack of site transfers at E = 0 from
+    transfer_factors, equal to M(nu sigma_z) A_0(0), each checked to be
+    symplectic to the bound of build_A0.
     """
     if gamma <= 0.0 or gamma == 1.0:
         raise ConfigError("certificate applies to gamma in (0, 1) or (1, inf)")
     nu = np.asarray(nu_samples, dtype=float)
     if nu.ndim != 1 or nu.size == 0 or not np.all(np.isfinite(nu)):
         raise ConfigError("certificate needs a non-empty list of finite potential samples")
+    check_gamma(gamma)
     branch = "unit_determinant" if gamma < 1.0 else "negative_determinant_two_step"
     Pinv = np.linalg.inv(_P_SPLIT)
-    M = np.tile(np.eye(4), (nu.size, 1, 1))
-    M[:, 2:, :2] = nu[:, None, None] * SIGMA_Z
-    A = M @ build_A0(0.0, gamma).matrix
+    A = transfer_factors(nu[:, None, None] * SIGMA_Z, anisotropy_block(gamma), 0.0)
     _require_symplectic(A)
     B = Pinv @ (UU @ A @ UU) @ _P_SPLIT
     D_expect, F_expect = zero_energy_split_blocks(nu, gamma)

@@ -84,21 +84,14 @@ class BlockEnsemble:
         return cls(ell=2, draw_blocks=draw, mean_log_abs_det_s=mean_log)
 
     @classmethod
-    def from_choices(
-        cls,
-        V_choices: np.ndarray,
-        S_choices: np.ndarray,
-        s_weights: np.ndarray | None = None,
-    ) -> "BlockEnsemble":
-        """i.i.d. picks from finite block families: V uniform, S uniform or weighted."""
+    def from_choices(cls, V_choices: np.ndarray, S_choices: np.ndarray) -> "BlockEnsemble":
+        """i.i.d. picks from finite block families, each V and each S uniformly."""
         V_choices = np.asarray(V_choices, dtype=float)
         S_choices = np.asarray(S_choices, dtype=float)
         ell = V_choices.shape[-1]
         nv, ns = V_choices.shape[0], S_choices.shape[0]
-        vw = np.full(nv, 1.0 / nv)  # rng.choice draws differently with and without p
-        sw = np.full(ns, 1.0 / ns) if s_weights is None else np.asarray(s_weights, dtype=float)
-        if abs(sw.sum() - 1.0) > 1e-12:
-            raise ConfigError("choice weights must sum to 1")
+        # rng.choice draws differently with and without p
+        vw, sw = np.full(nv, 1.0 / nv), np.full(ns, 1.0 / ns)
 
         def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
             iv = rng.choice(nv, size=m, p=vw)
@@ -444,14 +437,6 @@ class ZeroEnergyPrediction:
     aux: ExponentEstimate
     exponents: np.ndarray
     se: np.ndarray
-
-    @property
-    def gamma_top(self) -> float:
-        return float(self.exponents[0])
-
-    @property
-    def gamma_inner(self) -> float:
-        return float(self.exponents[1])
 
 
 def zero_energy_closed_form(gamma: float, measured: ExponentEstimate) -> ZeroEnergyPrediction:

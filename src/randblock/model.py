@@ -229,30 +229,37 @@ def sample_disorder(params: ModelParams, seed: int, index: int = 0) -> DisorderR
 class BlockJacobiMatrix:
     """Block tridiagonal matrix given by diagonal blocks V and hoppings S.
 
-    V has shape (n, ell, ell) with V_k symmetric, S has shape (n-1, ell, ell)
-    with every det S_k nonzero.  `dense()` realizes the n*ell square matrix
-    with the sign convention stated in the module docstring.
+    V has shape (n, ell, ell) with n >= 1 and V_k symmetric, S has shape
+    (n-1, ell, ell) with every det S_k nonzero; n and ell are read off V.
+    `dense()` realizes the n*ell square matrix with the sign convention
+    stated in the module docstring.
     """
 
-    ell: int
-    n: int
     V: np.ndarray
     S: np.ndarray
 
     def __post_init__(self) -> None:
         self.V = np.asarray(self.V, dtype=float)
         self.S = np.asarray(self.S, dtype=float)
-        if self.V.shape != (self.n, self.ell, self.ell):
-            raise ConfigError(f"V has shape {self.V.shape}, expected {(self.n, self.ell, self.ell)}")
+        if self.V.ndim != 3 or self.V.shape[0] < 1 or self.V.shape[1] != self.V.shape[2]:
+            raise ConfigError(f"V has shape {self.V.shape}, expected (n, ell, ell) with n >= 1")
         if self.S.shape != (self.n - 1, self.ell, self.ell):
             raise ConfigError(f"S has shape {self.S.shape}, expected {(self.n - 1, self.ell, self.ell)}")
-        asym = np.max(np.abs(self.V - np.transpose(self.V, (0, 2, 1)))) if self.n else 0.0
+        asym = np.max(np.abs(self.V - np.transpose(self.V, (0, 2, 1))))
         if asym != 0.0:
             raise ConfigError(f"diagonal blocks must be exactly symmetric, max asymmetry {asym}")
         # the slogdet sign is 0 exactly at a singular block, at any scale of S
         signs, _ = np.linalg.slogdet(self.S)
         if not np.all(signs != 0.0):
             raise ConfigError("hopping blocks must be invertible")
+
+    @property
+    def n(self) -> int:
+        return self.V.shape[0]
+
+    @property
+    def ell(self) -> int:
+        return self.V.shape[-1]
 
     def dense(self) -> np.ndarray:
         """The n ell x n ell matrix, filled by fancy indexing on its (n, ell, n, ell) view."""
@@ -342,7 +349,7 @@ def assemble_block_jacobi(params: ModelParams, real: DisorderRealization) -> Blo
         raise ConfigError(f"realization has {real.nu.shape[0]} potential entries, expected {params.n}")
     V = real.nu[:, None, None] * SIGMA_Z[None, :, :]
     S = np.repeat(params.mu * anisotropy_block(params.gamma)[None], params.n - 1, axis=0)
-    return BlockJacobiMatrix(ell=2, n=params.n, V=V, S=S)
+    return BlockJacobiMatrix(V, S)
 
 
 def assemble_hat_form(params: ModelParams, real: DisorderRealization) -> HatBlockMatrix:
@@ -357,44 +364,30 @@ def assemble_hat_form(params: ModelParams, real: DisorderRealization) -> HatBloc
     return HatBlockMatrix(n=n, A=A, B=B)
 
 
-def assemble_general(
-    ell: int,
-    V_list: Sequence[np.ndarray],
-    S_list: Sequence[np.ndarray],
-) -> BlockJacobiMatrix:
-    """Assemble from explicit block sequences (len(S_list) = len(V_list) - 1)."""
-    n = len(V_list)
-    if len(S_list) != n - 1:
-        raise ConfigError(f"expected {n - 1} hopping blocks, got {len(S_list)}")
-    V = np.stack([np.asarray(v, dtype=float) for v in V_list])
-    S = np.stack([np.asarray(s, dtype=float) for s in S_list]) if n > 1 else np.zeros((0, ell, ell))
-    return BlockJacobiMatrix(ell=ell, n=n, V=V, S=S)
+# random_instance draws V entries in +-_POTENTIAL_SCALE (then symmetrizes) and
+# S entries in +-_HOPPING_SCALE
+_POTENTIAL_SCALE = 1.5
+_HOPPING_SCALE = 1.2
+_MIN_HOPPING_DET = 0.3
 
 
-def random_instance(
-    rng: np.random.Generator,
-    ell: int,
-    n: int,
-    potential_scale: float = 1.5,
-    hopping_scale: float = 1.2,
-    min_hopping_det: float = 0.3,
-) -> BlockJacobiMatrix:
+def random_instance(rng: np.random.Generator, ell: int, n: int) -> BlockJacobiMatrix:
     """Generic random instance: symmetric V blocks, invertible dense S blocks.
 
     All V blocks come from one draw.  Hopping blocks are redrawn until their
-    determinant clears min_hopping_det, which keeps transfer matrices well
+    |determinant| clears _MIN_HOPPING_DET, which keeps transfer matrices well
     conditioned: each round draws exactly as many candidates as hoppings are
     still missing and keeps those that clear it, in order.  No round draws
     past the last accepted candidate, so the chain and the generator state
     afterwards equal those of drawing one candidate at a time.
     """
-    raw = rng.uniform(-potential_scale, potential_scale, (n, ell, ell))
+    raw = rng.uniform(-_POTENTIAL_SCALE, _POTENTIAL_SCALE, (n, ell, ell))
     V = 0.5 * (raw + np.swapaxes(raw, 1, 2))
     S = np.empty((0, ell, ell))
     while S.shape[0] < n - 1:
-        raw = rng.uniform(-hopping_scale, hopping_scale, (n - 1 - S.shape[0], ell, ell))
-        S = np.concatenate([S, raw[np.abs(np.linalg.det(raw)) >= min_hopping_det]])
-    return BlockJacobiMatrix(ell=ell, n=n, V=V, S=S)
+        raw = rng.uniform(-_HOPPING_SCALE, _HOPPING_SCALE, (n - 1 - S.shape[0], ell, ell))
+        S = np.concatenate([S, raw[np.abs(np.linalg.det(raw)) >= _MIN_HOPPING_DET]])
+    return BlockJacobiMatrix(V, S)
 
 
 def write_dense_csv(matrix: BlockJacobiMatrix, path) -> None:
@@ -443,7 +436,7 @@ def params_from_config(cfg: dict) -> ModelParams:
             raise ConfigError(f"config missing required field {key!r}")
     ell = cfg.get("ell", 2)
     if ell != 2:
-        raise ConfigError("scalar-anisotropy configs describe ell=2 chains; use assemble_general otherwise")
+        raise ConfigError("scalar-anisotropy configs describe ell=2 chains; build BlockJacobiMatrix(V, S) otherwise")
     n = cfg["n"]
     if not isinstance(n, int) or n < 2:
         raise ConfigError(f"n must be an integer >= 2, got {n!r}")

@@ -218,9 +218,6 @@ class IntervalUnion:
                 merged.append([lo, hi])
         return cls(intervals=np.array(merged))
 
-    def __iter__(self):
-        return iter(map(tuple, self.intervals))
-
     @property
     def hull(self) -> tuple[float, float]:
         if self.intervals.shape[0] == 0:

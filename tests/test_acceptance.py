@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from randblock import model
 from randblock.furstenberg import (
     lie_closure_dimension,
     zero_energy_reducibility_certificate,
@@ -24,10 +25,10 @@ from randblock.lyapunov import (
     zero_energy_closed_form,
 )
 from randblock.model import (
+    BlockJacobiMatrix,
     ModelParams,
     SingleSiteDistribution,
     assemble_block_jacobi,
-    assemble_general,
     assemble_hat_form,
     random_instance,
     realization_rng,
@@ -122,8 +123,12 @@ def test_criterion_1_band_edges():
     finish(1, checks, budget=60.0, t0=t0)
 
 
-def test_criterion_2_green_wronskian_charpoly():
+def test_criterion_2_green_wronskian_charpoly(monkeypatch):
     t0 = time.monotonic()
+    # milder blocks than the CLI's random chains: entries in [-1, 1], |det S| >= 0.5
+    monkeypatch.setattr(model, "_POTENTIAL_SCALE", 1.0)
+    monkeypatch.setattr(model, "_HOPPING_SCALE", 1.0)
+    monkeypatch.setattr(model, "_MIN_HOPPING_DET", 0.5)
     rng = np.random.default_rng(42)
     z = 0.7 + 0.3j
     E = 0.37 + 0.2j
@@ -131,7 +136,7 @@ def test_criterion_2_green_wronskian_charpoly():
     for i in range(100):
         ell = 1 + i % 3
         L = int(rng.integers(5, 51))
-        M = random_instance(rng, ell, L, potential_scale=1.0, hopping_scale=1.0, min_hopping_det=0.5)
+        M = random_instance(rng, ell, L)
         resolvent = np.linalg.inv(M.dense() - z * np.eye(ell * L))
         scale = float(np.linalg.norm(resolvent, 2))
         blocks = resolvent.reshape(L, ell, L, ell).swapaxes(1, 2)  # blocks[j-1, k-1] = G(j, k)
@@ -193,7 +198,7 @@ def test_criterion_3_thouless_formula():
         grng = realization_rng(400, index)
         Vs = V_choices[grng.integers(0, 3, size=500)]
         Ss = S_choices[grng.integers(0, 2, size=499)]
-        return assemble_general(2, list(Vs), list(Ss))
+        return BlockJacobiMatrix(Vs, Ss)
 
     general_chains = [general_chain(i) for i in range(30)]
     [greport] = thouless_check(ensemble, [2.0j], general_chains, steps=100_000, seed=401)

@@ -294,6 +294,30 @@ class TestErrorPaths:
         assert err["kind"] == "config" and "num_realizations x (bins + 1) = 1001000" in err["error"]
         assert not (tmp_path / "o" / "dos.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, change, product",
+        [
+            ("spectrum", {"n": 1000, "num_realizations": 1001}, "num_realizations x n = 1001000"),
+            ("dos", {"n": 1000, "num_realizations": 1001, "bins": 1}, "num_realizations x n = 1001000"),
+            ("thouless", {"energies": [0.5], "dos": {"n": 1000, "num_realizations": 1001}},
+             "dos.num_realizations x dos.n = 1001000"),
+            ("wegner-probe", {**WEGNER, "samples": 10**6, "L_list": [4, 10**6]},
+             "samples x max(L_list) = 1000000000000"),
+        ],
+    )
+    def test_too_many_chain_sites_exit_2_before_a_draw(self, tmp_path, capsys, monkeypatch, command, change,
+                                                      product):
+        # every field is in range, but the chains held at once would have more than cli._MAX_SIZE sites
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was drawn")
+
+        monkeypatch.setattr(model.SingleSiteDistribution, "sample", refuse)
+        cfg = {**FIXTURE_CFG, **change}
+        code = cli.main([command, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and f"{product} exceeds {cli._MAX_SIZE}" in err["error"]
+
     def test_overflowing_decay_regressor_exits_3(self, tmp_path, capsys):
         # d^400 overflows for every distance d >= 6 of the fit
         cfg = {**FIXTURE_CFG, "n": 40, "window": [0.5, 1.5], "num_realizations": 2, "zeta": 400}

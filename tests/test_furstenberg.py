@@ -13,11 +13,9 @@ from randblock.furstenberg import (
     RANK_TOL,
     UU,
     U_HADAMARD,
-    Sp2Element,
+    _require_symplectic,
     build_A0,
-    build_M,
     lie_closure_dimension,
-    site_transfer,
     zero_energy_reducibility_certificate,
     zero_energy_split_blocks,
 )
@@ -27,33 +25,38 @@ from randblock.transfer import symplectic_defect, transfer_matrix
 GRID = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 
 
+def shear(Q):
+    """Lower shear M(Q) = [[I, 0], [Q, I]]."""
+    out = np.eye(4)
+    out[2:, :2] = Q
+    return out
+
+
+def site_step(nu, E, gamma):
+    return transfer_matrix(nu * SIGMA_Z, anisotropy_block(gamma), E)
+
+
 class TestGenerators:
     def test_hadamard_frame_is_block_diagonal_bit_for_bit(self):
         # built without scipy; signed zeros included, so every product with it is unchanged
         assert UU.tobytes() == scipy.linalg.block_diag(U_HADAMARD, U_HADAMARD).tobytes()
 
-    def test_site_transfer_cross_checks_transfer_module(self):
-        A = site_transfer(1.0, 1.0, 0.5)
-        B = transfer_matrix(SIGMA_Z * 1.0, anisotropy_block(0.5), 1.0)
-        assert np.abs(A.matrix - B).max() <= 1e-14
+    @pytest.mark.parametrize("nu, E, gamma", [(1.0, 1.0, 0.5), (-0.7, 0.0, 2.0), (2.3, -1.4, 0.3)])
+    def test_site_step_factors_as_shear_times_A0(self, nu, E, gamma):
+        # A = M(nu sigma_z) A_0(E): the potential enters only through the shear
+        A0 = build_A0(E, gamma)
+        assert isinstance(A0, np.ndarray) and A0.shape == (4, 4)
+        assert np.abs(site_step(nu, E, gamma) - shear(nu * SIGMA_Z) @ A0).max() <= 1e-14
 
     def test_zero_field_zero_energy_site_is_A0(self):
-        A = site_transfer(0.0, 0.0, 0.5)
-        A0 = build_A0(0.0, 0.5)
-        assert np.array_equal(A.matrix, A0.matrix)
-        assert symplectic_defect(A.matrix) <= 1e-12
-
-    def test_build_M_shape(self):
-        M = build_M(0.7 * SIGMA_Z)
-        # unipotent lower-triangular with Q in the bottom-left corner
-        assert np.array_equal(M.matrix[:2, :2], np.eye(2))
-        assert np.array_equal(M.matrix[2:, 2:], np.eye(2))
-        assert np.array_equal(M.matrix[2:, :2], 0.7 * SIGMA_Z)
-        assert np.array_equal(M.matrix[:2, 2:], np.zeros((2, 2)))
+        A = site_step(0.0, 0.0, 0.5)
+        assert np.array_equal(A, build_A0(0.0, 0.5))
+        assert symplectic_defect(A) <= 1e-12
 
     def test_cancellation_with_equal_fields_is_identity(self):
-        A = site_transfer(0.8, 1.3, 0.5)
-        assert np.abs(A.matrix @ A.inv() - np.eye(4)).max() <= 1e-12
+        # J^{-1} A^t J, the inverse lie_closure_dimension uses, inverts the step
+        A = site_step(0.8, 1.3, 0.5)
+        assert np.abs(A @ (-J4 @ A.T @ J4) - np.eye(4)).max() <= 1e-12
 
     def test_cancellation_leaves_field_difference(self, rng):
         # A_a A_b^{-1} = M((a-b) sigma_z): the potential-free step cancels exactly
@@ -61,22 +64,21 @@ class TestGenerators:
             a, b = rng.normal(size=2)
             E = rng.uniform(-2, 2)
             gamma = rng.uniform(0.1, 0.9)
-            G = Sp2Element(matrix=site_transfer(a, E, gamma).matrix @ site_transfer(b, E, gamma).inv())
-            lhs = site_transfer(a, E, gamma).matrix @ np.linalg.inv(
-                site_transfer(b, E, gamma).matrix
-            )
-            assert np.abs(G.matrix - lhs).max() <= 1e-10
-            expected = build_M((a - b) * SIGMA_Z).matrix
-            assert np.abs(G.matrix - expected).max() <= 1e-10
+            A_b = site_step(b, E, gamma)
+            G = site_step(a, E, gamma) @ (-J4 @ A_b.T @ J4)
+            _require_symplectic(G)
+            lhs = site_step(a, E, gamma) @ np.linalg.inv(A_b)
+            assert np.abs(G - lhs).max() <= 1e-10
+            assert np.abs(G - shear((a - b) * SIGMA_Z)).max() <= 1e-10
 
     def test_sp2_membership_guard(self):
         with pytest.raises(ConfigError):
-            Sp2Element(matrix=np.diag([1.0, 2.0, 3.0, 4.0]))
+            _require_symplectic(np.diag([1.0, 2.0, 3.0, 4.0]))
 
     def test_sp2_membership_guard_rejects_nan(self):
         # the NaN defect must fail the bound, not slip past a `defect > bound` test
         with pytest.raises(ConfigError, match="not symplectic"):
-            Sp2Element(matrix=np.full((4, 4), np.nan))
+            _require_symplectic(np.full((4, 4), np.nan))
 
     @pytest.mark.parametrize("E, gamma", [(np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan), (0.5, -np.inf)])
     def test_A0_rejects_non_finite_input(self, E, gamma):
@@ -86,7 +88,7 @@ class TestGenerators:
 
 def reference_closure_rank(E, gamma):
     """Closure rank from a plain Gram-Schmidt fixed point on flattened 4x4 matrices in the original frame."""
-    A0 = build_A0(E, gamma).matrix
+    A0 = build_A0(E, gamma)
     A0i = np.linalg.inv(A0)
     seed = np.zeros((4, 4))
     seed[2:, :2] = SIGMA_Z
@@ -156,6 +158,17 @@ class TestClosureRank:
         assert res.largest_rejected < RANK_TOL / 10.0
         assert res.marginal
 
+    def test_energies_within_rounding_of_zero_are_marginal(self):
+        # below |E| of about 1e-13 a rejected singular value of size |E| sits within the rounding
+        # of a conjugate, and the rank reads 3 as at E = 0; every such rank is flagged
+        Es = [s * 10.0 ** -k for k in range(3, 17) for s in (1.0, -1.0)]
+        for gamma in (0.3, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 5.0):
+            for E in Es:
+                res = lie_closure_dimension(E, gamma)
+                assert res.marginal or not res.deficient, f"gamma={gamma}, E={E}"
+            at_zero = lie_closure_dimension(0.0, gamma)
+            assert at_zero.dimension == 3 and not at_zero.marginal
+
     @settings(max_examples=60, deadline=None)
     @given(
         gamma=st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0)),
@@ -167,7 +180,7 @@ class TestClosureRank:
         B = res.basis
         assert B.shape == (res.dimension, 10)
         assert np.abs(B @ B.T - np.eye(res.dimension)).max() <= 1e-12
-        A0 = UU @ build_A0(E, gamma).matrix @ UU
+        A0 = UU @ build_A0(E, gamma) @ UU
         A0i = np.linalg.inv(A0)
 
         def element(coeffs):
@@ -196,7 +209,7 @@ class TestZeroEnergyReduction:
     def test_conjugation_block_diagonalizes(self, rng):
         for gamma in (0.5, 2.0):
             for nu in rng.normal(size=5):
-                A = site_transfer(nu, 0.0, gamma).matrix
+                A = site_step(nu, 0.0, gamma)
                 B = UU @ A @ UU
                 C = np.linalg.inv(_P_SPLIT) @ B @ _P_SPLIT
                 D, F = zero_energy_split_blocks(nu, gamma)
@@ -245,7 +258,7 @@ class TestZeroEnergyReduction:
         d = (1.0 - gamma) / (1.0 + gamma)
         pattern = block = det = 0.0
         for v in nu:
-            B = Pinv @ (UU @ site_transfer(v, 0.0, gamma).matrix @ UU) @ _P_SPLIT
+            B = Pinv @ (UU @ site_step(v, 0.0, gamma) @ UU) @ _P_SPLIT
             D, F = zero_energy_split_blocks(v, gamma)
             pattern = max(pattern, np.abs(B[:2, 2:]).max(), np.abs(B[2:, :2]).max())
             block = max(block, np.abs(B[:2, :2] - D).max(), np.abs(B[2:, 2:] - F).max())

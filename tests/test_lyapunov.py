@@ -21,11 +21,11 @@ from randblock.lyapunov import (
     zero_energy_shift,
 )
 from randblock.model import (
+    BlockJacobiMatrix,
     ModelParams,
     SingleSiteDistribution,
     TrivialDisorderWarning,
     assemble_block_jacobi,
-    assemble_general,
     realization_rng,
     sample_disorder,
 )
@@ -249,7 +249,7 @@ class TestThouless:
         chains = []
         for _ in range(30):
             nu = rng.choice([0.0, 1.0], size=600)
-            chains.append(assemble_general(1, [np.array([[v]]) for v in nu], [np.eye(1)] * 599))
+            chains.append(BlockJacobiMatrix(nu.reshape(600, 1, 1), np.ones((599, 1, 1))))
         [rep] = thouless_check(ens, [2j], chains, steps=40_000, seed=5)
         assert rep.residual <= 5e-2
         assert rep.hopping_term == 0.0
@@ -327,7 +327,7 @@ class TestZeroEnergy:
         pred = zero_energy_closed_form(0.5, aux)
         assert pred.exponents.size == 4
         assert np.allclose(pred.exponents + pred.exponents[::-1], 0.0, atol=1e-14)
-        assert pred.gamma_top == pytest.approx(aux.value + pred.shift)
+        assert pred.exponents[0] == pytest.approx(aux.value + pred.shift)
 
 
 class TestAlphaScan:
@@ -349,14 +349,8 @@ class TestAlphaScan:
 
 class TestEnsembleConstruction:
     def test_from_choices_exact_hopping_mean(self):
-        S_choices = np.array([2.0 * np.eye(2), 0.5 * np.eye(2)])
+        S_choices = np.array([2.0 * np.eye(2), 3.0 * np.eye(2)])
         V_choices = np.zeros((1, 2, 2))
-        ens = BlockEnsemble.from_choices(V_choices, S_choices, s_weights=np.array([0.25, 0.75]))
-        expected = 0.25 * np.log(4.0) + 0.75 * np.log(0.25)
+        ens = BlockEnsemble.from_choices(V_choices, S_choices)
+        expected = 0.5 * np.log(4.0) + 0.5 * np.log(9.0)
         assert ens.mean_log_abs_det_s == pytest.approx(expected, abs=1e-14)
-
-    def test_from_choices_weight_validation(self):
-        with pytest.raises(ConfigError):
-            BlockEnsemble.from_choices(
-                np.zeros((1, 1, 1)), np.ones((1, 1, 1)), s_weights=np.array([0.4])
-            )

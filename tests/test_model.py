@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randblock import model
 from randblock.errors import ConfigError
 from randblock.model import (
     BlockJacobiMatrix,
@@ -14,7 +16,6 @@ from randblock.model import (
     TrivialDisorderWarning,
     anisotropy_block,
     assemble_block_jacobi,
-    assemble_general,
     assemble_hat_form,
     interleave_permutation,
     params_from_config,
@@ -193,23 +194,33 @@ def test_hat_blocks_structure(xy_params):
 def test_block_matrix_validation():
     with pytest.raises(ConfigError):
         # nonsymmetric diagonal block
-        assemble_general(2, [np.array([[0.0, 1.0], [0.0, 0.0]])] * 2, [np.eye(2)])
+        BlockJacobiMatrix(np.tile([[0.0, 1.0], [0.0, 0.0]], (2, 1, 1)), np.eye(2)[None])
     with pytest.raises(ConfigError):
         # singular hopping block
-        assemble_general(2, [np.zeros((2, 2))] * 2, [np.zeros((2, 2))])
-    with pytest.raises(ConfigError):
-        assemble_general(2, [np.zeros((2, 2))] * 3, [np.eye(2)])  # length mismatch
+        BlockJacobiMatrix(np.zeros((2, 2, 2)), np.zeros((1, 2, 2)))
+    with pytest.raises(ConfigError, match="S has shape"):
+        BlockJacobiMatrix(np.zeros((3, 2, 2)), np.eye(2)[None])  # length mismatch
+    for V in (np.zeros((0, 2, 2)), np.zeros((2, 2, 3)), np.zeros((2, 2))):
+        with pytest.raises(ConfigError, match="V has shape"):
+            BlockJacobiMatrix(V, np.zeros((1, 2, 2)))
 
+
+def test_block_matrix_sizes_are_read_off_the_blocks():
+    M = BlockJacobiMatrix(np.zeros((4, 3, 3)), np.tile(np.eye(3), (3, 1, 1)))
+    assert (M.n, M.ell) == (4, 3)
+    one_site = BlockJacobiMatrix(np.ones((1, 1, 1)), np.zeros((0, 1, 1)))
+    assert (one_site.n, one_site.ell) == (1, 1)
+    assert np.array_equal(one_site.dense(), [[1.0]])
 
 
 def test_random_instance_respects_constraints(rng):
     for ell in (1, 2, 3):
-        M = random_instance(rng, ell, 12, min_hopping_det=0.3)
+        M = random_instance(rng, ell, 12)
         assert M.ell == ell and M.n == 12
         for V in M.V:
             assert np.array_equal(V, V.T)
         for S in M.S:
-            assert abs(np.linalg.det(S)) >= 0.3
+            assert abs(np.linalg.det(S)) >= model._MIN_HOPPING_DET
 
 
 def _one_at_a_time_instance(rng, ell, n, min_hopping_det):
@@ -236,7 +247,8 @@ def _one_at_a_time_instance(rng, ell, n, min_hopping_det):
 def test_batched_random_instance_keeps_the_random_stream(seed, ell, n, min_hopping_det):
     # a threshold near 1 rejects most candidates, so the draw takes many rounds
     batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    M = random_instance(batched, ell, n, min_hopping_det=min_hopping_det)
+    with mock.patch.object(model, "_MIN_HOPPING_DET", min_hopping_det):
+        M = random_instance(batched, ell, n)
     V, S = _one_at_a_time_instance(reference, ell, n, min_hopping_det)
     assert np.array_equal(M.V, V)
     assert np.array_equal(M.S, S)

@@ -17,7 +17,6 @@ from randblock.model import (
     TrivialDisorderWarning,
     anisotropy_block,
     assemble_block_jacobi,
-    assemble_general,
     assemble_hat_form,
     interleave_permutation,
     random_instance,
@@ -60,7 +59,7 @@ def fixture_n2():
 
 class TestEigensolve:
     def test_single_site_block_is_pm_nu(self):
-        M = assemble_general(2, [1.7 * SIGMA_Z], [])
+        M = BlockJacobiMatrix(1.7 * SIGMA_Z[None], np.zeros((0, 2, 2)))
         spec = eigensolve(M, want_vectors=False)
         assert np.allclose(spec.eigenvalues, [-1.7, 1.7], atol=1e-14)
 
@@ -72,7 +71,7 @@ class TestEigensolve:
 
     def test_zero_field_isotropic_n3_closed_form(self):
         # gamma=0 decouples into +-(free hopping); eigenvalues 2cos(k pi/4) up to sign
-        M = assemble_general(2, [np.zeros((2, 2))] * 3, [anisotropy_block(0.0)] * 2)
+        M = BlockJacobiMatrix(np.zeros((3, 2, 2)), anisotropy_block(np.zeros(2)))
         spec = eigensolve(M, want_vectors=False)
         single = -2.0 * np.cos(np.arange(1, 4) * np.pi / 4)
         expected = np.sort(np.concatenate([single, -single]))
@@ -148,7 +147,7 @@ def xy_chains(draw):
     mu, gamma = np.array(draw(bonds)).T
     nu = draw(rho_kinds).sample(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     S = mu[:, None, None] * anisotropy_block(gamma)
-    return BlockJacobiMatrix(ell=2, n=n, V=nu[:, None, None] * SIGMA_Z, S=S), mu, gamma
+    return BlockJacobiMatrix(nu[:, None, None] * SIGMA_Z, S), mu, gamma
 
 
 class TestChiralForm:
@@ -202,7 +201,7 @@ def chiral_windows(draw):
     gamma = draw(st.floats(-2.0, 2.0).filter(lambda g: abs(abs(g) - 1.0) > 1e-3))  # |gamma| = 1: singular hoppings
     rho = draw(st.sampled_from([SingleSiteDistribution.uniform(-1.0, 1.0), SingleSiteDistribution.two_point(0.0, 1.0)]))
     nu = rho.sample(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
-    M = BlockJacobiMatrix(ell=2, n=n, V=nu[:, None, None] * SIGMA_Z, S=np.tile(anisotropy_block(gamma), (n - 1, 1, 1)))
+    M = BlockJacobiMatrix(nu[:, None, None] * SIGMA_Z, np.tile(anisotropy_block(gamma), (n - 1, 1, 1)))
     near = 10.0 ** draw(st.floats(-12.0, 0.5))
     far = near + draw(st.floats(0.0, 3.0))
     side = draw(st.sampled_from(["above", "below", "across"]))
@@ -313,7 +312,7 @@ class TestSymmetryAndGap:
     def test_zero_field_chain_has_midgap_boundary_modes(self):
         # bulk bands are +-[1,2] here, but the open chain carries a pair of
         # near-zero boundary modes, so the gap check must come out False
-        M = assemble_general(2, [np.zeros((2, 2))] * 40, [anisotropy_block(0.5)] * 39)
+        M = BlockJacobiMatrix(np.zeros((40, 2, 2)), anisotropy_block(np.full(39, 0.5)))
         spec = eigensolve(M, want_vectors=False)
         assert np.min(np.abs(spec.eigenvalues)) < 1e-6
         assert not check_gap(spec, 0.5)
@@ -560,8 +559,8 @@ class TestPeriodicSpectrum:
         # direct eigenvalues of the n=60p chain vs the symbol bands, full
         # Hausdorff; potentials sit in the boundary-mode-free regime
         period = len(potential)
-        V = [potential[k % period] * SIGMA_Z for k in range(n)]
-        M = assemble_general(2, V, [anisotropy_block(0.5)] * (n - 1))
+        V = np.array([potential[k % period] * SIGMA_Z for k in range(n)])
+        M = BlockJacobiMatrix(V, anisotropy_block(np.full(n - 1, 0.5)))
         pts = eigensolve(M, want_vectors=False).eigenvalues
         union = periodic_spectrum(potential, 0.5)
         assert float(union.distance(pts).max()) <= 5e-2
@@ -573,7 +572,7 @@ class TestPeriodicSpectrum:
         # c=1 carries a pair of in-gap boundary modes at ~0; the band part of
         # the finite spectrum still reproduces the symbol bands
         n = 60
-        M = assemble_general(2, [1.0 * SIGMA_Z] * n, [anisotropy_block(0.5)] * (n - 1))
+        M = BlockJacobiMatrix(np.tile(SIGMA_Z, (n, 1, 1)), anisotropy_block(np.full(n - 1, 0.5)))
         pts = eigensolve(M, want_vectors=False).eigenvalues
         union = periodic_spectrum([1.0], 0.5)
         dists = union.distance(pts)

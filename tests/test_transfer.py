@@ -9,11 +9,11 @@ from scipy.special import eval_chebyu
 from randblock import transfer
 from randblock.errors import NumericalFailure
 from randblock.model import (
+    BlockJacobiMatrix,
     DisorderRealization,
     ModelParams,
     SingleSiteDistribution,
     assemble_block_jacobi,
-    assemble_general,
     random_instance,
     realization_rng,
     sample_disorder,
@@ -42,9 +42,7 @@ def scalar_instance(nu, hop=None):
     """ell=1 chain as a block matrix; hop defaults to all ones."""
     n = len(nu)
     hop = np.ones(n - 1) if hop is None else np.asarray(hop)
-    return assemble_general(
-        1, [np.array([[v]]) for v in nu], [np.array([[h]]) for h in hop]
-    )
+    return BlockJacobiMatrix(np.asarray(nu, dtype=float).reshape(n, 1, 1), hop.reshape(n - 1, 1, 1))
 
 
 class TestTransferMatrix:
@@ -204,7 +202,7 @@ class TestQRProduct:
 
 class TestFundamentalSolutions:
     def test_single_site_boundary_normalization(self):
-        M = assemble_general(2, [np.diag([0.4, -0.4])], [])
+        M = BlockJacobiMatrix(np.diag([0.4, -0.4])[None], np.zeros((0, 2, 2)))
         U, V = fundamental_solutions(M, 0.1)
         assert np.array_equal(U[0], np.zeros((2, 2)))
         assert np.array_equal(U[1], np.eye(2))
@@ -249,7 +247,7 @@ class TestFundamentalSolutions:
     @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j])
     def test_backward_solution_is_the_reversed_forward_solution(self, ell, L, z):
         M = random_instance(np.random.default_rng(100 * ell + L), ell, L)
-        reversed_chain = assemble_general(ell, M.V[::-1], np.swapaxes(M.S[::-1], -1, -2))
+        reversed_chain = BlockJacobiMatrix(M.V[::-1], np.swapaxes(M.S[::-1], -1, -2))
         _, V = fundamental_solutions(M, z)
         U_reversed, _ = fundamental_solutions(reversed_chain, z)
         assert V.shape == U_reversed.shape == (L + 2, ell, ell)
@@ -259,7 +257,7 @@ class TestFundamentalSolutions:
     @pytest.mark.parametrize("ell, scale", [(1, 1e30), (2, 1e20), (3, 1e12)])
     def test_overflow_names_the_first_site_without_warnings(self, ell, scale):
         M = random_instance(np.random.default_rng(ell), ell, 40)
-        M = assemble_general(ell, scale * M.V, M.S)
+        M = BlockJacobiMatrix(scale * M.V, M.S)
         z = 0.3 + 0.1j
         # reference: the step-by-step forward sweep, stopped at the first site over the limit
         S = np.concatenate([np.eye(ell)[None], M.S, np.eye(ell)[None]])
@@ -338,7 +336,7 @@ class TestWronskian:
 class TestGreen:
     def test_single_site_inverse(self):
         V1 = np.diag([0.4, -0.4])
-        M = assemble_general(2, [V1], [])
+        M = BlockJacobiMatrix(V1[None], np.zeros((0, 2, 2)))
         z = 0.1 + 0.2j
         G = GreenEvaluator(M, z).block(1, 1)
         assert np.allclose(G, np.linalg.inv(V1 - z * np.eye(2)), atol=1e-13)
@@ -395,7 +393,7 @@ class TestGreen:
 
     @pytest.mark.parametrize("V1", [np.array([[0.4]]), np.diag([0.4, -0.4])])
     def test_exactly_singular_pivot_is_numerical_failure(self, V1):
-        M = assemble_general(V1.shape[0], [V1], [])
+        M = BlockJacobiMatrix(V1[None], np.zeros((0,) + V1.shape))
         with pytest.raises(NumericalFailure, match="singular Schur pivot"):
             GreenEvaluator(M, 0.4)
 
@@ -679,7 +677,7 @@ class TestCharpoly:
         for ell in (1, 2, 3):
             V1 = rng.normal(size=(ell, ell))
             V1 = V1 + V1.T
-            M = assemble_general(ell, [V1], [])
+            M = BlockJacobiMatrix(V1[None], np.zeros((0, ell, ell)))
             rep = charpoly_identity_check(M, 0.37)
             assert rep.residual <= 1e-12
 
