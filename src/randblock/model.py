@@ -323,13 +323,25 @@ class HatBlockMatrix:
 
     A is the symmetric tridiagonal single-band part (diagonal nu, off
     diagonal -mu) and B the antisymmetric anisotropy band with
-    B[j, j+1] = -mu gamma.  Conjugating `dense()` by the interleaving
-    permutation recovers the block Jacobi dense matrix exactly.
+    B[j, j+1] = -mu gamma; both are (n, n), and n is read off A.
+    Conjugating `dense()` by the interleaving permutation recovers the
+    block Jacobi dense matrix exactly.
     """
 
-    n: int
     A: np.ndarray
     B: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.A = np.asarray(self.A, dtype=float)
+        self.B = np.asarray(self.B, dtype=float)
+        if self.A.ndim != 2 or self.A.shape[0] < 1 or self.A.shape[0] != self.A.shape[1]:
+            raise ConfigError(f"A has shape {self.A.shape}, expected (n, n) with n >= 1")
+        if self.B.shape != self.A.shape:
+            raise ConfigError(f"B has shape {self.B.shape}, expected {self.A.shape}")
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
 
     def dense(self) -> np.ndarray:
         return np.block([[self.A, self.B], [-self.B, -self.A]])
@@ -361,7 +373,7 @@ def assemble_hat_form(params: ModelParams, real: DisorderRealization) -> HatBloc
     band = hop * params.gamma
     A = np.diag(real.nu) + np.diag(-hop, 1) + np.diag(-hop, -1)
     B = np.diag(-band, 1) + np.diag(band, -1)
-    return HatBlockMatrix(n=n, A=A, B=B)
+    return HatBlockMatrix(A, B)
 
 
 # random_instance draws V entries in +-_POTENTIAL_SCALE (then symmetrizes) and

@@ -8,14 +8,21 @@ eigenvectors of the chiral XY chain from one SVD of its n x n coupling C
 The eigenpairs in a window that excludes 0 come from one eigh of the
 pentadiagonal Gram matrix C^t C instead (`window_eigensolve`); a chain
 that fails its checks is recomputed by the SVD.
-The spectrum of a periodic chain is computed from its Bloch symbol, a
-Hermitian 2p x 2p matrix family over the angle theta, whose sorted
-eigenvalue branches sweep out the bands.  The Bloch scan is batched: a
-stack of same-period potentials gets one stacked symbol build and one
-stacked eigvalsh over the angle grid, and then every branch extremum is
-refined by golden-section search in lockstep, one stacked eigvalsh per
-step.  Unions of bands are kept as sorted disjoint closed intervals with
-exact Hausdorff distance evaluation.  The DOS histogram diagonalizes
+The spectrum of a periodic chain is swept out by the sorted eigenvalue
+branches of its Bloch symbol H(theta), a Hermitian 2p x 2p matrix family
+over the angle theta.  The symbol is chiral like the chain, so its
+eigenvalues are exactly +-sigma, the singular values of the p x p complex
+coupling C(theta), and sigma is even in theta.  The Bloch scan therefore
+runs on C over theta in [0, pi] only, and is batched: a stack of
+same-period potentials gets one stacked coupling build and one stacked
+singular-value solve over the angle grid, and then both extrema of every
+positive branch are refined by golden-section search in lockstep, one
+stacked singular-value solve per step.  `floquet_symbol` builds H itself
+and is off that route.  The search keeps a known defect: at gamma = 0 the
+branches meet at E = 0 with a kink, where its stopping rule leaves a
+spurious gap near 1e-5 (ROADMAP item 4).  Unions of bands are kept as
+sorted disjoint closed intervals with exact Hausdorff distance
+evaluation.  The DOS histogram diagonalizes
 nothing: its bin masses are differences of exact eigenvalue counts at
 fixed edges (transfer.eigenvalue_counts).
 """
@@ -298,13 +305,46 @@ def _bloch_symbols(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> np.nda
 
 
 def floquet_symbol(potential: Sequence[float], gamma: float, theta: float) -> np.ndarray:
-    """Hermitian 2p x 2p symbol of the period-p chain at angle theta."""
+    """Hermitian 2p x 2p symbol of the period-p chain at angle theta.
+
+    The band scan does not build it: it runs on the chiral coupling of
+    `_bloch_couplings`, whose signed singular values are this symbol's
+    eigenvalues.
+    """
     return _bloch_symbols(np.asarray(potential, dtype=float), gamma, np.asarray(theta, dtype=float))
 
 
+def _bloch_couplings(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> np.ndarray:
+    """Chiral couplings C(theta) of period-p potentials, shape (..., p, p).
+
+    The symbol is unitarily [[0, C], [C^H, 0]] (the per-site rotation of
+    `BlockJacobiMatrix.chiral_coupling`), so its eigenvalues are exactly
+    +-sigma, the singular values of C: C_jj = nu_j, C_{j,j+1} = -(1 - gamma)
+    and C_{j+1,j} = -(1 + gamma), with the corners C_{p-1,0} += -(1 - gamma)
+    e^{i theta} and C_{0,p-1} += -(1 + gamma) e^{-i theta}; for p = 1 this is
+    nu - 2 cos theta + 2 i gamma sin theta.  C(-theta) = conj C(theta), so
+    sigma is even in theta.  pots has shape (..., p) and thetas shape (...);
+    their leading shapes broadcast, and a stacked coupling is bit-identical
+    to a single one.
+    """
+    p = pots.shape[-1]
+    lead = np.broadcast_shapes(pots.shape[:-1], np.shape(thetas))
+    C = np.zeros(lead + (p, p), dtype=complex)
+    j = np.arange(p)
+    C[..., j, j] = pots
+    C[..., j[:-1], j[1:]] = -(1.0 - gamma)
+    C[..., j[1:], j[:-1]] = -(1.0 + gamma)
+    C[..., p - 1, 0] += -(1.0 - gamma) * np.exp(1j * thetas)
+    C[..., 0, p - 1] += -(1.0 + gamma) * np.exp(-1j * thetas)
+    return C
+
+
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# symbols held by one stacked angle scan; it bounds memory, never results
-_SCAN_SYMBOLS = 4096
+# the angles of the BASE_THETA_GRID grid that lie in [0, pi], ends included
+_SCAN_ANGLES = BASE_THETA_GRID // 2 + 1
+# coupling entries held by one stacked angle scan, _SCAN_ANGLES p^2 per
+# potential; it bounds memory, never results
+_SCAN_ENTRIES = 2**16
 # sites of all potentials almost_sure_spectrum_approx may enumerate, the sum
 # over periods p of p * len(lattice) ** p (about 210,000 for period 3 at 41
 # samples); above it the enumeration alone would run for minutes
@@ -314,23 +354,31 @@ _MAX_APPROXIMANT_SITES = 1_000_000
 def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     """[min, max] of every sorted symbol branch of K period-p potentials, (K, 2p, 2).
 
-    Each branch is scanned on a uniform grid of BASE_THETA_GRID angles, then
-    its grid minimum and maximum are refined by golden-section search on the
-    bracket of one grid step either side.  All K * 2p * 2 searches advance
-    in lockstep: each step evaluates the searches still running with one
-    stacked eigvalsh, and each search stops by its own rule, once its
-    extremal value moves by less than BAND_EDGE_TOL and its bracket is
-    shorter than 1e-4.
+    The symbol's sorted branches are -sigma_p <= ... <= -sigma_1 <= sigma_1
+    <= ... <= sigma_p, from the singular values sigma_1 <= ... <= sigma_p of
+    the p x p chiral coupling (`_bloch_couplings`), so only the p positive
+    branches are scanned and each band is +-[min sigma_k, max sigma_k].
+    sigma is even in theta, so each branch is scanned on the _SCAN_ANGLES
+    angles of the uniform BASE_THETA_GRID grid that lie in [0, pi], then
+    its grid minimum and maximum are refined by golden-section search on
+    the bracket of one grid step either side.  All K * p * 2 searches
+    advance in lockstep: each step evaluates the searches still running
+    with one stacked singular-value solve, and each search stops by its own
+    rule, once its extremal value moves by less than BAND_EDGE_TOL and its
+    bracket is shorter than 1e-4.  `floquet_symbol` is not built.  A kink
+    where sigma_1 touches 0 (gamma = 0 and |nu| < 2 at period 1) ends that
+    rule early and leaves a spurious gap near 1e-5 around 0 (ROADMAP item 4).
     """
     K, p = pots.shape
-    thetas = np.linspace(0.0, 2.0 * np.pi, BASE_THETA_GRID, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, BASE_THETA_GRID, endpoint=False)[:_SCAN_ANGLES]
     step = thetas[1] - thetas[0]
-    values = np.linalg.eigvalsh(_bloch_symbols(pots[:, None, :], gamma, thetas))  # (K, T, 2p)
-    j_ext = np.stack([np.argmin(values, axis=1), np.argmax(values, axis=1)], axis=-1)  # (K, 2p, 2)
-    grid_ext = values[np.arange(K)[:, None, None], j_ext, np.arange(2 * p)[:, None]]
+    # singular values come descending; reversed, branch k is the k-th smallest
+    values = np.linalg.svd(_bloch_couplings(pots[:, None, :], gamma, thetas), compute_uv=False)[..., ::-1]
+    j_ext = np.stack([np.argmin(values, axis=1), np.argmax(values, axis=1)], axis=-1)  # (K, p, 2)
+    grid_ext = values[np.arange(K)[:, None, None], j_ext, np.arange(p)[:, None]]
 
     # one search per (potential, branch, min/max); sign +1 seeks the minimum
-    pot_of, branch, side = (ix.ravel() for ix in np.indices((K, 2 * p, 2)))
+    pot_of, branch, side = (ix.ravel() for ix in np.indices((K, p, 2)))
     sign = np.where(side == 0, 1.0, -1.0)
     centre = thetas[j_ext.ravel()]
     a, b = centre - step, centre + step
@@ -338,8 +386,8 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     d = a + _GOLDEN * (b - a)
 
     def f(idx: np.ndarray, angles: np.ndarray) -> np.ndarray:
-        vals = np.linalg.eigvalsh(_bloch_symbols(pots[pot_of[idx]], gamma, angles))
-        return sign[idx] * vals[np.arange(idx.size), branch[idx]]
+        sigma = np.linalg.svd(_bloch_couplings(pots[pot_of[idx]], gamma, angles), compute_uv=False)
+        return sign[idx] * sigma[np.arange(idx.size), p - 1 - branch[idx]]
 
     live = np.arange(sign.size)  # the searches still running
     fc, fd = f(live, c), f(live, d)
@@ -358,19 +406,24 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
         if live.size == 0:
             break
     best[live] = np.where(fd < fc, fd, fc)
-    refined = (sign * best).reshape(K, 2 * p, 2)
+    refined = (sign * best).reshape(K, p, 2)
     lo = np.where(grid_ext[..., 0] < refined[..., 0], grid_ext[..., 0], refined[..., 0])
     hi = np.where(grid_ext[..., 1] > refined[..., 1], grid_ext[..., 1], refined[..., 1])
-    return np.stack([lo, hi], axis=-1)
+    positive = np.stack([lo, hi], axis=-1)
+    # branch p - 1 - k is -sigma_k, with band [-max sigma_k, -min sigma_k]
+    return np.concatenate([-positive[:, ::-1, ::-1], positive], axis=1)
 
 
 def periodic_spectrum(potential: Sequence[float], gamma: float) -> IntervalUnion:
     """Band spectrum of the periodic chain with the given one-period potential.
 
-    Each sorted eigenvalue branch of the symbol is scanned on a uniform
-    angle grid and its extrema are refined by golden-section search; the
-    union over branches of [min, max] is exact even through band crossings
-    because sorted branches are continuous and cover the same set.
+    Each sorted singular-value branch of the p x p chiral coupling is
+    scanned on a uniform grid of angles in [0, pi] and its extrema are
+    refined by golden-section search (`_band_edges`); the bands are
+    +-[min, max] of each branch, and their union is exact even through band
+    crossings because sorted branches are continuous and cover the same
+    set.  The 2p x 2p `floquet_symbol` is not built.  At gamma = 0 the
+    search leaves a spurious gap near 1e-5 around 0 (ROADMAP item 4).
     """
     check_gamma(gamma)
     try:
@@ -402,8 +455,12 @@ def almost_sure_spectrum_approx(
     spectrum as the period grows; atoms are enumerated exactly and continuous
     support is sampled on a deterministic lattice.  One potential per
     rotation class of each minimal period is kept, and the potentials of a
-    period go through _band_edges in chunks of _SCAN_SYMBOLS symbols.  An
-    enumeration of more than _MAX_APPROXIMANT_SITES sites is a ConfigError.
+    period go through the chiral-coupling scan of _band_edges over theta in
+    [0, pi], not through `floquet_symbol`, in chunks of at most
+    _SCAN_ENTRIES coupling entries or of one potential (all 55 period-2
+    classes of 11 samples in one chunk).  The gamma = 0 kink defect of
+    `periodic_spectrum` carries over (ROADMAP item 4).  An enumeration of
+    more than _MAX_APPROXIMANT_SITES sites is a ConfigError.
     """
     check_gamma(gamma)
     if max_period < 1 or samples_per_period < 1:
@@ -416,7 +473,6 @@ def almost_sure_spectrum_approx(
         if sites > _MAX_APPROXIMANT_SITES:
             raise ConfigError(f"{len(lattice)} support points up to period {max_period} give more than "
                               f"{_MAX_APPROXIMANT_SITES} sites of periodic approximants to enumerate")
-    chunk = max(1, _SCAN_SYMBOLS // BASE_THETA_GRID)
     bands: list[np.ndarray] = []
     seen: set[tuple] = set()
     for p in range(1, max_period + 1):
@@ -430,6 +486,7 @@ def almost_sure_spectrum_approx(
             seen.add(key)
             pots.append(pot)
         pots = np.array(pots, dtype=float).reshape(-1, p)
+        chunk = max(1, _SCAN_ENTRIES // (_SCAN_ANGLES * p * p))
         for k in range(0, pots.shape[0], chunk):
             edges = _band_edges(pots[k:k + chunk], gamma)
             bands.extend(edges.reshape(-1, 2))

@@ -11,6 +11,7 @@ from randblock.errors import ConfigError
 from randblock.model import (
     BlockJacobiMatrix,
     DisorderRealization,
+    HatBlockMatrix,
     ModelParams,
     SingleSiteDistribution,
     TrivialDisorderWarning,
@@ -212,6 +213,17 @@ def test_block_matrix_sizes_are_read_off_the_blocks():
     assert (one_site.n, one_site.ell) == (1, 1)
     assert np.array_equal(one_site.dense(), [[1.0]])
 
+
+
+def test_hat_matrix_size_is_read_off_the_blocks():
+    hat = HatBlockMatrix(np.eye(3), np.zeros((3, 3)))
+    assert hat.n == 3
+    assert hat.dense().shape == (6, 6)
+    for A in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ConfigError, match="A has shape"):
+            HatBlockMatrix(A, A)
+    with pytest.raises(ConfigError, match="B has shape"):
+        HatBlockMatrix(np.eye(3), np.zeros((2, 2)))
 
 def test_random_instance_respects_constraints(rng):
     for ell in (1, 2, 3):

@@ -159,7 +159,7 @@ class TestChiralForm:
         B = np.diag(-mu * gamma, 1) + np.diag(mu * gamma, -1)
         np.testing.assert_array_equal(M.chiral_coupling(), A - B)
         perm = interleave_permutation(M.n)
-        np.testing.assert_array_equal(HatBlockMatrix(M.n, A, B).dense()[np.ix_(perm, perm)], M.dense())
+        np.testing.assert_array_equal(HatBlockMatrix(A, B).dense()[np.ix_(perm, perm)], M.dense())
 
     @settings(max_examples=80, deadline=None)
     @given(chain=xy_chains())
@@ -654,9 +654,10 @@ class TestAlmostSureSpectrum:
         assert ahi <= hi + 5e-2
 
 
-# The scalar Bloch scan the batched kernel replaced: one symbol per angle,
-# one golden-section search per branch extremum.  The batched scan must
-# reproduce it bit for bit.
+# The scalar Bloch scan of the 2p x 2p Hermitian symbol: one symbol per
+# angle over the whole circle, one golden-section search per branch
+# extremum.  The batched scan runs on the p x p chiral coupling instead, an
+# independent route, and must reproduce its bands to rounding.
 
 
 def scalar_symbol(pot, gamma, theta):
@@ -732,23 +733,24 @@ class TestBatchedBlochScan:
         [[1.0], [-0.7], [0.0], [-1.0, 1.0], [0.25, 0.0], [3.0, 4.0], [0.3, -1.2, 0.8], [0.0, 0.0, 1.0]],
     )
     def test_bands_equal_the_scalar_scan_exactly(self, potential, gamma):
-        want = IntervalUnion.from_intervals(scalar_band_pairs(potential, gamma)).intervals
-        got = periodic_spectrum(potential, gamma).intervals
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        want = IntervalUnion.from_intervals(scalar_band_pairs(potential, gamma))
+        got = periodic_spectrum(potential, gamma)
+        assert got.intervals.shape == want.intervals.shape
+        assert got.hausdorff(want) <= 1e-12
 
     def test_union_equals_the_scalar_scan_and_ignores_chunking(self, monkeypatch):
         rho = SingleSiteDistribution.uniform(-1.0, 1.0)
         lattice = rho.support_lattice(4)
         pots = [(a,) for a in lattice] + [(a, b) for i, a in enumerate(lattice) for b in lattice[i + 1:]]
-        want = IntervalUnion.from_intervals(
-            [pair for pot in pots for pair in scalar_band_pairs(pot, 0.5)]).intervals
-        got = almost_sure_spectrum_approx(rho, 0.5, max_period=2, samples_per_period=4).intervals
-        assert got.tobytes() == want.tobytes()
-        # three potentials per scan chunk instead of sixteen
-        monkeypatch.setattr(spectral, "_SCAN_SYMBOLS", 3 * spectral.BASE_THETA_GRID)
-        small = almost_sure_spectrum_approx(rho, 0.5, max_period=2, samples_per_period=4).intervals
-        assert small.tobytes() == want.tobytes()
+        want = IntervalUnion.from_intervals([pair for pot in pots for pair in scalar_band_pairs(pot, 0.5)])
+        got = almost_sure_spectrum_approx(rho, 0.5, max_period=2, samples_per_period=4)
+        assert got.intervals.shape == want.intervals.shape
+        assert got.hausdorff(want) <= 1e-12
+        # three period-1 potentials per scan chunk and one period-2 potential,
+        # instead of every potential of a period in one chunk
+        monkeypatch.setattr(spectral, "_SCAN_ENTRIES", 3 * spectral._SCAN_ANGLES)
+        small = almost_sure_spectrum_approx(rho, 0.5, max_period=2, samples_per_period=4)
+        assert small.intervals.tobytes() == got.intervals.tobytes()
 
     # |gamma| >= 0.1: at gamma = 0 and |nu| < 2 the two branches cross at
     # E = 0 with a kink, where the golden-section stopping rule ends on a
@@ -775,6 +777,53 @@ class TestBatchedBlochScan:
                 one = floquet_symbol(pots[k], 0.5, theta)
                 assert one.tobytes() == stacked[k, t].tobytes()
                 assert one.tobytes() == scalar_symbol(pots[k], 0.5, theta).tobytes()
+
+    # the sorted +-sigma of the coupling are the symbol's eigenvalues, and
+    # sigma is even in theta, which is what lets the scan cover [0, pi] only
+    @settings(max_examples=150, deadline=None)
+    @given(
+        potential=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+        gamma=st.floats(-3.0, 3.0).filter(lambda g: abs(g) != 1.0),
+        theta=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2.0 * np.pi, exclude_max=True)),
+    )
+    def test_symbol_eigenvalues_are_the_signed_coupling_singular_values(self, potential, gamma, theta):
+        H = floquet_symbol(potential, gamma, theta)
+        want = np.linalg.eigvalsh(H)
+        pots = np.array(potential)
+        sigma = np.linalg.svd(spectral._bloch_couplings(pots, gamma, np.array(theta)), compute_uv=False)
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(np.sort(np.concatenate([-sigma, sigma])) - want)) <= tol
+        mirrored = np.linalg.svd(spectral._bloch_couplings(pots, gamma, np.array(-theta)), compute_uv=False)
+        assert np.max(np.abs(mirrored - sigma)) <= tol
+
+    # an independent dense scan of the symbol over the whole circle: every
+    # scanned eigenvalue lies in the union, and every point of the union lies
+    # within the grid's half step times max |dE/dtheta| <= ||dH/dtheta|| of a
+    # scanned eigenvalue.  ||dH/dtheta|| = ||S|| = 1 + |gamma| for p >= 2, and
+    # at p = 1, where both corners fall on the one block, |d(nu - 2 cos theta
+    # + 2 i gamma sin theta)/dtheta| <= 2 max(1, |gamma|).  |gamma| >= 0.1 for
+    # the kink defect at gamma = 0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        potential=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+        size=st.floats(0.1, 3.0).filter(lambda g: g != 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_union_is_the_dense_symbol_scan(self, potential, size, sign):
+        gamma = sign * size
+        union = periodic_spectrum(potential, gamma)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 2001)
+        scanned = np.linalg.eigvalsh(np.stack([floquet_symbol(potential, gamma, t) for t in thetas])).ravel()
+        assert float(union.distance(scanned).max()) <= 1e-9
+        grid = np.sort(scanned)
+        slope = 2.0 * max(1.0, abs(gamma)) if len(potential) == 1 else 1.0 + abs(gamma)
+        # the union's points farthest from the scan: its edges and the
+        # midpoints of the scan's gaps that fall inside it
+        mids = 0.5 * (grid[1:] + grid[:-1])
+        points = np.concatenate([union.intervals.ravel(), mids[union.distance(mids) == 0.0]])
+        right = np.clip(np.searchsorted(grid, points), 1, grid.size - 1)
+        nearest = np.minimum(np.abs(points - grid[right - 1]), np.abs(points - grid[right]))
+        assert float(nearest.max()) <= slope * np.pi / 2000 + 1e-9
 
     def test_enumeration_size_guard(self, monkeypatch):
         rho = SingleSiteDistribution.uniform(-1.0, 1.0)

@@ -112,7 +112,7 @@ class TestQuadraticForm:
         params = uniform_params(4, half_width=2.0)
         real = sample_disorder(params, seed=11)
         Mhat = assemble_hat_form(params, real)
-        report = verify_quadratic_form(build_hamiltonian(params, real), HatBlockMatrix(Mhat.n, 2 * Mhat.A, 2 * Mhat.B))
+        report = verify_quadratic_form(build_hamiltonian(params, real), HatBlockMatrix(2 * Mhat.A, 2 * Mhat.B))
         assert report.scale == 1.0
         assert not report.matched
 
