@@ -435,6 +435,7 @@ def _check_n_verify(v) -> None:
 
 def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
     _check_n_verify(v)
+    _check_dense("2**n_verify", 2**v.n_verify)
     params, n = v.params, v.n_verify
     real = sample_disorder(params, v.seed, 0)
     sliced_params, sliced_real = xy_oracle.slice_chain(params, real, n)
@@ -465,6 +466,8 @@ def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
 def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
     _check_n_verify(v)
     _check_dense("2 n_verify", 2 * v.n_verify)  # the hat matrix of the fermionic route
+    if not xy_oracle.fermionic_route(v.j, v.observables):
+        _check_dense("2**n_verify", 2**v.n_verify)
     stats = xy_oracle.lr_commutator_stats(
         v.params,
         v.n_verify,

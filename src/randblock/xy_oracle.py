@@ -9,15 +9,21 @@ on n qubits, the Jordan-Wigner fermions, and verifies three exact bridges
 to the one-particle block matrix: H equals the fermionic quadratic form of
 the two-chain layout, Heisenberg evolution of a fermion is the one-particle
 evolution at doubled time, and the many-body spectrum is the set of signed
-sums of the positive one-particle eigenvalues.  Everything here is dense
-and exponentially sized, so chain lengths are capped; the point of the
-module is exactness, not scale.
+sums of the positive one-particle eigenvalues.
+
+The operators are dense 2^n x 2^n matrices, written entry by entry from the
+bits of the basis index: qubit j is bit n - 1 - j, the kron order, so
+setting it moves the index by 2^(n-1-j).  Every Jordan-Wigner operator c_j
+is a signed permutation, with one +-1 entry in each column whose qubit j
+is 0 and none elsewhere, so the bridges multiply fermions as maps of basis
+indices and never as dense matrices; the only dense products are those
+with the many-body propagator.  The sizes are exponential in n, so chain
+lengths are capped; the point of the module is exactness, not scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -32,21 +38,33 @@ QUADRATIC_FORM_TOL = 1e-10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 _PAULI_BY_NAME = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
-def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
+def _qubits(n: int) -> np.ndarray:
+    """q[j, s], the value 0 or 1 of qubit j in basis state s, shape (n, 2^n)."""
+    return np.indices((2,) * n).reshape(n, -1)
 
 
 def site_operator(op: np.ndarray, j: int, n: int) -> np.ndarray:
-    """op acting on qubit j (0-based) of an n-qubit register."""
+    """op acting on qubit j (0-based) of an n-qubit register.
+
+    Column s holds op[a, b] at the row of s with qubit j set to a, where b
+    is the value of qubit j in s.
+    """
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ConfigError(f"site operator must be 2 x 2, got shape {op.shape}")
     if not 0 <= j < n:
         raise ConfigError(f"site {j} outside 0..{n - 1}")
-    return _kron_chain([IDENTITY_2] * j + [np.asarray(op, dtype=complex)] + [IDENTITY_2] * (n - 1 - j))
+    q = _qubits(n)[j]
+    s = np.arange(q.size)
+    out = np.zeros((s.size, s.size), dtype=complex)
+    for a in (0, 1):
+        out[s + (a - q) * 2 ** (n - 1 - j), s] = op[a, q]
+    return out
 
 
 @dataclass
@@ -72,21 +90,68 @@ def build_hamiltonian(
     real: DisorderRealization,
     n: int | None = None,
 ) -> ManyBodyOperator:
-    """Dense spin Hamiltonian on the first n sites of the realization."""
+    """Dense spin Hamiltonian on the first n sites of the realization.
+
+    sx_j sx_{j+1} and sy_j sy_{j+1} both flip qubits j and j+1, with signs 1
+    and -z_j z_{j+1}; sz_j is diagonal.
+    """
     n = params.n if n is None else n
     _guard_qubits(n)
     if real.nu.size < n:
         raise ConfigError(f"realization has only {real.nu.size} potential entries, need {n}")
-    dim = 2**n
-    H = np.zeros((dim, dim), dtype=complex)
+    q = _qubits(n)
+    flips = [(1 - 2 * q[j]) * 2 ** (n - 1 - j) for j in range(n)]  # the index change of flipping qubit j
+    z = np.array([1.0, -1.0])[q]  # the sz eigenvalues
+    s = np.arange(2**n)
+    H = np.zeros((s.size, s.size), dtype=complex)
     mu, gamma = params.mu, params.gamma
     for j in range(n - 1):
-        sxsx = site_operator(PAULI_X, j, n) @ site_operator(PAULI_X, j + 1, n)
-        sysy = site_operator(PAULI_Y, j, n) @ site_operator(PAULI_Y, j + 1, n)
-        H += mu * ((1.0 + gamma) * sxsx + (1.0 - gamma) * sysy)
+        H[s + flips[j] + flips[j + 1], s] = mu * ((1.0 + gamma) - (1.0 - gamma) * (z[j] * z[j + 1]))
+    field = np.zeros(s.size)
     for j in range(n):
-        H += real.nu[j] * site_operator(PAULI_Z, j, n)
+        field += real.nu[j] * z[j]
+    H[s, s] = field
     return ManyBodyOperator(n=n, matrix=H)
+
+
+# ---------------------------------------------------------------------------
+# signed permutations: a matrix with at most one nonzero entry in each row and
+# each column, held as the (row, value) of each column, value 0 in an empty one
+
+
+def _columns(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, value) columns of a dense signed permutation; ConfigError for any other matrix."""
+    nonzero = c != 0
+    count = np.count_nonzero(nonzero)
+    if count != np.count_nonzero(nonzero.any(axis=0)) or count != np.count_nonzero(nonzero.any(axis=1)):
+        raise ConfigError("operator is not a signed permutation: a row or column has two nonzero entries")
+    rows = np.argmax(nonzero, axis=0)
+    return rows, c[rows, np.arange(c.shape[1])]
+
+
+def _modes(c: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The columns of c_0..c_{n-1} followed by those of c_0^*..c_{n-1}^*."""
+    modes = [_columns(m) for m in c]
+    for rows, vals in modes[: len(c)]:
+        cols = np.flatnonzero(vals)
+        adj_rows, adj_vals = np.zeros_like(rows), np.zeros_like(vals)
+        adj_rows[rows[cols]] = cols
+        adj_vals[rows[cols]] = vals[cols].conj()
+        modes.append((adj_rows, adj_vals))
+    return modes
+
+
+def _compose(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]):
+    """The columns of left @ right."""
+    return left[0][right[0]], left[1][right[0]] * right[1]
+
+
+def _max_entry(terms: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest |entry| of a sum of signed permutations; an empty column adds its 0 wherever it points."""
+    rows = np.stack([r for r, _ in terms])
+    vals = np.stack([v for _, v in terms])
+    totals = ((rows[:, None] == rows[None, :]) * vals[None, :]).sum(axis=1)
+    return float(np.max(np.abs(totals)))
 
 
 @dataclass
@@ -97,27 +162,38 @@ class FermionSet:
     c: list[np.ndarray]
 
     def car_defect(self) -> float:
-        """Worst violation of {c_i, c_j} = 0 and {c_i, c_j^*} = delta_ij."""
-        dim = 2**self.n
-        eye = np.eye(dim)
+        """Worst violation of {c_i, c_j} = 0 and {c_i, c_j^*} = delta_ij.
+
+        Every c_j must be a signed permutation, as every Jordan-Wigner
+        string is; any other matrix raises ConfigError.
+        """
+        modes = _modes(self.c)
+        cols, adj = modes[: self.n], modes[self.n :]
+        minus_eye = (np.arange(2**self.n), -np.ones(2**self.n, dtype=complex))
         worst = 0.0
         for i in range(self.n):
             for j in range(i, self.n):
-                anti = self.c[i] @ self.c[j] + self.c[j] @ self.c[i]
-                worst = max(worst, float(np.max(np.abs(anti))))
-                mixed = self.c[i] @ self.c[j].conj().T + self.c[j].conj().T @ self.c[i]
-                target = eye if i == j else 0.0
-                worst = max(worst, float(np.max(np.abs(mixed - target))))
+                worst = max(worst, _max_entry([_compose(cols[i], cols[j]), _compose(cols[j], cols[i])]))
+                mixed = [_compose(cols[i], adj[j]), _compose(adj[j], cols[i])]
+                worst = max(worst, _max_entry(mixed + [minus_eye] if i == j else mixed))
         return worst
 
 
 def build_jordan_wigner(n: int) -> FermionSet:
-    """c_j = (prod_{i<j} sz_i) x lowering_j, the standard string construction."""
+    """c_j = (prod_{i<j} sz_i) x lowering_j, the standard string construction.
+
+    c_j sends each basis state s with qubit j at 0 to s with qubit j at 1,
+    with the sign (-1)^(number of qubits before j that are 1 in s).
+    """
     _guard_qubits(n)
-    ops = [
-        _kron_chain([PAULI_Z] * j + [LOWERING] + [IDENTITY_2] * (n - 1 - j))
-        for j in range(n)
-    ]
+    q = _qubits(n)
+    strings = np.cumprod(np.array([1.0, -1.0])[q], axis=0)  # strings[j] = prod_{i<=j} sz_i
+    ops = []
+    for j in range(n):
+        free = np.flatnonzero(q[j] == 0)
+        c = np.zeros((q.shape[1], q.shape[1]), dtype=complex)
+        c[free + 2 ** (n - 1 - j), free] = strings[j - 1, free] if j else 1.0
+        ops.append(c)
     return FermionSet(n=n, c=ops)
 
 
@@ -126,17 +202,23 @@ def build_jordan_wigner(n: int) -> FermionSet:
 
 
 def _quadratic_form(fermions: FermionSet, Mhat: np.ndarray) -> np.ndarray:
-    """C^* Mhat C with C = (c_0..c_{n-1}, c_0^*..c_{n-1}^*) stacked."""
+    """C^* Mhat C with C = (c_0..c_{n-1}, c_0^*..c_{n-1}^*) stacked.
+
+    Each term Mhat[a, b] C_a^* C_b is a signed permutation, added into the
+    dense result at its nonzero entries.
+    """
     n = fermions.n
-    modes = fermions.c + [c.conj().T for c in fermions.c]
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
+    modes = _modes(fermions.c)
+    modes_adj = modes[n:] + modes[:n]
+    s = np.arange(2**n)
+    out = np.zeros((s.size, s.size), dtype=complex)
     for a in range(2 * n):
-        left = modes[a].conj().T
         for b in range(2 * n):
             w = Mhat[a, b]
             if w != 0.0:
-                out += w * (left @ modes[b])
+                rows, vals = _compose(modes_adj[a], modes[b])
+                hit = vals != 0
+                out[rows[hit], s[hit]] += w * vals[hit]
     return out
 
 
@@ -218,7 +300,10 @@ def verify_heisenberg_identity(
     sliced_params, sliced_real = slice_chain(params, real, n)
     H = build_hamiltonian(sliced_params, sliced_real, n)
     Mhat = assemble_hat_form(sliced_params, sliced_real)
-    fermions = build_jordan_wigner(n)
+    modes = _modes(build_jordan_wigner(n).c)
+    mode_vals = np.stack([v for _, v in modes])
+    hit = mode_vals != 0
+    rows, cols = np.stack([r for r, _ in modes])[hit], np.nonzero(hit)[1]
     vals, vecs = np.linalg.eigh(H.matrix)
     t_values = np.asarray(list(t_list), dtype=float)
     one_particle = _one_particle_rows(Mhat.dense(), t_values, n)
@@ -226,12 +311,12 @@ def verify_heisenberg_identity(
     for t, T in zip(t_values, one_particle):
         phases = np.exp(1j * vals * t)
         U = (vecs * phases) @ vecs.conj().T
+        U_adj = U.conj().T
         worst = 0.0
         for j in range(n):
-            lhs = U @ fermions.c[j] @ U.conj().T
+            lhs = (U[:, modes[j][0]] * modes[j][1]) @ U_adj
             rhs = np.zeros_like(lhs)
-            for k in range(n):
-                rhs += T[j, k] * fermions.c[k] + T[j, n + k] * fermions.c[k].conj().T
+            rhs[rows, cols] = (T[j][:, None] * mode_vals)[hit]  # the 2n modes share no entry
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         residuals.append(worst)
     return HeisenbergReport(t_values=t_values, residuals=np.asarray(residuals))
@@ -311,6 +396,11 @@ class LRStat:
     num_realizations: int
 
 
+def fermionic_route(j: int, observables: Sequence[str]) -> bool:
+    """Whether lr_commutator_stats takes the fermionic route (A = B = sx at j = 0), not dense conjugation."""
+    return j == 0 and tuple(observables) == ("x", "x")
+
+
 def lr_commutator_stats(
     params: ModelParams,
     n: int,
@@ -333,7 +423,7 @@ def lr_commutator_stats(
     ks = [int(k) for k in ks]
     if any(not j < k < n for k in ks):
         raise ConfigError(f"need j < k < n, got j={j}, ks={ks}")
-    use_fermionic = j == 0 and tuple(observables) == ("x", "x")
+    use_fermionic = fermionic_route(j, observables)
 
     def one(index: int) -> np.ndarray:
         real = sample_disorder(params, seed, index)

@@ -370,8 +370,21 @@ class TestErrorPaths:
         assert code == 2
         assert "100 sites" in json.loads(capsys.readouterr().err)["error"]
 
-    @pytest.mark.parametrize("command", ["green-check", "charpoly-check", "correlator", "spectrum", "lr-stats"])
-    def test_dense_reference_size_guard_exits_2(self, tmp_path, capsys, monkeypatch, command):
+    _CHAINS_CFG = {"seed": 1, "ell_values": [1, 2], "L_max": 6}
+
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("green-check", _CHAINS_CFG, id="green-check"),
+        pytest.param("charpoly-check", _CHAINS_CFG, id="charpoly-check"),
+        pytest.param("correlator", {**FIXTURE_CFG, "n": 6, "window": [0.5, 1.5], "boundary": 0}, id="correlator"),
+        pytest.param("spectrum", {**FIXTURE_CFG, "n": 6, "dump_matrix": True}, id="spectrum"),
+        # hat matrix of size 2 n_verify = 12
+        pytest.param("lr-stats", {**FIXTURE_CFG, "n": 6, "num_realizations": 2}, id="lr-stats"),
+        # the dense route: 2 n_verify = 8 passes, 2^n_verify = 16 does not
+        pytest.param("lr-stats", {**FIXTURE_CFG, "n": 4, "observables": ["z", "z"], "num_realizations": 2},
+                     id="lr-stats-dense"),
+        pytest.param("xy-verify", {**FIXTURE_CFG, "n": 4}, id="xy-verify"),  # 2^n_verify = 16
+    ])
+    def test_dense_reference_size_guard_exits_2(self, tmp_path, capsys, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "_MAX_DENSE_DIM", 10)
 
         def no_draws(*args, **kwargs):
@@ -379,14 +392,6 @@ class TestErrorPaths:
 
         monkeypatch.setattr(cli, "realization_rng", no_draws)
         monkeypatch.setattr(model, "realization_rng", no_draws)
-        chains = {"seed": 1, "ell_values": [1, 2], "L_max": 6}
-        cfg = {
-            "green-check": chains,
-            "charpoly-check": chains,
-            "correlator": {**FIXTURE_CFG, "n": 6, "window": [0.5, 1.5], "boundary": 0},
-            "spectrum": {**FIXTURE_CFG, "n": 6, "dump_matrix": True},
-            "lr-stats": {**FIXTURE_CFG, "n": 6, "num_realizations": 2},  # hat matrix of size 2 n_verify = 12
-        }[command]
         cfg_path = write_cfg(tmp_path / "c.json", cfg)
         code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,10 +18,12 @@ from randblock.xy_oracle import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    FermionSet,
     ManyBodyOperator,
     _dense_sup_commutator,
     _fermionic_sup_commutator,
     _one_particle_rows,
+    _quadratic_form,
     build_hamiltonian,
     build_jordan_wigner,
     free_fermion_spectrum,
@@ -34,6 +38,25 @@ from randblock.xy_oracle import (
 
 def uniform_params(n, gamma=0.5, half_width=1.5):
     return ModelParams(n=n, gamma=gamma, rho=SingleSiteDistribution.uniform(-half_width, half_width))
+
+
+EYE_2 = np.eye(2, dtype=complex)
+
+
+def kron_site(op, j, n):
+    """Reference: op on qubit j of n as a kron chain, qubit 0 the leftmost factor."""
+    return reduce(np.kron, [EYE_2] * j + [np.asarray(op, dtype=complex)] + [EYE_2] * (n - 1 - j))
+
+
+def dense_car_defect(c):
+    """Reference: the worst CAR violation by dense products."""
+    worst = 0.0
+    for i in range(len(c)):
+        for j in range(i, len(c)):
+            anti = c[i] @ c[j] + c[j] @ c[i]
+            mixed = c[i] @ c[j].conj().T + c[j].conj().T @ c[i] - (np.eye(len(c[i])) if i == j else 0.0)
+            worst = max(worst, float(np.max(np.abs(anti))), float(np.max(np.abs(mixed))))
+    return worst
 
 
 class TestHamiltonian:
@@ -77,9 +100,45 @@ class TestHamiltonian:
         with pytest.raises(ConfigError):
             site_operator(PAULI_Z, 4, 4)
 
+    @pytest.mark.parametrize("op", [np.eye(3), np.ones(2), np.zeros((2, 2, 2))])
+    def test_site_operator_must_be_2x2(self, op):
+        with pytest.raises(ConfigError, match="2 x 2"):
+            site_operator(op, 0, 2)
+
     def test_rejects_nonhermitian_operator(self):
         with pytest.raises(ConfigError):
             ManyBodyOperator(n=1, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestKronReference:
+    """The builders against kron chains of 2 x 2 factors, entry for entry."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_site_operator(self, n):
+        rng = np.random.default_rng(n)
+        random_op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for op in (PAULI_X, PAULI_Y, PAULI_Z, LOWERING, random_op):
+            for j in range(n):
+                assert np.array_equal(site_operator(op, j, n), kron_site(op, j, n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_jordan_wigner(self, n):
+        for j, c in enumerate(build_jordan_wigner(n).c):
+            assert np.array_equal(c, reduce(np.kron, [PAULI_Z] * j + [LOWERING] + [EYE_2] * (n - 1 - j)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.5])
+    def test_hamiltonian(self, n, gamma):
+        params = ModelParams(n=max(n, 2), gamma=gamma, rho=SingleSiteDistribution.uniform(-1.5, 1.5), mu=0.7)
+        real = sample_disorder(params, seed=5)
+        ref = np.zeros((2**n, 2**n), dtype=complex)
+        for j in range(n - 1):
+            sxsx = kron_site(PAULI_X, j, n) @ kron_site(PAULI_X, j + 1, n)
+            sysy = kron_site(PAULI_Y, j, n) @ kron_site(PAULI_Y, j + 1, n)
+            ref += params.mu * ((1.0 + gamma) * sxsx + (1.0 - gamma) * sysy)
+        for j in range(n):
+            ref += real.nu[j] * kron_site(PAULI_Z, j, n)
+        assert np.array_equal(build_hamiltonian(params, real, n).matrix, ref)
 
 
 class TestJordanWigner:
@@ -92,6 +151,22 @@ class TestJordanWigner:
 
     def test_car_defect_eight_modes(self):
         assert build_jordan_wigner(8).car_defect() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_car_defect_matches_dense_products(self, n):
+        fermions = build_jordan_wigner(n)
+        assert fermions.car_defect() == dense_car_defect(fermions.c) == 0.0
+        # hard-core bosons, the lowering operators without the strings, break the CAR
+        bosons = [site_operator(LOWERING, j, n) for j in range(n)]
+        expected = 0.0 if n == 1 else 2.0
+        assert FermionSet(n=n, c=bosons).car_defect() == dense_car_defect(bosons) == expected
+
+    def test_car_defect_rejects_non_permutations(self):
+        c = build_jordan_wigner(2).c
+        with pytest.raises(ConfigError, match="signed permutation"):
+            FermionSet(n=2, c=[c[0] + c[1], c[1]]).car_defect()
+        with pytest.raises(ConfigError, match="signed permutation"):
+            FermionSet(n=2, c=[c[0], c[1] + c[1].conj().T @ c[1]]).car_defect()
 
 
 class TestQuadraticForm:
@@ -115,6 +190,19 @@ class TestQuadraticForm:
         report = verify_quadratic_form(build_hamiltonian(params, real), HatBlockMatrix(2 * Mhat.A, 2 * Mhat.B))
         assert report.scale == 1.0
         assert not report.matched
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_form_matches_dense_products(self, n):
+        params = uniform_params(n, gamma=0.7)
+        Mhat = assemble_hat_form(params, sample_disorder(params, seed=n)).dense()
+        fermions = build_jordan_wigner(n)
+        modes = fermions.c + [c.conj().T for c in fermions.c]
+        ref = np.zeros((2**n, 2**n), dtype=complex)
+        for a in range(2 * n):
+            for b in range(2 * n):
+                if Mhat[a, b] != 0.0:
+                    ref += Mhat[a, b] * (modes[a].conj().T @ modes[b])
+        assert np.array_equal(_quadratic_form(fermions, Mhat), ref)
 
     def test_anisotropy_sweep(self):
         for gamma in (0.0, 0.5, 2.0):
@@ -161,6 +249,22 @@ class TestHeisenberg:
         report = verify_heisenberg_identity(params, sample_disorder(params, seed=7), 6, [0.5, 1.0, 2.0])
         assert report.max_residual <= 1e-8
         assert report.t_values.shape == (3,)
+
+    def test_matches_dense_conjugation(self):
+        n, t_values = 5, [0.5, 1.7]
+        params = uniform_params(n, gamma=0.7)
+        real = sample_disorder(params, seed=4)
+        report = verify_heisenberg_identity(params, real, n, t_values)
+        c = build_jordan_wigner(n).c
+        rows = _one_particle_rows(assemble_hat_form(params, real).dense(), np.array(t_values), n)
+        vals, vecs = np.linalg.eigh(build_hamiltonian(params, real).matrix)
+        for t, T, residual in zip(t_values, rows, report.residuals):
+            U = (vecs * np.exp(1j * vals * t)) @ vecs.conj().T
+            worst = 0.0
+            for j in range(n):
+                rhs = sum(T[j, k] * c[k] + T[j, n + k] * c[k].conj().T for k in range(n))
+                worst = max(worst, float(np.max(np.abs(U @ c[j] @ U.conj().T - rhs))))
+            assert residual == worst
 
     def test_realization_sweep(self):
         params = uniform_params(5, gamma=2.0)
