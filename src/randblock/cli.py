@@ -441,12 +441,14 @@ def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
     sliced_params, sliced_real = xy_oracle.slice_chain(params, real, n)
     H = xy_oracle.build_hamiltonian(sliced_params, sliced_real, n)
     Mhat = assemble_hat_form(sliced_params, sliced_real)
+    # the CAR check is capped at 8 modes: the n dense complex 2^n x 2^n modes take 740 MB at n = 11
     fermions = xy_oracle.build_jordan_wigner(min(n, 8))
     quad = xy_oracle.verify_quadratic_form(H, Mhat)
     heis = xy_oracle.verify_heisenberg_identity(params, real, n, v.t_list)
     free_dev = xy_oracle.verify_free_fermion_spectrum(H, Mhat)
     payload = {
         "n": n,
+        "car_modes": fermions.n,
         "car_defect": fermions.car_defect(),
         "quadratic_residual": quad.residual,
         "heisenberg_max_residual": heis.max_residual,
@@ -541,6 +543,7 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
 }
 
 
+@functools.cache  # one parser per process: building it takes about 1 ms, as much as a small job
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run config")

@@ -147,7 +147,8 @@ class SingleSiteDistribution:
         returns an evenly spaced grid including both endpoints.
         """
         if self.kind == "discrete":
-            return np.unique([x for x, w in zip(self.points, self.weights) if w > 0.0])
+            # sorted(set()), not np.unique, whose first call imports numpy.ma
+            return np.array(sorted({x for x, w in zip(self.points, self.weights) if w > 0.0}))
         if samples < 2 or self.a == self.b:
             return np.array([0.5 * (self.a + self.b)])
         return np.linspace(self.a, self.b, samples)

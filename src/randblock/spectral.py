@@ -12,19 +12,17 @@ The spectrum of a periodic chain is swept out by the sorted eigenvalue
 branches of its Bloch symbol H(theta), a Hermitian 2p x 2p matrix family
 over the angle theta.  The symbol is chiral like the chain, so its
 eigenvalues are exactly +-sigma, the singular values of the p x p complex
-coupling C(theta), and sigma is even in theta.  The Bloch scan therefore
-runs on C over theta in [0, pi] only, and is batched: a stack of
-same-period potentials gets one stacked coupling build and one stacked
-singular-value solve over the angle grid, and then both extrema of every
-positive branch are refined by golden-section search in lockstep, one
-stacked singular-value solve per step.  `floquet_symbol` builds H itself
-and is off that route.  The search keeps a known defect: at gamma = 0 the
-branches meet at E = 0 with a kink, where its stopping rule leaves a
-spurious gap near 1e-5 (ROADMAP item 4).  Unions of bands are kept as
+coupling C(theta), and sigma is even in theta.  det(E - H(theta)) is
+quadratic in cos theta, so each branch sigma_k over theta in [0, pi] is
+monotone or turns once, and no angle grid is scanned: slopes at three
+probe angles locate the turn, and one bracketed slope search per branch
+closes on it or on a kink (`_band_edges`), for a stack of same-period
+potentials in lockstep, one stacked SVD of C per step.  `floquet_symbol`
+builds H itself and is off that route.  Unions of bands are kept as
 sorted disjoint closed intervals with exact Hausdorff distance
-evaluation.  The DOS histogram diagonalizes
-nothing: its bin masses are differences of exact eigenvalue counts at
-fixed edges (transfer.eigenvalue_counts).
+evaluation.  The DOS histogram diagonalizes nothing: its bin masses are
+differences of exact eigenvalue counts at fixed edges
+(transfer.eigenvalue_counts).
 """
 
 from __future__ import annotations
@@ -51,9 +49,7 @@ EIGEN_RESIDUAL_TOL = 1e-8
 # the window route's Q departs from the SVD route's by about max |U^t U - I|
 # relative to max Q, so this bounds that departure
 WINDOW_ORTHONORMALITY_TOL = 1e-10
-BAND_EDGE_TOL = 1e-8
 BAND_MERGE_TOL = 1e-9
-BASE_THETA_GRID = 512
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +303,7 @@ def _bloch_symbols(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> np.nda
 def floquet_symbol(potential: Sequence[float], gamma: float, theta: float) -> np.ndarray:
     """Hermitian 2p x 2p symbol of the period-p chain at angle theta.
 
-    The band scan does not build it: it runs on the chiral coupling of
+    The band search does not build it: it runs on the chiral coupling of
     `_bloch_couplings`, whose signed singular values are this symbol's
     eigenvalues.
     """
@@ -339,76 +335,83 @@ def _bloch_couplings(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> np.n
     return C
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# the angles of the BASE_THETA_GRID grid that lie in [0, pi], ends included
-_SCAN_ANGLES = BASE_THETA_GRID // 2 + 1
-# coupling entries held by one stacked angle scan, _SCAN_ANGLES p^2 per
-# potential; it bounds memory, never results
-_SCAN_ENTRIES = 2**16
+# the ends and the probes eps, pi/2, pi - eps of _band_edges (sigma is even, so a
+# turning point within eps of an end moves an edge by O(eps^2) only)
+_PROBES = np.array([0.0, 1e-6, 0.5 * np.pi, np.pi - 1e-6, np.pi])
+# coupling entries of one stacked probe solve; it bounds memory, never results
+_CHUNK_ENTRIES = 2**16
 # sites of all potentials almost_sure_spectrum_approx may enumerate, the sum
 # over periods p of p * len(lattice) ** p (about 210,000 for period 3 at 41
 # samples); above it the enumeration alone would run for minutes
 _MAX_APPROXIMANT_SITES = 1_000_000
 
 
+def _branches(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending singular values sigma_k(theta) of `_bloch_couplings` and their slopes, each (..., p).
+
+    The slope is Re(u_k^H C' v_k) for C v_k = sigma_k u_k (Hellmann-Feynman);
+    its sign jumps at a kink, where sigma_k is 0 or meets another branch.
+    """
+    p = pots.shape[-1]
+    U, sigma, Vh = np.linalg.svd(_bloch_couplings(pots, gamma, thetas))
+    phase = np.exp(1j * np.asarray(thetas))[..., None]
+    # Re(conj(u_i) C'_ij conj(Vh_kj)) = Re(u_i conj(C'_ij) Vh_kj), with
+    # C'_{p-1,0} = -i (1 - gamma) e^{i theta} and C'_{0,p-1} = i (1 + gamma) e^{-i theta}
+    slope = (1j * ((1.0 - gamma) * U[..., p - 1, :] * Vh[..., :, 0] / phase
+                   - (1.0 + gamma) * U[..., 0, :] * Vh[..., :, p - 1] * phase)).real
+    return sigma[..., ::-1], slope[..., ::-1]
+
+
 def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     """[min, max] of every sorted symbol branch of K period-p potentials, (K, 2p, 2).
 
-    The symbol's sorted branches are -sigma_p <= ... <= -sigma_1 <= sigma_1
-    <= ... <= sigma_p, from the singular values sigma_1 <= ... <= sigma_p of
-    the p x p chiral coupling (`_bloch_couplings`), so only the p positive
-    branches are scanned and each band is +-[min sigma_k, max sigma_k].
-    sigma is even in theta, so each branch is scanned on the _SCAN_ANGLES
-    angles of the uniform BASE_THETA_GRID grid that lie in [0, pi], then
-    its grid minimum and maximum are refined by golden-section search on
-    the bracket of one grid step either side.  All K * p * 2 searches
-    advance in lockstep: each step evaluates the searches still running
-    with one stacked singular-value solve, and each search stops by its own
-    rule, once its extremal value moves by less than BAND_EDGE_TOL and its
-    bracket is shorter than 1e-4.  `floquet_symbol` is not built.  A kink
-    where sigma_1 touches 0 (gamma = 0 and |nu| < 2 at period 1) ends that
-    rule early and leaves a spurious gap near 1e-5 around 0 (ROADMAP item 4).
+    Each band is +-[min sigma_k, max sigma_k] over theta in [0, pi], where
+    sigma_k is monotone or turns once (det(E - H) is quadratic in cos
+    theta).  Where the slope changes sign between the _PROBES eps and pi/2
+    or pi/2 and pi - eps, a regula-falsi search closes on its zero or on the
+    kink where it jumps, all in lockstep, one stacked solve per step: Illinois
+    steps, but bisection while the bracket ends at eps or pi - eps (a slope
+    near 0 by evenness says nothing of the distance to the zero) or has not
+    halved in three steps, until the bracket is below 1e-12 or a step below
+    1e-14.  The band is [min, max] of every sigma_k evaluated, so each edge
+    is a value the branch reaches.
     """
     K, p = pots.shape
-    thetas = np.linspace(0.0, 2.0 * np.pi, BASE_THETA_GRID, endpoint=False)[:_SCAN_ANGLES]
-    step = thetas[1] - thetas[0]
-    # singular values come descending; reversed, branch k is the k-th smallest
-    values = np.linalg.svd(_bloch_couplings(pots[:, None, :], gamma, thetas), compute_uv=False)[..., ::-1]
-    j_ext = np.stack([np.argmin(values, axis=1), np.argmax(values, axis=1)], axis=-1)  # (K, p, 2)
-    grid_ext = values[np.arange(K)[:, None, None], j_ext, np.arange(p)[:, None]]
-
-    # one search per (potential, branch, min/max); sign +1 seeks the minimum
-    pot_of, branch, side = (ix.ravel() for ix in np.indices((K, p, 2)))
-    sign = np.where(side == 0, 1.0, -1.0)
-    centre = thetas[j_ext.ravel()]
-    a, b = centre - step, centre + step
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-
-    def f(idx: np.ndarray, angles: np.ndarray) -> np.ndarray:
-        sigma = np.linalg.svd(_bloch_couplings(pots[pot_of[idx]], gamma, angles), compute_uv=False)
-        return sign[idx] * sigma[np.arange(idx.size), p - 1 - branch[idx]]
-
-    live = np.arange(sign.size)  # the searches still running
-    fc, fd = f(live, c), f(live, d)
-    prev = np.where(fd < fc, fd, fc)  # min(fc, fd) as Python takes it, fc on ties and signed zeros
-    best = np.empty(sign.size)
-    for _ in range(200):
-        left = fc < fd  # keep [a, d] and probe a new c, else keep [c, b] and probe a new d
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        c, d = np.where(left, b - _GOLDEN * (b - a), d), np.where(left, c, a + _GOLDEN * (b - a))
-        fresh = f(live, np.where(left, c, d))
-        fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
-        now = np.where(fd < fc, fd, fc)
-        done = (np.abs(prev - now) < BAND_EDGE_TOL) & ((b - a) < 1e-4)
-        best[live[done]] = now[done]
-        live, a, b, c, d, fc, fd, prev = (x[~done] for x in (live, a, b, c, d, fc, fd, now))
-        if live.size == 0:
-            break
-    best[live] = np.where(fd < fc, fd, fc)
-    refined = (sign * best).reshape(K, p, 2)
-    lo = np.where(grid_ext[..., 0] < refined[..., 0], grid_ext[..., 0], refined[..., 0])
-    hi = np.where(grid_ext[..., 1] > refined[..., 1], grid_ext[..., 1], refined[..., 1])
+    sigma, slope = _branches(pots[:, None, :], gamma, _PROBES)  # (K, _PROBES.size, p)
+    lo, hi = sigma.min(axis=1), sigma.max(axis=1)
+    # one search per (potential, probe interval, branch) whose end slopes differ in sign
+    inner = slope[:, 1:4]
+    pot_of, half, branch = np.nonzero(inner[:, :-1] * inner[:, 1:] < 0.0)
+    a, b = _PROBES[1 + half], _PROBES[2 + half]
+    ga, gb = inner[pot_of, half, branch], inner[pot_of, half + 1, branch]
+    live = np.arange(pot_of.size)  # the searches still running
+    moved = np.zeros(live.size)  # +1 after a step that moved a, -1 after one that moved b
+    # the bracket widths one, two and three steps back, and the last iterate
+    back1 = back2 = back3 = last = np.full(live.size, np.inf)
+    found = [(live[:0], np.zeros(0))]  # (searches, their values of sigma_k) per step
+    while live.size:  # ends: the bracket halves in every four steps, and a NaN iterate raises in the SVD
+        width = b - a
+        bisect = (width > 0.5 * back3) | (a == _PROBES[1]) | (b == _PROBES[3])
+        x = np.where(bisect, a + 0.5 * width, a + width * (ga / (ga - gb)))
+        values, slopes = _branches(pots[pot_of[live]], gamma, x)
+        rows = np.arange(live.size), branch[live]
+        g = slopes[rows]
+        found.append((live, values[rows]))
+        move_a = g * ga > 0.0
+        # Illinois: an end kept for a second step in a row has its slope halved
+        ga, gb = (np.where(move_a, g, np.where(moved < 0, 0.5 * ga, ga)),
+                  np.where(move_a, np.where(moved > 0, 0.5 * gb, gb), g))
+        a, b = np.where(move_a, x, a), np.where(move_a, b, x)
+        moved = np.where(move_a, 1.0, -1.0)
+        done = (b - a < 1e-12) | (np.abs(x - last) < 1e-14)
+        back1, back2, back3, last = width, back1, back2, x
+        if done.any():
+            keep = ~done
+            live, a, b, ga, gb, moved, back1, back2, back3, last = (
+                v[keep] for v in (live, a, b, ga, gb, moved, back1, back2, back3, last))
+    searches, values = (np.concatenate(v) for v in zip(*found))
+    np.minimum.at(lo, (pot_of[searches], branch[searches]), values)
+    np.maximum.at(hi, (pot_of[searches], branch[searches]), values)
     positive = np.stack([lo, hi], axis=-1)
     # branch p - 1 - k is -sigma_k, with band [-max sigma_k, -min sigma_k]
     return np.concatenate([-positive[:, ::-1, ::-1], positive], axis=1)
@@ -417,13 +420,10 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
 def periodic_spectrum(potential: Sequence[float], gamma: float) -> IntervalUnion:
     """Band spectrum of the periodic chain with the given one-period potential.
 
-    Each sorted singular-value branch of the p x p chiral coupling is
-    scanned on a uniform grid of angles in [0, pi] and its extrema are
-    refined by golden-section search (`_band_edges`); the bands are
-    +-[min, max] of each branch, and their union is exact even through band
-    crossings because sorted branches are continuous and cover the same
-    set.  The 2p x 2p `floquet_symbol` is not built.  At gamma = 0 the
-    search leaves a spurious gap near 1e-5 around 0 (ROADMAP item 4).
+    The bands are +-[min, max] of each sorted singular-value branch of the
+    p x p chiral coupling (`_band_edges`), and their union is exact even
+    through band crossings because sorted branches are continuous and cover
+    the same set.  The 2p x 2p `floquet_symbol` is not built.
     """
     check_gamma(gamma)
     try:
@@ -455,12 +455,11 @@ def almost_sure_spectrum_approx(
     spectrum as the period grows; atoms are enumerated exactly and continuous
     support is sampled on a deterministic lattice.  One potential per
     rotation class of each minimal period is kept, and the potentials of a
-    period go through the chiral-coupling scan of _band_edges over theta in
-    [0, pi], not through `floquet_symbol`, in chunks of at most
-    _SCAN_ENTRIES coupling entries or of one potential (all 55 period-2
-    classes of 11 samples in one chunk).  The gamma = 0 kink defect of
-    `periodic_spectrum` carries over (ROADMAP item 4).  An enumeration of
-    more than _MAX_APPROXIMANT_SITES sites is a ConfigError.
+    period go through the lockstep branch searches of _band_edges on the
+    chiral coupling, not through `floquet_symbol`, in chunks of at most
+    _CHUNK_ENTRIES coupling entries in its probe solve or of one potential
+    (all 55 period-2 classes of 11 samples in one chunk).  An enumeration
+    of more than _MAX_APPROXIMANT_SITES sites is a ConfigError.
     """
     check_gamma(gamma)
     if max_period < 1 or samples_per_period < 1:
@@ -486,7 +485,7 @@ def almost_sure_spectrum_approx(
             seen.add(key)
             pots.append(pot)
         pots = np.array(pots, dtype=float).reshape(-1, p)
-        chunk = max(1, _SCAN_ENTRIES // (_SCAN_ANGLES * p * p))
+        chunk = max(1, _CHUNK_ENTRIES // (_PROBES.size * p * p))
         for k in range(0, pots.shape[0], chunk):
             edges = _band_edges(pots[k:k + chunk], gamma)
             bands.extend(edges.reshape(-1, 2))

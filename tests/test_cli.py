@@ -108,6 +108,15 @@ class TestPeriodicCommand:
             assert hi == pytest.approx(ehi, abs=1e-6)
 
 
+class TestXYVerifyCommand:
+    @pytest.mark.parametrize("n_verify, car_modes", [(4, 4), (9, 8)])
+    def test_artifact_records_the_car_modes_checked(self, tmp_path, n_verify, car_modes):
+        cfg_path = write_cfg(tmp_path / "x.json", {**FIXTURE_CFG, "n": 10, "n_verify": n_verify})
+        assert cli.main(["xy-verify", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 0
+        payload = json.loads((tmp_path / "x" / "xy_verify.json").read_text())
+        assert (payload["n"], payload["car_modes"], payload["car_defect"]) == (n_verify, car_modes, 0.0)
+
+
 class TestErrorPaths:
     def test_missing_model_field_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path / "bad.json", {"gamma": 0.5, "seed": 1})
@@ -483,6 +492,21 @@ class TestErrorPaths:
             cli.main(["fourier", "--config", "x", "--out", "y"])
         assert exc.value.code == 2
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; after usage errors it parses
+        # and reports as a freshly built one does
+        assert cli.build_parser() is cli.build_parser()
+        fresh = cli.build_parser.__wrapped__()
+        for argv in (["spectrum", "--config", "c.json"], ["fourier"], ["dos", "--help"]):
+            messages = []
+            for parser in (cli.build_parser(), fresh):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                messages.append((exc.value.code, capsys.readouterr()))
+            assert messages[0] == messages[1]
+        argv = ["dos", "--config", "c.json", "--out", "o", "--seed", "4", "--verbose"]
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
 
 class TestGreenCheck:
     @pytest.mark.filterwarnings("error")
@@ -688,6 +712,27 @@ class TestScipyIsLoadedOnlyWhereUsed:
         jobs = workloads.warmup_jobs("bands-oracles") + workloads.jobs_for("bands-oracles", 1)
         report = run_fresh(tmp_path, {job.name: (job.command, job.cfg) for job in jobs})
         assert report["runs"] == [{"command": job.command, "code": 0, "scipy": []} for job in jobs]
+
+
+# runs asspec on atoms through cli.main in a fresh interpreter and prints its exit
+# code and whether numpy.ma was loaded before and after
+FRESH_ASSPEC = """
+import sys
+import randblock.cli
+before = "numpy.ma" in sys.modules
+code = randblock.cli.main(["asspec", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_asspec_on_atoms_never_loads_numpy_ma(tmp_path):
+    # np.unique, which a discrete law's support lattice once called, imports numpy.ma on its first call
+    cfg = {"rho": {"kind": "two_point", "a": 0.0, "b": 1.0}, "gamma": 0.5, "max_period": 2}
+    argv = [sys.executable, "-c", FRESH_ASSPEC, write_cfg(tmp_path / "a.json", cfg), str(tmp_path / "o")]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
 
 
 def load_bench_workloads(monkeypatch):

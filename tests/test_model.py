@@ -74,6 +74,11 @@ class TestSingleSiteDistribution:
         assert np.array_equal(rho.support_lattice(99), [2.5, 3.0, 3.5])
         draws = rho.sample(np.random.default_rng(2), 5000)
         assert set(np.unique(draws)) <= {2.5, 3.0, 3.5}
+        # unsorted, repeated and zero-weight atoms: the sorted distinct live atoms, as np.unique gives them
+        rho = SingleSiteDistribution.discrete([3.0, -1.0, 3.0, 0.5, 2.0, -0.0], [0.2, 0.3, 0.1, 0.3, 0.0, 0.1])
+        lattice = rho.support_lattice(5)
+        want = np.unique([3.0, -1.0, 3.0, 0.5, -0.0])
+        assert lattice.dtype == want.dtype and lattice.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -656,8 +656,9 @@ class TestAlmostSureSpectrum:
 
 # The scalar Bloch scan of the 2p x 2p Hermitian symbol: one symbol per
 # angle over the whole circle, one golden-section search per branch
-# extremum.  The batched scan runs on the p x p chiral coupling instead, an
-# independent route, and must reproduce its bands to rounding.
+# extremum, run until its bracket is below 1e-13, so that it closes on
+# kinks too.  The batched search runs on the p x p chiral coupling
+# instead, an independent route, and must reproduce its bands to rounding.
 
 
 def scalar_symbol(pot, gamma, theta):
@@ -675,13 +676,12 @@ def scalar_symbol(pot, gamma, theta):
     return H
 
 
-def scalar_golden(fun, a, b, sign, edge_tol):
+def scalar_golden(fun, a, b, sign):
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - golden * (b - a)
     d = a + golden * (b - a)
     fc, fd = sign * fun(c), sign * fun(d)
-    best_prev = min(fc, fd)
-    for _ in range(200):
+    while b - a >= 1e-13:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - golden * (b - a)
@@ -690,14 +690,10 @@ def scalar_golden(fun, a, b, sign, edge_tol):
             a, c, fc = c, d, fd
             d = a + golden * (b - a)
             fd = sign * fun(d)
-        best = min(fc, fd)
-        if abs(best_prev - best) < edge_tol and (b - a) < 1e-4:
-            break
-        best_prev = best
     return sign * min(fc, fd)
 
 
-def scalar_band_pairs(pot, gamma, base_grid=512, edge_tol=1e-8):
+def scalar_band_pairs(pot, gamma, base_grid=512):
     thetas = np.linspace(0.0, 2.0 * np.pi, base_grid, endpoint=False)
     branches = np.linalg.eigvalsh(np.stack([scalar_symbol(pot, gamma, t) for t in thetas]))
     step = thetas[1] - thetas[0]
@@ -709,8 +705,8 @@ def scalar_band_pairs(pot, gamma, base_grid=512, edge_tol=1e-8):
             return float(np.linalg.eigvalsh(scalar_symbol(pot, gamma, theta))[_i])
 
         j_min, j_max = int(np.argmin(values)), int(np.argmax(values))
-        lo = scalar_golden(branch, thetas[j_min] - step, thetas[j_min] + step, +1.0, edge_tol)
-        hi = scalar_golden(branch, thetas[j_max] - step, thetas[j_max] + step, -1.0, edge_tol)
+        lo = scalar_golden(branch, thetas[j_min] - step, thetas[j_min] + step, +1.0)
+        hi = scalar_golden(branch, thetas[j_max] - step, thetas[j_max] + step, -1.0)
         pairs.append((min(lo, float(values[j_min])), max(hi, float(values[j_max]))))
     return pairs
 
@@ -746,19 +742,18 @@ class TestBatchedBlochScan:
         got = almost_sure_spectrum_approx(rho, 0.5, max_period=2, samples_per_period=4)
         assert got.intervals.shape == want.intervals.shape
         assert got.hausdorff(want) <= 1e-12
-        # three period-1 potentials per scan chunk and one period-2 potential,
+        # three period-1 potentials per chunk and one period-2 potential,
         # instead of every potential of a period in one chunk
-        monkeypatch.setattr(spectral, "_SCAN_ENTRIES", 3 * spectral._SCAN_ANGLES)
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 3 * spectral._PROBES.size)
         small = almost_sure_spectrum_approx(rho, 0.5, max_period=2, samples_per_period=4)
         assert small.intervals.tobytes() == got.intervals.tobytes()
 
-    # |gamma| >= 0.1: at gamma = 0 and |nu| < 2 the two branches cross at
-    # E = 0 with a kink, where the golden-section stopping rule ends on a
-    # 1e-4 bracket and leaves a spurious gap of about 1e-5
+    # gamma = 0 included: there and at |nu| < 2 the two branches cross at
+    # E = 0 with a kink, which the search must close on without a gap
     @settings(max_examples=60, deadline=None)
     @given(
         nu=st.floats(-3.0, 3.0),
-        size=st.floats(0.1, 2.0).filter(lambda g: abs(g - 1.0) > 1e-3),
+        size=st.one_of(st.just(0.0), st.floats(0.0, 2.0).filter(lambda g: abs(g - 1.0) > 1e-3)),
         sign=st.sampled_from([-1.0, 1.0]),
     )
     def test_period_one_matches_the_closed_form(self, nu, size, sign):
@@ -801,12 +796,12 @@ class TestBatchedBlochScan:
     # within the grid's half step times max |dE/dtheta| <= ||dH/dtheta|| of a
     # scanned eigenvalue.  ||dH/dtheta|| = ||S|| = 1 + |gamma| for p >= 2, and
     # at p = 1, where both corners fall on the one block, |d(nu - 2 cos theta
-    # + 2 i gamma sin theta)/dtheta| <= 2 max(1, |gamma|).  |gamma| >= 0.1 for
-    # the kink defect at gamma = 0
+    # + 2 i gamma sin theta)/dtheta| <= 2 max(1, |gamma|).  gamma = 0, where
+    # branches meet at kinks, is included
     @settings(max_examples=40, deadline=None)
     @given(
         potential=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
-        size=st.floats(0.1, 3.0).filter(lambda g: g != 1.0),
+        size=st.one_of(st.just(0.0), st.floats(0.0, 3.0).filter(lambda g: g != 1.0)),
         sign=st.sampled_from([-1.0, 1.0]),
     )
     def test_union_is_the_dense_symbol_scan(self, potential, size, sign):
@@ -824,6 +819,41 @@ class TestBatchedBlochScan:
         right = np.clip(np.searchsorted(grid, points), 1, grid.size - 1)
         nearest = np.minimum(np.abs(points - grid[right - 1]), np.abs(points - grid[right]))
         assert float(nearest.max()) <= slope * np.pi / 2000 + 1e-9
+
+    # the two facts the band search rests on.  prod_k (E^2 - sigma_k(theta)^2)
+    # = det(E^2 - C C^H) is a polynomial of degree <= 2 in x = cos theta: its
+    # interpolant at 9 Chebyshev points has no higher coefficients, up to the
+    # rounding of the factors, each within a few eps of E^2 + max sigma^2.
+    # So every sorted branch over [0, pi] turns at most once, here on a
+    # dense grid, with steps below rounding ignored.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        potential=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+        gamma=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(lambda g: abs(abs(g) - 1.0) > 1e-3)),
+        energy=st.floats(0.0, 5.0),
+    )
+    def test_branches_are_quadratic_in_cos_theta_and_turn_at_most_once(self, potential, gamma, energy):
+        pots = np.array(potential)
+        x = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+        sigma = np.linalg.svd(spectral._bloch_couplings(pots, gamma, np.arccos(x)), compute_uv=False)
+        det = np.prod(energy**2 - sigma**2, axis=-1)
+        coef = np.polynomial.chebyshev.chebfit(x, det, 8)
+        scale = (energy**2 + float(sigma.max()) ** 2) ** pots.size
+        assert np.max(np.abs(coef[3:])) <= 1e-12 * scale
+        grid = np.linalg.svd(spectral._bloch_couplings(pots, gamma, np.linspace(0.0, np.pi, 2001)),
+                             compute_uv=False)
+        steps = np.diff(grid, axis=0)
+        for k in range(pots.size):
+            signs = np.sign(steps[np.abs(steps[:, k]) > 1e-12 * max(1.0, float(grid.max())), k])
+            assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1
+
+    # kinks leave no gap: sigma_1 touches 0 at gamma = 0, and at gamma = 2 two
+    # branches of (0, 0, 1) cross at E = sqrt 7
+    def test_kinks_leave_no_gap(self):
+        assert periodic_spectrum([1.0], 0.0).intervals.tolist() == [[-3.0, 3.0]]
+        union = periodic_spectrum([0.0, 0.0, 1.0], 2.0)
+        assert union.intervals.shape == (4, 2)
+        assert union.covers(np.sqrt(7.0) - 1e-3, np.sqrt(7.0) + 1e-3, 0.0)
 
     def test_enumeration_size_guard(self, monkeypatch):
         rho = SingleSiteDistribution.uniform(-1.0, 1.0)
