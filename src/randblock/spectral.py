@@ -381,7 +381,7 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     lo, hi = sigma.min(axis=1), sigma.max(axis=1)
     # one search per (potential, probe interval, branch) whose end slopes differ in sign
     inner = slope[:, 1:4]
-    pot_of, half, branch = np.nonzero(inner[:, :-1] * inner[:, 1:] < 0.0)
+    pot_of, half, branch = np.nonzero(np.sign(inner[:, :-1]) * np.sign(inner[:, 1:]) < 0.0)
     a, b = _PROBES[1 + half], _PROBES[2 + half]
     ga, gb = inner[pot_of, half, branch], inner[pot_of, half + 1, branch]
     live = np.arange(pot_of.size)  # the searches still running
@@ -397,7 +397,7 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
         rows = np.arange(live.size), branch[live]
         g = slopes[rows]
         found.append((live, values[rows]))
-        move_a = g * ga > 0.0
+        move_a = np.sign(g) == np.sign(ga)  # signs, as a product overflows past |gamma| = 1e154
         # Illinois: an end kept for a second step in a row has its slope halved
         ga, gb = (np.where(move_a, g, np.where(moved < 0, 0.5 * ga, ga)),
                   np.where(move_a, np.where(moved > 0, 0.5 * gb, gb), g))

@@ -855,6 +855,15 @@ class TestBatchedBlochScan:
         assert union.intervals.shape == (4, 2)
         assert union.covers(np.sqrt(7.0) - 1e-3, np.sqrt(7.0) + 1e-3, 0.0)
 
+    # slopes grow like |gamma|, so the product of two overflows past 1e154
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", [1e155, -1e300])
+    def test_huge_anisotropy_overflows_nothing(self, gamma):
+        edge = 2.0 * abs(gamma)
+        assert periodic_spectrum([1.0, -0.5], gamma).intervals.tolist() == [[-edge, -0.5], [0.5, edge]]
+        rho = SingleSiteDistribution.uniform(-1.0, 1.0)
+        assert almost_sure_spectrum_approx(rho, gamma, 2, 3).intervals.tolist() == [[-edge, edge]]
+
     def test_enumeration_size_guard(self, monkeypatch):
         rho = SingleSiteDistribution.uniform(-1.0, 1.0)
         # 3 support points up to period 2 enumerate 3 * 1 + 9 * 2 = 21 sites
