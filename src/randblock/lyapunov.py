@@ -2,10 +2,13 @@
 
 The engine multiplies i.i.d. transfer factors into frames, one per batch of
 the run, re-orthonormalizes every few steps, and accumulates log |R_pp|; the
-batch frames advance in lockstep as lanes of one stacked QR, and batch means
-give a standard error for every exponent.  Factors are built with transposes only,
-so the symplectic pairing gamma_p + gamma_{2l+1-p} = 0 survives complex
-spectral parameters.
+batch frames advance in lockstep as lanes of one Gram-Schmidt QR
+(transfer.qr_product), and batch means give a standard error for every
+exponent.  A parameter axis adds lanes to the same pass: thouless_check
+runs all its energies, and critical_alpha_scan all its grid couplings, on
+one disorder stream, each value bit for bit the result of a run of its
+own.  Factors are built with transposes only, so the symplectic pairing
+gamma_p + gamma_{2l+1-p} = 0 survives complex spectral parameters.
 
 Besides the full 2l x 2l chain cocycle this module carries the scalar 2x2
 reductions that govern the zero-energy behaviour of the anisotropic chain:
@@ -16,6 +19,7 @@ zero energy from one auxiliary exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -35,9 +39,16 @@ from .transfer import DEFAULT_REORTH, block_products, log_abs_det, qr_product, t
 DEFAULT_STEPS = 100_000
 DEFAULT_BATCHES = 50
 TWO_STEP_DET_TOL = 1e-12
-# Block products one group of lanes of the QR engine holds, its warm-up
-# included: 8 MB of real 4 x 4 blocks.  A longer batch runs alone.
+# Block products one group of lanes of the QR engine holds over all its
+# parameter values, its warm-up included: 8 MB of real 4 x 4 blocks.  A
+# longer batch runs alone.
 GROUP_BLOCKS = 1 << 16
+# Steps of the stream drawn at a time, for every parameter value at once.
+CHUNK_STEPS = 1024
+# Energies of one thouless_check pass, so that its chunks of factors stay
+# within a quarter of GROUP_BLOCKS; more energies run as further passes on
+# the same stream.
+PASS_ENERGIES = GROUP_BLOCKS // (4 * CHUNK_STEPS)
 ALPHA_ROOT_WIDTH = 1e-2
 
 
@@ -101,13 +112,17 @@ class BlockEnsemble:
         mean_log = float(np.sum(sw * np.log(np.abs(np.linalg.det(S_choices)))))
         return cls(ell=ell, draw_blocks=draw, mean_log_abs_det_s=mean_log)
 
-    def factor_sampler(self, E: complex) -> Callable[[np.random.Generator, int], np.ndarray]:
+    def factor_sampler(
+        self, E: complex | Sequence[complex]
+    ) -> Callable[[np.random.Generator, int], np.ndarray]:
         """Sequential sampler of transfer factors A_k built from (V_k, S_{k-1}).
 
         Consecutive factors share hopping blocks, so the sampler carries the
         last drawn S across calls; one extra block draw initializes the
         boundary hopping.  A shared hopping passes to transfer_factors as
-        one block, which inverts it once per call.
+        one block, which inverts it once per call.  With a sequence of K
+        energies every draw builds the factors of all of them from the same
+        blocks, shape (K, m, 2l, 2l).
         """
         state: dict = {"carry": None}
 
@@ -136,19 +151,30 @@ def _qr_exponents(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(exponents desc, standard errors, counted steps) of a random product.
 
+    draw_factors(rng, m) returns the next m factors of the stream, (m, dim,
+    dim), or (..., m, dim, dim) for a product over a parameter axis (the
+    energies of thouless_check, the couplings of critical_alpha_scan): each
+    parameter value is then a lane of its own on the same draws, and the
+    exponents and errors come back of shape (..., dim).
+
     Steps are grouped into DEFAULT_BATCHES equal batches of whole
     re-orthonormalization blocks, laid out on one stream after warm_blocks
     uncounted blocks.  Every batch is a lane with a frame of its own: the
     frame starts from the identity and warms up over the warm_blocks blocks
     just before its batch, which aligns it with the stationary flag before
-    it accumulates log |diag R|.  Factors are drawn a chunk of blocks at a
-    time, and transfer.block_products folds each chunk into one product per
-    block.  The lanes of a group of consecutive batches then advance
-    together through transfer.qr_product, one stacked product and one
-    stacked QR per block position.  A group holds the block products of at
-    most GROUP_BLOCKS blocks, its warm-up included; its first lane warms up
-    on the tail of the previous group.  A batch too long for that runs
-    alone, its block products fed to qr_product chunk by chunk.
+    it accumulates log |diag R|.  Factors are drawn in chunks of whole
+    blocks of at most CHUNK_STEPS steps, and transfer.block_products folds
+    each chunk into one product per block.  The lanes of a group of
+    consecutive batches, over every parameter value, then advance together
+    through transfer.qr_product, one product and one Gram-Schmidt QR per
+    block position, on a strided view of the block products, of which
+    qr_product copies one block position at a time.  A group holds the
+    block products of at most GROUP_BLOCKS blocks over all parameter values,
+    its warm-up included; its first lane warms up on the tail of the
+    previous group.  A batch too long for that runs alone, its block
+    products fed to qr_product chunk by chunk.  Lanes round alike in every
+    layout, so the result is the same bit for bit for every GROUP_BLOCKS
+    and every parameter axis.
     """
     if reorth_every < 1:
         raise ConfigError("reorth_every must be >= 1")
@@ -159,7 +185,7 @@ def _qr_exponents(
     batch_steps = blocks_per_batch * reorth_every
     rng = realization_rng(seed, 0)
     warm_blocks = min(100, blocks_per_batch)
-    chunk_blocks = max(1, 1024 // reorth_every)
+    chunk_blocks = max(1, CHUNK_STEPS // reorth_every)
 
     def products(count: int) -> Iterator[np.ndarray]:
         """Block products of the next count blocks of the stream, one chunk at a time."""
@@ -168,7 +194,7 @@ def _qr_exponents(
             yield block_products(draw_factors(rng, take * reorth_every), reorth_every)
 
     def advance(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Frames and log |diag R| after the lanes X (lanes, dim, dim) run through P (lanes, blocks, dim, dim)."""
+        """Frames and log |diag R| after frames X (..., dim, dim) run through P (..., blocks, dim, dim)."""
         X, diag_r = qr_product(X, P, 1)
         if not np.all(np.isfinite(X)):
             raise NumericalFailure("cocycle frame overflowed; reduce reorth_every")
@@ -177,45 +203,50 @@ def _qr_exponents(
     def run_group(tail: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
         """Sums of the next lanes batches, run in lockstep, and the warm-up tail of the next group."""
         span = warm_blocks + blocks_per_batch
-        P = np.empty((warm_blocks + lanes * blocks_per_batch,) + tail.shape[1:], dtype=tail.dtype)
-        P[:warm_blocks] = tail
+        P = np.empty(lead + (warm_blocks + lanes * blocks_per_batch, dim, dim), dtype=tail.dtype)
+        P[..., :warm_blocks, :, :] = tail
         filled = warm_blocks
         for _ in range(lanes):
             for chunk in products(blocks_per_batch):
-                P[filled:filled + chunk.shape[0]] = chunk
-                filled += chunk.shape[0]
+                P[..., filled:filled + chunk.shape[-3], :, :] = chunk
+                filled += chunk.shape[-3]
         # lane i runs through blocks i B .. i B + warm_blocks + B - 1 of P, B = blocks_per_batch
-        strides = (blocks_per_batch * P.strides[0],) + P.strides
-        lanes_view = np.lib.stride_tricks.as_strided(P, (lanes, span) + P.shape[1:], strides, writeable=False)
-        _, logs = advance(np.repeat(np.eye(dim)[None], lanes, axis=0), lanes_view)
+        strides = P.strides[:-3] + (blocks_per_batch * P.strides[-3],) + P.strides[-3:]
+        lanes_view = np.lib.stride_tricks.as_strided(
+            P, lead + (lanes, span, dim, dim), strides, writeable=False
+        )
+        _, logs = advance(np.broadcast_to(np.eye(dim), lead + (lanes, dim, dim)), lanes_view)
         # a running sum, which run_alone continues chunk by chunk in the same order
-        return np.cumsum(logs[:, warm_blocks:], axis=1)[:, -1], P[-warm_blocks:].copy()
+        sums = np.cumsum(logs[..., warm_blocks:, :], axis=-2)[..., -1, :]
+        return sums, P[..., -warm_blocks:, :, :].copy()
 
     def run_alone(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sums of the next batch as one frame fed chunk by chunk, and the warm-up tail of the next batch."""
-        X, _ = advance(np.eye(dim)[None], tail[None])
-        sums = np.zeros(dim)
+        X, _ = advance(np.broadcast_to(np.eye(dim), lead + (dim, dim)), tail)
+        sums = np.zeros(lead + (dim,))
         for chunk in products(blocks_per_batch):
-            X, logs = advance(X, chunk[None])
-            sums = np.cumsum(np.concatenate([sums[None], logs[0]]), axis=0)[-1]
-            tail = np.concatenate([tail, chunk])[-warm_blocks:]
+            X, logs = advance(X, chunk)
+            sums = np.cumsum(np.concatenate([sums[..., None, :], logs], axis=-2), axis=-2)[..., -1, :]
+            tail = np.concatenate([tail, chunk], axis=-3)[..., -warm_blocks:, :, :]
         return sums, tail
 
-    tail = np.concatenate(list(products(warm_blocks)))
-    batch_sums = np.empty((DEFAULT_BATCHES, dim))
-    lanes_per_group = (GROUP_BLOCKS - warm_blocks) // blocks_per_batch
+    tail = np.concatenate(list(products(warm_blocks)), axis=-3)
+    lead = tail.shape[:-3]
+    batch_sums = np.empty(lead + (DEFAULT_BATCHES, dim))
+    lanes_per_group = (GROUP_BLOCKS // math.prod(lead) - warm_blocks) // blocks_per_batch
     for first in range(0, DEFAULT_BATCHES, max(1, lanes_per_group)):
-        if lanes_per_group:
+        if lanes_per_group > 0:
             lanes = min(lanes_per_group, DEFAULT_BATCHES - first)
-            batch_sums[first:first + lanes], tail = run_group(tail, lanes)
+            batch_sums[..., first:first + lanes, :], tail = run_group(tail, lanes)
         else:
-            batch_sums[first], tail = run_alone(tail)
+            batch_sums[..., first, :], tail = run_alone(tail)
 
     batch_exponents = batch_sums / batch_steps
-    exponents = batch_exponents.mean(axis=0)
-    se = batch_exponents.std(axis=0, ddof=1) / np.sqrt(DEFAULT_BATCHES)
-    order = np.argsort(exponents)[::-1]
-    return exponents[order], se[order], DEFAULT_BATCHES * batch_steps
+    exponents = batch_exponents.mean(axis=-2)
+    se = batch_exponents.std(axis=-2, ddof=1) / np.sqrt(DEFAULT_BATCHES)
+    order = np.argsort(exponents, axis=-1)[..., ::-1]
+    return (np.take_along_axis(exponents, order, axis=-1), np.take_along_axis(se, order, axis=-1),
+            DEFAULT_BATCHES * batch_steps)
 
 
 @dataclass
@@ -307,14 +338,21 @@ def thouless_check(
 ) -> list[ThoulessReport]:
     """Check gamma(E) = -(1/l) E[log|det S|] + integral of log|E - x| dN(x) at each energy.
 
-    The left side is measured by the cocycle engine.  On the right, the
-    hopping mean is exact, and the DOS integral is the mean over the
-    equal-length chains dos_chains of log|det(M - E)| / (n l), which is the
-    mean of log|E - lambda| over their eigenvalues.  One Schur sweep
-    (`transfer.log_abs_det`) gives it at every energy before any cocycle
-    runs.  It is exact off the real axis; at real E it is exact unless E
-    is an eigenvalue of a leading sub-chain, and an exactly singular pivot
-    raises NumericalFailure.
+    The left side is measured by the cocycle engine, with every energy a
+    lane of one pass on one disorder stream: each draw of blocks builds the
+    factors of all energies, and the Lyapunov index at E is bit for bit
+    lyapunov_index(lyapunov_spectrum(model, E, steps, seed)) whenever the
+    energies are all complex or all real (a real energy among complex ones
+    runs in complex arithmetic, equal up to rounding).  At most
+    PASS_ENERGIES energies share a pass, so that memory does not grow with
+    their number; further ones run as more passes on the same stream.  On
+    the right, the hopping mean is exact, and the DOS integral is the mean
+    over the equal-length chains dos_chains of log|det(M - E)| / (n l),
+    which is the mean of log|E - lambda| over their eigenvalues.  One Schur
+    sweep (`transfer.log_abs_det`) gives it at every energy before any
+    cocycle runs.  It is exact off the real axis; at real E it is exact
+    unless E is an eigenvalue of a leading sub-chain, and an exactly
+    singular pivot raises NumericalFailure.
     """
     if len({M.V.shape for M in dos_chains}) != 1:
         raise ConfigError("the DOS chains must be non-empty and of equal length and block size")
@@ -323,22 +361,41 @@ def thouless_check(
     n, ell = dos_chains[0].n, dos_chains[0].ell
     dos_terms = log_abs_det(dos_chains, energies).mean(axis=0) / (n * ell)
     reports = []
-    for E, dos_term in zip(energies, dos_terms):
-        index = lyapunov_index(lyapunov_spectrum(ensemble, E, steps=steps, seed=seed))
-        reports.append(
-            ThoulessReport(
-                energy=E,
-                index_value=index.value,
-                index_se=index.se,
-                hopping_term=hopping_term,
-                dos_term=float(dos_term),
-            )
+    for first in range(0, len(energies), PASS_ENERGIES):
+        batch = list(energies[first:first + PASS_ENERGIES])
+        exponents, se, counted = _qr_exponents(
+            ensemble.factor_sampler(batch), 2 * ensemble.ell, steps, seed, DEFAULT_REORTH
         )
+        for E, dos_term, exps, errs in zip(batch, dos_terms[first:], exponents, se):
+            spec = LyapunovSpectrum(
+                exponents=exps, se=errs, energy=E, steps=counted, seed=seed, reorth_every=DEFAULT_REORTH
+            )
+            index = lyapunov_index(spec)
+            reports.append(
+                ThoulessReport(
+                    energy=E,
+                    index_value=index.value,
+                    index_se=index.se,
+                    hopping_term=hopping_term,
+                    dos_term=float(dos_term),
+                )
+            )
     return reports
 
 
 # ---------------------------------------------------------------------------
 # scalar reductions at zero energy
+
+
+def _anderson_sampler(couplings: float | np.ndarray, rho: SingleSiteDistribution) -> Callable:
+    """Sampler of the factors [[0, 1], [-1, c nu]], nu ~ rho: (m, 2, 2) for one coupling, (..., m, 2, 2) for many."""
+    c = np.asarray(couplings, dtype=float)
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        nu = rho.sample(rng, m)
+        return transfer_factors(c[..., None, None, None] * nu[:, None, None], np.ones((1, 1)), 0.0)
+
+    return draw
 
 
 def anderson_lyapunov_2x2(
@@ -351,12 +408,7 @@ def anderson_lyapunov_2x2(
 
     These are the ell = 1 transfer factors with V = c nu, S = 1 at E = 0.
     """
-    c = float(effective_coupling)
-
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        nu = rho.sample(rng, m)
-        return transfer_factors(c * nu[:, None, None], np.ones((1, 1)), 0.0)
-
+    draw = _anderson_sampler(effective_coupling, rho)
     exps, se, counted = _qr_exponents(draw, 2, steps, seed, DEFAULT_REORTH)
     return ExponentEstimate(value=float(exps[0]), se=float(se[0]), steps=counted, seed=seed)
 
@@ -500,7 +552,10 @@ def critical_alpha_scan(
     descending branch; a root of f marks the coupling where it vanishes.
     Each sign change on the grid is narrowed by bisection to ALPHA_ROOT_WIDTH.
     Every evaluation reuses the same seed so f is a deterministic function
-    of alpha and bisection is well posed at fixed steps.
+    of alpha and bisection is well posed at fixed steps.  The grid is one
+    pass of the cocycle engine with the couplings as a parameter axis on
+    one nu stream, bit for bit the values of one anderson_lyapunov_2x2 run
+    per coupling; the bisection runs one coupling at a time.
     """
     if not 0.0 < gamma < 1.0:
         raise ConfigError("the coupling scan is defined for gamma in (0, 1)")
@@ -514,9 +569,8 @@ def critical_alpha_scan(
         return est.value - s, est.se
 
     alphas = np.linspace(alpha_lo, alpha_hi, grid_points)
-    pairs = [f(a) for a in alphas]
-    f_values = np.array([p[0] for p in pairs])
-    se_values = np.array([p[1] for p in pairs])
+    exps, se, _ = _qr_exponents(_anderson_sampler(alphas * scale, rho), 2, steps, seed, DEFAULT_REORTH)
+    f_values, se_values = exps[:, 0] - s, se[:, 0]
 
     roots: list[tuple[float, float]] = []
     for i in range(grid_points - 1):

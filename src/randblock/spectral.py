@@ -362,6 +362,7 @@ def _branches(pots: np.ndarray, gamma: float, thetas: np.ndarray) -> tuple[np.nd
     return sigma[..., ::-1], slope[..., ::-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is the NumericalFailure below
 def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     """[min, max] of every sorted symbol branch of K period-p potentials, (K, 2p, 2).
 
@@ -374,7 +375,9 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     near 0 by evenness says nothing of the distance to the zero) or has not
     halved in three steps, until the bracket is below 1e-12 or a step below
     1e-14.  The band is [min, max] of every sigma_k evaluated, so each edge
-    is a value the branch reaches.
+    is a value the branch reaches.  An edge that is not finite, as where
+    |gamma| near the largest double overflows the coupling's SVD, is a
+    NumericalFailure.
     """
     K, p = pots.shape
     sigma, slope = _branches(pots[:, None, :], gamma, _PROBES)  # (K, _PROBES.size, p)
@@ -412,6 +415,8 @@ def _band_edges(pots: np.ndarray, gamma: float) -> np.ndarray:
     searches, values = (np.concatenate(v) for v in zip(*found))
     np.minimum.at(lo, (pot_of[searches], branch[searches]), values)
     np.maximum.at(hi, (pot_of[searches], branch[searches]), values)
+    if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+        raise NumericalFailure(f"Bloch band edges are not finite: gamma = {gamma!r} overflows the coupling")
     positive = np.stack([lo, hi], axis=-1)
     # branch p - 1 - k is -sigma_k, with band [-max sigma_k, -min sigma_k]
     return np.concatenate([-positive[:, ::-1, ::-1], positive], axis=1)

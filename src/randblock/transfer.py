@@ -10,18 +10,27 @@ A_k satisfies A_k^t J A_k = J exactly (transpose, not adjoint), also for
 complex E.  Boundary hoppings are padded with identities, S_0 = S_L = I,
 so that fundamental solutions on a chain of L sites are indexed k = 0..L+1.
 
+transfer_factors is the one builder of the A_k.  One draw of blocks gives
+the factors of any number of energies at once, each energy's stack bit for
+bit the one it would get alone.
+
 Long products are carried on orthonormal frames by one engine, qr_product.
 It folds each block of factors into one product with block_products, in
 stacked matmuls over all blocks (complex factors in their real form), then
 advances the frame by one product per block and re-orthonormalizes it,
 returning diag R, from which callers take log |diag R| and the phase of
-det R.  Every frame is a lane: a stack of lanes, each with its own
-factors, is re-orthonormalized by one np.linalg.qr over all lanes per
-block, and a single frame runs as a stack of one lane.  The
-characteristic polynomial check runs its two routes as two lanes of one
-stack: the solution-recursion route on the steps from _recursion_steps,
-the transfer-minor route on the A_k from transfer_factors.  The Lyapunov
-engine runs its batches as lanes on the block products of one stream.
+det R.  Every frame is a lane, and any leading axes of the frames and
+factors are lane axes.  The frames are held lanes last, so that each block
+is one product and one classical Gram-Schmidt QR done twice, every step an
+elementwise operation over all lanes; np.linalg.qr redoes a lane only for
+a block where Gram-Schmidt would lose it to rounding or overflow.  A lane
+rounds the same whatever the other lanes are, and a single frame runs as
+two equal lanes.  The characteristic polynomial check runs its two routes
+as two lanes of one stack: the solution-recursion route on the steps from
+_recursion_steps, the transfer-minor route on the A_k from
+transfer_factors.  The Lyapunov engine runs its batches, over every
+energy or coupling of a scan, as lanes on the block products of one
+stream.
 
 _recursion_steps is the one builder of the solution recursion
 S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k).  fundamental_solutions runs
@@ -87,6 +96,7 @@ into an error.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -110,6 +120,12 @@ PIVOT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # cover the rounding of one ell <= 3 block product, inverse and eigvalsh.
 COUNT_ROUNDING = 64 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# Gram-Schmidt QR: a column that keeps no more than GS_KEEP of its norm
+# after both projections is mostly rounding, and a squared norm below
+# GS_NORM_FLOOR, about 1e-292, may hold subnormal squares; np.linalg.qr
+# redoes the lanes of either, and of a squared norm that overflows.
+GS_KEEP = 64 * float(np.finfo(float).eps)
+GS_NORM_FLOOR = _TINY / float(np.finfo(float).eps)
 # Sites per block of the streaming sweep, and pivots per block over all its
 # sites, chains and energies: a width above 1,024 gets fewer sites a block.
 STREAM_BLOCK = 64
@@ -134,24 +150,33 @@ def _energy(E: complex) -> complex:
     return float(np.real(E)) if np.imag(E) == 0.0 else E
 
 
-def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex) -> np.ndarray:
-    """Stack of A_k built from diagonal blocks V (m, ell, ell) and incoming hoppings S_prev.
+def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex | Sequence[complex]) -> np.ndarray:
+    """Stack of A_k built from diagonal blocks V (..., m, ell, ell) and incoming hoppings S_prev.
 
     S_prev is either a stack (m, ell, ell) or one hopping (ell, ell) shared
-    by every factor, which is then inverted once.  The result is float64
-    unless V, S_prev or E is complex; a complex E with zero imaginary part
-    counts as real.  At complex E the block (V - E) W, W = S_prev^{-1}, is
-    formed as V W - E W, so that the product stays real for real blocks.
+    by every factor, which is then inverted once.  E is one energy, giving
+    A of the shape of V's stack (..., m, 2ell, 2ell), or a sequence of K
+    energies, giving (K, ..., m, 2ell, 2ell): every energy's factors from
+    the same blocks, each bit for bit as if built alone.  The result is
+    float64 unless V, S_prev or E is complex; energies whose imaginary
+    parts are all zero count as real.  At complex E the block (V - E) W,
+    W = S_prev^{-1}, is formed as V W - E W, so that the product stays real
+    for real blocks.
     """
     V = np.asarray(V)
     S_prev = np.asarray(S_prev)
-    E = _energy(E)
-    m, ell = V.shape[0], V.shape[-1]
+    z = np.asarray(E)
+    if np.iscomplexobj(z) and not np.any(z.imag):
+        z = z.real  # real energies keep real arithmetic
+    ell = V.shape[-1]
     W = np.linalg.inv(S_prev)
-    A = np.zeros((m, 2 * ell, 2 * ell), dtype=np.result_type(V, S_prev, E, float))
-    A[:, :ell, ell:] = W
-    A[:, ell:, :ell] = -np.swapaxes(S_prev, -1, -2)
-    A[:, ell:, ell:] = V @ W - E * W if isinstance(E, complex) else (V - E * np.eye(ell)) @ W
+    # one energy axis in front of V's axes, or none
+    z = z.reshape(z.shape + (1,) * V.ndim)
+    shifted = V @ W - z * W if np.iscomplexobj(z) else (V - z * np.eye(ell)) @ W
+    A = np.zeros(shifted.shape[:-2] + (2 * ell, 2 * ell), dtype=np.result_type(shifted, S_prev, float))
+    A[..., :ell, ell:] = W
+    A[..., ell:, :ell] = -np.swapaxes(S_prev, -1, -2)
+    A[..., ell:, ell:] = shifted
     return A
 
 
@@ -209,32 +234,96 @@ def block_products(F: np.ndarray, reorth: int) -> np.ndarray:
     return P
 
 
+@functools.cache
+def _identity(dim: int, lane_axes: int) -> np.ndarray:
+    """The dim x dim identity with lane_axes trailing axes of length one."""
+    I = np.eye(dim).reshape((dim, dim) + (1,) * lane_axes)
+    I.flags.writeable = False
+    return I
+
+
+def _gram_schmidt(Y: np.ndarray, diag_r: np.ndarray) -> np.ndarray:
+    """Q of the frames Y (dim, cols, *lanes), lanes last, by classical Gram-Schmidt done twice.
+
+    Column j is projected twice by I - sum over i < j of q_i q_i^H, which is
+    kept as one matrix per lane and updated column by column, and then
+    normalized.  diag R, real and positive, is written into diag_r (cols,
+    *lanes).  Every step is one elementwise operation, or one sum over a
+    leading axis, over all lanes at once.  A lane whose column keeps no
+    more than GS_KEEP of its norm after both projections, or whose squared
+    norm overflows or falls below GS_NORM_FLOOR, is redone by np.linalg.qr.
+    """
+    add = np.add.reduce
+    conj = np.conjugate if np.iscomplexobj(Y) else (lambda v: v)
+    dim, cols = Y.shape[:2]
+    before = add((Y * conj(Y)).real, axis=0)  # squared column norms, (cols, *lanes)
+    after = np.empty_like(before)
+    W = np.empty_like(Y)
+    W[:, 0] = Y[:, 0]
+    for j in range(cols):
+        v = W[:, j]
+        if j:
+            add(M * add(M * Y[None, :, j], axis=1)[None], axis=1, out=v)
+        v_conj = conj(v)
+        add((v * v_conj).real, axis=0, out=after[j])
+        if j + 1 < cols:
+            outer = (v / after[j])[:, None] * v_conj[None]
+            M = _identity(dim, Y.ndim - 2) - outer if j == 0 else M - outer
+    norms = np.sqrt(after)
+    diag_r[...] = norms
+    Q = np.multiply(W, 1.0 / norms, out=W)
+    held = np.maximum(GS_KEEP**2 * before, GS_NORM_FLOOR) < after
+    if not held.all():
+        redo = ~held.all(axis=0)
+        Q_redo, R = np.linalg.qr(np.moveaxis(Y, (0, 1), (-2, -1))[redo])
+        np.moveaxis(Q, (0, 1), (-2, -1))[redo] = Q_redo
+        np.moveaxis(diag_r, 0, -1)[redo] = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q
+
+
 def qr_product(X: np.ndarray, F: np.ndarray, reorth: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance frames X through the factors F, re-orthonormalizing after every reorth of them.
 
-    X is a stack of lanes (lanes, dim, cols) with F (lanes, m, dim, dim),
-    each lane advanced through its own factors, or one frame (dim, cols)
-    with F (m, dim, dim), which runs as a stack of one lane; frames may be
+    X is a stack of frames (..., dim, cols) and F a stack (..., m, dim, dim)
+    of factors; their leading lane axes broadcast, and every lane advances
+    through its own factors.  No lane axis means one frame.  Frames may be
     square or tall.  Each block of reorth consecutive factors is first
-    folded into one product by block_products, so the sequential part is
-    one stacked product and one stacked np.linalg.qr per block for all
-    lanes, whose fixed cost of some 20 microseconds is shared.  Returns the
-    last frames and diag R, of shape (lanes, blocks, cols), or (blocks,
-    cols) for one frame: log |diag R| carries the growth, and the product
-    of diag R / |diag R| is the phase of det R.  With no factors X comes
-    back unchanged.  An overflow shows as non-finite frames or diag R,
-    which callers check, not as warnings.
+    folded into one product by block_products.  The frames are then held
+    lanes last, and each block is one product and one QR by _gram_schmidt
+    (classical Gram-Schmidt done twice; Giraud, Langou and Rozloznik 2005),
+    each step an elementwise operation over all lanes; a lane that it
+    cannot orthonormalize to rounding is redone by np.linalg.qr for that
+    block.  Every lane rounds as it would run alone, so its results do not
+    depend on the other lanes; a single lane runs as two equal ones, since
+    numpy sums over one lane in another order.  F may be a strided view;
+    it is copied one block position at a time, never whole.  Returns the
+    last frames and diag R, of shape (..., blocks, cols): log |diag R|
+    carries the growth, and the product of diag R / |diag R| is the phase
+    of det R.  With no factors X comes back unchanged.  An overflow shows
+    as non-finite frames or diag R, which callers check, not as warnings.
     """
-    if X.ndim == 2:
-        X, diag_r = qr_product(X[None], F[None], reorth)
-        return X[0], diag_r[0]
     P = block_products(F, reorth)
-    diag_r = np.empty(P.shape[:-2] + X.shape[-1:], dtype=np.result_type(P, X))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(P.shape[1]):
-            X, R = np.linalg.qr(P[:, b] @ X)
-            diag_r[:, b] = np.diagonal(R, axis1=-2, axis2=-1)
-    return X, diag_r
+    lead = np.broadcast_shapes(P.shape[:-3], X.shape[:-2])
+    (dim, cols), blocks = X.shape[-2:], P.shape[-3]
+    if blocks == 0:
+        return X, np.empty(lead + (0, cols), dtype=np.result_type(P, X))
+    if math.prod(lead) == 1:
+        X, diag_r = qr_product(np.broadcast_to(X.reshape(dim, cols), (2, dim, cols)),
+                               np.broadcast_to(P.reshape(P.shape[-3:]), (2,) + P.shape[-3:]), 1)
+        return X[0].reshape(lead + (dim, cols)), diag_r[0].reshape(lead + (blocks, cols))
+    P = np.broadcast_to(P, lead + P.shape[-3:])
+    n = len(lead)
+    last = (n, n + 1) + tuple(range(n))  # (*lead, a, b) -> (a, b, *lead)
+    # frames and products copied lanes last, (dim, cols, *lead) and (dim, dim, *lead): numpy
+    # may round a lane that is a broadcast or strided view otherwise than a contiguous one
+    frames = np.ascontiguousarray(np.broadcast_to(X, lead + (dim, cols)).transpose(last))
+    diag_r = np.empty((blocks, cols) + lead, dtype=np.result_type(P, X))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for b in range(blocks):
+            step = np.ascontiguousarray(P[..., b, :, :].transpose(last))
+            frames = _gram_schmidt(np.add.reduce(step[:, :, None] * frames[None], axis=1), diag_r[b])
+    first = tuple(range(2, n + 2)) + (0, 1)  # the inverse of last
+    return np.ascontiguousarray(frames.transpose(first)), np.ascontiguousarray(diag_r.transpose(first))
 
 
 def _padded_hopping(M: BlockJacobiMatrix) -> np.ndarray:

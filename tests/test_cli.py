@@ -379,6 +379,30 @@ class TestErrorPaths:
         assert code == 2
         assert "100 sites" in json.loads(capsys.readouterr().err)["error"]
 
+    _HUGE_GAMMA_CFGS = {
+        "periodic": {"potential": [1.0]},
+        "asspec": {"rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "max_period": 2, "samples_per_period": 3},
+    }
+
+    @pytest.mark.parametrize("command", list(_HUGE_GAMMA_CFGS))
+    @pytest.mark.parametrize("gamma", [1e308, 1.5e308])
+    def test_band_edges_that_overflow_exit_3(self, tmp_path, capsys, command, gamma):
+        cfg_path = write_cfg(tmp_path / "c.json", {**self._HUGE_GAMMA_CFGS[command], "gamma": gamma})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical" and "not finite" in err["error"]
+        assert not (out / "intervals.csv").exists()
+
+    @pytest.mark.parametrize("command", list(_HUGE_GAMMA_CFGS))
+    def test_band_edges_at_gamma_1e300_are_finite(self, tmp_path, command):
+        # |1 + gamma| = 1e300 still fits the SVD; the row is the one written before the finiteness check
+        cfg_path = write_cfg(tmp_path / "c.json", {**self._HUGE_GAMMA_CFGS[command], "gamma": 1e300})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "intervals.csv")
+        assert rows == [[-2e300, 2e300]]
+
     _CHAINS_CFG = {"seed": 1, "ell_values": [1, 2], "L_max": 6}
 
     @pytest.mark.parametrize("command, cfg", [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,53 @@ class TestThouless:
             # gamma=1/2, mu=1: -(1/2) E log|det S| = -(1/2) log(3/4)
             assert rep.hopping_term == pytest.approx(-0.5 * np.log(0.75), abs=1e-12)
 
+    def test_energies_are_lanes_equal_to_one_spectrum_each(self, two_point_field, monkeypatch):
+        # one pass over three energies, and passes of two and of one energy, on the same stream
+        p = ModelParams(2, 0.5, two_point_field)
+        q = ModelParams(40, 0.5, two_point_field)
+        chains = [assemble_block_jacobi(q, sample_disorder(q, 12, r)) for r in range(2)]
+        energies = [1.0 + 0.5j, -0.4 + 0.3j, 2.0j]
+        one_pass = thouless_check(p, energies, chains, steps=20_000, seed=9)
+        monkeypatch.setattr(lyapunov, "PASS_ENERGIES", 2)
+        two_passes = thouless_check(p, energies, chains, steps=20_000, seed=9)
+        for E, rep, split in zip(energies, one_pass, two_passes):
+            index = lyapunov_index(lyapunov_spectrum(p, E, steps=20_000, seed=9))
+            assert (rep.index_value, rep.index_se) == (index.value, index.se)
+            assert (split.index_value, split.index_se) == (index.value, index.se)
+
+    def test_group_budget_does_not_change_the_batched_exponents(self, two_point_field, monkeypatch):
+        # 120 blocks per batch and 100 warm-up blocks per energy, the budget shared by two energies:
+        # one group, groups of 7 and of 3 lanes, and batches that run alone
+        p = ModelParams(2, 0.5, two_point_field)
+        q = ModelParams(40, 0.5, two_point_field)
+        chains = [assemble_block_jacobi(q, sample_disorder(q, 13, r)) for r in range(2)]
+        energies = [1.0 + 0.5j, -0.4 + 0.3j]
+        results = []
+        for budget in (lyapunov.GROUP_BLOCKS, 2 * (100 + 7 * 120), 100 + 7 * 120, 2 * (100 + 119)):
+            monkeypatch.setattr(lyapunov, "GROUP_BLOCKS", budget)
+            reps = thouless_check(p, energies, chains, steps=60_000, seed=5)
+            results.append([(rep.index_value, rep.index_se) for rep in reps])
+        assert all(result == results[0] for result in results[1:])
+
+    def test_memory_does_not_grow_with_the_energy_count(self, two_point_field):
+        # 60,000 steps fill whole chunks of factors and two groups per pass of 16 energies
+        p = ModelParams(2, 0.5, two_point_field)
+        q = ModelParams(40, 0.5, two_point_field)
+        chains = [assemble_block_jacobi(q, sample_disorder(q, 14, r)) for r in range(2)]
+        peaks = []
+        for count in (lyapunov.PASS_ENERGIES, 3 * lyapunov.PASS_ENERGIES):
+            energies = list(np.linspace(-2.0, 2.0, count) + 0.3j)
+            tracemalloc.start()
+            try:
+                thouless_check(p, energies, chains, steps=60_000, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # complex 4 x 4 block products of one group hold at most 16 * GROUP_BLOCKS bytes ...
+        assert peaks[0] <= 3 * 16 * 16 * lyapunov.GROUP_BLOCKS
+        # ... and three times the energies run as three passes in the same memory
+        assert peaks[1] <= 1.05 * peaks[0]
+
     def test_chains_of_unequal_length_are_rejected(self, two_point_field):
         p = ModelParams(20, 0.5, two_point_field)
         q = ModelParams(21, 0.5, two_point_field)
@@ -340,6 +388,13 @@ class TestAlphaScan:
         assert 1.0 < lo < hi < 8.0
         # f is monotone here, so grid values must straddle zero
         assert res.f_values[0] < 0 < res.f_values[-1]
+
+    def test_grid_is_one_pass_equal_to_one_run_per_coupling(self, two_point_field):
+        res = critical_alpha_scan(0.5, two_point_field, 1.0, 8.0, steps=15_000, seed=19, grid_points=5)
+        for alpha, f, se in zip(res.alphas, res.f_values, res.se_values):
+            # the coupling as the scan forms it, alpha / sqrt(1 - gamma^2)
+            est = anderson_lyapunov_2x2(alpha * (1.0 / np.sqrt(0.75)), two_point_field, steps=15_000, seed=19)
+            assert (f, se) == (est.value - res.shift, est.se)
 
     def test_more_steps_tighten_the_band(self, two_point_field):
         coarse = critical_alpha_scan(0.5, two_point_field, 1.0, 8.0, steps=10_000, seed=6, grid_points=3)

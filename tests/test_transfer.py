@@ -181,6 +181,78 @@ class TestQRProduct:
             # a single frame runs as a stack of one lane, so each lane matches it bit for bit
             assert np.array_equal(d[lane], d_ref) and np.array_equal(Q[lane], Q_ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(1, 4),
+        tall=st.booleans(),
+        complex_type=st.booleans(),
+        lanes=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 150]),
+        nfactors=st.integers(1, 4),
+        reorth=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_lane_is_a_qr_that_rounds_as_if_alone(self, ell, tall, complex_type, lanes, nfactors,
+                                                        reorth, seed):
+        rng = np.random.default_rng(seed)
+        dim, cols = 2 * ell, ell if tall else 2 * ell
+
+        def draw(*shape):
+            a = rng.normal(size=shape)
+            return a + 1j * rng.normal(size=shape) if complex_type else a
+
+        X0, factors = draw(lanes, dim, cols), draw(lanes, nfactors, dim, dim)
+        Q, d = qr_product(X0, factors, reorth)
+        # the frames of the last block, advanced one factor at a time from the frame it starts from
+        first = (-(-nfactors // reorth) - 1) * reorth
+        Y, _ = qr_product(X0, factors[:, :first], reorth)
+        for k in range(first, nfactors):
+            Y = factors[:, k] @ Y
+        scale = np.linalg.norm(Y, axis=(-2, -1))[:, None, None]
+        QhY = np.swapaxes(Q.conj(), -1, -2) @ Y
+        R = np.triu(QhY)
+        assert np.abs(np.swapaxes(Q.conj(), -1, -2) @ Q - np.eye(cols)).max() <= 1e-13
+        assert np.all(np.abs(QhY - R) <= 1e-13 * scale)  # Q^H Y is upper triangular
+        assert np.all(np.abs(Q @ R - Y) <= 1e-13 * scale)
+        assert np.all(np.abs(np.diagonal(R, axis1=-2, axis2=-1) - d[:, -1]) <= 1e-13 * scale[:, 0])
+        for lane in {0, lanes // 2, lanes - 1}:
+            Q_ref, d_ref = qr_product(X0[lane], factors[lane], reorth)
+            assert np.array_equal(Q[lane], Q_ref) and np.array_equal(d[lane], d_ref)
+
+    def test_columns_lost_to_rounding_are_redone_by_lapack(self):
+        # ten steps of [[0, 1], [-1, c nu]] with nu = 1 at alpha = 8, c = 8 / sqrt(3/4), from the
+        # identity: the second column keeps about 1e-18 of its norm.  A frame with equal columns
+        # makes Gram-Schmidt alone divide 0 by 0.
+        c = 8.0 / np.sqrt(0.75)
+        alpha_8 = transfer_factors(np.full((10, 1, 1), c), np.ones((1, 1)), 0.0)
+        for X0, factors, reorth in ((np.eye(2), alpha_8, 10), (np.ones((2, 2)), np.eye(2)[None], 1)):
+            Q, d = qr_product(X0, factors, reorth)
+            Q_ref, R_ref = np.linalg.qr(transfer.block_products(factors, reorth)[0] @ X0)
+            assert np.all(np.isfinite(Q)) and np.all(np.isfinite(d))
+            assert np.array_equal(Q, Q_ref) and np.array_equal(d[0], np.diagonal(R_ref))
+
+    @pytest.mark.parametrize("complex_type", [False, True])
+    @pytest.mark.parametrize("size", [1e200, 1e-160])
+    def test_squared_norms_out_of_range_stay_finite(self, rng, complex_type, size):
+        # lane 1 has entries near size, whose squares overflow or are subnormal; np.linalg.qr, which
+        # scales its norms, stays finite there, and so must the lane.  The other lanes are untouched.
+        def draw(*shape):
+            a = rng.normal(size=shape)
+            return a + 1j * rng.normal(size=shape) if complex_type else a
+
+        X0, factors = draw(3, 4, 4), draw(3, 5, 4, 4)
+        factors[1] *= size
+        Q, d = qr_product(X0, factors, 1)
+        assert np.all(np.isfinite(Q)) and np.all(np.isfinite(d))
+        X, d_ref = X0[1], []
+        for F in factors[1]:
+            X, R = np.linalg.qr(F @ X)
+            d_ref.append(np.diagonal(R))
+        np.testing.assert_allclose(np.abs(d[1]), np.abs(np.array(d_ref)), rtol=1e-12)
+        assert np.abs(Q[1].conj().T @ Q[1] - np.eye(4)).max() <= 1e-13
+        for lane in (0, 2):
+            Q_ref, d_lane = qr_product(X0[lane], factors[lane], 1)
+            assert np.array_equal(Q[lane], Q_ref) and np.array_equal(d[lane], d_lane)
+
     @pytest.mark.parametrize("reorth", [2, 3, 10])
     def test_complex_blocks_fold_like_complex_products(self, rng, reorth):
         factors = rng.normal(size=(2, 11, 4, 4)) + 1j * rng.normal(size=(2, 11, 4, 4))
