@@ -45,10 +45,11 @@ TWO_STEP_DET_TOL = 1e-12
 GROUP_BLOCKS = 1 << 16
 # Steps of the stream drawn at a time, for every parameter value at once.
 CHUNK_STEPS = 1024
-# Energies of one thouless_check pass, so that its chunks of factors stay
-# within a quarter of GROUP_BLOCKS; more energies run as further passes on
+# Parameter values of one pass (the energies of thouless_check, the grid of
+# critical_alpha_scan), so that a chunk of factors over all of them stays
+# within a quarter of GROUP_BLOCKS; more values run as further passes on
 # the same stream.
-PASS_ENERGIES = GROUP_BLOCKS // (4 * CHUNK_STEPS)
+PASS_VALUES = GROUP_BLOCKS // (4 * CHUNK_STEPS)
 ALPHA_ROOT_WIDTH = 1e-2
 
 
@@ -343,9 +344,9 @@ def thouless_check(
     factors of all energies, and the Lyapunov index at E is bit for bit
     lyapunov_index(lyapunov_spectrum(model, E, steps, seed)) whenever the
     energies are all complex or all real (a real energy among complex ones
-    runs in complex arithmetic, equal up to rounding).  At most
-    PASS_ENERGIES energies share a pass, so that memory does not grow with
-    their number; further ones run as more passes on the same stream.  On
+    runs in complex arithmetic, equal up to rounding).  At most PASS_VALUES
+    energies share a pass, so that memory does not grow with their number;
+    further ones run as more passes on the same stream.  On
     the right, the hopping mean is exact, and the DOS integral is the mean
     over the equal-length chains dos_chains of log|det(M - E)| / (n l),
     which is the mean of log|E - lambda| over their eigenvalues.  One Schur
@@ -361,8 +362,8 @@ def thouless_check(
     n, ell = dos_chains[0].n, dos_chains[0].ell
     dos_terms = log_abs_det(dos_chains, energies).mean(axis=0) / (n * ell)
     reports = []
-    for first in range(0, len(energies), PASS_ENERGIES):
-        batch = list(energies[first:first + PASS_ENERGIES])
+    for first in range(0, len(energies), PASS_VALUES):
+        batch = list(energies[first:first + PASS_VALUES])
         exponents, se, counted = _qr_exponents(
             ensemble.factor_sampler(batch), 2 * ensemble.ell, steps, seed, DEFAULT_REORTH
         )
@@ -388,7 +389,7 @@ def thouless_check(
 
 
 def _anderson_sampler(couplings: float | np.ndarray, rho: SingleSiteDistribution) -> Callable:
-    """Sampler of the factors [[0, 1], [-1, c nu]], nu ~ rho: (m, 2, 2) for one coupling, (..., m, 2, 2) for many."""
+    """Sampler of [[0, 1], [-1, c nu]], nu ~ rho: (m, 2, 2) for one coupling c, (..., m, 2, 2) for many."""
     c = np.asarray(couplings, dtype=float)
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -552,10 +553,11 @@ def critical_alpha_scan(
     descending branch; a root of f marks the coupling where it vanishes.
     Each sign change on the grid is narrowed by bisection to ALPHA_ROOT_WIDTH.
     Every evaluation reuses the same seed so f is a deterministic function
-    of alpha and bisection is well posed at fixed steps.  The grid is one
-    pass of the cocycle engine with the couplings as a parameter axis on
-    one nu stream, bit for bit the values of one anderson_lyapunov_2x2 run
-    per coupling; the bisection runs one coupling at a time.
+    of alpha and bisection is well posed at fixed steps.  The grid runs as
+    passes of the cocycle engine with at most PASS_VALUES couplings as a
+    parameter axis on the same nu stream, bit for bit the values of one
+    anderson_lyapunov_2x2 run per coupling; the bisection runs one coupling
+    at a time.
     """
     if not 0.0 < gamma < 1.0:
         raise ConfigError("the coupling scan is defined for gamma in (0, 1)")
@@ -569,8 +571,13 @@ def critical_alpha_scan(
         return est.value - s, est.se
 
     alphas = np.linspace(alpha_lo, alpha_hi, grid_points)
-    exps, se, _ = _qr_exponents(_anderson_sampler(alphas * scale, rho), 2, steps, seed, DEFAULT_REORTH)
-    f_values, se_values = exps[:, 0] - s, se[:, 0]
+    couplings = alphas * scale
+    passes = [
+        _qr_exponents(_anderson_sampler(couplings[first:first + PASS_VALUES], rho), 2, steps, seed, DEFAULT_REORTH)
+        for first in range(0, grid_points, PASS_VALUES)
+    ]
+    f_values = np.concatenate([exps[:, 0] for exps, _, _ in passes]) - s
+    se_values = np.concatenate([se[:, 0] for _, se, _ in passes])
 
     roots: list[tuple[float, float]] = []
     for i in range(grid_points - 1):

@@ -274,7 +274,7 @@ class TestThouless:
         chains = [assemble_block_jacobi(q, sample_disorder(q, 12, r)) for r in range(2)]
         energies = [1.0 + 0.5j, -0.4 + 0.3j, 2.0j]
         one_pass = thouless_check(p, energies, chains, steps=20_000, seed=9)
-        monkeypatch.setattr(lyapunov, "PASS_ENERGIES", 2)
+        monkeypatch.setattr(lyapunov, "PASS_VALUES", 2)
         two_passes = thouless_check(p, energies, chains, steps=20_000, seed=9)
         for E, rep, split in zip(energies, one_pass, two_passes):
             index = lyapunov_index(lyapunov_spectrum(p, E, steps=20_000, seed=9))
@@ -301,7 +301,7 @@ class TestThouless:
         q = ModelParams(40, 0.5, two_point_field)
         chains = [assemble_block_jacobi(q, sample_disorder(q, 14, r)) for r in range(2)]
         peaks = []
-        for count in (lyapunov.PASS_ENERGIES, 3 * lyapunov.PASS_ENERGIES):
+        for count in (lyapunov.PASS_VALUES, 3 * lyapunov.PASS_VALUES):
             energies = list(np.linspace(-2.0, 2.0, count) + 0.3j)
             tracemalloc.start()
             try:
@@ -389,12 +389,16 @@ class TestAlphaScan:
         # f is monotone here, so grid values must straddle zero
         assert res.f_values[0] < 0 < res.f_values[-1]
 
-    def test_grid_is_one_pass_equal_to_one_run_per_coupling(self, two_point_field):
-        res = critical_alpha_scan(0.5, two_point_field, 1.0, 8.0, steps=15_000, seed=19, grid_points=5)
-        for alpha, f, se in zip(res.alphas, res.f_values, res.se_values):
-            # the coupling as the scan forms it, alpha / sqrt(1 - gamma^2)
-            est = anderson_lyapunov_2x2(alpha * (1.0 / np.sqrt(0.75)), two_point_field, steps=15_000, seed=19)
-            assert (f, se) == (est.value - res.shift, est.se)
+    def test_grid_passes_equal_one_run_per_coupling(self, two_point_field, monkeypatch):
+        # one pass of five couplings, and passes of two, two and one
+        one_pass = critical_alpha_scan(0.5, two_point_field, 1.0, 8.0, steps=15_000, seed=19, grid_points=5)
+        monkeypatch.setattr(lyapunov, "PASS_VALUES", 2)
+        three_passes = critical_alpha_scan(0.5, two_point_field, 1.0, 8.0, steps=15_000, seed=19, grid_points=5)
+        for res in (one_pass, three_passes):
+            for alpha, f, se in zip(res.alphas, res.f_values, res.se_values):
+                # the coupling as the scan forms it, alpha / sqrt(1 - gamma^2)
+                est = anderson_lyapunov_2x2(alpha * (1.0 / np.sqrt(0.75)), two_point_field, steps=15_000, seed=19)
+                assert (f, se) == (est.value - res.shift, est.se)
 
     def test_more_steps_tighten_the_band(self, two_point_field):
         coarse = critical_alpha_scan(0.5, two_point_field, 1.0, 8.0, steps=10_000, seed=6, grid_points=3)
