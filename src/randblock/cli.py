@@ -13,7 +13,8 @@ chains at once also bounds their total sites by `_MAX_SIZE`.
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr, and an almost surely constant disorder
 law emits {"warning": ..., "kind": "TrivialDisorderWarning"} there.  Every
-subcommand runs its realizations one after another, in index order.
+subcommand draws its realizations one after another, in index order
+(green-check and charpoly-check then run them as lanes of passes).
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def _parse_config(command: str, cfg, seed: int | None = None) -> SimpleNamespace
 # largest dimension of a dense matrix the CLI builds; a complex matrix of this
 # size takes 256 MB per copy
 _MAX_DENSE_DIM = 4000
+# ell x ell blocks of the largest array of one green-check or charpoly-check pass
+_PASS_BLOCKS = 2**16
 
 
 def _check_dense(what: str, dim: int) -> None:
@@ -249,30 +252,58 @@ def _cmd_asspec(v, cfg: dict, out: str, args) -> None:
     _progress(args, f"{union.intervals.shape[0]} intervals, hull {union.hull}")
 
 
-def _random_chains(v, stream: int):
-    """Yield (i, ell, L, M) for the random finite chains of green-check and charpoly-check."""
+def _chain_passes(v, stream: int, cost: Callable[[int], int], check: Callable):
+    """Yield (instance, M, result) for the random finite chains of green-check and charpoly-check.
+
+    The chains are drawn from one stream in instance order.  The chains of
+    each ell run as one pass, check(chains) giving one result per chain,
+    once one more chain would take their number times cost(L) of the
+    longest above _PASS_BLOCKS, and at the end.
+    """
     _check_dense("L_max * max(ell_values)", v.L_max * max(v.ell_values))
+
+    def run(chains):
+        instances, Ms = zip(*chains)
+        try:
+            return zip(instances, Ms, check(Ms))
+        except NumericalFailure as exc:  # a failure of a pass names the chain, and so its instance
+            raise NumericalFailure(f"instance {instances[exc.chain]}: {exc}") from exc
+
     rng = realization_rng(v.seed, stream)
+    passes: dict[int, tuple[int, list]] = {}  # ell -> (longest L, chains)
     for i in range(v.instances):
         ell = int(rng.choice(v.ell_values))
         L = int(rng.integers(2, v.L_max + 1))
-        yield i, ell, L, random_instance(rng, ell, L)
+        M = random_instance(rng, ell, L)
+        longest, chains = passes.get(ell, (L, []))
+        if chains and (len(chains) + 1) * cost(max(longest, L)) > _PASS_BLOCKS:
+            yield from run(chains)
+            longest, chains = L, []
+        chains.append((i, M))
+        passes[ell] = (max(longest, L), chains)
+    for _, chains in passes.values():
+        yield from run(chains)
 
 
 def _cmd_green_check(v, cfg: dict, out: str, args) -> None:
     z = v.z
-    rows = []
+
+    def check(chains):
+        evaluator = transfer.GreenEvaluator(chains, z)
+        Ws = transfer.wronskian(chains, *transfer.fundamental_solutions(chains, z))
+        return list(zip(evaluator.blocks(), Ws, evaluator.pivot_cond))
+
+    rows = [None] * v.instances
     worst_cond = 0.0
-    for i, ell, L, M in _random_chains(v, 0):
-        evaluator = transfer.GreenEvaluator(M, z)
-        worst_cond = max(worst_cond, evaluator.pivot_cond)
+    for i, M, (G, W, cond) in _chain_passes(v, 0, lambda L: L * L, check):
+        L, ell = M.n, M.ell
+        worst_cond = max(worst_cond, float(cond))
         resolvent = np.linalg.inv(M.dense() - z * np.eye(L * ell))
         scale = np.linalg.norm(resolvent, 2)
         reference = resolvent.reshape(L, ell, L, ell).swapaxes(1, 2)
-        worst = float(np.max(np.abs(evaluator.blocks() - reference)))
-        W = transfer.wronskian(M, *transfer.fundamental_solutions(M, z))
+        worst = float(np.max(np.abs(G - reference)))
         wdev = float(np.max(np.abs(W - W[0]))) / max(1.0, float(np.max(np.abs(W[0]))))
-        rows.append((i, ell, L, z.real, z.imag, worst / scale, wdev))
+        rows[i] = (i, ell, L, z.real, z.imag, worst / scale, wdev)
     _write_csv(
         os.path.join(out, "green_check.csv"),
         cfg,
@@ -283,10 +314,10 @@ def _cmd_green_check(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_charpoly_check(v, cfg: dict, out: str, args) -> None:
-    rows = []
-    for i, ell, L, M in _random_chains(v, 1):
-        rep = transfer.charpoly_identity_check(M, v.E)
-        rows.append((i, ell, L, v.E.real, v.E.imag, rep.identity_residual, rep.exterior_residual))
+    rows = [None] * v.instances
+    # a site holds 2 routes x 4 ell x ell blocks of factors
+    for i, M, rep in _chain_passes(v, 1, lambda L: 8 * L, lambda chains: transfer.charpoly_identity_check(chains, v.E)):
+        rows[i] = (i, M.ell, M.n, v.E.real, v.E.imag, rep.identity_residual, rep.exterior_residual)
     _write_csv(
         os.path.join(out, "charpoly.csv"),
         cfg,

@@ -8,4 +8,8 @@ class ConfigError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """A computation could not produce a trustworthy result (CLI exit code 3)."""
+    """A computation could not produce a trustworthy result (CLI exit code 3); `chain` indexes a failing chain of a batch."""
+
+    def __init__(self, message: str, chain: int | None = None):
+        super().__init__(message)
+        self.chain = chain

@@ -26,25 +26,36 @@ elementwise operation over all lanes; np.linalg.qr redoes a lane only for
 a block where Gram-Schmidt would lose it to rounding or overflow.  A lane
 rounds the same whatever the other lanes are, and a single frame runs as
 two equal lanes.  The characteristic polynomial check runs its two routes
-as two lanes of one stack: the solution-recursion route on the steps from
-_recursion_steps, the transfer-minor route on the A_k from
-transfer_factors.  The Lyapunov engine runs its batches, over every
-energy or coupling of a scan, as lanes on the block products of one
-stream.
+over every chain of a batch as lanes (route, chain) of one stack: the
+solution-recursion route on the steps from _recursion_steps, the
+transfer-minor route on the A_k from transfer_factors.  The Lyapunov
+engine runs its batches, over every energy or coupling of a scan, as lanes
+on the block products of one stream.
+
+GreenEvaluator, fundamental_solutions with wronskian, and
+charpoly_identity_check take one chain or a sequence of chains with the
+same ell, the way transfer_factors takes one energy or a sequence; one
+chain is a batch of one.  A batch of chains of different lengths runs as
+lanes of one pass, each chain padded to the longest one so that it rounds
+bit for bit as it would alone, and a chain that fails raises a
+NumericalFailure whose `chain` is its index in the batch.
 
 _recursion_steps is the one builder of the solution recursion
 S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k).  fundamental_solutions runs
-the steps of the chain and of the reversed chain, whose forward solution
-read backwards is the backward one, as two lanes of one loop; with their
-Wronskian they remain an independent check of the Green blocks.
+the steps of every chain and of its reversed chain, whose forward solution
+read backwards is the backward one, as lanes (direction, chain) of one
+loop; with their Wronskian they remain an independent check of the Green
+blocks.
 
 Green blocks come from the recursive Green's function method (Thouless and
 Kirkpatrick 1981, MacKinnon and Kramer 1983), not from the fundamental
 solutions, which grow exponentially in L: schur_sweep eliminates the chain
-site by site, GreenEvaluator runs it forward and on the reversed chain as
-one sweep over a batch of two, and every pivot stays of the size of the
-resolvent itself.  Setup costs O(L ell^3); GreenEvaluator.blocks() returns
-all L^2 blocks in O(L^2 ell^3) time and O(L^2 ell^2) memory.
+site by site, GreenEvaluator runs it forward and on the reversed chain of
+every chain as one sweep over lanes (direction, chain), and every pivot
+stays of the size of the resolvent itself.  Setup costs O(L ell^3) a
+chain; GreenEvaluator.blocks() returns all L^2 blocks of every chain in
+O(L^2 ell^3) time and O(L^2 ell^2) memory a chain, L the longest of the
+batch.
 
 The same elimination, streamed over the sites of a batch of chains and
 energies, gives two more quantities from its pivots P_k.  _schur_stream
@@ -326,10 +337,33 @@ def qr_product(X: np.ndarray, F: np.ndarray, reorth: int) -> tuple[np.ndarray, n
     return np.ascontiguousarray(frames.transpose(first)), np.ascontiguousarray(diag_r.transpose(first))
 
 
-def _padded_hopping(M: BlockJacobiMatrix) -> np.ndarray:
-    """S_0..S_L with identity padding at both ends, shape (L+1, ell, ell)."""
-    eye = np.eye(M.ell)[None]
-    return np.concatenate([eye, M.S, eye])
+def _batch(M: BlockJacobiMatrix | Sequence[BlockJacobiMatrix]) -> tuple[list[BlockJacobiMatrix], bool]:
+    """The chains of M, one chain or a non-empty sequence of chains with the same ell, and whether M is one chain."""
+    single = isinstance(M, BlockJacobiMatrix)
+    chains = [M] if single else list(M)
+    if not chains or len({chain.ell for chain in chains}) > 1:
+        raise ValueError("a batch holds one or more chains, all with the same ell")
+    return chains, single
+
+
+def _stacked(chains: Sequence[tuple[np.ndarray, np.ndarray]], length: int,
+             offsets: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal blocks (R, length, ell, ell) and padded hoppings (R, length + 1, ell, ell) of R chains (V, S).
+
+    Chain r holds V_1..V_L at offsets[r] .. offsets[r] + L - 1 (offsets
+    default to 0) and its padded hoppings S_0 = I, S_1, ..., S_{L-1}, S_L = I
+    at offsets[r] .. offsets[r] + L; every other block is 0 and every other
+    hopping I.
+    """
+    ell = chains[0][0].shape[-1]
+    V = np.zeros((len(chains), length, ell, ell))
+    S = np.zeros((len(chains), length + 1, ell, ell))
+    S[...] = np.eye(ell)
+    for r, (V_r, S_r) in enumerate(chains):
+        start = offsets[r] if offsets is not None else 0
+        V[r, start:start + V_r.shape[0]] = V_r
+        S[r, start + 1:start + V_r.shape[0]] = S_r
+    return V, S
 
 
 def _recursion_steps(V: np.ndarray, S: np.ndarray, z: complex) -> np.ndarray:
@@ -349,51 +383,93 @@ def _recursion_steps(V: np.ndarray, S: np.ndarray, z: complex) -> np.ndarray:
     return steps
 
 
-def fundamental_solutions(M: BlockJacobiMatrix, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def fundamental_solutions(
+    M: BlockJacobiMatrix | Sequence[BlockJacobiMatrix], z: complex
+) -> tuple[np.ndarray, np.ndarray] | tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward and backward fundamental solutions at spectral parameter z, each of shape (L+2, ell, ell).
 
     The forward solution U has U(0) = 0, U(1) = I; the backward solution V
-    has V(L) = I, V(L+1) = 0.  One loop of stacked products runs the steps
-    of the chain and of the reversed chain (V[::-1], S[::-1] transposed),
-    whose forward solution read backwards is V.  Overflow raises
-    NumericalFailure naming the first site that overflowed, forward first:
-    these unscaled solutions are meant for moderate chain lengths.
+    has V(L) = I, V(L+1) = 0.  M is one chain, or a sequence of chains with
+    the same ell, for which U and V are lists with one solution per chain.
+    One loop of stacked products runs the steps of every chain and of its
+    reversed chain (V[::-1], S[::-1] transposed), whose forward solution
+    read backwards is V, as lanes (direction, chain); a chain shorter than
+    the longest runs on past its own S_L = I, into sites that it never
+    reads.  Overflow raises NumericalFailure naming the first site of the
+    first chain that overflowed, forward first: these unscaled solutions
+    are meant for moderate chain lengths.
     """
-    ell, L = M.ell, M.n
-    S = _padded_hopping(M)
-    steps = _recursion_steps(np.stack([M.V, M.V[::-1]]), np.stack([S, np.swapaxes(S[::-1], -1, -2)]), z)
-    lanes = np.zeros((2, L + 2, ell, ell), dtype=steps.dtype)
-    lanes[:, 1] = np.eye(ell)
+    chains, single = _batch(M)
+    ell, R, L = chains[0].ell, len(chains), max(chain.n for chain in chains)
+    lengths = np.array([chain.n for chain in chains])
+    reversed_chains = [(M.V[::-1], np.swapaxes(M.S[::-1], -1, -2)) for M in chains]
+    V, S = _stacked([(M.V, M.S) for M in chains] + reversed_chains, L)
+    steps = _recursion_steps(V, S, z).reshape(2, R, L, 2 * ell, 2 * ell)
+    lanes = np.zeros((2, R, L + 2, ell, ell), dtype=steps.dtype)
+    lanes[:, :, 1] = np.eye(ell)
     # an overflow is reported by the check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(L):
             # [X(k); X(k+1)] of each lane is a (2 ell, ell) view of two consecutive sites
-            lanes[:, k + 2] = steps[:, k, ell:] @ lanes[:, k:k + 2].reshape(2, 2 * ell, ell)
-    overflowed = ~(np.abs(lanes[:, 2:]).max(axis=(-2, -1)) <= OVERFLOW_LIMIT)
-    # the sites of each lane, in the order it computes them
-    for kind, row, sites in zip(("forward", "backward"), overflowed, (range(2, L + 2), range(L - 1, -1, -1))):
-        if row.any():
-            raise NumericalFailure(f"{kind} solution overflowed at site {sites[np.argmax(row)]}")
-    return lanes[0], lanes[1, ::-1]
+            lanes[:, :, k + 2] = steps[:, :, k, ell:] @ lanes[:, :, k:k + 2].reshape(2, R, 2 * ell, ell)
+    # at each chain's own sites only
+    overflowed = ~(np.abs(lanes[:, :, 2:]).max(axis=(-2, -1)) <= OVERFLOW_LIMIT) & (np.arange(L) < lengths[:, None])
+    if overflowed.any():
+        r = int(np.argmax(overflowed.any(axis=(0, 2))))
+        n = chains[r].n
+        # the sites of each lane, in the order it computes them
+        for kind, row, sites in zip(("forward", "backward"), overflowed[:, r], (range(2, n + 2), range(n - 1, -1, -1))):
+            if row.any():
+                raise NumericalFailure(f"{kind} solution overflowed at site {sites[np.argmax(row)]}", chain=r)
+    U = [lanes[0, r, :chain.n + 2] for r, chain in enumerate(chains)]
+    V = [lanes[1, r, chain.n + 1::-1] for r, chain in enumerate(chains)]
+    return (U[0], V[0]) if single else (U, V)
 
 
-def wronskian(M: BlockJacobiMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def wronskian(
+    M: BlockJacobiMatrix | Sequence[BlockJacobiMatrix],
+    U: np.ndarray | Sequence[np.ndarray],
+    V: np.ndarray | Sequence[np.ndarray],
+) -> np.ndarray | list[np.ndarray]:
     """Stack of the constant Wronskian W(k) = V(k)^t S_k U(k+1) - (S_k V(k+1))^t U(k), k = 0..L.
 
-    U and V are solutions (L+2, ell, ell) on M, S_k its padded hoppings.
-    Built with transposes throughout, so constancy in k holds for complex z
-    as well.  For the fundamental pair, W(0) = V(0)^t.  One batched product.
+    U and V are solutions (L+2, ell, ell) on M, S_k its padded hoppings; for
+    a sequence of chains, U and V are sequences with one solution per chain,
+    and so is the result.  Built with transposes throughout, so constancy in
+    k holds for complex z as well.  For the fundamental pair, W(0) = V(0)^t.
+    One batched product over all chains, padded to the longest.
     """
-    S = _padded_hopping(M)
-    return np.swapaxes(V[:-1], -1, -2) @ S @ U[1:] - np.swapaxes(S @ V[1:], -1, -2) @ U[:-1]
+    chains, single = _batch(M)
+    if single:
+        U, V = [U], [V]
+    L = max(chain.n for chain in chains)
+    _, S = _stacked([(chain.V, chain.S) for chain in chains], L)
+    pair = np.zeros((2, len(chains), L + 2) + S.shape[-2:], dtype=np.result_type(*U, *V))
+    for r, (U_r, V_r) in enumerate(zip(U, V)):
+        pair[:, r, :len(U_r)] = U_r, V_r
+    U, V = pair
+    W = np.swapaxes(V[:, :-1], -1, -2) @ S @ U[:, 1:] - np.swapaxes(S @ V[:, 1:], -1, -2) @ U[:, :-1]
+    W = [W[r, :chain.n + 1] for r, chain in enumerate(chains)]
+    return W[0] if single else W
 
 
 def _inverse(P: np.ndarray) -> np.ndarray:
-    """Inverse of one pivot or of a stack of pivots; an exactly singular one is a NumericalFailure."""
+    """Inverse of one pivot or of a stack of pivots.
+
+    An exactly singular pivot is a NumericalFailure whose `chain` is the
+    index of the first singular pivot, counted over the stack's leading axes
+    in C order.
+    """
     try:
         return np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"exactly singular Schur pivot: {exc}") from exc
+        # the stacked inverse factors each pivot alone, so the first one that fails alone is the one
+        for lane, pivot in enumerate(P.reshape((-1,) + P.shape[-2:])):
+            try:
+                np.linalg.inv(pivot)
+            except np.linalg.LinAlgError:
+                break
+        raise NumericalFailure(f"exactly singular Schur pivot: {exc}", chain=lane) from exc
 
 
 def schur_sweep(D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,9 +712,14 @@ def eigenvalue_counts(
     return negative, resolved
 
 
-def _cond1(P: np.ndarray, P_inv: np.ndarray) -> float:
-    """Largest 1-norm condition number ||P||_1 ||P^{-1}||_1 over a stack of pivots."""
-    return float(np.max(np.abs(P).sum(-2).max(-1) * np.abs(P_inv).sum(-2).max(-1)))
+def _cond1(P: np.ndarray, P_inv: np.ndarray) -> np.ndarray:
+    """1-norm condition number ||P||_1 ||P^{-1}||_1 of each pivot of a stack.
+
+    The stacks are copied contiguous first: numpy may round the modulus of
+    a complex entry of a strided view otherwise, so that a chain's pivots
+    would not give the same bits in a batch as alone.
+    """
+    return np.abs(np.ascontiguousarray(P)).sum(-2).max(-1) * np.abs(np.ascontiguousarray(P_inv)).sum(-2).max(-1)
 
 
 class GreenEvaluator:
@@ -653,86 +734,91 @@ class GreenEvaluator:
     real z a pivot is singular also when z is an eigenvalue of a leading or
     trailing sub-chain, so the guard may reject such a z although M - z is
     invertible.
+
+    M is one chain or a sequence of chains with the same ell.  For a
+    sequence, pivot_cond is an array and blocks() and block() return lists,
+    one entry per chain.  The chains are padded in front to the longest one
+    with decoupled sites, D = I and B = 0 also on the link before a chain's
+    first site, whose pivots are exactly I; so every chain ends on the last
+    site, the backward sweep is the forward one on the whole padded stack
+    reversed, each chain's own padding then at its tail, and one
+    schur_sweep runs both over lanes (direction, chain).  A chain that
+    fails, first by a singular pivot and then by pivot_cond, is a
+    NumericalFailure naming it.
     """
 
-    def __init__(self, M: BlockJacobiMatrix, z: complex):
+    def __init__(self, M: BlockJacobiMatrix | Sequence[BlockJacobiMatrix], z: complex):
         self.M = M
         self.z = z
-        D = M.V - _energy(z) * np.eye(M.ell)
-        B = -M.S
-        # batch entry 0 is the forward sweep, 1 the backward one: reversed chain, transposed hoppings
-        piv, piv_inv = schur_sweep(
-            np.stack([D, D[::-1]], axis=1), np.stack([B, np.swapaxes(B[::-1], -1, -2)], axis=1)
-        )
-        left_piv, g = piv[:, 0], piv_inv[:, 0]
-        right_piv, h = piv[::-1, 1], piv_inv[::-1, 1]
-        diag_piv = left_piv + right_piv - D
-        self._diagonal = _inverse(diag_piv)
-        self.pivot_cond = max(_cond1(left_piv, g), _cond1(right_piv, h), _cond1(diag_piv, self._diagonal))
-        if not self.pivot_cond <= PIVOT_COND_LIMIT:
+        chains, self._single = _batch(M)
+        ell, R, L = chains[0].ell, len(chains), max(chain.n for chain in chains)
+        self._offsets = L - np.array([chain.n for chain in chains])  # of each chain's first site
+        V, S = _stacked([(chain.V, chain.S) for chain in chains], L, self._offsets)
+        own = np.arange(L)[:, None] >= self._offsets  # (site, chain)
+        D = np.swapaxes(V, 0, 1) - _energy(z) * np.eye(ell)
+        D[~own] = np.eye(ell)
+        B = -np.swapaxes(S[:, 1:L], 0, 1)
+        B[~own[:-1]] = 0.0  # link k joins sites k and k + 1
+        try:
+            # lane (0, r) is the forward sweep of chain r, (1, r) the backward one: reversed chain, transposed hoppings
+            piv, piv_inv = schur_sweep(
+                np.stack([D, D[::-1]], axis=1), np.stack([B, np.swapaxes(B[::-1], -1, -2)], axis=1)
+            )
+            left_piv, g = piv[:, 0], piv_inv[:, 0]
+            right_piv, h = piv[::-1, 1], piv_inv[::-1, 1]
+            diag_piv = left_piv + right_piv - D
+            self._diagonal = _inverse(diag_piv)
+        except NumericalFailure as exc:
+            raise NumericalFailure(str(exc), chain=exc.chain % R) from exc
+        cond = np.maximum(np.maximum(_cond1(left_piv, g), _cond1(right_piv, h)), _cond1(diag_piv, self._diagonal))
+        cond = np.where(own, cond, 0.0).max(axis=0)  # over each chain's own sites
+        self.pivot_cond = float(cond[0]) if self._single else cond
+        failed = ~(cond <= PIVOT_COND_LIMIT)
+        if failed.any():
+            r = int(np.argmax(failed))
             raise NumericalFailure(
-                f"Schur pivot condition number {self.pivot_cond:.3e}: "
-                "z is on or too close to the spectrum"
+                f"Schur pivot condition number {cond[r]:.3e}: z is on or too close to the spectrum", chain=r
             )
         self._step = -(g[:-1] @ B)  # G(j, k) = -g_j B_j G(j+1, k) for j < k
-        self._blocks: np.ndarray | None = None
+        self._blocks: list[np.ndarray] | None = None
 
-    def blocks(self) -> np.ndarray:
-        """Every block, as G[j-1, k-1] = G(j, k) of shape (L, L, ell, ell).
+    def blocks(self) -> np.ndarray | list[np.ndarray]:
+        """Every block, as G[j-1, k-1] = G(j, k) of shape (L, L, ell, ell); a list of them for a batch.
 
-        One sweep up the columns fills the upper triangle, row j from row
-        j+1 in one stacked product; M - z is complex symmetric, so the lower
-        triangle is G(k, j) = G(j, k)^t.  O(L^2 ell^3) time and O(L^2 ell^2)
-        memory; the result is cached.
+        One sweep up the columns fills the upper triangles, row j from row
+        j+1 in one stacked product over the chains that reach row j; M - z
+        is complex symmetric, so column j below the diagonal is
+        G(k, j) = G(j, k)^t, copied as row j is made.
+        O(L^2 ell^3) time and O(L^2 ell^2) memory a chain; the result is
+        cached, and each chain's blocks are a view of one array.
         """
         if self._blocks is None:
-            L = self.M.n
-            G = np.zeros((L, L) + self._diagonal.shape[1:], dtype=self._diagonal.dtype)
-            G[np.arange(L), np.arange(L)] = self._diagonal
+            # lanes by first site, so that the chains reaching row j are the first reach[j]
+            order = np.argsort(self._offsets, kind="stable")
+            reach = np.searchsorted(self._offsets[order], np.arange(self._diagonal.shape[0]), side="right")
+            diagonal, step = self._diagonal[:, order], self._step[:, order]
+            L = diagonal.shape[0]
+            G = np.zeros((L, L) + diagonal.shape[1:], dtype=diagonal.dtype)  # (L, L, chain, ell, ell)
+            G[np.arange(L), np.arange(L)] = diagonal
             for j in range(L - 2, -1, -1):
-                G[j, j + 1:] = self._step[j] @ G[j + 1, j + 1:]
-            lower = np.tril_indices(L, -1)
-            G[lower] = G.transpose(1, 0, 3, 2)[lower]
-            self._blocks = G
-        return self._blocks
+                G[j, j + 1:, :reach[j]] = step[j, :reach[j]] @ G[j + 1, j + 1:, :reach[j]]
+                G[j + 1:, j] = np.swapaxes(G[j, j + 1:], -1, -2)
+            lane = np.argsort(order)
+            self._blocks = [G[first:, first:, lane[r]] for r, first in enumerate(self._offsets)]
+        return self._blocks[0] if self._single else self._blocks
 
-    def block(self, j: int, k: int) -> np.ndarray:
-        """Block G(j, k), sites labeled 1..L."""
-        L = self.M.n
+    def block(self, j: int, k: int) -> np.ndarray | list[np.ndarray]:
+        """Block G(j, k), sites labeled 1..L; for a batch, the list of every chain's block, L its shortest chain."""
+        L = self._diagonal.shape[0] - int(self._offsets.max())
         if not (1 <= j <= L and 1 <= k <= L):
             raise ValueError(f"sites must lie in 1..{L}, got ({j}, {k})")
-        return self.blocks()[j - 1, k - 1]
+        self.blocks()
+        blocks = [G[j - 1, k - 1] for G in self._blocks]
+        return blocks[0] if self._single else blocks
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial identity
-
-
-def _bottom_minors(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phase, log|det|) of the bottom ell x ell block of the frame [0; I] carried through each lane's factors.
-
-    factors is a stack (lanes, m, 2ell, 2ell); every lane starts from [0; I]
-    and is re-orthonormalized every DEFAULT_REORTH factors by one
-    qr_product over all lanes, its diag R carrying the scale.  Returns one
-    phase and one log|det| per lane.  A lane whose growth overflows, or
-    whose frame loses rank or ends with a singular bottom block, is a
-    NumericalFailure.
-    """
-    lanes, ell = factors.shape[0], factors.shape[-1] // 2
-    start = np.concatenate([np.zeros((ell, ell)), np.eye(ell)])
-    X, d = qr_product(np.broadcast_to(start, (lanes, 2 * ell, ell)), factors, DEFAULT_REORTH)
-    # an overflow (infinite or NaN diag R) or a lost rank (zero diag R) makes
-    # phase or log_abs non-finite, which the check below reports, not warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        abs_d = np.abs(d)
-        phase = np.prod(d / abs_d, axis=(1, 2))
-        log_abs = np.sum(np.log(abs_d), axis=(1, 2))
-    if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(log_abs))):
-        raise NumericalFailure("renormalized frame overflowed or lost rank within one block")
-    sign, logdet = np.linalg.slogdet(X[:, ell:])
-    if np.any(sign == 0):
-        raise NumericalFailure("bottom block of the renormalized frame is singular")
-    return phase * sign, log_abs + logdet
 
 
 @dataclass
@@ -755,34 +841,70 @@ def _ratio_residual(sign_a: complex, log_a: float, sign_b: complex, log_b: float
     return float(abs(1.0 - (sign_b / sign_a) * np.exp(log_b - log_a)))
 
 
-def charpoly_identity_check(M: BlockJacobiMatrix, E: complex) -> CharpolyReport:
+def charpoly_identity_check(
+    M: BlockJacobiMatrix | Sequence[BlockJacobiMatrix], E: complex
+) -> CharpolyReport | list[CharpolyReport]:
     """Verify det(M - E) = (prod_k det S_k) * det P(L+1) in the log domain.
 
-    Two independent right-hand sides are formed as two lanes of one
-    _bottom_minors call, so one np.linalg.qr per block serves both: P(L+1)
-    on the steps of _recursion_steps, and the bottom-right ell-minor of
-    A_L ... A_1 on the factors of transfer_factors.  Both carry the frame
-    [0; I] with QR re-orthonormalization every DEFAULT_REORTH steps and are
-    compared multiplicatively, so the check stays sharp at chain lengths
-    where the determinant itself over/underflows and for every ell.
+    M is one chain, or a sequence of chains with the same ell, for which
+    the result is a list with one report per chain.  The left-hand side is
+    each chain's dense slogdet.  Two independent right-hand sides, P(L+1) on
+    the steps of _recursion_steps and the bottom-right ell-minor of
+    A_L ... A_1 on the factors of transfer_factors, carry the frame [0; I]
+    as lanes (route, chain) of one qr_product, re-orthonormalized every
+    DEFAULT_REORTH steps, and are compared multiplicatively, so the check
+    stays sharp at chain lengths where the determinant itself
+    over/underflows and for every ell.  Each chain's two stacks are padded
+    in front with whole blocks of identities, which leave [0; I] exactly as
+    it is with diag R = 1, so that every chain ends on the last block; each
+    chain's log |diag R| is summed over its own blocks only.  The first
+    chain that fails is a NumericalFailure naming it: E an eigenvalue of M,
+    then a frame that overflows or loses rank within one block, then a
+    singular bottom block.
     """
-    dense = M.dense() - E * np.eye(M.n * M.ell)
-    sign_direct, log_direct = np.linalg.slogdet(dense)
-    if sign_direct == 0:
-        raise NumericalFailure("E is an eigenvalue of M; identity check undefined")
-
-    S = _padded_hopping(M)
-    s_signs, s_logs = np.linalg.slogdet(M.S)
-    (sign_p, sign_m), (log_p, log_m) = _bottom_minors(
-        np.stack([_recursion_steps(M.V, S, E), transfer_factors(M.V, S[:-1], E)])
-    )
-    sign_rec = np.prod(s_signs) * sign_p
-    log_rec = float(np.sum(s_logs)) + float(log_p)
-    return CharpolyReport(
-        log_direct=float(log_direct),
-        sign_direct=sign_direct,
-        log_transfer=log_rec,
-        sign_transfer=sign_rec,
-        identity_residual=_ratio_residual(sign_direct, float(log_direct), sign_rec, log_rec),
-        exterior_residual=_ratio_residual(sign_p, log_p, sign_m, log_m),
-    )
+    chains, single = _batch(M)
+    ell, R = chains[0].ell, len(chains)
+    lengths = np.array([chain.n for chain in chains])
+    blocks = -(-lengths // DEFAULT_REORTH)
+    offsets = (blocks.max() - blocks) * DEFAULT_REORTH
+    V, S = _stacked([(chain.V, chain.S) for chain in chains], blocks.max() * DEFAULT_REORTH, offsets)
+    factors = np.stack([_recursion_steps(V, S, E), transfer_factors(V, S[:, :-1], E)])
+    sites = np.arange(V.shape[1])
+    factors[:, (sites < offsets[:, None]) | (sites >= (offsets + lengths)[:, None])] = np.eye(2 * ell)
+    start = np.concatenate([np.zeros((ell, ell)), np.eye(ell)])
+    X, d = qr_product(np.broadcast_to(start, (2, R, 2 * ell, ell)), factors, DEFAULT_REORTH)
+    del factors  # so that the pass and a dense reference are not held at once
+    # an overflow (infinite or NaN diag R) or a lost rank (zero diag R) makes
+    # phase or log_abs non-finite, which the checks below report, not warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        abs_d = np.abs(d)
+        phases, logs = d / abs_d, np.log(abs_d)
+        # the phase and log |det R| of both routes of each chain, over its own blocks only
+        minors = [(np.prod(phases[:, r, -b:], axis=(1, 2)), np.sum(logs[:, r, -b:], axis=(1, 2)))
+                  for r, b in enumerate(blocks)]
+        bottom_signs, bottom_logs = np.linalg.slogdet(X[..., ell:, :])
+    s_signs, s_logs = np.linalg.slogdet(np.concatenate([chain.S for chain in chains]))
+    hoppings = np.concatenate([[0], np.cumsum(lengths - 1)])
+    reports = []
+    for r, chain in enumerate(chains):
+        sign_direct, log_direct = np.linalg.slogdet(chain.dense() - E * np.eye(chain.n * ell))
+        if sign_direct == 0:
+            raise NumericalFailure("E is an eigenvalue of M; identity check undefined", chain=r)
+        phase, log_abs = minors[r]
+        if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(log_abs))):
+            raise NumericalFailure("renormalized frame overflowed or lost rank within one block", chain=r)
+        if np.any(bottom_signs[:, r] == 0):
+            raise NumericalFailure("bottom block of the renormalized frame is singular", chain=r)
+        (sign_p, sign_m), (log_p, log_m) = phase * bottom_signs[:, r], log_abs + bottom_logs[:, r]
+        own = slice(hoppings[r], hoppings[r + 1])
+        sign_rec = np.prod(s_signs[own]) * sign_p
+        log_rec = float(np.sum(s_logs[own])) + float(log_p)
+        reports.append(CharpolyReport(
+            log_direct=float(log_direct),
+            sign_direct=sign_direct,
+            log_transfer=log_rec,
+            sign_transfer=sign_rec,
+            identity_residual=_ratio_residual(sign_direct, float(log_direct), sign_rec, log_rec),
+            exterior_residual=_ratio_residual(sign_p, log_p, sign_m, log_m),
+        ))
+    return reports[0] if single else reports

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +547,68 @@ class TestGreenCheck:
         assert max(r[5] for r in rows) <= 1e-10
         assert max(r[6] for r in rows) <= 1e-10
         assert "worst pivot cond" in capsys.readouterr().err
+
+
+class TestChainPasses:
+    """green-check and charpoly-check run their chains as lanes of passes, one ell each."""
+
+    CSV = {"green-check": "green_check.csv", "charpoly-check": "charpoly.csv"}
+
+    def run(self, tmp_path, command, cfg, name="o"):
+        out = tmp_path / name
+        assert cli.main([command, "--config", write_cfg(tmp_path / f"{name}.json", cfg), "--out", str(out)]) == 0
+        return (out / self.CSV[command]).read_bytes()
+
+    @pytest.mark.parametrize("command, kernel", [("green-check", "fundamental_solutions"),
+                                                 ("charpoly-check", "charpoly_identity_check")])
+    def test_one_chain_per_pass_writes_the_same_bytes(self, tmp_path, monkeypatch, command, kernel):
+        cfg = {"seed": 7, "instances": 30, "ell_values": [1, 2, 3], "L_max": 25, "z": [0.4, 0.2], "E": [0.4, 0.2]}
+        cfg = {key: value for key, value in cfg.items() if key in cli._COMMANDS[command][1]}
+        passes = []
+        run_pass = getattr(cli.transfer, kernel)
+        monkeypatch.setattr(cli.transfer, kernel, lambda chains, z: passes.append(len(chains)) or run_pass(chains, z))
+        default = self.run(tmp_path, command, cfg, "default")
+        assert len(passes) == 3 and sum(passes) == 30  # one pass per ell
+        passes.clear()
+        monkeypatch.setattr(cli, "_PASS_BLOCKS", 1)
+        assert self.run(tmp_path, command, cfg, "single") == default
+        assert passes == [1] * 30
+
+    @pytest.mark.parametrize("command", ["green-check", "charpoly-check"])
+    def test_peak_memory_does_not_grow_with_instances(self, tmp_path, monkeypatch, command):
+        # passes of about ten chains of L <= 30: the 300 more rows take a few hundred bytes each, while
+        # running every chain of the larger run in one pass would take over 10 MB more
+        monkeypatch.setattr(cli, "_PASS_BLOCKS", 10 * 30 * 30)
+        peaks = []
+        for instances in (100, 400):
+            cfg = {"seed": 2, "instances": instances, "ell_values": [3], "L_max": 30}
+            tracemalloc.start()
+            try:
+                self.run(tmp_path, command, cfg, f"n{instances}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 300 * 1000
+
+    def test_failing_chain_names_its_instance(self, tmp_path, capsys, monkeypatch):
+        # instance 1 becomes the two-site chain V = (0.5, -0.3), S = 1, whose first pivot at z = 0.5 is exactly 0
+        drawn = []
+
+        def singular_second(rng, ell, L):
+            drawn.append(model.random_instance(rng, ell, L))  # the stream draws as before
+            if len(drawn) == 2:
+                return model.BlockJacobiMatrix(np.array([0.5, -0.3]).reshape(2, 1, 1), np.ones((1, 1, 1)))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "random_instance", singular_second)
+        cfg = {"seed": 3, "instances": 4, "ell_values": [1], "L_max": 12, "z": 0.5}
+        out = tmp_path / "g"
+        code = cli.main(["green-check", "--config", write_cfg(tmp_path / "g.json", cfg), "--out", str(out)])
+        assert code == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "numerical"
+        assert error["error"].startswith("instance 1: exactly singular Schur pivot")
+        assert not (out / "green_check.csv").exists()
 
 
 class TestThoulessCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -795,6 +796,119 @@ class TestCharpoly:
             rep = charpoly_identity_check(random_instance(rng, ell, L), 0.37 + 0.2j)
             assert rep.identity_residual <= 1e-8
             assert rep.exterior_residual <= 1e-8
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBatches:
+    """A sequence of chains with one ell runs as lanes of one pass, each chain bit for bit as alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.sampled_from([1, 2, 3]),
+        lengths=st.lists(st.integers(2, 60), min_size=1, max_size=5),
+        re_z=st.floats(-3.0, 3.0),
+        im_z=st.sampled_from([0.0, 1e-3]) | st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_chain_of_a_batch_equals_its_lone_call(self, ell, lengths, re_z, im_z, seed):
+        rng = np.random.default_rng(seed)
+        chains = [random_instance(rng, ell, L) for L in lengths]
+        z = complex(re_z, im_z) if im_z else re_z
+        try:
+            alone = [(GreenEvaluator(M, z), fundamental_solutions(M, z), charpoly_identity_check(M, z))
+                     for M in chains]
+        except NumericalFailure:
+            assume(False)
+        evaluator = GreenEvaluator(chains, z)
+        U, V = fundamental_solutions(chains, z)
+        W = wronskian(chains, U, V)
+        reports = charpoly_identity_check(chains, z)
+        assert len(evaluator.blocks()) == len(U) == len(V) == len(W) == len(reports) == len(chains)
+        for r, (M, (lone, (U_r, V_r), report)) in enumerate(zip(chains, alone)):
+            assert_same_bits(evaluator.blocks()[r], lone.blocks())
+            assert_same_bits(evaluator.pivot_cond[r], lone.pivot_cond)
+            assert_same_bits(evaluator.block(1, 2)[r], lone.block(1, 2))
+            assert_same_bits(U[r], U_r)
+            assert_same_bits(V[r], V_r)
+            assert_same_bits(W[r], wronskian(M, U_r, V_r))
+            for field in dataclasses.fields(report):
+                assert_same_bits(getattr(reports[r], field.name), getattr(report, field.name))
+
+    def test_block_of_a_batch_lies_in_its_shortest_chain(self, rng):
+        evaluator = GreenEvaluator([random_instance(rng, 2, 5), random_instance(rng, 2, 3)], 0.3j)
+        assert len(evaluator.block(3, 1)) == 2
+        with pytest.raises(ValueError, match="1..3"):
+            evaluator.block(4, 1)
+
+    def test_chains_of_different_ell_are_refused(self, rng):
+        with pytest.raises(ValueError, match="same ell"):
+            GreenEvaluator([random_instance(rng, 1, 4), random_instance(rng, 2, 4)], 0.3j)
+        with pytest.raises(ValueError, match="same ell"):
+            charpoly_identity_check([], 0.3)
+
+    # the two-site chain V = (0.5, -0.3), S = 1: at z = 0.5 its first forward pivot is exactly 0
+    SINGULAR_FIRST_PIVOT = ([0.5, -0.3], 0.5)
+
+    def good(self, ell=1):
+        return random_instance(np.random.default_rng(7), ell, 6)
+
+    def test_singular_pivot_names_its_chain(self):
+        nu, z = self.SINGULAR_FIRST_PIVOT
+        with pytest.raises(NumericalFailure, match="exactly singular Schur pivot") as exc:
+            GreenEvaluator([self.good(), scalar_instance(nu)], z)
+        assert exc.value.chain == 1
+
+    def test_pivot_condition_names_its_chain(self):
+        # its first pivot at z = 0.5 + 1e-13 is diag(-1e-13, 1.5); an ell = 1 pivot has condition 1 at any z
+        M = BlockJacobiMatrix(np.stack([np.diag([0.5, 2.0]), np.diag([-0.3, 1.0])]), np.eye(2)[None])
+        with pytest.raises(NumericalFailure, match="condition number") as exc:
+            GreenEvaluator([self.good(2), M, self.good(2)], 0.5 + 1e-13)
+        assert exc.value.chain == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ell, scale", [(1, 1e30), (3, 1e12)])
+    def test_overflowed_solution_names_its_chain_and_site(self, ell, scale):
+        M = random_instance(np.random.default_rng(ell), ell, 40)
+        M = BlockJacobiMatrix(scale * M.V, M.S)
+        good = random_instance(np.random.default_rng(7), ell, 50)
+        with pytest.raises(NumericalFailure) as alone:
+            fundamental_solutions(M, 0.3 + 0.1j)
+        with pytest.raises(NumericalFailure) as batch:
+            fundamental_solutions([good, M], 0.3 + 0.1j)
+        assert str(batch.value) == str(alone.value)
+        assert "overflowed at site" in str(batch.value)
+        assert batch.value.chain == 1
+
+    def test_eigenvalue_names_its_chain(self):
+        # the two-site chain V = 0, S = 1 has the eigenvalues +-1, and its LU at E = 1 ends on an exact 0
+        with pytest.raises(NumericalFailure, match="E is an eigenvalue") as exc:
+            charpoly_identity_check([self.good(), scalar_instance([0.0, 0.0])], 1.0)
+        assert exc.value.chain == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_frame_overflow_names_its_chain(self):
+        with pytest.raises(NumericalFailure, match="overflowed") as exc:
+            charpoly_identity_check([self.good(), scalar_instance([1e40] * 30)], 0.3)
+        assert exc.value.chain == 1
+
+    def test_singular_bottom_block_names_its_chain(self, monkeypatch):
+        qr = transfer.qr_product
+
+        def bottom_of_chain_1_zeroed(X, F, reorth):
+            X, d = qr(X, F, reorth)
+            X = X.copy()
+            X[:, 1, X.shape[-1]:] = 0.0  # the bottom ell rows of both routes of chain 1
+            return X, d
+
+        monkeypatch.setattr(transfer, "qr_product", bottom_of_chain_1_zeroed)
+        with pytest.raises(NumericalFailure, match="bottom block") as exc:
+            charpoly_identity_check([self.good(), self.good()], 0.3)
+        assert exc.value.chain == 1
 
 
 def test_symplectic_form_square():
