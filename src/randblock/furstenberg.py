@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .model import SIGMA_Z, anisotropy_block, check_gamma
+from .model import SIGMA_Z, _check_zero_energy_gamma, anisotropy_block, check_gamma
 from .transfer import symplectic_defect, symplectic_form, transfer_factors, transfer_matrix
 
 SYMPLECTIC_TOL = 1e-12
@@ -228,8 +228,7 @@ def zero_energy_reducibility_certificate(gamma: float, nu_samples: Sequence[floa
     transfer_factors, equal to M(nu sigma_z) A_0(0), each checked to be
     symplectic to the bound of build_A0.
     """
-    if gamma <= 0.0 or gamma == 1.0:
-        raise ConfigError("certificate applies to gamma in (0, 1) or (1, inf)")
+    _check_zero_energy_gamma(gamma, "certificate applies to")
     nu = np.asarray(nu_samples, dtype=float)
     if nu.ndim != 1 or nu.size == 0 or not np.all(np.isfinite(nu)):
         raise ConfigError("certificate needs a non-empty list of finite potential samples")

@@ -13,9 +13,9 @@ positions.  The ensemble mean needs only the eigenpairs in the window, and
 takes them from `spectral.window_eigensolve`: one eigh of C^t C per chain
 for a window that excludes 0, the full chiral SVD for one that reaches 0.
 
-The Wegner probe counts eigenvalues instead of computing them: two Sturm
-counts at the ends of a window, from the Schur pivots of one batched sweep
-(transfer.eigenvalue_counts), say whether the window holds an eigenvalue.
+The Wegner probe counts eigenvalues instead of computing them: two exact
+counts at the ends of a window (`spectral._exact_counts`, one batched Schur
+sweep) say whether the window holds an eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .model import ModelParams, assemble_block_jacobi, sample_disorder
-from .spectral import SpectralData, eigensolve, window_eigensolve
-from .transfer import eigenvalue_counts
+from .spectral import SpectralData, _exact_counts, window_eigensolve
 
 DEFAULT_BOUNDARY_EXCLUSION = 5
 MIN_PAIRS_PER_BIN = 4
@@ -230,36 +229,23 @@ def wegner_probe(
 
     For each length L, counts realizations with an eigenvalue in the closed
     window [E - eps_L, E + eps_L], eps_L = exp(-sigma * L^beta); an L^beta
-    beyond the float range gives eps_L = 0.
-    transfer.eigenvalue_counts gives the Sturm counts N(x) = #{lambda < x} at
-    both ends, in one streaming sweep per L over every sample, and a
-    realization hits when N(E + eps_L) - N(E - eps_L) > 0.
-    Tie rule, for a closed window: the lower count is taken at the double
-    just below E - eps_L, so an eigenvalue at E - eps_L is inside; at
-    E + eps_L an eigenvalue that makes the first pivot vanish exactly is
-    floored below x, so it is inside too.  Any other eigenvalue of the
-    chain within rounding of a window end is decided by rounding, as it is
-    for a computed nearest eigenvalue.  A realization whose count the sweep
-    leaves unresolved (a leading sub-chain with an eigenvalue within
-    rounding of a window end, as an atom of a discrete law at E makes
-    likely) is decided by min |lambda - E| <= eps_L over the eigenvalues of
-    a banded eigensolve.  Realization index (L << 32) | s keeps all draws
-    independent across lengths and samples.
+    beyond the float range gives eps_L = 0.  `spectral._exact_counts` gives
+    the counts N(x) = #{lambda < x} at both ends, from one sweep per L over
+    every sample, and a realization hits when N(E + eps_L) - N(E - eps_L) > 0.
+    Tie rule, that of `_exact_counts` for a closed window: the upper count
+    is taken at the double just above E + eps_L, so an eigenvalue at either
+    end is inside; one within rounding of an end may fall on either side.
+    Realization index (L << 32) | s keeps all draws independent across
+    lengths and samples.
     """
     records = []
     for L in L_list:
         with np.errstate(over="ignore"):  # L^beta = inf gives exp(-inf) = 0
             eps = float(np.exp(-sigma * np.float64(L) ** beta))
         p_L = replace(params, n=L)
-        window = [np.nextafter(E - eps, -np.inf), E + eps]
         reals = [sample_disorder(p_L, seed, (L << 32) | s) for s in range(samples)]
         chains = [assemble_block_jacobi(p_L, real) for real in reals]
-        counts, resolved = eigenvalue_counts(chains, window)
-        resolved = resolved.all(axis=1)
-        hits = int(np.count_nonzero(resolved & (counts[:, 1] > counts[:, 0])))
-        for M, ok in zip(chains, resolved):
-            if not ok:
-                vals = eigensolve(M, want_vectors=False).eigenvalues
-                hits += int(np.min(np.abs(vals - E)) <= eps)
+        counts = _exact_counts(chains, [E - eps, np.nextafter(E + eps, np.inf)])
+        hits = int(np.count_nonzero(counts[:, 1] > counts[:, 0]))
         records.append(WegnerRecord(L=L, eps=eps, hits=hits, samples=samples))
     return records

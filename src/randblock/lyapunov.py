@@ -31,6 +31,7 @@ from .model import (
     BlockJacobiMatrix,
     ModelParams,
     SingleSiteDistribution,
+    _check_zero_energy_gamma,
     anisotropy_block,
     realization_rng,
 )
@@ -250,6 +251,21 @@ def _qr_exponents(
             DEFAULT_BATCHES * batch_steps)
 
 
+def _parameter_passes(sampler: Callable[[Sequence], Callable], values: Sequence, dim: int, steps: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(K, dim) exponents and standard errors of K parameter values, and the counted steps.
+
+    sampler(chunk) draws the factors of a chunk of values as a parameter
+    axis.  The values run through _qr_exponents in passes of at most
+    PASS_VALUES, each on the same stream from seed, so that memory does not
+    grow with their number; a value gets the same bits in every pass.
+    """
+    runs = [_qr_exponents(sampler(values[first:first + PASS_VALUES]), dim, steps, seed, DEFAULT_REORTH)
+            for first in range(0, len(values), PASS_VALUES)]
+    exponents, se, counted = zip(*runs) if runs else ([np.empty((0, dim))], [np.empty((0, dim))], [0])
+    return np.concatenate(exponents), np.concatenate(se), counted[0]
+
+
 @dataclass
 class LyapunovSpectrum:
     """All 2l exponents at one spectral parameter, in decreasing order."""
@@ -344,10 +360,9 @@ def thouless_check(
     factors of all energies, and the Lyapunov index at E is bit for bit
     lyapunov_index(lyapunov_spectrum(model, E, steps, seed)) whenever the
     energies are all complex or all real (a real energy among complex ones
-    runs in complex arithmetic, equal up to rounding).  At most PASS_VALUES
-    energies share a pass, so that memory does not grow with their number;
-    further ones run as more passes on the same stream.  On
-    the right, the hopping mean is exact, and the DOS integral is the mean
+    runs in complex arithmetic, equal up to rounding).  The energies run in
+    passes of at most PASS_VALUES on the same stream (`_parameter_passes`).
+    On the right, the hopping mean is exact, and the DOS integral is the mean
     over the equal-length chains dos_chains of log|det(M - E)| / (n l),
     which is the mean of log|E - lambda| over their eigenvalues.  One Schur
     sweep (`transfer.log_abs_det`) gives it at every energy before any
@@ -361,26 +376,13 @@ def thouless_check(
     hopping_term = -ensemble.mean_log_abs_det_s / ensemble.ell
     n, ell = dos_chains[0].n, dos_chains[0].ell
     dos_terms = log_abs_det(dos_chains, energies).mean(axis=0) / (n * ell)
+    exponents, se, counted = _parameter_passes(ensemble.factor_sampler, list(energies), 2 * ensemble.ell, steps, seed)
     reports = []
-    for first in range(0, len(energies), PASS_VALUES):
-        batch = list(energies[first:first + PASS_VALUES])
-        exponents, se, counted = _qr_exponents(
-            ensemble.factor_sampler(batch), 2 * ensemble.ell, steps, seed, DEFAULT_REORTH
-        )
-        for E, dos_term, exps, errs in zip(batch, dos_terms[first:], exponents, se):
-            spec = LyapunovSpectrum(
-                exponents=exps, se=errs, energy=E, steps=counted, seed=seed, reorth_every=DEFAULT_REORTH
-            )
-            index = lyapunov_index(spec)
-            reports.append(
-                ThoulessReport(
-                    energy=E,
-                    index_value=index.value,
-                    index_se=index.se,
-                    hopping_term=hopping_term,
-                    dos_term=float(dos_term),
-                )
-            )
+    for E, dos_term, exps, errs in zip(energies, dos_terms, exponents, se):
+        index = lyapunov_index(LyapunovSpectrum(exponents=exps, se=errs, energy=E, steps=counted, seed=seed,
+                                                reorth_every=DEFAULT_REORTH))
+        reports.append(ThoulessReport(energy=E, index_value=index.value, index_se=index.se,
+                                      hopping_term=hopping_term, dos_term=float(dos_term)))
     return reports
 
 
@@ -454,8 +456,7 @@ def two_step_lyapunov(
 
 def zero_energy_shift(gamma: float) -> float:
     """The exact half-log anisotropy shift entering every zero-energy exponent."""
-    if gamma <= 0.0 or gamma == 1.0:
-        raise ConfigError("closed forms need gamma in (0, 1) or (1, inf)")
+    _check_zero_energy_gamma(gamma, "closed forms need")
     return 0.5 * np.log((1.0 + gamma) / abs(1.0 - gamma))
 
 
@@ -472,8 +473,7 @@ def zero_energy_aux_exponent(
     for gamma > 1 the split happens after pairing sites, handled by
     two_step_lyapunov.
     """
-    if gamma <= 0.0 or gamma == 1.0:
-        raise ConfigError("closed forms need gamma in (0, 1) or (1, inf)")
+    _check_zero_energy_gamma(gamma, "closed forms need")
     if gamma < 1.0:
         coupling = 1.0 / np.sqrt(1.0 - gamma * gamma)
         return anderson_lyapunov_2x2(coupling, rho, steps=steps, seed=seed)
@@ -554,10 +554,9 @@ def critical_alpha_scan(
     Each sign change on the grid is narrowed by bisection to ALPHA_ROOT_WIDTH.
     Every evaluation reuses the same seed so f is a deterministic function
     of alpha and bisection is well posed at fixed steps.  The grid runs as
-    passes of the cocycle engine with at most PASS_VALUES couplings as a
-    parameter axis on the same nu stream, bit for bit the values of one
-    anderson_lyapunov_2x2 run per coupling; the bisection runs one coupling
-    at a time.
+    a parameter axis of the cocycle engine (`_parameter_passes`) on the same
+    nu stream, bit for bit the values of one anderson_lyapunov_2x2 run per
+    coupling; the bisection runs one coupling at a time.
     """
     if not 0.0 < gamma < 1.0:
         raise ConfigError("the coupling scan is defined for gamma in (0, 1)")
@@ -571,13 +570,8 @@ def critical_alpha_scan(
         return est.value - s, est.se
 
     alphas = np.linspace(alpha_lo, alpha_hi, grid_points)
-    couplings = alphas * scale
-    passes = [
-        _qr_exponents(_anderson_sampler(couplings[first:first + PASS_VALUES], rho), 2, steps, seed, DEFAULT_REORTH)
-        for first in range(0, grid_points, PASS_VALUES)
-    ]
-    f_values = np.concatenate([exps[:, 0] for exps, _, _ in passes]) - s
-    se_values = np.concatenate([se[:, 0] for _, se, _ in passes])
+    exponents, se, _ = _parameter_passes(lambda chunk: _anderson_sampler(chunk, rho), alphas * scale, 2, steps, seed)
+    f_values, se_values = exponents[:, 0] - s, se[:, 0]
 
     roots: list[tuple[float, float]] = []
     for i in range(grid_points - 1):

@@ -63,6 +63,12 @@ def check_gamma(gamma: float) -> None:
         raise ConfigError("anisotropy gamma = +-1 gives singular hopping blocks")
 
 
+def _check_zero_energy_gamma(gamma: float, subject: str) -> None:
+    """ConfigError "<subject> gamma in (0, 1) or (1, inf)" outside the zero-energy domain; NaN and inf pass."""
+    if gamma <= 0.0 or gamma == 1.0:
+        raise ConfigError(f"{subject} gamma in (0, 1) or (1, inf)")
+
+
 # ---------------------------------------------------------------------------
 # single-site disorder distributions
 

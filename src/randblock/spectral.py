@@ -20,9 +20,10 @@ closes on it or on a kink (`_band_edges`), for a stack of same-period
 potentials in lockstep, one stacked SVD of C per step.  `floquet_symbol`
 builds H itself and is off that route.  Unions of bands are kept as
 sorted disjoint closed intervals with exact Hausdorff distance
-evaluation.  The DOS histogram diagonalizes nothing: its bin masses are
-differences of exact eigenvalue counts at fixed edges
-(transfer.eigenvalue_counts).
+evaluation.  The DOS histogram and localization.wegner_probe read exact
+eigenvalue counts from one owner, `_exact_counts`: one
+transfer.eigenvalue_counts sweep, and a banded eigensolve only for a chain
+that the sweep leaves unresolved.
 """
 
 from __future__ import annotations
@@ -99,6 +100,22 @@ def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
     if residual > EIGEN_RESIDUAL_TOL:
         raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
     return spec
+
+
+def _exact_counts(chains: Sequence[BlockJacobiMatrix], x: Sequence[float]) -> np.ndarray:
+    """Counts N(x_j) = #{eigenvalues of M_r below x_j} of equal-length chains M_r, shape (R, K), each exact.
+
+    One transfer.eigenvalue_counts sweep counts every chain at every x.  A
+    chain with an unresolved count gets one banded eigensolve, and all its
+    counts are taken from np.searchsorted on those eigenvalues.  This is the
+    one tie rule of the count routes: a closed window [a, b] holds
+    N(next(b)) - N(a) eigenvalues, next(b) the double above b.  An
+    eigenvalue within rounding of an x may count on either side of it.
+    """
+    counts, resolved = eigenvalue_counts(chains, x)
+    for r in np.flatnonzero(~resolved.all(axis=1)):
+        counts[r] = np.searchsorted(eigensolve(chains[r], want_vectors=False).eigenvalues, x)
+    return counts
 
 
 def _chiral_eigenpairs(M: BlockJacobiMatrix, C: np.ndarray, U: np.ndarray, sigma: np.ndarray,
@@ -525,12 +542,11 @@ def dos_histogram(params: ModelParams, num_realizations: int, seed: int, bins: i
     2 |mu| (1 + |gamma|) is the Gershgorin bound of ||M||: computed from
     the parameters, so the same at every seed.  They are antisymmetric
     exactly, and with an even bin count the middle edge is 0.0.  Each
-    bin's mass is a difference of the eigenvalue counts N(x) = #{lambda < x}
-    at its edges, from one transfer.eigenvalue_counts sweep over every
-    chain and edge; the top edge is counted at the next double above it,
-    so the last bin is closed, as in np.histogram.  A chain with an
-    unresolved count gets one banded eigensolve, and its counts at every
-    edge are taken from those eigenvalues.
+    bin's mass is a difference of the exact eigenvalue counts
+    N(x) = #{lambda < x} at its edges (`_exact_counts`, one sweep over every
+    chain and edge).  By its tie rule each bin is [lo, hi), and the top edge
+    is counted at the next double above it, so the last bin is closed, as
+    in np.histogram.
     """
     if num_realizations < 1 or bins < 1:
         raise ValueError(f"need at least one realization and one bin, got {num_realizations} and {bins}")
@@ -541,7 +557,5 @@ def dos_histogram(params: ModelParams, num_realizations: int, seed: int, bins: i
     x = edges.copy()
     x[-1] = np.nextafter(x[-1], np.inf)
     chains = [assemble_block_jacobi(params, sample_disorder(params, seed, r)) for r in range(num_realizations)]
-    counts, resolved = eigenvalue_counts(chains, x)
-    for r in np.flatnonzero(~resolved.all(axis=1)):
-        counts[r] = np.searchsorted(eigensolve(chains[r], want_vectors=False).eigenvalues, x)
+    counts = _exact_counts(chains, x)
     return DOSHistogram(edges=edges, mass=np.diff(counts.sum(axis=0)) / (2 * params.n * num_realizations))

@@ -156,9 +156,10 @@ def symplectic_defect(A: np.ndarray) -> np.ndarray:
     return np.abs(np.swapaxes(A, -1, -2) @ J @ A - J).max(axis=(-2, -1))
 
 
-def _energy(E: complex) -> complex:
-    """E as a float when its imaginary part is zero, so real energies keep real arithmetic."""
-    return float(np.real(E)) if np.imag(E) == 0.0 else E
+def _energies(E: complex | Sequence[complex]) -> np.ndarray:
+    """E as an array, real when every imaginary part is zero, so that real energies keep real arithmetic."""
+    z = np.asarray(E)
+    return z.real if np.iscomplexobj(z) and not np.any(z.imag) else z
 
 
 def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex | Sequence[complex]) -> np.ndarray:
@@ -176,9 +177,7 @@ def transfer_factors(V: np.ndarray, S_prev: np.ndarray, E: complex | Sequence[co
     """
     V = np.asarray(V)
     S_prev = np.asarray(S_prev)
-    z = np.asarray(E)
-    if np.iscomplexobj(z) and not np.any(z.imag):
-        z = z.real  # real energies keep real arithmetic
+    z = _energies(E)
     ell = V.shape[-1]
     W = np.linalg.inv(S_prev)
     # one energy axis in front of V's axes, or none
@@ -375,7 +374,7 @@ def _recursion_steps(V: np.ndarray, S: np.ndarray, z: complex) -> np.ndarray:
     """
     ell = V.shape[-1]
     S_inv = np.linalg.inv(S[..., 1:, :, :])
-    shifted = V - _energy(z) * np.eye(ell)
+    shifted = V - _energies(z) * np.eye(ell)
     steps = np.zeros(shifted.shape[:-2] + (2 * ell, 2 * ell), dtype=shifted.dtype)
     steps[..., :ell, ell:] = np.eye(ell)
     steps[..., ell:, :ell] = -S_inv @ np.swapaxes(S[..., :-1, :, :], -1, -2)
@@ -648,9 +647,7 @@ def log_abs_det(chains: Sequence[BlockJacobiMatrix], energies: Sequence[complex]
     hoppings or z are too large for the Schur update, is a NumericalFailure
     naming the overflow.
     """
-    z = np.asarray(energies)
-    if np.iscomplexobj(z) and not np.any(z.imag):
-        z = z.real  # real energies keep real arithmetic
+    z = _energies(energies)
     total = np.zeros((len(chains), z.size))
     underflow = np.zeros(total.shape, dtype=bool)  # of the last pivot before the block
     # a failing pivot is reported as a NumericalFailure, not as warnings
@@ -690,8 +687,8 @@ def eigenvalue_counts(
     sub-chain, a rank-deficient pivot the floor does not reach, or an
     overflow makes its count unresolved, and such a count may be wrong.
     """
-    x = np.asarray(energies)
-    if np.iscomplexobj(x) and np.any(x.imag):
+    x = _energies(energies)
+    if np.iscomplexobj(x):
         raise ValueError("eigenvalue counts need real energies")
     shape = (len(chains), x.size)
     negative, resolved = np.zeros(shape, dtype=int), np.ones(shape, dtype=bool)
@@ -700,7 +697,7 @@ def eigenvalue_counts(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # |B_{k-1}|^2 for the pivot at site k; site 0 has none
         hopping = np.pad(np.square(np.stack([M.S for M in chains], axis=1)).sum(axis=(-2, -1)), ((1, 0), (0, 0)))
-        for kernel, D, units, scales, _ in _schur_stream(chains, x.real.astype(float)):
+        for kernel, D, units, scales, _ in _schur_stream(chains, x.astype(float)):
             below, smallest = kernel.inertia(units)
             negative += below.sum(axis=0)
             smallest *= scales
@@ -755,7 +752,7 @@ class GreenEvaluator:
         self._offsets = L - np.array([chain.n for chain in chains])  # of each chain's first site
         V, S = _stacked([(chain.V, chain.S) for chain in chains], L, self._offsets)
         own = np.arange(L)[:, None] >= self._offsets  # (site, chain)
-        D = np.swapaxes(V, 0, 1) - _energy(z) * np.eye(ell)
+        D = np.swapaxes(V, 0, 1) - _energies(z) * np.eye(ell)
         D[~own] = np.eye(ell)
         B = -np.swapaxes(S[:, 1:L], 0, 1)
         B[~own[:-1]] = 0.0  # link k joins sites k and k + 1

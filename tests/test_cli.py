@@ -304,6 +304,21 @@ class TestErrorPaths:
         assert err["kind"] == "config" and "num_realizations x (bins + 1) = 1001000" in err["error"]
         assert not (tmp_path / "o" / "dos.csv").exists()
 
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0])
+    @pytest.mark.parametrize(
+        "command, change, error",
+        [
+            ("zero-energy", {"steps": 2000}, "closed forms need gamma in (0, 1) or (1, inf)"),
+            ("zariski", {"E_grid": [0.5], "certificate_samples": 3},
+             "certificate applies to gamma in (0, 1) or (1, inf)"),
+        ],
+    )
+    def test_zero_energy_gamma_domain_exits_2(self, tmp_path, capsys, command, change, error, gamma):
+        cfg = {**FIXTURE_CFG, **change, "gamma": gamma}
+        code = cli.main([command, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": error, "kind": "config"}
+
     @pytest.mark.parametrize(
         "command, change, product",
         [

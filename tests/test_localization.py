@@ -223,7 +223,7 @@ class TestWegner:
             solved.append(M.V[0, 0, 0])
             return eigensolve(M, **kw)
 
-        monkeypatch.setattr(localization, "eigensolve", traced)
+        monkeypatch.setattr(spectral, "eigensolve", traced)  # the count owner's eigensolve
         (rec,) = wegner_probe(p, 1.0, [L], beta=0.5, sigma=1.0, samples=samples, seed=seed)
         p_L = ModelParams(L, 0.5, two_point_field)
         first = [sample_disorder(p_L, seed, (L << 32) | s).nu[0] for s in range(samples)]
@@ -240,7 +240,7 @@ class TestWegner:
             counts, resolved = zip(*(eigenvalue_counts([M], x) for M in chains))
             return np.concatenate(counts), np.concatenate(resolved)
 
-        monkeypatch.setattr(localization, "eigenvalue_counts", chain_by_chain)
+        monkeypatch.setattr(spectral, "eigenvalue_counts", chain_by_chain)  # the count owner's sweep
         assert wegner_probe(p, **args) == whole
         assert any(0 < rec.hits < 7 for rec in whole)
 

@@ -314,6 +314,11 @@ class TestThouless:
         # ... and three times the energies run as three passes in the same memory
         assert peaks[1] <= 1.05 * peaks[0]
 
+    def test_no_energies_give_no_reports(self, two_point_field):
+        q = ModelParams(40, 0.5, two_point_field)
+        chains = [assemble_block_jacobi(q, sample_disorder(q, 15, r)) for r in range(2)]
+        assert thouless_check(ModelParams(2, 0.5, two_point_field), [], chains, steps=20_000) == []
+
     def test_chains_of_unequal_length_are_rejected(self, two_point_field):
         p = ModelParams(20, 0.5, two_point_field)
         q = ModelParams(21, 0.5, two_point_field)

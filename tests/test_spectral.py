@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +11,7 @@ from scipy.sparse.linalg import eigsh
 
 from randblock import localization, spectral
 from randblock.errors import ConfigError, NumericalFailure
+from randblock.localization import wegner_probe
 from randblock.model import (
     BlockJacobiMatrix,
     DisorderRealization,
@@ -441,6 +445,37 @@ class TestDOS:
         evA = np.linalg.eigvalsh(A)
         expected = np.sort(np.concatenate([evA, -evA]))
         assert np.max(np.abs(spec.eigenvalues - expected)) < 1e-10
+
+
+class TestExactCounts:
+    def test_fallback_counts_equal_dense_counts(self, two_point_field, monkeypatch):
+        # two_point(0, 1) at n = 20: the dos edges of 8 bins sit on both atoms, and so do the Wegner
+        # windows at E = 0 and E = 1 for eps = 0, e^-sqrt(1400) < ulp(1) / 2 and 1e-9, so a chain with
+        # nu_1 = 0 or 1 has a singular first pivot and most chains take the eigensolve
+        p = ModelParams(20, 0.5, two_point_field)
+        edges = dos_histogram(p, 1, seed=7, bins=8).edges
+        assert {0.0, 1.0} <= set(edges)
+        x = [*edges[:-1], np.nextafter(edges[-1], np.inf)]
+        for E, eps in itertools.product((0.0, 1.0), (0.0, np.exp(-np.sqrt(1400)), 1e-9)):
+            x += [E - eps, np.nextafter(E + eps, np.inf)]
+        callers = []
+
+        def traced(M, **kw):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return eigensolve(M, **kw)
+
+        monkeypatch.setattr(spectral, "eigensolve", traced)
+        chains = [assemble_block_jacobi(p, sample_disorder(p, 7, r)) for r in range(40)]
+        counts = spectral._exact_counts(chains, x)
+        assert len(callers) >= 30
+        dense = [np.searchsorted(np.linalg.eigvalsh(M.dense()), x) for M in chains]
+        assert counts.tolist() == np.array(dense).tolist()
+        # the DOS and the Wegner probe eigensolve only inside the count owner
+        callers.clear()
+        dos_histogram(p, 40, seed=7, bins=8)
+        for E in (0.0, 1.0):
+            wegner_probe(p, E, [20, 40], beta=0.5, sigma=1.0, samples=40, seed=7)
+        assert callers and set(callers) == {"_exact_counts"}
 
 
 class TestIntervalUnion:

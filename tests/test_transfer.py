@@ -414,6 +414,12 @@ class TestGreen:
         G = GreenEvaluator(M, z).block(1, 1)
         assert np.allclose(G, np.linalg.inv(V1 - z * np.eye(2)), atol=1e-13)
 
+    def test_real_z_given_as_complex_stays_real(self, rng):
+        M = random_instance(rng, 2, 12)
+        got, ref = GreenEvaluator(M, complex(0.3, 0.0)).blocks(), GreenEvaluator(M, 0.3).blocks()
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, ref)
+
     def test_matches_dense_inverse(self, rng):
         M = random_instance(rng, 2, 20)
         z = 0.7 + 0.3j
@@ -657,6 +663,11 @@ class TestEigenvalueCounts:
     def test_complex_energy_is_refused(self, rng):
         with pytest.raises(ValueError, match="real energies"):
             eigenvalue_counts([random_instance(rng, 2, 5)], [0.3 + 0.1j])
+
+    def test_real_energy_given_as_complex_is_counted(self, rng):
+        M = random_instance(rng, 2, 5)
+        got, ref = eigenvalue_counts([M], [complex(0.3, 0.0), -1.0]), eigenvalue_counts([M], [0.3, -1.0])
+        assert got[0].tolist() == ref[0].tolist() and got[1].tolist() == ref[1].tolist()
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_stream_equals_the_stored_sweep_across_blocks(self, ell):
