@@ -10,8 +10,10 @@ the operator norm of P_j g(M) chi_J(M) P_k^* is at most Q(j, k), so a
 stretched-exponential bound on the ensemble mean of Q is a dynamical
 localization statement.  Site indices in this module are 0-based array
 positions.  The ensemble mean needs only the eigenpairs in the window, and
-takes them from `spectral.window_eigensolve`: one eigh of C^t C per chain
-for a window that excludes 0, the full chiral SVD for one that reaches 0.
+takes their singular triples C v = sigma u from the route of
+`spectral.window_eigensolve`: one eigh of C^t C per chain for a window that
+excludes 0, the full chiral SVD for one that reaches 0.  It reads the
+amplitudes |psi(j)| straight from the triples and assembles no eigenvectors.
 
 The Wegner probe counts eigenvalues instead of computing them: two exact
 counts at the ends of a window (`spectral._exact_counts`, one batched Schur
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .model import ModelParams, assemble_block_jacobi, sample_disorder
-from .spectral import SpectralData, _exact_counts, window_eigensolve
+from .spectral import SpectralData, _exact_counts, _window_triples
 
 DEFAULT_BOUNDARY_EXCLUSION = 5
 MIN_PAIRS_PER_BIN = 4
@@ -69,23 +71,36 @@ def ensemble_correlator(
 ) -> CorrelatorField:
     """Mean correlator over realizations index = 0..num_realizations-1.
 
-    Each chain's eigenpairs in the window come from
+    Each chain's eigenpairs in the window come from the route of
     `spectral.window_eigensolve`, so an eigenvalue within rounding of a
     window end may be counted differently than by `eigensolve` (its tie
-    rule).  Q is summed from zeros in realization order as each field is
-    made, so only one n x n field is held beside the sum.
+    rule).  The amplitudes are read from the singular triples C v = |lambda| u
+    without assembling eigenvectors: |psi(j)| = sqrt(a_j^2 + b_j^2) with
+    a = (u + v) / 2 and b = (u - v) / 2 at either sign, in the column order
+    of `eigenfunction_correlator`, so each chain's field is bit for bit the
+    one that `eigenfunction_correlator` makes from `window_eigensolve`.  Q is
+    summed from zeros in realization order as each field is made, so only
+    one n x n field is held beside the sum.
     """
     if num_realizations < 1:
         raise ConfigError(f"need at least one realization, got {num_realizations}")
+    lo, hi = float(window[0]), float(window[1])
     Q = np.zeros((params.n, params.n))
     counts = []
     for index in range(num_realizations):
         real = sample_disorder(params, seed, index)
-        field = eigenfunction_correlator(window_eigensolve(assemble_block_jacobi(params, real), window), window)
-        Q += field.Q
-        counts.append(field.mean_window_count)
+        _, U, V = _window_triples(assemble_block_jacobi(params, real), lo, hi)
+        # in place in U, with the arithmetic of SpectralData.site_amplitudes on the eigenpairs
+        b = U - V
+        a = np.add(U, V, out=U)
+        a *= 0.5
+        b *= 0.5
+        amplitudes = np.sqrt(np.add(np.square(a, out=a), np.square(b, out=b), out=a), out=a)
+        del b, V
+        Q += amplitudes @ amplitudes.T
+        counts.append(float(amplitudes.shape[1]))
     return CorrelatorField(
-        window=(float(window[0]), float(window[1])),
+        window=(lo, hi),
         Q=Q / num_realizations,
         num_realizations=num_realizations,
         mean_window_count=float(np.mean(counts)),
@@ -99,7 +114,9 @@ class DecayFit:
     The model is y(d) = log C - eta * d^zeta; eta > 0 with a confidence
     interval excluding zero certifies stretched-exponential decay at
     stretching exponent zeta.  curvature_flag marks a significant quadratic
-    correction in d^zeta, a hint that zeta misses the true stretching.
+    correction in d^zeta, a hint that zeta misses the true stretching.  It
+    needs at least four bins: three are fitted exactly by the quadratic,
+    which leaves no residual, and curvature_se is then only rounding.
     """
 
     zeta: float
@@ -196,7 +213,7 @@ def fit_decay(
         log_C=float(coef[0]),
         curvature=curv,
         curvature_se=curv_se,
-        curvature_flag=bool(abs(curv) > 2.0 * curv_se),
+        curvature_flag=bool(m >= 4 and abs(curv) > 2.0 * curv_se),
         distances=np.asarray(distances),
         mean_logs=y,
         bin_se=np.asarray(bin_se),

@@ -16,7 +16,8 @@ it and `interleave_permutation` maps it back onto the block layout.  The
 chain is chiral: Gamma = diag(sigma_x, ..., sigma_x) anticommutes with M, so
 the per-site rotation (1/sqrt2) [[1, 1], [1, -1]] turns M into
 [[0, C], [C^t, 0]] with the n x n tridiagonal coupling C = A - B of the hat
-form (Lieb, Schultz and Mattis 1961); `chiral_coupling` builds C.
+form (Lieb, Schultz and Mattis 1961); `_chiral_diagonals` reads its three
+diagonals and `chiral_coupling` builds C.
 """
 
 from __future__ import annotations
@@ -293,17 +294,17 @@ class BlockJacobiMatrix:
         out[ell + r - c, np.arange(n - 1)[:, None] * ell + c] = -self.S[:, c, r]
         return out
 
-    def chiral_coupling(self) -> np.ndarray:
-        """The n x n coupling C of the chiral form [[0, C], [C^t, 0]] of M.
+    def _chiral_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three diagonals (d, e, f) of the n x n coupling C of the chiral form [[0, C], [C^t, 0]] of M.
 
-        Needs ell = 2 and blocks that anticommute with sigma_x exactly:
-        V_k[0, 0] + V_k[1, 1] = 0, V_k[0, 1] = 0, S_k[0, 0] + S_k[1, 1] = 0 and
-        S_k[0, 1] + S_k[1, 0] = 0; raises ConfigError otherwise.  With
-        H = [[1, 1], [1, -1]] the entries are those of H X H / 2 at (0, 1)
-        and (1, 0): C_kk = V_k[0, 0], C_{k,k+1} = -(S_k[0, 0] - S_k[0, 1]) and
-        C_{k+1,k} = -(S_k[0, 0] + S_k[0, 1]).  An eigenpair of M is
-        psi_+-(k) = (u_k +- v_k, u_k -+ v_k) / 2 at +-sigma for every
-        singular triple C v = sigma u.
+        C_kk = d_k, C_{k,k+1} = e_k and C_{k+1,k} = f_k.  Needs ell = 2 and
+        blocks that anticommute with sigma_x exactly: V_k[0, 0] + V_k[1, 1] = 0,
+        V_k[0, 1] = 0, S_k[0, 0] + S_k[1, 1] = 0 and S_k[0, 1] + S_k[1, 0] = 0;
+        raises ConfigError otherwise.  With H = [[1, 1], [1, -1]] the entries
+        are those of H X H / 2 at (0, 1) and (1, 0): d_k = V_k[0, 0],
+        e_k = -(S_k[0, 0] - S_k[0, 1]) and f_k = -(S_k[0, 0] + S_k[0, 1]).
+        An eigenpair of M is psi_+-(k) = (u_k +- v_k, u_k -+ v_k) / 2 at
+        +-sigma for every singular triple C v = sigma u.
         """
         V, S = self.V, self.S
         chiral = (
@@ -315,12 +316,14 @@ class BlockJacobiMatrix:
         )
         if not chiral:
             raise ConfigError("not a chiral ell = 2 chain: the blocks do not anticommute with sigma_x")
-        n = self.n
-        C = np.zeros((n, n))
-        k = np.arange(n - 1)
-        C[np.arange(n), np.arange(n)] = V[:, 0, 0]
-        C[k, k + 1] = -(S[:, 0, 0] - S[:, 0, 1])
-        C[k + 1, k] = -(S[:, 0, 0] + S[:, 0, 1])
+        return V[:, 0, 0], -(S[:, 0, 0] - S[:, 0, 1]), -(S[:, 0, 0] + S[:, 0, 1])
+
+    def chiral_coupling(self) -> np.ndarray:
+        """The dense n x n coupling C of the chiral form, built from `_chiral_diagonals`."""
+        d, e, f = self._chiral_diagonals()
+        C = np.diag(d)
+        k = np.arange(self.n - 1)
+        C[k, k + 1], C[k + 1, k] = e, f
         return C
 
 

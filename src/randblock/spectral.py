@@ -4,10 +4,14 @@ Finite chains are diagonalized exactly and no dense matrix of the operator
 is built: eigenvalues alone from the band storage of the operator (scipy's
 eig_banded, the one route here that imports scipy, on its first call),
 eigenvectors of the chiral XY chain from one SVD of its n x n coupling C
-(the Lieb-Schultz-Mattis reduction, see `BlockJacobiMatrix.chiral_coupling`).
+(the Lieb-Schultz-Mattis reduction, see `BlockJacobiMatrix._chiral_diagonals`).
 The eigenpairs in a window that excludes 0 come from one eigh of the
-pentadiagonal Gram matrix C^t C instead (`window_eigensolve`); a chain
-that fails its checks is recomputed by the SVD.
+pentadiagonal Gram matrix C^t C instead (`window_eigensolve`), and that
+route never densifies C: the Gram matrix, u = C v / sigma and the residuals
+are products with the three diagonals of C.  A chain that fails its checks
+is recomputed by the SVD, whose input is the only dense C.  Both routes
+give singular triples in one private helper, `_window_triples`, which the
+correlator reads directly.
 The spectrum of a periodic chain is swept out by the sorted eigenvalue
 branches of its Bloch symbol H(theta), a Hermitian 2p x 2p matrix family
 over the angle theta.  The symbol is chiral like the chain, so its
@@ -87,19 +91,15 @@ def eigensolve(M: BlockJacobiMatrix, want_vectors: bool = True) -> SpectralData:
     the eigenvalues are -sigma then +sigma, ascending and exactly +- paired,
     with psi_+-(k) = (u_k +- v_k, u_k -+ v_k) / 2.  Raises NumericalFailure
     if the residual max_i |M psi_i - lambda_i psi_i| exceeds
-    EIGEN_RESIDUAL_TOL relative to max(1, max |lambda|).
+    EIGEN_RESIDUAL_TOL relative to max(1, max |lambda|); it is computed
+    from the three diagonals of C.
     """
     if not want_vectors:
         import scipy.linalg  # here, so the routes that need no scipy start without it
 
         vals = scipy.linalg.eig_banded(M.band(), lower=True, eigvals_only=True)
         return SpectralData(eigenvalues=vals, eigenvectors=None, ell=M.ell, n=M.n)
-    C = M.chiral_coupling()
-    U, sigma, Vt = np.linalg.svd(C)
-    spec, residual = _chiral_eigenpairs(M, C, U, sigma, Vt.T, signs=(-1, 1))
-    if residual > EIGEN_RESIDUAL_TOL:
-        raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
-    return spec
+    return _eigenpairs(M, *_svd_triples(M))
 
 
 def _exact_counts(chains: Sequence[BlockJacobiMatrix], x: Sequence[float]) -> np.ndarray:
@@ -118,62 +118,58 @@ def _exact_counts(chains: Sequence[BlockJacobiMatrix], x: Sequence[float]) -> np
     return counts
 
 
-def _chiral_eigenpairs(M: BlockJacobiMatrix, C: np.ndarray, U: np.ndarray, sigma: np.ndarray,
-                       V: np.ndarray, signs: tuple[int, ...]) -> tuple[SpectralData, float]:
-    """Eigenpairs of the chiral chain M from triples C v_i = sigma_i u_i, sigma descending.
+def _tridiagonal_product(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T X for the tridiagonal T with T_kk = d_k, T_{k,k+1} = upper_k and T_{k+1,k} = lower_k; X is (n, m)."""
+    Y = d[:, None] * X
+    Y[:-1] += upper[:, None] * X[1:]
+    Y[1:] += lower[:, None] * X[:-1]
+    return Y
 
-    Sign -1 gives the eigenvalues -sigma in the given order and sign +1 gives
-    +sigma reversed, so each ascends, with psi_+-(k) = (u_k +- v_k, u_k -+ v_k) / 2;
-    the sign -1 block comes first.  Also returns the residual
-    max_i |M psi_i - lambda_i psi_i| relative to max(1, max sigma).
+
+def _triple_residual(CV: np.ndarray, CtU: np.ndarray, sigma: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
+    """max_i |M psi_i - lambda_i psi_i| relative to max(1, max sigma), from C V and C^t U of triples C v = sigma u.
+
+    CV and CtU are overwritten.
     """
     # psi_+- is a per-site rotation of (u, +-v) / sqrt2, so with r_u = C v - sigma u
     # and r_v = C^t u - sigma v the entries of M psi_+- -+ sigma psi_+- are
     # (r_u +- r_v) / 2 and (r_u -+ r_v) / 2: their largest modulus is (|r_u| + |r_v|) / 2
-    r_u, r_v = C @ V - U * sigma, C.T @ U - V * sigma
-    residual = 0.5 * float(np.max(np.abs(r_u) + np.abs(r_v), initial=0.0))
-    residual /= max(1.0, float(np.max(sigma, initial=0.0)))
-    n, m = U.shape
-    plus, minus = 0.5 * (U + V), 0.5 * (U - V)
-    vals = np.concatenate([sigma[::-1] if s > 0 else -sigma for s in signs])
-    vecs = np.empty((n, 2, len(signs) * m))
-    for i, s in enumerate(signs):
-        cols = slice(i * m, (i + 1) * m)
-        if s > 0:
-            vecs[:, 0, cols], vecs[:, 1, cols] = plus[:, ::-1], minus[:, ::-1]
-        else:
-            vecs[:, 0, cols], vecs[:, 1, cols] = minus, plus
-    spec = SpectralData(eigenvalues=vals, eigenvectors=vecs.reshape(2 * n, len(signs) * m), ell=M.ell, n=n)
-    return spec, residual
+    r_u = np.abs(np.subtract(CV, U * sigma, out=CV), out=CV)
+    r_u += np.abs(np.subtract(CtU, V * sigma, out=CtU), out=CtU)
+    residual = 0.5 * float(np.max(r_u, initial=0.0))
+    return residual / max(1.0, float(np.max(sigma, initial=0.0)))
 
 
-def window_eigensolve(M: BlockJacobiMatrix, window: tuple[float, float]) -> SpectralData:
-    """The eigenpairs of a chiral chain with eigenvalue in the closed window, ascending.
+def _svd_triples(M: BlockJacobiMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every eigenvalue of the chiral chain M, ascending, with its triple, from one SVD of the dense C.
 
-    A window [lo, hi] that excludes 0 holds eigenvalues of one sign only,
-    lambda = +sigma for lo > 0 and -sigma for hi < 0, so it needs only the
-    singular triples C v = sigma u with sigma in the window.  They come from
-    one dense eigh of the pentadiagonal Gram matrix G = C^t C, built in
-    O(n) from the three diagonals of C: sigma = sqrt(max(w, 0)) for each
-    eigenvalue w of G, and u = C v / sigma.  The eigenpairs are assembled as
-    in `eigensolve`.  The Gram route squares the condition number, so it is
-    checked, and a chain is recomputed by the SVD route when its residual
-    (the formula of `eigensolve`) exceeds EIGEN_RESIDUAL_TOL, when
-    max |U^t U - I| exceeds WINDOW_ORTHONORMALITY_TOL, or when an
-    eigenvalue of G lies within n eps ||G|| of the square of a window end,
-    where the Gram route cannot tell which side sigma is on (it may show a
-    sigma of 1e-13 as 1e-8, or drop a sigma of 3e-9 as a negative w).  A
-    window that reaches 0, where open chains have edge modes near 1e-15,
-    always takes the SVD route: `eigensolve`, whose guard raises
-    NumericalFailure, with the eigenpairs outside the window dropped.
-    Tie rule: an eigenvalue within rounding of a window end may be kept by
-    one route and dropped by the other.
+    Returns (lam, U, V): -sigma with the triples C v = sigma u in the SVD's
+    order, then +sigma with them reversed.  A residual (`_triple_residual`)
+    above EIGEN_RESIDUAL_TOL is a NumericalFailure.
     """
-    lo, hi = float(window[0]), float(window[1])
+    d, e, f = M._chiral_diagonals()
+    U, sigma, Vt = np.linalg.svd(M.chiral_coupling())
+    V = Vt.T
+    residual = _triple_residual(_tridiagonal_product(d, e, f, V), _tridiagonal_product(d, f, e, U), sigma, U, V)
+    if residual > EIGEN_RESIDUAL_TOL:
+        raise NumericalFailure(f"eigensolve residual {residual:.3e} exceeds tolerance")
+    return (np.concatenate([-sigma, sigma[::-1]]), np.concatenate([U, U[:, ::-1]], axis=1),
+            np.concatenate([V, V[:, ::-1]], axis=1))
+
+
+def _window_triples(M: BlockJacobiMatrix, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues lam of the chiral chain M in the closed window [lo, hi], ascending, with their triples.
+
+    Returns (lam, U, V), the columns of U and V (n, m) the checked singular
+    triples C v = |lam| u; the eigenvector at lam is psi_+ of its triple for
+    lam > 0 and psi_- for lam < 0 (see `eigensolve`).  The route and its
+    guards are those of `window_eigensolve`.  C is read through its three
+    diagonals: G = C^t C, U = C V / sigma and the residual are three-term
+    products, and only the SVD route builds C densely.
+    """
     if lo > 0.0 or hi < 0.0:
         sign = 1 if lo > 0.0 else -1
-        C = M.chiral_coupling()
-        d, e, f = np.diagonal(C), np.diagonal(C, 1), np.diagonal(C, -1)
+        d, e, f = M._chiral_diagonals()
         # column j of C holds e[j-1], d[j], f[j] in rows j-1, j, j+1
         diag = d**2
         diag[1:] += e**2
@@ -183,22 +179,63 @@ def window_eigensolve(M: BlockJacobiMatrix, window: tuple[float, float]) -> Spec
         G[k[:-1], k[1:]] = G[k[1:], k[:-1]] = d[:-1] * e + f * d[1:]
         G[k[:-2], k[2:]] = G[k[2:], k[:-2]] = f[:-1] * e[1:]
         w, V = np.linalg.eigh(G)
+        del G  # V is the one n x n array held through the products below
         # w is off by up to about n eps ||G||: near 0 far more than the rounding of sigma
         near_end = np.abs(w[:, None] - np.array([lo, hi]) ** 2) <= M.n * np.finfo(float).eps * w[-1]
         sigma = np.sqrt(np.maximum(w, 0.0))
         lam = sign * sigma
-        keep = np.flatnonzero((lam >= lo) & (lam <= hi))[::-1]  # sigma descending
-        sigma, V = sigma[keep], V[:, keep]
-        U = C @ V / sigma
-        spec, residual = _chiral_eigenpairs(M, C, U, sigma, V, signs=(sign,))
+        keep = np.flatnonzero((lam >= lo) & (lam <= hi))  # sigma ascending
+        keep = keep if sign > 0 else keep[::-1]  # lam ascending
+        sigma, V = sigma[keep], V.take(keep, axis=1)  # C order: each product row is contiguous
+        CV = _tridiagonal_product(d, e, f, V)
+        U = CV / sigma
+        residual = _triple_residual(CV, _tridiagonal_product(d, f, e, U), sigma, U, V)
         orthonormality = float(np.max(np.abs(U.T @ U - np.eye(sigma.size)), initial=0.0))
         checks = residual <= EIGEN_RESIDUAL_TOL and orthonormality <= WINDOW_ORTHONORMALITY_TOL
         if checks and not near_end.any():
-            return spec
-    spec = eigensolve(M)
-    mask = spec.window_mask(lo, hi)
-    return SpectralData(eigenvalues=spec.eigenvalues[mask], eigenvectors=spec.eigenvectors[:, mask],
-                        ell=spec.ell, n=spec.n)
+            return sign * sigma, U, V
+    lam, U, V = _svd_triples(M)
+    inside = (lam >= lo) & (lam <= hi)
+    return lam[inside], U[:, inside], V[:, inside]
+
+
+def _eigenpairs(M: BlockJacobiMatrix, lam: np.ndarray, U: np.ndarray, V: np.ndarray) -> SpectralData:
+    """The eigenpairs of the chiral chain M at lam from their triples C v = |lam| u (see `_window_triples`).
+
+    With a = (u + v) / 2 and b = (u - v) / 2 the eigenvector is psi_+ = (a, b)
+    at +sigma and psi_- = (b, a) at -sigma; the sign is read from the sign
+    bit, so -0.0 (sigma = 0 in `eigensolve`'s -sigma block) gives psi_-.
+    """
+    vecs = np.stack([0.5 * (U + V), 0.5 * (U - V)], axis=1)
+    minus = np.signbit(lam)
+    vecs[:, :, minus] = vecs[:, ::-1, minus]
+    return SpectralData(eigenvalues=lam, eigenvectors=vecs.reshape(2 * M.n, lam.size), ell=M.ell, n=M.n)
+
+
+def window_eigensolve(M: BlockJacobiMatrix, window: tuple[float, float]) -> SpectralData:
+    """The eigenpairs of a chiral chain with eigenvalue in the closed window, ascending.
+
+    A window [lo, hi] that excludes 0 holds eigenvalues of one sign only,
+    lambda = +sigma for lo > 0 and -sigma for hi < 0, so it needs only the
+    singular triples C v = sigma u with sigma in the window.  They come from
+    one dense eigh of the pentadiagonal Gram matrix G = C^t C, and this route
+    never builds C densely: G, u = C v / sigma and the residual are products
+    with the three diagonals of C (`BlockJacobiMatrix._chiral_diagonals`),
+    and sigma = sqrt(max(w, 0)) for each eigenvalue w of G.  The eigenpairs
+    are assembled as in `eigensolve`.  The Gram route squares the condition
+    number, so it is checked, and a chain is recomputed by the SVD route when
+    its residual (the formula of `eigensolve`) exceeds EIGEN_RESIDUAL_TOL, when
+    max |U^t U - I| exceeds WINDOW_ORTHONORMALITY_TOL, or when an
+    eigenvalue of G lies within n eps ||G|| of the square of a window end,
+    where the Gram route cannot tell which side sigma is on (it may show a
+    sigma of 1e-13 as 1e-8, or drop a sigma of 3e-9 as a negative w).  A
+    window that reaches 0, where open chains have edge modes near 1e-15,
+    always takes the SVD route: the one SVD of the dense C of `eigensolve`,
+    whose guard raises NumericalFailure, with the eigenpairs outside the
+    window dropped.  Tie rule: an eigenvalue within rounding of a window end
+    may be kept by one route and dropped by the other.
+    """
+    return _eigenpairs(M, *_window_triples(M, float(window[0]), float(window[1])))
 
 
 def check_gap(spec: SpectralData, lam: float) -> bool:

@@ -392,27 +392,34 @@ def fundamental_solutions(
     the same ell, for which U and V are lists with one solution per chain.
     One loop of stacked products runs the steps of every chain and of its
     reversed chain (V[::-1], S[::-1] transposed), whose forward solution
-    read backwards is V, as lanes (direction, chain); a chain shorter than
-    the longest runs on past its own S_L = I, into sites that it never
-    reads.  Overflow raises NumericalFailure naming the first site of the
-    first chain that overflowed, forward first: these unscaled solutions
-    are meant for moderate chain lengths.
+    read backwards is V, as lanes (direction, chain).  The lanes are ordered
+    by length, longest first, and step k runs only over the chains that
+    reach it, so no lane runs past its own S_L = I.  Overflow raises
+    NumericalFailure naming the first site of the first chain that
+    overflowed, forward first: these unscaled solutions are meant for
+    moderate chain lengths.
     """
     chains, single = _batch(M)
     ell, R, L = chains[0].ell, len(chains), max(chain.n for chain in chains)
     lengths = np.array([chain.n for chain in chains])
-    reversed_chains = [(M.V[::-1], np.swapaxes(M.S[::-1], -1, -2)) for M in chains]
-    V, S = _stacked([(M.V, M.S) for M in chains] + reversed_chains, L)
+    # lanes by length, so that the chains reaching step k are the first running[k]
+    order = np.argsort(-lengths, kind="stable")
+    running = np.count_nonzero(lengths[:, None] > np.arange(L), axis=0)
+    lanes_of = [chains[r] for r in order]
+    reversed_chains = [(M.V[::-1], np.swapaxes(M.S[::-1], -1, -2)) for M in lanes_of]
+    V, S = _stacked([(M.V, M.S) for M in lanes_of] + reversed_chains, L)
     steps = _recursion_steps(V, S, z).reshape(2, R, L, 2 * ell, 2 * ell)
     lanes = np.zeros((2, R, L + 2, ell, ell), dtype=steps.dtype)
     lanes[:, :, 1] = np.eye(ell)
     # an overflow is reported by the check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(L):
+        for k, a in enumerate(running):
             # [X(k); X(k+1)] of each lane is a (2 ell, ell) view of two consecutive sites
-            lanes[:, :, k + 2] = steps[:, :, k, ell:] @ lanes[:, :, k:k + 2].reshape(2, R, 2 * ell, ell)
+            lanes[:, :a, k + 2] = steps[:, :a, k, ell:] @ lanes[:, :a, k:k + 2].reshape(2, a, 2 * ell, ell)
+    lane = np.argsort(order)  # the lane of each chain
     # at each chain's own sites only
-    overflowed = ~(np.abs(lanes[:, :, 2:]).max(axis=(-2, -1)) <= OVERFLOW_LIMIT) & (np.arange(L) < lengths[:, None])
+    peaks = np.abs(lanes[:, :, 2:]).max(axis=(-2, -1))[:, lane]
+    overflowed = ~(peaks <= OVERFLOW_LIMIT) & (np.arange(L) < lengths[:, None])
     if overflowed.any():
         r = int(np.argmax(overflowed.any(axis=(0, 2))))
         n = chains[r].n
@@ -420,8 +427,8 @@ def fundamental_solutions(
         for kind, row, sites in zip(("forward", "backward"), overflowed[:, r], (range(2, n + 2), range(n - 1, -1, -1))):
             if row.any():
                 raise NumericalFailure(f"{kind} solution overflowed at site {sites[np.argmax(row)]}", chain=r)
-    U = [lanes[0, r, :chain.n + 2] for r, chain in enumerate(chains)]
-    V = [lanes[1, r, chain.n + 1::-1] for r, chain in enumerate(chains)]
+    U = [lanes[0, lane[r], :chain.n + 2] for r, chain in enumerate(chains)]
+    V = [lanes[1, lane[r], chain.n + 1::-1] for r, chain in enumerate(chains)]
     return (U[0], V[0]) if single else (U, V)
 
 

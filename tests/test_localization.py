@@ -55,23 +55,26 @@ class TestCorrelator:
         assert np.all(Q >= 0)
         assert np.abs(Q - Q.T).max() <= 1e-14
 
-    def test_single_realization_mean_is_the_field(self, xy_params):
+    # the window below 0 pins the column order of the sign -1 route: -sigma ascending
+    @pytest.mark.parametrize("window", [(0.5, 1.5), (-1.5, -0.5)])
+    def test_single_realization_mean_is_the_field(self, xy_params, window):
         p = xy_params(n=15)
-        mean = ensemble_correlator(p, (0.5, 1.5), num_realizations=1, seed=9)
-        spec = chiral_spectra(p, (0.5, 1.5), 1, seed=9)[0]
-        single = eigenfunction_correlator(spec, (0.5, 1.5))
+        mean = ensemble_correlator(p, window, num_realizations=1, seed=9)
+        spec = chiral_spectra(p, window, 1, seed=9)[0]
+        single = eigenfunction_correlator(spec, window)
         assert np.array_equal(mean.Q, single.Q)
         assert mean.num_realizations == 1
 
-    def test_mean_is_the_in_order_sum_of_single_fields(self, xy_params):
+    @pytest.mark.parametrize("window", [(0.5, 1.5), (-1.5, -0.5)])
+    def test_mean_is_the_in_order_sum_of_single_fields(self, xy_params, window):
         p = xy_params(n=15)
-        mean = ensemble_correlator(p, (0.5, 1.5), num_realizations=5, seed=9)
-        specs = chiral_spectra(p, (0.5, 1.5), 5, seed=9)
-        fields = [eigenfunction_correlator(s, (0.5, 1.5)) for s in specs]
+        mean = ensemble_correlator(p, window, num_realizations=5, seed=9)
+        specs = chiral_spectra(p, window, 5, seed=9)
+        fields = [eigenfunction_correlator(s, window) for s in specs]
         assert np.array_equal(mean.Q, sum(f.Q for f in fields) / 5)
         assert mean.mean_window_count == np.mean([f.mean_window_count for f in fields])
         with pytest.raises(ConfigError, match="at least one realization"):
-            ensemble_correlator(p, (0.5, 1.5), num_realizations=0, seed=9)
+            ensemble_correlator(p, window, num_realizations=0, seed=9)
 
     def test_ensemble_never_builds_dense(self, xy_params, monkeypatch):
         def refuse(self):
@@ -164,6 +167,18 @@ class TestDecayFit:
         # data decays with zeta=1 but is fitted at zeta=0.5: strongly curved
         fit = fit_decay(self.synthetic_field(eta=0.15, zeta=1.0), zeta=0.5)
         assert fit.curvature_flag
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_three_bins_never_flag_curvature(self, xy_params, seed):
+        # n = 17 less 5 sites at each end leaves 7 interior sites, so distances 1-3
+        # have at least MIN_PAIRS_PER_BIN pairs: a quadratic through three bins is exact
+        field = ensemble_correlator(xy_params(n=17), (0.5, 1.5), num_realizations=30, seed=seed)
+        fit = fit_decay(field, zeta=0.9, boundary=5)
+        assert fit.distances.tolist() == [1.0, 2.0, 3.0]
+        assert np.isfinite(fit.curvature_se) and not fit.curvature_flag
+        # a fourth bin gives the curvature a residual to be measured against again
+        curved = fit_decay(self.synthetic_field(n=18, eta=0.15, zeta=1.0), zeta=0.5, boundary=5)
+        assert curved.distances.size == 4 and curved.curvature_flag
 
     def test_needs_enough_distance_bins(self):
         field = self.synthetic_field(n=12)  # interior of 2 sites -> 1 distance

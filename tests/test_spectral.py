@@ -267,10 +267,32 @@ class TestWindowEigensolve:
             w[-2], V[:, -2] = w[-1], V[:, -1]
             return w, V
 
+        p = ModelParams(30, 0.5, SingleSiteDistribution.uniform(-1.0, 1.0))
         for broken in (mixed, repeated):
             monkeypatch.setattr(np.linalg, "eigh", broken)
-            self.assert_matches_svd_route(M, (0.1, 5.0))
-            self.assert_matches_svd_route(M, (-5.0, -0.1))
+            for window in ((0.1, 5.0), (-5.0, -0.1)):
+                self.assert_matches_svd_route(M, window)
+                # the correlator takes the same fallback, and its mean is the public composition bit for bit
+                mean = localization.ensemble_correlator(p, window, num_realizations=3, seed=5)
+                chains = [assemble_block_jacobi(p, sample_disorder(p, 5, index)) for index in range(3)]
+                fields = [localization.eigenfunction_correlator(window_eigensolve(C, window), window) for C in chains]
+                assert np.array_equal(mean.Q, sum(f.Q for f in fields) / 3)
+
+    @pytest.mark.parametrize("window", [(0.5, 1.5), (-1.5, -0.5)])
+    def test_windows_away_from_zero_never_build_the_dense_coupling(self, window, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense coupling built")
+
+        monkeypatch.setattr(BlockJacobiMatrix, "chiral_coupling", refuse)
+        M = uniform_chain(40, 3)
+        assert window_eigensolve(M, window).eigenvalues.size > 0
+        p = ModelParams(40, 0.5, SingleSiteDistribution.two_point(0.0, 1.0))
+        assert not localization.ensemble_correlator(p, window, num_realizations=4, seed=3).empty
+        # a window through 0 still takes the SVD of the dense coupling
+        with pytest.raises(AssertionError, match="dense coupling"):
+            window_eigensolve(M, (-0.5, 0.5))
+        with pytest.raises(AssertionError, match="dense coupling"):
+            localization.ensemble_correlator(p, (-0.5, 0.5), num_realizations=1, seed=3)
 
     def test_windows_through_zero_keep_the_svd_guard(self, monkeypatch):
         svd = np.linalg.svd

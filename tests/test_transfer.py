@@ -895,6 +895,18 @@ class TestBatches:
         assert "overflowed at site" in str(batch.value)
         assert batch.value.chain == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ell, scale", [(1, 1e30), (3, 1e12)])
+    def test_overflow_is_reported_in_chain_order_not_lane_order(self, ell, scale):
+        # the lanes run longest first, so the shorter first chain runs in the second lane
+        short, long = (random_instance(np.random.default_rng(ell + k), ell, L) for k, L in ((0, 40), (10, 60)))
+        short, long = (BlockJacobiMatrix(scale * M.V, M.S) for M in (short, long))
+        with pytest.raises(NumericalFailure) as alone:
+            fundamental_solutions(short, 0.3 + 0.1j)
+        with pytest.raises(NumericalFailure) as batch:
+            fundamental_solutions([short, long], 0.3 + 0.1j)
+        assert str(batch.value) == str(alone.value) and batch.value.chain == 0
+
     def test_eigenvalue_names_its_chain(self):
         # the two-site chain V = 0, S = 1 has the eigenvalues +-1, and its LU at E = 1 ends on an exact 0
         with pytest.raises(NumericalFailure, match="E is an eigenvalue") as exc:
