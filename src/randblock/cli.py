@@ -3,12 +3,12 @@
 Every subcommand reads one JSON config, writes its results under --out, and
 embeds its effective config in each output file (a `# config:` line in CSV,
 a "config" key in JSON) so results reproduce from their own files.  Every
-field is declared once, in `_COMMANDS`, with a type, a default, a lower
-bound and, for a field that sizes an array or counts realizations, instances
-or samples, the upper bound `_MAX_SIZE` (`_MAX_STEPS` for cocycle steps);
-`_parse` checks all of them by the same rules and writes each absent field
-into the embedded config with its default.  A subcommand that holds many
-chains at once also bounds their total sites by `_MAX_SIZE`.
+field is declared once, in `_COMMANDS` or the model tables it reuses, with a
+type, a default, a lower bound and, for a field that sizes an array or
+counts realizations, instances or samples, the upper bound `_MAX_SIZE`
+(`_MAX_STEPS` for cocycle steps).  `model._parse` checks them all and writes
+each absent field into the embedded config with its default; a subcommand
+that holds many chains also bounds their total sites by `_MAX_SIZE`.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure; failures also emit a
 machine-readable JSON object on stderr, and an almost surely constant disorder
@@ -20,15 +20,13 @@ subcommand draws its realizations one after another, in index order
 from __future__ import annotations
 
 import argparse
-import copy
-import dataclasses
 import functools
 import json
 import os
 import sys
 import warnings
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,13 +34,20 @@ from . import localization, lyapunov, spectral, transfer, xy_oracle
 from .errors import ConfigError, NumericalFailure
 from .furstenberg import lie_closure_dimension, zero_energy_reducibility_certificate
 from .model import (
+    _MAX_SIZE,
+    _MODEL_FIELDS,
+    _REQUIRED,
+    Field,
+    ModelParams,
     TrivialDisorderWarning,
+    _float,
+    _int,
+    _list,
+    _parse,
     assemble_block_jacobi,
     assemble_hat_form,
-    params_from_config,
     random_instance,
     realization_rng,
-    rho_from_config,
     sample_disorder,
     write_dense_csv,
 )
@@ -76,19 +81,7 @@ def _progress(args, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# field types: each maps a JSON value to its parsed value or raises ConfigError
-
-
-def _int(value, name: str) -> int:
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+# field types besides those of model: each maps a JSON value to its parsed value
 
 
 def _positive(value, name: str) -> float:
@@ -109,15 +102,6 @@ def _bool(value, name: str) -> bool:
     return value
 
 
-def _list(kind: Callable) -> Callable:
-    def parse(value, name: str) -> list:
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
-        return [kind(x, name) for x in value]
-
-    return parse
-
-
 def _window(value, name: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2) or _float(value[0], name) > _float(value[1], name):
         raise ConfigError(f"{name} must be [lo, hi] with lo <= hi, got {value!r}")
@@ -130,51 +114,9 @@ def _paulis(value, name: str) -> tuple[str, str]:
     return tuple(value)
 
 
-def _rho(value, name: str):
-    return rho_from_config(value)
-
-
-_REQUIRED = object()
-
-
-class Field(NamedTuple):
-    kind: Callable | dict | None  # a field type above, a nested table, or None to keep the value
-    default: object = _REQUIRED  # a value, or a function of the fields declared before it
-    low: float | None = None  # smallest allowed value (of every entry, for a list)
-    high: float | None = None  # largest allowed value (of every entry, for a list)
-
-
-# upper bound of every field that sizes an array, such as a site count, or
-# counts the realizations, instances or samples run, so that a huge value exits
-# 2 before anything is allocated or run; the largest such value of the tests and
-# the benchmark is 1000
-_MAX_SIZE = 10**6
 # upper bound of the cocycle steps, which set only the amount of work; the
 # largest step count of the tests and the benchmark is the default 100,000
 _MAX_STEPS = 10**9
-
-
-def _parse(fields: dict, cfg, where: str = "config", outer: dict | None = None) -> dict:
-    """Parsed values of the declared fields; absent fields are written into cfg with their defaults."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(cfg).__name__}")
-    values = dict(outer or {})
-    for name, field in fields.items():
-        if name not in cfg:
-            default = field.default(values) if callable(field.default) else copy.deepcopy(field.default)
-            if default is _REQUIRED:
-                raise ConfigError(f"{where} missing required field {name!r}")
-            cfg[name] = default
-        if isinstance(field.kind, dict):
-            values[name] = SimpleNamespace(**_parse(field.kind, cfg[name], name, values))
-            continue
-        value = values[name] = field.kind(cfg[name], name) if field.kind else cfg[name]
-        entries = value if isinstance(value, list) else [value]
-        if field.low is not None and min(entries) < field.low:
-            raise ConfigError(f"{name} must be >= {field.low}, got {cfg[name]!r}")
-        if field.high is not None and max(entries) > field.high:
-            raise ConfigError(f"{name} must be <= {field.high}, got {cfg[name]!r}")
-    return {name: values[name] for name in fields}
 
 
 def _parse_config(command: str, cfg, seed: int | None = None) -> SimpleNamespace:
@@ -182,17 +124,14 @@ def _parse_config(command: str, cfg, seed: int | None = None) -> SimpleNamespace
     fields = _COMMANDS[command][1]
     if seed is not None and "seed" in fields and isinstance(cfg, dict):
         cfg["seed"] = seed  # embedded provenance must reproduce the run
-    values = _parse(fields, cfg)
-    if _MODEL.keys() <= fields.keys():
-        values["params"] = params_from_config({**cfg, "n": values["n"]})
-    return SimpleNamespace(**values)
+    return SimpleNamespace(**_parse(fields, cfg))
 
 
 # largest dimension of a dense matrix the CLI builds; a complex matrix of this
 # size takes 256 MB per copy
 _MAX_DENSE_DIM = 4000
-# ell x ell blocks of the largest array of one green-check or charpoly-check pass
-_PASS_BLOCKS = 2**16
+# entries of the largest array of one green-check or charpoly-check pass
+_PASS_ENTRIES = 2**17
 
 
 def _check_dense(what: str, dim: int) -> None:
@@ -211,19 +150,25 @@ def _check_sites(what: str, sites: int) -> None:
 # embed, the output directory and the command line arguments
 
 
+def _params(v, n: int | None = None) -> ModelParams:
+    """The chain of the model fields on n sites (default v.n); ModelParams refuses mu = 0 and |gamma| = 1."""
+    return ModelParams(n or v.n, v.gamma, v.rho, v.mu)
+
+
 def _cmd_spectrum(v, cfg: dict, out: str, args) -> None:
     if v.dump_matrix:
         _check_dense("2 n", 2 * v.n)
     _check_sites("num_realizations x n", v.num_realizations * v.n)
-    specs = spectral.ensemble_spectra(v.params, v.num_realizations, v.seed)
+    params = _params(v)
+    specs = spectral.ensemble_spectra(params, v.num_realizations, v.seed)
     rows = []
     for r, spec in enumerate(specs):
         for i, lam in enumerate(spec.eigenvalues):
             rows.append((r, i, lam))
     _write_csv(os.path.join(out, "eigenvalues.csv"), cfg, ["realization", "index", "lambda"], rows)
     if v.dump_matrix:
-        real = sample_disorder(v.params, v.seed, 0)
-        write_dense_csv(assemble_block_jacobi(v.params, real), os.path.join(out, "matrix.csv"))
+        real = sample_disorder(params, v.seed, 0)
+        write_dense_csv(assemble_block_jacobi(params, real), os.path.join(out, "matrix.csv"))
     _progress(args, f"diagonalized {v.num_realizations} realizations of n={v.n}")
 
 
@@ -232,7 +177,7 @@ def _cmd_dos(v, cfg: dict, out: str, args) -> None:
     if width > _MAX_SIZE:
         raise ConfigError(f"num_realizations x (bins + 1) = {width} exceeds {_MAX_SIZE}, the widest count sweep")
     _check_sites("num_realizations x n", v.num_realizations * v.n)
-    dos = spectral.dos_histogram(v.params, v.num_realizations, v.seed, v.bins)
+    dos = spectral.dos_histogram(_params(v), v.num_realizations, v.seed, v.bins)
     rows = zip(dos.edges[:-1], dos.edges[1:], dos.mass)
     _write_csv(os.path.join(out, "dos.csv"), cfg, ["bin_lo", "bin_hi", "mass"], rows)
     _progress(args, f"dos over {v.num_realizations} realizations, total mass {dos.total_mass}")
@@ -257,8 +202,8 @@ def _chain_passes(v, stream: int, cost: Callable[[int], int], check: Callable):
 
     The chains are drawn from one stream in instance order.  The chains of
     each ell run as one pass, check(chains) giving one result per chain,
-    once one more chain would take their number times cost(L) of the
-    longest above _PASS_BLOCKS, and at the end.
+    once one more chain would take their number times cost(L) ell x ell
+    blocks of the longest above _PASS_ENTRIES entries, and at the end.
     """
     _check_dense("L_max * max(ell_values)", v.L_max * max(v.ell_values))
 
@@ -276,7 +221,7 @@ def _chain_passes(v, stream: int, cost: Callable[[int], int], check: Callable):
         L = int(rng.integers(2, v.L_max + 1))
         M = random_instance(rng, ell, L)
         longest, chains = passes.get(ell, (L, []))
-        if chains and (len(chains) + 1) * cost(max(longest, L)) > _PASS_BLOCKS:
+        if chains and (len(chains) + 1) * cost(max(longest, L)) * ell**2 > _PASS_ENTRIES:
             yield from run(chains)
             longest, chains = L, []
         chains.append((i, M))
@@ -328,7 +273,7 @@ def _cmd_charpoly_check(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_lyapunov(v, cfg: dict, out: str, args) -> None:
-    spec = lyapunov.lyapunov_spectrum(v.params, v.E, steps=v.steps, seed=v.seed, reorth_every=v.reorth_every)
+    spec = lyapunov.lyapunov_spectrum(_params(v), v.E, steps=v.steps, seed=v.seed, reorth_every=v.reorth_every)
     m = spec.exponents.size
     header = (
         ["E_re", "E_im"]
@@ -342,15 +287,14 @@ def _cmd_lyapunov(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
-    params = v.params
     _check_sites("dos.num_realizations x dos.n", v.dos.num_realizations * v.dos.n)
-    dos_params = dataclasses.replace(params, n=v.dos.n)
+    dos_params = _params(v, v.dos.n)
     chains = [
         assemble_block_jacobi(dos_params, sample_disorder(dos_params, v.seed + 1, r))
         for r in range(v.dos.num_realizations)
     ]
     rows = []
-    for rep in lyapunov.thouless_check(params, v.energies, chains, steps=v.steps, seed=v.seed):
+    for rep in lyapunov.thouless_check(_params(v), v.energies, chains, steps=v.steps, seed=v.seed):
         E = rep.energy
         rows.append(
             (E.real, E.imag, rep.index_value, rep.index_se, rep.hopping_term, rep.dos_term,
@@ -366,7 +310,7 @@ def _cmd_thouless(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_zero_energy(v, cfg: dict, out: str, args) -> None:
-    params, seed = v.params, v.seed
+    params, seed = _params(v), v.seed
     gamma = params.gamma
     aux = lyapunov.zero_energy_aux_exponent(gamma, params.rho, steps=v.steps, seed=seed)
     pred = lyapunov.zero_energy_closed_form(gamma, aux)
@@ -428,9 +372,7 @@ def _cmd_zariski(v, cfg: dict, out: str, args) -> None:
 
 def _cmd_correlator(v, cfg: dict, out: str, args) -> None:
     _check_dense("2 n", 2 * v.n)
-    if v.n - 2 * v.boundary < 2:
-        raise ConfigError(f"boundary {v.boundary} leaves fewer than 2 of the n = {v.n} sites")
-    field = localization.ensemble_correlator(v.params, v.window, v.num_realizations, v.seed)
+    field = localization.ensemble_correlator(_params(v), v.window, v.num_realizations, v.seed)
     fit = localization.fit_decay(field, zeta=v.zeta, boundary=v.boundary)
     rows = zip(fit.distances, fit.mean_logs, fit.bin_se, fit.counts)
     _write_csv(os.path.join(out, "correlator.csv"), cfg, ["dist", "mean_logQ", "se", "count"], rows)
@@ -452,22 +394,16 @@ def _cmd_correlator(v, cfg: dict, out: str, args) -> None:
 def _cmd_wegner_probe(v, cfg: dict, out: str, args) -> None:
     _check_sites("samples x max(L_list)", v.samples * max(v.L_list))
     records = localization.wegner_probe(
-        v.params, v.E, v.L_list, beta=v.beta, sigma=v.sigma, samples=v.samples, seed=v.seed
+        _params(v), v.E, v.L_list, beta=v.beta, sigma=v.sigma, samples=v.samples, seed=v.seed
     )
     rows = [(r.L, r.eps, r.probability) for r in records]
     _write_csv(os.path.join(out, "wegner.csv"), cfg, ["L", "eps", "probability"], rows)
     _progress(args, f"probabilities {[r.probability for r in records]}")
 
 
-def _check_n_verify(v) -> None:
-    if v.n_verify > v.n:
-        raise ConfigError(f"n_verify = {v.n_verify} exceeds the chain length n = {v.n}")
-
-
 def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
-    _check_n_verify(v)
     _check_dense("2**n_verify", 2**v.n_verify)
-    params, n = v.params, v.n_verify
+    params, n = _params(v), v.n_verify
     real = sample_disorder(params, v.seed, 0)
     sliced_params, sliced_real = xy_oracle.slice_chain(params, real, n)
     H = xy_oracle.build_hamiltonian(sliced_params, sliced_real, n)
@@ -497,12 +433,11 @@ def _cmd_xy_verify(v, cfg: dict, out: str, args) -> None:
 
 
 def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
-    _check_n_verify(v)
     _check_dense("2 n_verify", 2 * v.n_verify)  # the hat matrix of the fermionic route
     if not xy_oracle.fermionic_route(v.j, v.observables):
         _check_dense("2**n_verify", 2**v.n_verify)
     stats = xy_oracle.lr_commutator_stats(
-        v.params,
+        _params(v),
         v.n_verify,
         v.j,
         v.ks,
@@ -520,14 +455,7 @@ def _cmd_lr_stats(v, cfg: dict, out: str, args) -> None:
 # the field table
 
 _SEED = Field(_int)
-_MODEL = {  # params_from_config parses gamma, mu and rho
-    "n": Field(_int, low=2, high=_MAX_SIZE),
-    "gamma": Field(None),
-    "mu": Field(None, 1.0),
-    "ell": Field(_int, 2),
-    "rho": Field(None),
-    "seed": _SEED,
-}
+_MODEL = {**_MODEL_FIELDS, "seed": _SEED}
 _STEPS = Field(_int, lyapunov.DEFAULT_STEPS, low=1, high=_MAX_STEPS)
 _CHAINS = {"seed": _SEED, "ell_values": Field(_list(_int), [1, 2, 3], low=1), "L_max": Field(_int, 50, low=2)}
 
@@ -536,8 +464,8 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
                                  "dump_matrix": Field(_bool, False)}),
     "dos": (_cmd_dos, {**_MODEL, "num_realizations": Field(_int, 20, low=1, high=_MAX_SIZE),
                        "bins": Field(_int, 50, low=1, high=_MAX_SIZE)}),
-    "periodic": (_cmd_periodic, {"potential": Field(_list(_float)), "gamma": Field(_float)}),
-    "asspec": (_cmd_asspec, {"rho": Field(_rho), "gamma": Field(_float), "max_period": Field(_int, 2, low=1),
+    "periodic": (_cmd_periodic, {"potential": Field(_list(_float)), "gamma": _MODEL["gamma"]}),
+    "asspec": (_cmd_asspec, {"rho": _MODEL["rho"], "gamma": _MODEL["gamma"], "max_period": Field(_int, 2, low=1),
                              "samples_per_period": Field(_int, 41, low=1, high=_MAX_SIZE)}),
     "green-check": (_cmd_green_check, {**_CHAINS, "instances": Field(_int, 100, low=1, high=_MAX_SIZE),
                                        "z": Field(_complex, [0.7, 0.3])}),
@@ -549,23 +477,26 @@ _COMMANDS: dict[str, tuple[Callable, dict]] = {
                                  "dos": Field({"n": Field(_int, lambda v: v["n"], low=2, high=_MAX_SIZE),
                                                "num_realizations": Field(_int, 20, low=1, high=_MAX_SIZE)}, {})}),
     "zero-energy": (_cmd_zero_energy, {**_MODEL, "steps": _STEPS}),
-    "alpha-scan": (_cmd_alpha_scan, {"seed": _SEED, "gamma": Field(_float), "rho": Field(_rho),
+    "alpha-scan": (_cmd_alpha_scan, {"seed": _SEED, "gamma": _MODEL["gamma"], "rho": _MODEL["rho"],
                                      "alpha_lo": Field(_float), "alpha_hi": Field(_float), "steps": _STEPS,
                                      "grid_points": Field(_int, 9, low=1, high=_MAX_SIZE)}),
-    "zariski": (_cmd_zariski, {"gamma": Field(_float), "E_grid": Field(_list(_float)),
+    "zariski": (_cmd_zariski, {"gamma": _MODEL["gamma"], "E_grid": Field(_list(_float)),
                                "certificate_samples": Field(_int, 0, low=0, high=_MAX_SIZE),
                                # only the certificate draws, so a run without one needs no seed
                                "seed": Field(_int, lambda v: _REQUIRED if v["certificate_samples"] else 0)}),
     "correlator": (_cmd_correlator, {**_MODEL, "window": Field(_window),
                                      "num_realizations": Field(_int, 100, low=1, high=_MAX_SIZE),
-                                     "zeta": Field(_positive, 0.9), "boundary": Field(_int, 5, low=0)}),
+                                     "zeta": Field(_positive, 0.9),
+                                     "boundary": Field(_int, 5, low=0, high=lambda v: (v["n"] - 2) // 2)}),
     "wegner-probe": (_cmd_wegner_probe, {**_MODEL, "E": Field(_float),
                                          "L_list": Field(_list(_int), low=2, high=_MAX_SIZE),
                                          "beta": Field(_positive), "sigma": Field(_positive),
                                          "samples": Field(_int, 100, low=1, high=_MAX_SIZE)}),
-    "xy-verify": (_cmd_xy_verify, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 6), low=2),
+    "xy-verify": (_cmd_xy_verify, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 6), low=2,
+                                                                  high=lambda v: v["n"]),
                                    "t_list": Field(_list(_float), [0.5, 1.7, 5.0])}),
-    "lr-stats": (_cmd_lr_stats, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 8), low=2),
+    "lr-stats": (_cmd_lr_stats, {**_MODEL, "n_verify": Field(_int, lambda v: min(v["n"], 8), low=2,
+                                                                high=lambda v: v["n"]),
                                  "j": Field(_int, 0, low=0),
                                  "ks": Field(_list(_int), lambda v: list(range(v["j"] + 1, v["n_verify"]))),
                                  "t_max": Field(_float, 10.0), "t_points": Field(_int, 400, low=1, high=_MAX_SIZE),

@@ -18,14 +18,20 @@ the per-site rotation (1/sqrt2) [[1, 1], [1, -1]] turns M into
 [[0, C], [C^t, 0]] with the n x n tridiagonal coupling C = A - B of the hat
 form (Lieb, Schultz and Mattis 1961); `_chiral_diagonals` reads its three
 diagonals and `chiral_coupling` builds C.
+
+`_parse` is the one parser of config fields; `params_from_config`,
+`rho_from_config` and the command line read its model and `rho` tables.
 """
 
 from __future__ import annotations
 
+import copy
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -422,44 +428,107 @@ def write_dense_csv(matrix: BlockJacobiMatrix, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON config parsing (shared by the CLI)
+# JSON config parsing: the field types, the one parser and the model tables
+
+
+def _int(value, name: str) -> int:
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(kind: Callable) -> Callable:
+    def parse(value, name: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return [kind(x, name) for x in value]
+
+    return parse
+
+
+_REQUIRED = object()
+
+
+class Field(NamedTuple):
+    kind: Callable | dict  # a field type, which maps a JSON value to its parsed value, or a nested table
+    default: object = _REQUIRED  # a value, or a function of the fields declared before it
+    low: float | None = None  # smallest allowed value (of every entry, for a list)
+    high: float | Callable | None = None  # largest allowed value (of every entry, for a list), or as default
+
+
+def _parse(fields: dict, cfg, where: str = "config", outer: dict | None = None) -> dict:
+    """Parsed values of the declared fields; absent fields are written into cfg with their defaults."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(cfg).__name__}")
+    values = dict(outer or {})
+    for name, field in fields.items():
+        if name not in cfg:
+            default = field.default(values) if callable(field.default) else field.default
+            if default is _REQUIRED:
+                raise ConfigError(f"{where} missing required field {name!r}")
+            cfg[name] = copy.deepcopy(default)
+        if isinstance(field.kind, dict):
+            values[name] = SimpleNamespace(**_parse(field.kind, cfg[name], name, values))
+            continue
+        value = values[name] = field.kind(cfg[name], name)
+        entries = value if isinstance(value, list) else [value]
+        if field.low is not None and min(entries) < field.low:
+            raise ConfigError(f"{name} must be >= {field.low}, got {cfg[name]!r}")
+        high = field.high(values) if callable(field.high) else field.high
+        if high is not None and max(entries) > high:
+            raise ConfigError(f"{name} must be <= {high}, got {cfg[name]!r}")
+    return {name: values[name] for name in fields}
+
+
+# one table of fields per kind of rho, with the constructor of its law
+_RHO = {
+    "two_point": (SingleSiteDistribution.two_point, {"a": Field(_float), "b": Field(_float), "p": Field(_float, 0.5)}),
+    "uniform": (SingleSiteDistribution.uniform, {"a": Field(_float), "b": Field(_float)}),
+    "discrete": (SingleSiteDistribution.discrete, {"points": Field(_list(_float)), "weights": Field(_list(_float))}),
+}
+
+
+def _rho(value, name: str) -> SingleSiteDistribution:
+    """The law of a rho object, parsed by the table of its kind; absent fields are written in with their defaults."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if not isinstance(kind, str) or kind not in _RHO:
+        raise ConfigError(f"{name} must be an object whose kind is one of {', '.join(_RHO)}, got {value!r}")
+    law, fields = _RHO[kind]
+    return law(**_parse(fields, value, name))
+
+
+def _ell(value, name: str) -> int:
+    if _int(value, name) != 2:
+        raise ConfigError("scalar-anisotropy configs describe ell=2 chains; build BlockJacobiMatrix(V, S) otherwise")
+    return 2
+
+
+# upper bound of every field that sizes an array or counts the realizations,
+# instances or samples run, so that a huge value is refused before anything
+# is allocated; the largest such value of the tests and the benchmark is 1000
+_MAX_SIZE = 10**6
+# the model section of a run config: one gamma and one mu serve every bond
+_MODEL_FIELDS = {
+    "n": Field(_int, low=2, high=_MAX_SIZE),
+    "gamma": Field(_float),
+    "mu": Field(_float, 1.0),
+    "ell": Field(_ell, 2),
+    "rho": Field(_rho),
+}
 
 
 def rho_from_config(cfg: dict) -> SingleSiteDistribution:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("rho must be an object with a 'kind' field")
-    kind = cfg["kind"]
-    try:
-        if kind == "two_point":
-            return SingleSiteDistribution.two_point(cfg["a"], cfg["b"], cfg.get("p", 0.5))
-        if kind == "uniform":
-            return SingleSiteDistribution.uniform(cfg["a"], cfg["b"])
-        if kind == "discrete":
-            return SingleSiteDistribution.discrete(cfg["points"], cfg["weights"])
-    except KeyError as exc:
-        raise ConfigError(f"rho config missing field {exc}") from exc
-    except ConfigError:  # a ValueError subclass; keep its own message
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad rho value: {exc}") from exc
-    raise ConfigError(f"unknown rho kind {kind!r}")
+    """The law of a rho config object, parsed by the table of its kind; cfg is left as it is."""
+    return _rho(copy.deepcopy(cfg), "rho")
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    """Parse the model section of a run config into ModelParams.
-
-    `gamma` and the optional `mu` (default 1.0) are single numbers;
-    ModelParams rejects every other form, a per-bond list included.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in ("n", "gamma", "rho"):
-        if key not in cfg:
-            raise ConfigError(f"config missing required field {key!r}")
-    ell = cfg.get("ell", 2)
-    if ell != 2:
-        raise ConfigError("scalar-anisotropy configs describe ell=2 chains; build BlockJacobiMatrix(V, S) otherwise")
-    n = cfg["n"]
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"n must be an integer >= 2, got {n!r}")
-    return ModelParams(n=n, gamma=cfg["gamma"], rho=rho_from_config(cfg["rho"]), mu=cfg.get("mu", 1.0))
+    """The ModelParams of the model section of a run config, parsed by the table _MODEL_FIELDS; cfg is left as it is."""
+    v = _parse(_MODEL_FIELDS, copy.deepcopy(cfg))
+    return ModelParams(v["n"], v["gamma"], v["rho"], v["mu"])

@@ -36,9 +36,9 @@ GreenEvaluator, fundamental_solutions with wronskian, and
 charpoly_identity_check take one chain or a sequence of chains with the
 same ell, the way transfer_factors takes one energy or a sequence; one
 chain is a batch of one.  A batch of chains of different lengths runs as
-lanes of one pass, each chain padded to the longest one so that it rounds
-bit for bit as it would alone, and a chain that fails raises a
-NumericalFailure whose `chain` is its index in the batch.
+lanes of one pass, each padded to the longest to round bit for bit as it
+would alone (wronskian lays them end to end), and a chain that fails
+raises a NumericalFailure whose `chain` is its index in the batch.
 
 _recursion_steps is the one builder of the solution recursion
 S_k X(k+1) + S_{k-1}^t X(k-1) = (V_k - z) X(k).  fundamental_solutions runs
@@ -443,19 +443,18 @@ def wronskian(
     a sequence of chains, U and V are sequences with one solution per chain,
     and so is the result.  Built with transposes throughout, so constancy in
     k holds for complex z as well.  For the fundamental pair, W(0) = V(0)^t.
-    One batched product over all chains, padded to the longest.
+    One batched product over the sites of all chains, laid end to end.
     """
     chains, single = _batch(M)
     if single:
         U, V = [U], [V]
-    L = max(chain.n for chain in chains)
-    _, S = _stacked([(chain.V, chain.S) for chain in chains], L)
-    pair = np.zeros((2, len(chains), L + 2) + S.shape[-2:], dtype=np.result_type(*U, *V))
-    for r, (U_r, V_r) in enumerate(zip(U, V)):
-        pair[:, r, :len(U_r)] = U_r, V_r
-    U, V = pair
-    W = np.swapaxes(V[:, :-1], -1, -2) @ S @ U[:, 1:] - np.swapaxes(S @ V[:, 1:], -1, -2) @ U[:, :-1]
-    W = [W[r, :chain.n + 1] for r, chain in enumerate(chains)]
+    eye = np.eye(chains[0].ell)[None]
+    S = np.concatenate([blocks for chain in chains for blocks in (eye, chain.S, eye)])
+    # X(k) and X(k + 1), k = 0..L, of every chain
+    U0, U1, V0, V1 = (np.concatenate([X_r[a:a + chain.n + 1] for X_r, chain in zip(X, chains)])
+                      for X, a in ((U, 0), (U, 1), (V, 0), (V, 1)))
+    W = np.swapaxes(V0, -1, -2) @ S @ U1 - np.swapaxes(S @ V1, -1, -2) @ U0
+    W = np.split(W, np.cumsum([chain.n + 1 for chain in chains])[:-1])
     return W[0] if single else W
 
 

@@ -127,6 +127,17 @@ class TestErrorPaths:
         assert err["kind"] == "config"
         assert "n" in err["error"]
 
+    @pytest.mark.parametrize("command, cfg, error", [
+        ("spectrum", {"gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0, "b": 1.0}, "seed": 1},
+         "config missing required field 'n'"),
+        ("asspec", {"gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0}}, "rho missing required field 'b'"),
+        ("zariski", {"gamma": 0.5, "E_grid": [0.5], "certificate_samples": 3}, "config missing required field 'seed'"),
+    ])
+    def test_missing_field_is_named(self, tmp_path, capsys, command, cfg, error):
+        code = cli.main([command, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": error, "kind": "config"}
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{not json")
@@ -178,6 +189,10 @@ class TestErrorPaths:
         "command, change",
         [
             ("dos", {"rho": {"kind": "uniform", "a": "x", "b": 1}}),
+            ("asspec", {"rho": {"kind": "uniform", "b": 1}}),
+            ("asspec", {"rho": {"kind": "two_point", "a": "x", "b": 1}}),
+            ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "rho": {"kind": "uniform", "a": [0.0], "b": 1}}),
+            ("alpha-scan", {"alpha_lo": 0.1, "alpha_hi": 1.0, "rho": {"kind": "two_point", "b": 1}}),
             ("dos", {"num_realizations": "many"}),
             ("lyapunov", {"E": [1.0, 0.5], "steps": "lots"}),
             ("spectrum", {"n": 4, "gamma": ["a", "b", "c"]}),
@@ -585,18 +600,26 @@ class TestChainPasses:
         default = self.run(tmp_path, command, cfg, "default")
         assert len(passes) == 3 and sum(passes) == 30  # one pass per ell
         passes.clear()
-        monkeypatch.setattr(cli, "_PASS_BLOCKS", 1)
+        monkeypatch.setattr(cli, "_PASS_ENTRIES", 1)
         assert self.run(tmp_path, command, cfg, "single") == default
         assert passes == [1] * 30
 
-    @pytest.mark.parametrize("command", ["green-check", "charpoly-check"])
-    def test_peak_memory_does_not_grow_with_instances(self, tmp_path, monkeypatch, command):
-        # passes of about ten chains of L <= 30: the 300 more rows take a few hundred bytes each, while
-        # running every chain of the larger run in one pass would take over 10 MB more
-        monkeypatch.setattr(cli, "_PASS_BLOCKS", 10 * 30 * 30)
+    @pytest.mark.parametrize("command, ell, L_max, entries", [
+        ("green-check", 3, 30, 10 * 30 * 30 * 3**2),
+        ("charpoly-check", 3, 30, 10 * 30 * 30 * 3**2),
+        ("green-check", 26, 2, None),
+        ("charpoly-check", 13, 2, None),
+    ])
+    def test_peak_memory_does_not_grow_with_instances(self, tmp_path, monkeypatch, command, ell, L_max, entries):
+        # ell = 3: passes of about ten chains of L <= 30 under a patched budget.  Wide ell: two-site chains under
+        # the default budget, a few dozen to a pass, where a budget of 2**16 ell x ell blocks would run every
+        # chain in one pass.  The 300 more rows take a few hundred bytes each, while running every chain of
+        # the larger run in one pass would take over 10 MB more
+        if entries is not None:
+            monkeypatch.setattr(cli, "_PASS_ENTRIES", entries)
         peaks = []
         for instances in (100, 400):
-            cfg = {"seed": 2, "instances": instances, "ell_values": [3], "L_max": 30}
+            cfg = {"seed": 2, "instances": instances, "ell_values": [ell], "L_max": L_max}
             tracemalloc.start()
             try:
                 self.run(tmp_path, command, cfg, f"n{instances}")
@@ -869,6 +892,22 @@ class TestEffectiveConfig:
         embedded = self.replay(tmp_path, "lyapunov", cfg, "lyapunov.csv", lambda p: read_csv(p)[0])
         assert embedded["steps"] == DEFAULT_STEPS
         assert embedded["reorth_every"] == DEFAULT_REORTH
+
+    TWO_POINT = {"kind": "two_point", "a": 0.0, "b": 1.0}
+
+    @pytest.mark.parametrize("command, cfg, artifact", [
+        ("dos", {"n": 4, "gamma": 0.5, "seed": 5, "num_realizations": 2, "bins": 5}, "dos.csv"),
+        ("asspec", {"gamma": 0.5, "max_period": 2}, "intervals.csv"),
+        ("alpha-scan", {"seed": 5, "gamma": 0.5, "alpha_lo": 0.1, "alpha_hi": 1.0, "steps": 2000,
+                        "grid_points": 3}, "scan.csv"),
+    ])
+    def test_two_point_rho_embeds_its_default_p(self, tmp_path, command, cfg, artifact):
+        cfg = {**cfg, "rho": dict(self.TWO_POINT)}
+        embedded = self.replay(tmp_path, command, cfg, artifact, lambda p: read_csv(p)[0])
+        assert embedded["rho"] == {**self.TWO_POINT, "p": 0.5}
+        # the run with p given writes the same bytes
+        given = self.run(tmp_path, command, {**cfg, "rho": {**self.TWO_POINT, "p": 0.5}}, "given") / artifact
+        assert given.read_bytes() == (tmp_path / "first" / artifact).read_bytes()
 
     def test_zero_energy_embeds_steps(self, tmp_path):
         embedded = self.replay(

@@ -330,3 +330,22 @@ def test_params_from_config_rejects_bad_input():
     assert (p.n, p.gamma, p.mu) == (6, 0.5, 2.0)
     with pytest.raises(ConfigError):
         rho_from_config({"kind": "gaussian"})
+
+
+@pytest.mark.parametrize("change", [
+    {"n": 10**7}, {"n": 2.5}, {"n": 1}, {"ell": 2.5}, {"mu": 0.0}, {"gamma": 1.0},
+    {"rho": {"kind": "uniform", "b": 1.0}}, {"rho": {"kind": "uniform", "a": "x", "b": 1.0}},
+    {"rho": {"kind": "two_point", "a": 0.0, "b": 1.0, "p": [0.5]}}, {"rho": {"kind": ["uniform"]}},
+    {"rho": {"kind": "discrete", "points": [], "weights": []}}, {"rho": "uniform"},
+])
+def test_params_from_config_refuses_what_the_cli_refuses(change):
+    base = {"n": 6, "gamma": 0.5, "rho": {"kind": "uniform", "a": -1.0, "b": 1.0}}
+    with pytest.raises(ConfigError):
+        params_from_config({**base, **change})
+
+
+def test_config_parsing_leaves_the_config_as_it_is():
+    rho = {"kind": "two_point", "a": 0.0, "b": 1.0}
+    cfg = {"n": 6, "gamma": 0.5, "rho": rho, "method": "fermionic"}  # an undeclared key is not refused
+    assert params_from_config(cfg).rho == rho_from_config(rho) == SingleSiteDistribution.two_point(0.0, 1.0)
+    assert cfg == {"n": 6, "gamma": 0.5, "rho": {"kind": "two_point", "a": 0.0, "b": 1.0}, "method": "fermionic"}
